@@ -419,7 +419,7 @@ def read_bundling_csv(path, asset_order) -> Bundling:
     """Read a bundling CSV back against a known asset ordering."""
     asset_order = tuple(asset_order)
     index = {a: i for i, a in enumerate(asset_order)}
-    pairs: list[tuple[int, str]] = []
+    labels = np.full(len(asset_order), -1)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != BUNDLING_HEADER:
@@ -428,16 +428,24 @@ def read_bundling_csv(path, asset_order) -> Bundling:
             line = line.strip()
             if not line:
                 continue
-            bundle_id, asset_id = line.split(",", 1)
+            bundle_text, sep, asset_id = line.partition(",")
+            if not sep:
+                raise FormatError(f"{path}:{ln}: expected 'bundle_id,asset_id', got {line!r}")
             if asset_id not in index:
                 raise FormatError(f"{path}:{ln}: unknown asset id {asset_id!r}")
-            pairs.append((int(bundle_id), asset_id))
-    if not pairs:
+            try:
+                bundle_id = int(bundle_text)
+            except ValueError:
+                raise FormatError(
+                    f"{path}:{ln}: bundle id {bundle_text!r} is not an integer") from None
+            if bundle_id < 0:
+                raise FormatError(f"{path}:{ln}: bundle id {bundle_id} is negative")
+            if labels[index[asset_id]] >= 0:
+                raise FormatError(f"{path}:{ln}: asset {asset_id!r} is listed twice")
+            labels[index[asset_id]] = bundle_id
+    if np.all(labels < 0):
         raise FormatError(f"{path}: no bundle assignments")
-    n_bundles = max(b for b, _ in pairs) + 1
-    labels = np.full(len(asset_order), -1)
-    for b, a in pairs:
-        labels[index[a]] = b
+    n_bundles = int(labels.max()) + 1
     if np.any(labels < 0):
         missing = [asset_order[i] for i in np.nonzero(labels < 0)[0]]
         raise FormatError(f"{path}: assets without a bundle: {missing}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import parse_utc_timestamp
 from .errors import ConfigError
-from .forecast import ForecastTask, ModelSpec
+from .forecast import LEVELS, ForecastTask, ModelSpec
 from .synth import SynthConfig
 
 _TASKS = ("short_term", "day_ahead")
@@ -139,7 +139,7 @@ class RunConfig:
 def load_run_config(path) -> RunConfig:
     fields = _Fields(_read_flat(path), path)
     specs = {}
-    for level in ("fleet", "bundle", "asset"):
+    for level in LEVELS:
         specs[level] = ModelSpec(
             model=fields.text(f"{level}_model", choices=_MODELS),
             ridge_lambda=fields.real(f"{level}_ridge_lambda"),

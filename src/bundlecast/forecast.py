@@ -319,12 +319,6 @@ def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
     )
 
 
-def ridge_predict(model: RidgeModel, history: np.ndarray, origin=None,
-                  cap: float | None = None) -> np.ndarray:
-    """Predict one horizon; thin functional wrapper over RidgeModel.predict."""
-    return model.predict(history, origin, cap)
-
-
 # --- rolling-origin harness ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -367,17 +361,23 @@ def hierarchy_actuals(panel: AssetPanel, bundling: Bundling, origins,
     return HierarchyForecast(origins, values, bundling.n_bundles, panel.n_assets)
 
 
-def _forecast_series(series: np.ndarray, timestamps: np.ndarray, origins: np.ndarray,
+def _forecast_series(series: np.ndarray, timestamps: np.ndarray, origin_sets,
                      spec: ModelSpec, task: ForecastTask, train_len: int,
-                     cap: float) -> np.ndarray:
-    """Forecasts (M, T) for one series at the given origin indices."""
+                     cap: float) -> list[np.ndarray]:
+    """Forecasts (M, T) for one series at each array of origin indices.
+
+    A ridge model is fitted once and predicts each origin set with its own
+    ``predict_batch`` call, so every set gets the values it would get alone.
+    """
     if spec.model == "persistence":
-        return np.repeat(series[origins][:, None], task.horizon, axis=1)
+        return [np.repeat(series[origins][:, None], task.horizon, axis=1)
+                for origins in origin_sets]
     model = ridge_fit(series[:train_len], timestamps[:train_len], task,
                       spec.ridge_lambda, spec.use_calendar)
     windows = sliding_window_view(series, task.history_len)
-    histories = windows[origins - task.history_len + 1]
-    return model.predict_batch(histories, timestamps[origins], cap)
+    return [model.predict_batch(windows[origins - task.history_len + 1],
+                                timestamps[origins], cap)
+            for origins in origin_sets]
 
 
 def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
@@ -413,10 +413,9 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     train_values = np.empty((train_origins.shape[0], n_rows, t))
     for r in range(n_rows):
         spec = specs[level_of_row[r]]
-        test_values[:, r, :] = _forecast_series(
-            series[r], panel.timestamps, test_origins, spec, task, split_idx, caps[r])
-        train_values[:, r, :] = _forecast_series(
-            series[r], panel.timestamps, train_origins, spec, task, split_idx, caps[r])
+        test_values[:, r, :], train_values[:, r, :] = _forecast_series(
+            series[r], panel.timestamps, (test_origins, train_origins), spec, task,
+            split_idx, caps[r])
 
     test = HierarchyForecast(panel.timestamps[test_origins], test_values,
                              bundling.n_bundles, panel.n_assets)
@@ -468,11 +467,30 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
             line = line.strip()
             if not line:
                 continue
-            origin, level, sid, lead, value = line.split(",")
-            key = (level, sid)
-            if key not in row_index:
-                raise FormatError(f"{path}:{ln}: unknown series {key}")
-            cells.setdefault(origin, {})[(row_index[key], int(lead) - 1)] = float(value)
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise FormatError(f"{path}:{ln}: expected 5 fields, got {len(fields)}")
+            origin, level, sid, lead_text, value_text = fields
+            row = row_index.get((level, sid))
+            if row is None:
+                raise FormatError(f"{path}:{ln}: unknown series {(level, sid)}")
+            try:
+                lead = int(lead_text)
+            except ValueError:
+                raise FormatError(f"{path}:{ln}: lead {lead_text!r} is not an integer") from None
+            if lead < 1:
+                raise FormatError(f"{path}:{ln}: lead {lead} is below 1")
+            try:
+                value = float(value_text)
+            except ValueError:
+                raise FormatError(f"{path}:{ln}: value {value_text!r} is not a number") from None
+            by_cell = cells.setdefault(origin, {})
+            cell = (row, lead - 1)
+            if cell in by_cell:
+                raise FormatError(
+                    f"{path}:{ln}: duplicate cell for origin {origin}, {level} "
+                    f"{sid!r}, lead {lead}")
+            by_cell[cell] = value
 
     if not cells:
         raise FormatError(f"{path}: no forecast rows")

@@ -26,9 +26,7 @@ from .errors import (
     NonpositiveOrderError,
     ShapeMismatchError,
 )
-from .forecast import FLOAT_FORMAT, HierarchyForecast
-
-LEVELS = ("fleet", "bundle", "asset")
+from .forecast import FLOAT_FORMAT, LEVELS, HierarchyForecast
 
 
 def _blocks(actuals, forecasts) -> tuple[np.ndarray, np.ndarray]:
@@ -115,6 +113,8 @@ def evaluate(actuals: HierarchyForecast, forecasts: HierarchyForecast,
         )
     if (actuals.n_bundles, actuals.n_assets) != (forecasts.n_bundles, forecasts.n_assets):
         raise ShapeMismatchError("actuals and forecasts disagree on hierarchy layout")
+    if not np.array_equal(actuals.origins, forecasts.origins):
+        raise ShapeMismatchError("actuals and forecasts are issued at different origins")
     caps = np.asarray(capacities, dtype=np.float64)
     if caps.shape != (actuals.n_assets,):
         raise ShapeMismatchError(f"{caps.shape} capacities for {actuals.n_assets} assets")

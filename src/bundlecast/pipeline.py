@@ -6,9 +6,14 @@ evaluation reports, reconciler diagnostics, and a manifest of input hashes.
 Outputs are a pure function of (config, input files): no wall-clock time or
 machine state leaks into any file, so identical runs are byte-identical.
 
-When the config asks for the no-bundling baseline, the same panel is pushed
-through a second pass with a single bundle (K=1) and a side-by-side
-comparison of the reconciled fleet/bundle/asset metrics is emitted.
+Each stage is one function over in-memory inputs plus one writer:
+:func:`make_bundling`, ``rolling_forecast``, :func:`reconcile_forecasts`,
+:func:`evaluate_forecasts`. ``run`` ingests once and calls them in order,
+writing each product as soon as it exists; for the no-bundling baseline it
+repeats the pass with one bundle (K=1) under a ``baseline_`` prefix and
+compares the two. A stage command loads its inputs from the run directory,
+reading and checking the CSVs inside the stage, then calls the same
+function and writer.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import hashlib
 import json
 import math
 import shutil
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +41,11 @@ from .bundling import (
 )
 from .config import RunConfig, load_run_config, load_synth_config
 from .core import AssetPanel, Criterion, covariance, haversine_matrix, ingest_panel
-from .errors import BundlecastError, ConfigError
+from .errors import BundlecastError, ConfigError, ShapeMismatchError
 from .forecast import (
     FLOAT_FORMAT,
+    LEVELS,
     HierarchyForecast,
-    RollingForecasts,
     hierarchy_actuals,
     hierarchy_capacities,
     read_forecast_csv,
@@ -59,6 +64,8 @@ from .reconcile import (
     write_diagnostics_csv,
 )
 from .synth import write_synth_csv
+
+Reports = dict[str, EvaluationReport]  # per level
 
 WEIGHT_FLOOR_REL = 1e-8  # of squared fleet capacity
 
@@ -111,50 +118,35 @@ def make_bundling(config: RunConfig, panel: AssetPanel, distances: np.ndarray,
     return greedy_bundle(train_panel, distances, cfg)
 
 
-@dataclass(frozen=True)
-class RunArtifacts:
-    """In-memory results of one pipeline pass."""
-
-    bundling: Bundling
-    forecasts: RollingForecasts
-    weights: LeadWeights
-    reconciler: ReconcilerModel
-    reconciled: HierarchyForecast
-    reports_raw: dict[str, EvaluationReport]
-    reports_reconciled: dict[str, EvaluationReport]
+def reconcile_forecasts(panel: AssetPanel, bundling: Bundling, insample: HierarchyForecast,
+                        test: HierarchyForecast) -> tuple[LeadWeights, ReconcilerModel,
+                                                          HierarchyForecast]:
+    """Per-lead WLS weights from the in-sample residuals, applied to the test forecasts."""
+    actual_train = hierarchy_actuals(panel, bundling, insample.origins, insample.horizon)
+    weights = estimate_weights(insample, actual_train,
+                               eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
+    model = build_reconciler(summing_matrix(bundling), weights)
+    return weights, model, reconcile(model, test)
 
 
-def execute(config: RunConfig, panel: AssetPanel, distances: np.ndarray,
-            n_bundles: int | None = None) -> RunArtifacts:
-    """Run bundle -> predict -> reconcile -> evaluate on a loaded panel."""
-    bundling = _stage("bundle", make_bundling, config, panel, distances, n_bundles)
-    forecasts = _stage(
-        "forecast", rolling_forecast,
-        panel, bundling, config.forecast_task, config.specs, config.test_start,
-    )
+def evaluate_forecasts(panel: AssetPanel, bundling: Bundling, raw: HierarchyForecast,
+                       reconciled: HierarchyForecast) -> tuple[Reports, Reports]:
+    """Score the raw and the reconciled test forecasts against realized values."""
+    actual_test = hierarchy_actuals(panel, bundling, raw.origins, raw.horizon)
+    return (evaluate(actual_test, raw, bundling, panel.capacities),
+            evaluate(actual_test, reconciled, bundling, panel.capacities))
 
-    def _reconcile_stage():
-        actual_train = hierarchy_actuals(
-            panel, bundling, forecasts.insample.origins, config.horizon)
-        weights = estimate_weights(
-            forecasts.insample, actual_train,
-            eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
-        model = build_reconciler(summing_matrix(bundling), weights)
-        return weights, model, reconcile(model, forecasts.test)
 
-    weights, model, reconciled = _stage("reconcile", _reconcile_stage)
+def _write_reconciled(out: Path, panel: AssetPanel, bundling: Bundling, weights: LeadWeights,
+                      model: ReconcilerModel, reconciled: HierarchyForecast, prefix="") -> None:
+    write_forecast_csv(reconciled, panel.asset_ids, out / (prefix + RECONCILED_FILE))
+    violations = count_bound_violations(reconciled, hierarchy_capacities(panel, bundling))
+    write_diagnostics_csv(model, weights, out / (prefix + DIAGNOSTICS_FILE), violations)
 
-    def _evaluate_stage():
-        actual_test = hierarchy_actuals(
-            panel, bundling, forecasts.test.origins, config.horizon)
-        caps = panel.capacities
-        raw = evaluate(actual_test, forecasts.test, bundling, caps)
-        rec = evaluate(actual_test, reconciled, bundling, caps)
-        return raw, rec
 
-    reports_raw, reports_reconciled = _stage("evaluate", _evaluate_stage)
-    return RunArtifacts(bundling, forecasts, weights, model, reconciled,
-                        reports_raw, reports_reconciled)
+def _write_reports(out: Path, raw: Reports, reconciled: Reports, prefix="") -> None:
+    write_report_csv(reconciled, out / (prefix + REPORT_FILE))
+    write_report_csv(raw, out / (prefix + REPORT_RAW_FILE))
 
 
 def _sha256(path) -> str:
@@ -174,46 +166,52 @@ def write_manifest(config_path, config: RunConfig, out_dir: Path) -> None:
     )
 
 
-def _write_artifacts(artifacts: RunArtifacts, panel: AssetPanel, out_dir: Path,
-                     prefix: str = "") -> None:
-    # the in-sample forecasts are an intermediate (stage interface), not a
-    # run product; stage_forecast writes them for stage_reconcile to read
-    ids = panel.asset_ids
-    write_bundling_csv(artifacts.bundling, out_dir / (prefix + BUNDLING_FILE))
-    write_forecast_csv(artifacts.forecasts.test, ids, out_dir / (prefix + FORECAST_TEST_FILE))
-    write_forecast_csv(artifacts.reconciled, ids, out_dir / (prefix + RECONCILED_FILE))
-    write_report_csv(artifacts.reports_reconciled, out_dir / (prefix + REPORT_FILE))
-    write_report_csv(artifacts.reports_raw, out_dir / (prefix + REPORT_RAW_FILE))
-    violations = count_bound_violations(
-        artifacts.reconciled, hierarchy_capacities(panel, artifacts.bundling))
-    write_diagnostics_csv(artifacts.reconciler, artifacts.weights,
-                          out_dir / (prefix + DIAGNOSTICS_FILE), violations)
-
-
-def _write_comparison(bundled: dict[str, EvaluationReport],
-                      baseline: dict[str, EvaluationReport], path) -> None:
+def _write_comparison(bundled: Reports, baseline: Reports, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("level,metric,bundled,baseline\n")
-        for level in ("fleet", "bundle", "asset"):
-            pairs = [("nmae", bundled[level].nmae, baseline[level].nmae),
-                     ("rmse", bundled[level].rmse, baseline[level].rmse),
-                     ("ed", bundled[level].ed, baseline[level].ed)]
-            if bundled[level].vs is not None and baseline[level].vs is not None:
-                pairs.append(("vs", bundled[level].vs, baseline[level].vs))
-            for name, b, k1 in pairs:
-                fh.write(
-                    f"{level},{name},{FLOAT_FORMAT.format(b)},{FLOAT_FORMAT.format(k1)}\n"
-                )
+        for level in LEVELS:
+            for name in ("nmae", "rmse", "ed", "vs"):
+                b, k1 = getattr(bundled[level], name), getattr(baseline[level], name)
+                if b is not None and k1 is not None:
+                    fh.write(f"{level},{name},{FLOAT_FORMAT.format(b)},"
+                             f"{FLOAT_FORMAT.format(k1)}\n")
 
 
-def _prepare_out_dir(out_dir: Path) -> bool:
-    """Create the run directory; returns True when this call created it."""
-    if out_dir.exists():
-        if any(out_dir.iterdir()):
-            raise ConfigError(f"output directory {out_dir} exists and is not empty")
-        return False
-    out_dir.mkdir(parents=True)
-    return True
+@contextmanager
+def _fresh_out_dir(out: Path):
+    """Create (or claim an empty) run directory; remove what was written on failure."""
+    created = not out.exists()
+    if created:
+        out.mkdir(parents=True)
+    elif any(out.iterdir()):
+        raise ConfigError(f"output directory {out} exists and is not empty")
+    try:
+        yield out
+    except BaseException:
+        if created:
+            shutil.rmtree(out, ignore_errors=True)
+        else:
+            for child in out.iterdir():
+                child.unlink()
+        raise
+
+
+def _run_pass(config: RunConfig, panel: AssetPanel, distances: np.ndarray, out: Path,
+              n_bundles: int | None = None, prefix: str = "") -> Reports:
+    """Bundle -> forecast -> reconcile -> evaluate; returns the reconciled reports."""
+    bundling = _stage("bundle", make_bundling, config, panel, distances, n_bundles)
+    write_bundling_csv(bundling, out / (prefix + BUNDLING_FILE))
+    forecasts = _stage("forecast", rolling_forecast, panel, bundling, config.forecast_task,
+                       config.specs, config.test_start)
+    # the in-sample forecasts are a stage interface, not a run product
+    write_forecast_csv(forecasts.test, panel.asset_ids, out / (prefix + FORECAST_TEST_FILE))
+    weights, model, reconciled = _stage(
+        "reconcile", reconcile_forecasts, panel, bundling, forecasts.insample, forecasts.test)
+    _write_reconciled(out, panel, bundling, weights, model, reconciled, prefix)
+    raw_reports, reports = _stage(
+        "evaluate", evaluate_forecasts, panel, bundling, forecasts.test, reconciled)
+    _write_reports(out, raw_reports, reports, prefix)
+    return reports
 
 
 def run(config_path, out_dir=None) -> Path:
@@ -222,41 +220,44 @@ def run(config_path, out_dir=None) -> Path:
     Partial outputs are removed when any stage fails.
     """
     config = load_run_config(config_path)
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    created = _prepare_out_dir(out)
-    try:
+    with _fresh_out_dir(Path(out_dir or config.output_dir)) as out:
         panel = _stage("ingest", load_panel, config)
         distances = haversine_matrix(panel.assets)
-        artifacts = execute(config, panel, distances)
-        _write_artifacts(artifacts, panel, out)
+        bundled = _run_pass(config, panel, distances, out)
         if config.baseline:
-            base = execute(config, panel, distances, n_bundles=1)
-            _write_artifacts(base, panel, out, prefix="baseline_")
-            _write_comparison(artifacts.reports_reconciled, base.reports_reconciled,
-                              out / COMPARISON_FILE)
+            baseline = _run_pass(config, panel, distances, out, n_bundles=1, prefix="baseline_")
+            _write_comparison(bundled, baseline, out / COMPARISON_FILE)
         write_manifest(config_path, config, out)
-    except BaseException:
-        if created:
-            shutil.rmtree(out, ignore_errors=True)
-        else:
-            for child in out.iterdir():
-                child.unlink()
-        raise
     return out
 
 
 # --- stage-wise commands (build one run directory incrementally) -------------
 
-def _stage_dir(config: RunConfig, out_dir) -> Path:
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
+def _open_stage(config_path, out_dir) -> tuple[RunConfig, Path, AssetPanel]:
+    config = load_run_config(config_path)
+    out = Path(out_dir or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return config, out, _stage("ingest", load_panel, config)
 
 
-def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise ConfigError(f"{path} not found; run the '{producer}' stage first")
-    return path
+_PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_TEST_FILE: "forecast",
+             FORECAST_INSAMPLE_FILE: "forecast", RECONCILED_FILE: "reconcile"}
+
+
+def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *forecast_files):
+    """``(bundling, *forecasts)`` read from a run directory; forecasts must span the horizon."""
+    for name in (BUNDLING_FILE, *forecast_files):
+        if not (out / name).exists():
+            raise ConfigError(f"{out / name} not found; run the '{_PRODUCER[name]}' stage first")
+    bundling = read_bundling_csv(out / BUNDLING_FILE, panel.asset_ids)
+    forecasts = []
+    for name in forecast_files:
+        forecast = read_forecast_csv(out / name, panel.asset_ids, bundling.n_bundles)
+        if forecast.horizon != config.horizon:
+            raise ShapeMismatchError(f"{out / name}: {forecast.horizon} leads, but the "
+                                     f"config's horizon is {config.horizon}")
+        forecasts.append(forecast)
+    return (bundling, *forecasts)
 
 
 def stage_synth(config_path, out_dir=None) -> tuple[Path, Path]:
@@ -275,9 +276,7 @@ def stage_synth(config_path, out_dir=None) -> tuple[Path, Path]:
 
 def stage_bundle(config_path, out_dir=None) -> Path:
     """Learn bundles and write bundling.csv into the run directory."""
-    config = load_run_config(config_path)
-    out = _stage_dir(config, out_dir)
-    panel = _stage("ingest", load_panel, config)
+    config, out, panel = _open_stage(config_path, out_dir)
     distances = haversine_matrix(panel.assets)
     bundling = _stage("bundle", make_bundling, config, panel, distances)
     write_bundling_csv(bundling, out / BUNDLING_FILE)
@@ -295,14 +294,10 @@ def stage_bundle(config_path, out_dir=None) -> Path:
 
 def stage_forecast(config_path, out_dir=None) -> Path:
     """Produce test and in-sample forecasts for a previously learned bundling."""
-    config = load_run_config(config_path)
-    out = _stage_dir(config, out_dir)
-    panel = _stage("ingest", load_panel, config)
-    bundling = read_bundling_csv(_require(out / BUNDLING_FILE, "bundle"), panel.asset_ids)
-    forecasts = _stage(
-        "forecast", rolling_forecast,
-        panel, bundling, config.forecast_task, config.specs, config.test_start,
-    )
+    config, out, panel = _open_stage(config_path, out_dir)
+    (bundling,) = _stage("forecast", _load_inputs, config, out, panel)
+    forecasts = _stage("forecast", rolling_forecast, panel, bundling, config.forecast_task,
+                       config.specs, config.test_start)
     write_forecast_csv(forecasts.test, panel.asset_ids, out / FORECAST_TEST_FILE)
     write_forecast_csv(forecasts.insample, panel.asset_ids, out / FORECAST_INSAMPLE_FILE)
     return out / FORECAST_TEST_FILE
@@ -310,50 +305,23 @@ def stage_forecast(config_path, out_dir=None) -> Path:
 
 def stage_reconcile(config_path, out_dir=None) -> Path:
     """Reconcile the raw forecasts written by the forecast stage."""
-    config = load_run_config(config_path)
-    out = _stage_dir(config, out_dir)
-    panel = _stage("ingest", load_panel, config)
-    bundling = read_bundling_csv(_require(out / BUNDLING_FILE, "bundle"), panel.asset_ids)
-    insample = read_forecast_csv(_require(out / FORECAST_INSAMPLE_FILE, "forecast"),
-                                 panel.asset_ids, bundling.n_bundles)
-    test = read_forecast_csv(_require(out / FORECAST_TEST_FILE, "forecast"),
-                             panel.asset_ids, bundling.n_bundles)
-
-    def _stage_fn():
-        actual_train = hierarchy_actuals(panel, bundling, insample.origins, insample.horizon)
-        weights = estimate_weights(
-            insample, actual_train,
-            eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
-        model = build_reconciler(summing_matrix(bundling), weights)
-        return weights, model, reconcile(model, test)
-
-    weights, model, reconciled = _stage("reconcile", _stage_fn)
-    write_forecast_csv(reconciled, panel.asset_ids, out / RECONCILED_FILE)
-    violations = count_bound_violations(reconciled, hierarchy_capacities(panel, bundling))
-    write_diagnostics_csv(model, weights, out / DIAGNOSTICS_FILE, violations)
+    config, out, panel = _open_stage(config_path, out_dir)
+    bundling, insample, test = _stage("reconcile", _load_inputs, config, out, panel,
+                                      FORECAST_INSAMPLE_FILE, FORECAST_TEST_FILE)
+    weights, model, reconciled = _stage(
+        "reconcile", reconcile_forecasts, panel, bundling, insample, test)
+    _write_reconciled(out, panel, bundling, weights, model, reconciled)
     return out / RECONCILED_FILE
 
 
 def stage_evaluate(config_path, out_dir=None) -> Path:
     """Score raw and reconciled forecasts against realized values."""
-    config = load_run_config(config_path)
-    out = _stage_dir(config, out_dir)
-    panel = _stage("ingest", load_panel, config)
-    bundling = read_bundling_csv(_require(out / BUNDLING_FILE, "bundle"), panel.asset_ids)
-    test = read_forecast_csv(_require(out / FORECAST_TEST_FILE, "forecast"),
-                             panel.asset_ids, bundling.n_bundles)
-    reconciled = read_forecast_csv(_require(out / RECONCILED_FILE, "reconcile"),
-                                   panel.asset_ids, bundling.n_bundles)
-
-    def _stage_fn():
-        actual_test = hierarchy_actuals(panel, bundling, test.origins, test.horizon)
-        raw = evaluate(actual_test, test, bundling, panel.capacities)
-        rec = evaluate(actual_test, reconciled, bundling, panel.capacities)
-        return raw, rec
-
-    raw, rec = _stage("evaluate", _stage_fn)
-    write_report_csv(rec, out / REPORT_FILE)
-    write_report_csv(raw, out / REPORT_RAW_FILE)
+    config, out, panel = _open_stage(config_path, out_dir)
+    bundling, raw, reconciled = _stage(
+        "evaluate", _load_inputs, config, out, panel, FORECAST_TEST_FILE, RECONCILED_FILE)
+    raw_reports, reports = _stage(
+        "evaluate", evaluate_forecasts, panel, bundling, raw, reconciled)
+    _write_reports(out, raw_reports, reports)
     return out / REPORT_FILE
 
 
@@ -362,9 +330,7 @@ def run_sweep(config_path, out_dir=None) -> Path:
     config = load_run_config(config_path)
     if config.diameters is None:
         raise ConfigError(f"{config_path}: sweep needs a 'diameters' key")
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    created = _prepare_out_dir(out)
-    try:
+    with _fresh_out_dir(Path(out_dir or config.output_dir)) as out:
         panel = _stage("ingest", load_panel, config).window(
             config.train_start, config.train_end)
         distances = haversine_matrix(panel.assets)
@@ -381,11 +347,4 @@ def run_sweep(config_path, out_dir=None) -> Path:
                         f"{obj},{str(pt.feasible).lower()}\n"
                     )
         write_manifest(config_path, config, out)
-    except BaseException:
-        if created:
-            shutil.rmtree(out, ignore_errors=True)
-        else:
-            for child in out.iterdir():
-                child.unlink()
-        raise
     return out

@@ -24,6 +24,7 @@ from bundlecast import (
 from bundlecast.bundling import read_bundling_csv, write_bundling_csv
 from bundlecast.errors import (
     DimensionMismatchError,
+    FormatError,
     InfeasibleMergeError,
     InfeasiblePartitionError,
     PartitionTooLargeError,
@@ -340,3 +341,17 @@ def test_bundling_csv_round_trip(tmp_path, small_panel):
     assert len(lines) == 1 + small_panel.n_assets
     back = read_bundling_csv(path, small_panel.asset_ids)
     np.testing.assert_array_equal(back.assignment, b.canonical().assignment)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0 a1", "expected 'bundle_id,asset_id'"),
+    ("x,a1", "not an integer"),
+    ("-1,a1", "negative"),
+    ("1,a0", "listed twice"),  # would silently move a0 to bundle 1
+])
+def test_read_bundling_csv_rejects_malformed_rows(tmp_path, row, message):
+    path = tmp_path / "bundling.csv"
+    path.write_text(f"bundle_id,asset_id\n0,a0\n{row}\n0,a2\n1,a1\n")
+    with pytest.raises(FormatError, match=message) as info:
+        read_bundling_csv(path, ("a0", "a1", "a2"))
+    assert f"{path}:3:" in str(info.value)

@@ -16,7 +16,6 @@ from bundlecast import (
     hierarchy_series,
     persistence_forecast,
     ridge_fit,
-    ridge_predict,
     rolling_forecast,
 )
 from bundlecast.forecast import (
@@ -27,6 +26,7 @@ from bundlecast.forecast import (
 )
 from bundlecast.errors import (
     EmptyHistoryError,
+    FormatError,
     InsufficientDataError,
     LengthMismatchError,
     ShapeMismatchError,
@@ -281,6 +281,24 @@ def test_rolling_is_deterministic(rng):
     np.testing.assert_array_equal(a.insample.values, c.insample.values)
 
 
+def test_rolling_fits_each_ridge_row_once(rng, monkeypatch):
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args[0].shape)
+        return ridge_fit(*args, **kwargs)
+
+    monkeypatch.setattr("bundlecast.forecast.ridge_fit", counting_fit)
+    panel = random_panel(rng, 4, 120)
+    b = Bundling.from_labels([0, 0, 1, 1], 2, panel.asset_ids)
+    specs = {"fleet": ModelSpec("ridge", 1.0, False),
+             "bundle": ModelSpec("ridge", 0.5, True),
+             "asset": ModelSpec("persistence")}
+    rf = rolling_forecast(panel, b, ForecastTask(6, 4, 15), specs, panel.timestamps[90])
+    assert len(calls) == 1 + b.n_bundles  # fleet and bundle rows; assets use persistence
+    assert rf.test.n_origins > 0 and rf.insample.n_origins > 0
+
+
 def test_rolling_ridge_predictions_respect_capacity(rng):
     panel = random_panel(rng, 3, 150)
     b = Bundling.single_bundle(panel.asset_ids)
@@ -308,6 +326,25 @@ def test_forecast_csv_round_trip(tmp_path, rng):
     back = read_forecast_csv(path, panel.asset_ids, b.n_bundles)
     np.testing.assert_array_equal(back.origins, rf.test.origins)
     np.testing.assert_allclose(back.values, rf.test.values, rtol=1e-11)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("fleet,,1", "expected 5 fields"),
+    ("fleet,,x,1.5", "not an integer"),
+    ("fleet,,0,1.5", "below 1"),  # lead 0 would overwrite the last lead's value
+    ("fleet,,1,abc", "not a number"),
+    ("fleet,,1,1.5", "duplicate cell"),
+])
+def test_read_forecast_csv_rejects_malformed_rows(tmp_path, row, message):
+    origins = np.datetime64("2019-01-08T00:00:00", "s") + np.timedelta64(900, "s") * np.arange(2)
+    forecast = HierarchyForecast(origins, np.ones((2, 3, 2)), 1, 1)
+    path = tmp_path / "forecast.csv"
+    write_forecast_csv(forecast, ("a0",), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"2019-01-08T00:00:00Z,{row}\n")
+    with pytest.raises(FormatError, match=message) as info:
+        read_forecast_csv(path, ("a0",), 1)
+    assert f"{path}:14:" in str(info.value)  # header + 2 origins x 3 rows x 2 leads
 
 
 def test_hierarchy_forecast_rejects_nan():

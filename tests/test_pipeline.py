@@ -8,7 +8,7 @@ import pytest
 from bundlecast import coherence_gap, ingest_panel, summing_matrix
 from bundlecast.bundling import read_bundling_csv
 from bundlecast.cli import main
-from bundlecast.forecast import read_forecast_csv
+from bundlecast.forecast import HierarchyForecast, read_forecast_csv, write_forecast_csv
 from bundlecast.pipeline import run as pipeline_run
 
 
@@ -199,3 +199,52 @@ def test_pipeline_run_returns_directory(data_dir):
     out = pipeline_run(cfg)
     assert out == data_dir / "api_run"
     assert (out / "manifest.json").exists()
+
+
+def test_run_and_stage_commands_agree(data_dir):
+    cfg = str(write_run_config(data_dir, out="full"))
+    assert main(["run", "--config", cfg]) == 0
+    staged = data_dir / "staged"
+    for command in ("bundle", "forecast", "reconcile", "evaluate"):
+        assert main([command, "--config", cfg, "--out", str(staged)]) == 0
+    full = data_dir / "full"
+    for name in ("bundling.csv", "forecasts_raw.csv"):
+        assert (full / name).read_bytes() == (staged / name).read_bytes(), name
+
+    # the stage path reconciles forecasts read back from 12-digit CSVs
+    panel = ingest_panel(data_dir / "assets.csv", data_dir / "series.csv")
+    bundling = read_bundling_csv(full / "bundling.csv", panel.asset_ids)
+    a, b = (read_forecast_csv(d / "forecasts_reconciled.csv", panel.asset_ids,
+                              bundling.n_bundles) for d in (full, staged))
+    np.testing.assert_array_equal(a.origins, b.origins)
+    assert np.max(np.abs(a.values - b.values)) <= 1e-9 * panel.fleet_capacity
+
+
+def _rewrite_forecasts(out, asset_ids, names, horizon=None, shift=None):
+    n_bundles = read_bundling_csv(out / "bundling.csv", asset_ids).n_bundles
+    for name in names:
+        fc = read_forecast_csv(out / name, asset_ids, n_bundles)
+        origins = fc.origins if shift is None else fc.origins + shift
+        write_forecast_csv(HierarchyForecast(origins, fc.values[:, :, :horizon],
+                                             n_bundles, len(asset_ids)), asset_ids, out / name)
+
+
+@pytest.mark.parametrize("command, corrupt", [
+    ("forecast", lambda out, ids: (out / "bundling.csv").write_text(
+        f"bundle_id,asset_id\n0 {ids[0]}\n")),
+    ("reconcile", lambda out, ids: _rewrite_forecasts(
+        out, ids, ["forecasts_insample.csv", "forecasts_raw.csv"], horizon=7)),
+    ("evaluate", lambda out, ids: _rewrite_forecasts(
+        out, ids, ["forecasts_raw.csv", "forecasts_reconciled.csv"], horizon=7)),
+    ("evaluate", lambda out, ids: _rewrite_forecasts(
+        out, ids, ["forecasts_reconciled.csv"], shift=np.timedelta64(900, "s"))),
+], ids=["malformed-bundling", "reconcile-horizon", "evaluate-horizon", "evaluate-origins"])
+def test_cli_stage_rejects_bad_inputs(data_dir, capsys, command, corrupt):
+    cfg = str(write_run_config(data_dir, out="bad_inputs"))
+    for stage in ("bundle", "forecast", "reconcile"):
+        assert main([stage, "--config", cfg]) == 0
+    panel = ingest_panel(data_dir / "assets.csv", data_dir / "series.csv")
+    corrupt(data_dir / "bad_inputs", panel.asset_ids)
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 1
+    assert f"bundlecast {command}: [{command}] " in capsys.readouterr().err
