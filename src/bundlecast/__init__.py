@@ -45,7 +45,6 @@ from .forecast import (
     hierarchy_actuals,
     hierarchy_capacities,
     hierarchy_series,
-    persistence_forecast,
     ridge_fit,
     rolling_forecast,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "ForecastTask", "HierarchyForecast", "ModelSpec", "RidgeModel", "RollingForecasts",
     "SHORT_TERM", "DAY_AHEAD",
     "hierarchy_actuals", "hierarchy_capacities", "hierarchy_series",
-    "persistence_forecast", "ridge_fit", "rolling_forecast",
+    "ridge_fit", "rolling_forecast",
     "EvaluationReport", "energy_distance", "evaluate", "nmae", "rmse", "variogram_score",
     "LeadWeights", "ReconcilerModel", "build_reconciler", "coherence_gap",
     "estimate_weights", "reconcile", "summing_matrix",

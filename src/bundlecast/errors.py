@@ -64,10 +64,6 @@ class InfeasiblePartitionError(BundlecastError):
 
 # --- forecasting ------------------------------------------------------------
 
-class EmptyHistoryError(BundlecastError):
-    """Persistence forecast requested from an empty history."""
-
-
 class InsufficientDataError(BundlecastError):
     """Training series too short for the requested window/horizon."""
 
@@ -88,10 +84,6 @@ class ShapeMismatchError(BundlecastError):
 
 class NoOriginsError(BundlecastError):
     """Residual estimation received zero forecast origins."""
-
-
-class SingularNormalMatrixError(BundlecastError):
-    """S'W^-1 S could not be factorized; internal numerical failure."""
 
 
 # --- metrics ----------------------------------------------------------------

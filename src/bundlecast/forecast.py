@@ -29,7 +29,6 @@ from .bundling import Bundling
 from .core import AssetPanel, format_utc_timestamp, parse_utc_timestamp
 from .errors import (
     DimensionMismatchError,
-    EmptyHistoryError,
     FormatError,
     InsufficientDataError,
     LengthMismatchError,
@@ -134,16 +133,6 @@ class HierarchyForecast:
     @property
     def assets(self) -> np.ndarray:
         return self.values[:, 1 + self.n_bundles:, :]
-
-
-# --- persistence --------------------------------------------------------------
-
-def persistence_forecast(history: np.ndarray, horizon: int) -> np.ndarray:
-    """Repeat the last observed value across the whole horizon."""
-    history = np.asarray(history, dtype=np.float64)
-    if history.size == 0:
-        raise EmptyHistoryError("persistence forecast needs at least one observation")
-    return np.full(horizon, history[-1])
 
 
 # --- direct multi-horizon ridge -------------------------------------------------
@@ -459,6 +448,7 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
     row_index.update({("asset", a): 1 + n_bundles + i for i, a in enumerate(asset_ids)})
 
     cells: dict[str, dict[tuple[int, int], float]] = {}
+    instants: dict[str, np.datetime64] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != FORECAST_HEADER:
@@ -484,7 +474,13 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
                 value = float(value_text)
             except ValueError:
                 raise FormatError(f"{path}:{ln}: value {value_text!r} is not a number") from None
-            by_cell = cells.setdefault(origin, {})
+            by_cell = cells.get(origin)
+            if by_cell is None:
+                try:
+                    instants[origin] = parse_utc_timestamp(origin)
+                except FormatError as exc:
+                    raise FormatError(f"{path}:{ln}: {exc}") from None
+                by_cell = cells[origin] = {}
             cell = (row, lead - 1)
             if cell in by_cell:
                 raise FormatError(
@@ -494,7 +490,7 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
 
     if not cells:
         raise FormatError(f"{path}: no forecast rows")
-    origin_texts = sorted(cells, key=parse_utc_timestamp)
+    origin_texts = sorted(cells, key=instants.__getitem__)
     horizon = 1 + max(tau for by_cell in cells.values() for (_, tau) in by_cell)
     n_rows = 1 + n_bundles + len(asset_ids)
     values = np.full((len(origin_texts), n_rows, horizon), np.nan)
@@ -503,5 +499,5 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
             values[m, r, tau] = v
     if np.isnan(values).any():
         raise FormatError(f"{path}: incomplete forecast grid")
-    origins = np.array([parse_utc_timestamp(o) for o in origin_texts], dtype="datetime64[s]")
+    origins = np.array([instants[o] for o in origin_texts], dtype="datetime64[s]")
     return HierarchyForecast(origins, values, n_bundles, len(asset_ids))

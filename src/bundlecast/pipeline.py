@@ -55,12 +55,10 @@ from .forecast import (
 from .metrics import EvaluationReport, evaluate, write_report_csv
 from .reconcile import (
     LeadWeights,
-    ReconcilerModel,
     build_reconciler,
     count_bound_violations,
     estimate_weights,
     reconcile,
-    summing_matrix,
     write_diagnostics_csv,
 )
 from .synth import write_synth_csv
@@ -119,14 +117,12 @@ def make_bundling(config: RunConfig, panel: AssetPanel, distances: np.ndarray,
 
 
 def reconcile_forecasts(panel: AssetPanel, bundling: Bundling, insample: HierarchyForecast,
-                        test: HierarchyForecast) -> tuple[LeadWeights, ReconcilerModel,
-                                                          HierarchyForecast]:
+                        test: HierarchyForecast) -> tuple[LeadWeights, HierarchyForecast]:
     """Per-lead WLS weights from the in-sample residuals, applied to the test forecasts."""
     actual_train = hierarchy_actuals(panel, bundling, insample.origins, insample.horizon)
     weights = estimate_weights(insample, actual_train,
                                eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
-    model = build_reconciler(summing_matrix(bundling), weights)
-    return weights, model, reconcile(model, test)
+    return weights, reconcile(build_reconciler(bundling, weights), test)
 
 
 def evaluate_forecasts(panel: AssetPanel, bundling: Bundling, raw: HierarchyForecast,
@@ -138,10 +134,10 @@ def evaluate_forecasts(panel: AssetPanel, bundling: Bundling, raw: HierarchyFore
 
 
 def _write_reconciled(out: Path, panel: AssetPanel, bundling: Bundling, weights: LeadWeights,
-                      model: ReconcilerModel, reconciled: HierarchyForecast, prefix="") -> None:
+                      reconciled: HierarchyForecast, prefix="") -> None:
     write_forecast_csv(reconciled, panel.asset_ids, out / (prefix + RECONCILED_FILE))
     violations = count_bound_violations(reconciled, hierarchy_capacities(panel, bundling))
-    write_diagnostics_csv(model, weights, out / (prefix + DIAGNOSTICS_FILE), violations)
+    write_diagnostics_csv(weights, out / (prefix + DIAGNOSTICS_FILE), violations)
 
 
 def _write_reports(out: Path, raw: Reports, reconciled: Reports, prefix="") -> None:
@@ -205,9 +201,9 @@ def _run_pass(config: RunConfig, panel: AssetPanel, distances: np.ndarray, out: 
                        config.specs, config.test_start)
     # the in-sample forecasts are a stage interface, not a run product
     write_forecast_csv(forecasts.test, panel.asset_ids, out / (prefix + FORECAST_TEST_FILE))
-    weights, model, reconciled = _stage(
+    weights, reconciled = _stage(
         "reconcile", reconcile_forecasts, panel, bundling, forecasts.insample, forecasts.test)
-    _write_reconciled(out, panel, bundling, weights, model, reconciled, prefix)
+    _write_reconciled(out, panel, bundling, weights, reconciled, prefix)
     raw_reports, reports = _stage(
         "evaluate", evaluate_forecasts, panel, bundling, forecasts.test, reconciled)
     _write_reports(out, raw_reports, reports, prefix)
@@ -245,11 +241,14 @@ _PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_TEST_FILE: "forecast",
 
 
 def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *forecast_files):
-    """``(bundling, *forecasts)`` read from a run directory; forecasts must span the horizon."""
+    """``(bundling, *forecasts)`` read from a run directory, checked against the config."""
     for name in (BUNDLING_FILE, *forecast_files):
         if not (out / name).exists():
             raise ConfigError(f"{out / name} not found; run the '{_PRODUCER[name]}' stage first")
     bundling = read_bundling_csv(out / BUNDLING_FILE, panel.asset_ids)
+    if bundling.n_bundles != config.n_bundles:
+        raise ShapeMismatchError(f"{out / BUNDLING_FILE}: {bundling.n_bundles} bundles, but "
+                                 f"the config's n_bundles is {config.n_bundles}")
     forecasts = []
     for name in forecast_files:
         forecast = read_forecast_csv(out / name, panel.asset_ids, bundling.n_bundles)
@@ -308,9 +307,9 @@ def stage_reconcile(config_path, out_dir=None) -> Path:
     config, out, panel = _open_stage(config_path, out_dir)
     bundling, insample, test = _stage("reconcile", _load_inputs, config, out, panel,
                                       FORECAST_INSAMPLE_FILE, FORECAST_TEST_FILE)
-    weights, model, reconciled = _stage(
+    weights, reconciled = _stage(
         "reconcile", reconcile_forecasts, panel, bundling, insample, test)
-    _write_reconciled(out, panel, bundling, weights, model, reconciled)
+    _write_reconciled(out, panel, bundling, weights, reconciled)
     return out / RECONCILED_FILE
 
 

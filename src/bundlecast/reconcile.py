@@ -1,16 +1,29 @@
 """Minimum-trace reconciliation with per-lead WLS variance scaling.
 
-Incoherent hierarchy forecasts (fleet, bundles, assets predicted by separate
-models) are projected onto the coherent subspace spanned by the summing
-matrix S. For each lead time tau the projection uses the diagonal of the
-in-sample error second-moment matrix as weights:
+Incoherent hierarchy forecasts h^ (fleet, bundles, assets predicted by
+separate models) are projected onto the coherent subspace spanned by the
+summing matrix S, h~ = S (S' W^-1 S)^-1 S' W^-1 h^, where W is the diagonal
+of the in-sample error second moments at each lead.
 
-    G_tau = (S' W_tau^-1 S)^-1 S' W_tau^-1,   h~ = S G_tau h^
+S is a tree (fleet -> bundles -> assets) and W is diagonal, so the
+projection is one upward and one downward pass per lead. With variances
+v_0, v_k, w_i and forecasts y_0, y_k, a_i of the fleet, bundle k, asset i:
 
-G_tau S = I holds by construction (so reconciling coherent forecasts is the
-identity) and rescaling all weights of one lead by any positive constant
-leaves G_tau unchanged. G_tau is computed by Cholesky solves of the N x N
-normal system; the inverse weight matrix is never formed explicitly.
+* up: A_k, W_k = sums of a_i, w_i over bundle k; g_k = W_k / (v_k + W_k),
+  y~_k = A_k + g_k (y_k - A_k), V_k = g_k v_k; U, V = sums of y~_k, V_k;
+  g_0 = V / (v_0 + V), F = U + g_0 (y_0 - U);
+* down: B_k = y~_k + (V_k / V)(F - U), b_i = a_i + (w_i / W_k)(B_k - A_k);
+  the result is S b.
+
+WLS is the best linear unbiased estimate when row errors are independent
+with variances W. The up pass fuses each node's own forecast with its
+children's estimate by inverse variance (V_k is the fused variance); the
+down pass splits a node's correction among its independent children in
+proportion to their variances. This is the closed form of Hyndman, Lee &
+Wang (2016, CSDA 97) for a tree with diagonal W: coherent input passes
+through unchanged and rescaling one lead's weights changes nothing. The
+diagnostics report each lead's ``weight_ratio`` (max/min floored variance),
+which bounds cond(S' W^-1 S) <= (2N + 1) * weight_ratio.
 """
 
 from __future__ import annotations
@@ -18,14 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .bundling import Bundling
-from .errors import (
-    NoOriginsError,
-    ShapeMismatchError,
-    SingularNormalMatrixError,
-)
+from .errors import NoOriginsError, ShapeMismatchError
 from .forecast import HierarchyForecast
 
 
@@ -90,63 +98,52 @@ def estimate_weights(forecasts: HierarchyForecast, actuals: HierarchyForecast,
 
 @dataclass(frozen=True)
 class ReconcilerModel:
-    """Summing matrix plus per-lead projection gains G_tau.
+    """Per-lead, per-row weights of the two passes over the bundle tree."""
 
-    Invariant (checked at build time): G_tau @ S = I for every lead.
-    """
-
-    summing: np.ndarray         # (n_rows, n_assets)
-    gains: np.ndarray           # (horizon, n_assets, n_rows)
-    lead_condition: np.ndarray  # (horizon,) condition numbers of S'W^-1 S
+    bundling: Bundling
+    gains: np.ndarray   # (horizon, n_rows) own-forecast weight g; 1 for assets
+    shares: np.ndarray  # (horizon, n_rows) share of the parent's correction; 1 for the fleet
 
     @property
     def horizon(self) -> int:
         return int(self.gains.shape[0])
 
 
-def build_reconciler(summing: np.ndarray, weights: LeadWeights) -> ReconcilerModel:
-    """Assemble G_tau for every lead from the summing matrix and weights."""
-    s = np.asarray(summing, dtype=np.float64)
-    n_rows, n_assets = s.shape
-    if weights.variances.shape[1] != n_rows:
-        raise ShapeMismatchError(
-            f"weights cover {weights.variances.shape[1]} rows, summing matrix has {n_rows}"
-        )
-    horizon = weights.variances.shape[0]
-    gains = np.empty((horizon, n_assets, n_rows))
-    condition = np.empty(horizon)
-    for tau in range(horizon):
-        inv_w = 1.0 / weights.variances[tau]
-        weighted_st = s.T * inv_w[None, :]            # S' W^-1, (N, R)
-        normal = weighted_st @ s                      # S' W^-1 S, (N, N)
-        try:
-            gains[tau] = cho_solve(cho_factor(normal), weighted_st)
-        except LinAlgError as exc:
-            raise SingularNormalMatrixError(
-                f"normal matrix factorization failed at lead {tau + 1}"
-            ) from exc
-        condition[tau] = np.linalg.cond(normal)
-        gap = np.max(np.abs(gains[tau] @ s - np.eye(n_assets)))
-        if gap > 1e-8:
-            raise SingularNormalMatrixError(
-                f"G@S deviates from identity by {gap:.3e} at lead {tau + 1}"
-            )
-    return ReconcilerModel(s, gains, condition)
+def build_reconciler(bundling: Bundling, weights: LeadWeights) -> ReconcilerModel:
+    """Gains and shares of every lead from the bundle tree and the weights."""
+    k, n = bundling.n_bundles, bundling.n_assets
+    v = weights.variances
+    if v.shape[1] != 1 + k + n:
+        raise ShapeMismatchError(f"weights cover {v.shape[1]} rows, the hierarchy has {1 + k + n}")
+    v_fleet, v_bundle, v_asset = v[:, :1], v[:, 1:1 + k], v[:, 1 + k:]
+    w_bundle = v_asset @ bundling.assignment.T
+    g_bundle = w_bundle / (v_bundle + w_bundle)
+    fused = g_bundle * v_bundle
+    total = fused.sum(axis=1, keepdims=True)
+    gains = np.hstack([total / (v_fleet + total), g_bundle, np.ones_like(v_asset)])
+    shares = np.hstack([np.ones_like(v_fleet), fused / total,
+                        v_asset / w_bundle[:, bundling.labels]])
+    return ReconcilerModel(bundling, gains, shares)
 
 
 def reconcile(model: ReconcilerModel, forecasts: HierarchyForecast) -> HierarchyForecast:
     """Project forecasts onto the coherent subspace, per origin and lead."""
-    n_rows = model.summing.shape[0]
-    if forecasts.values.shape[1] != n_rows:
-        raise ShapeMismatchError(
-            f"forecast has {forecasts.values.shape[1]} rows, reconciler expects {n_rows}"
-        )
+    lam, k = model.bundling.assignment, model.bundling.n_bundles
+    if (forecasts.n_bundles, forecasts.n_assets) != lam.shape:
+        raise ShapeMismatchError(f"forecast has {forecasts.n_bundles} bundles and "
+                                 f"{forecasts.n_assets} assets, reconciler expects {lam.shape}")
     if forecasts.horizon != model.horizon:
         raise ShapeMismatchError(
             f"forecast horizon {forecasts.horizon} != reconciler horizon {model.horizon}"
         )
-    bottom = np.einsum("tnr,mrt->mnt", model.gains, forecasts.values)
-    coherent = np.einsum("rn,mnt->mrt", model.summing, bottom)
+    gains, shares = model.gains.T, model.shares.T      # (n_rows, horizon)
+    asset_sums = lam @ forecasts.assets
+    fused = asset_sums + gains[1:1 + k] * (forecasts.bundles - asset_sums)
+    total = fused.sum(axis=1, keepdims=True)
+    fleet = total + gains[:1] * (forecasts.fleet - total)
+    bundles = fused + shares[1:1 + k] * (fleet - total)
+    bottom = forecasts.assets + shares[1 + k:] * (bundles - asset_sums)[:, model.bundling.labels]
+    coherent = np.concatenate([bottom.sum(axis=1, keepdims=True), lam @ bottom, bottom], axis=1)
     return HierarchyForecast(forecasts.origins, coherent,
                              forecasts.n_bundles, forecasts.n_assets)
 
@@ -186,15 +183,16 @@ def count_bound_violations(forecast: HierarchyForecast, capacities) -> np.ndarra
     return outside.sum(axis=(0, 1))
 
 
-def write_diagnostics_csv(model: ReconcilerModel, weights: LeadWeights, path,
-                          bound_violations=None) -> None:
-    """Per-lead condition of S'W^-1 S, floored weights, and range violations."""
+def write_diagnostics_csv(weights: LeadWeights, path, bound_violations=None) -> None:
+    """Per-lead weight ratio, floored weights, and range violations."""
+    v = weights.variances
+    ratio = v.max(axis=1) / v.min(axis=1)
     if bound_violations is None:
-        bound_violations = np.zeros(model.horizon, dtype=np.int64)
+        bound_violations = np.zeros(v.shape[0], dtype=np.int64)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lead,normal_condition,n_floored_weights,n_bound_violations\n")
-        for tau in range(model.horizon):
+        fh.write("lead,weight_ratio,n_floored_weights,n_bound_violations\n")
+        for tau in range(v.shape[0]):
             fh.write(
-                f"{tau + 1},{model.lead_condition[tau]:.6e},"
+                f"{tau + 1},{ratio[tau]:.6e},"
                 f"{int(weights.n_floored[tau])},{int(bound_violations[tau])}\n"
             )

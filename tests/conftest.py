@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from bundlecast import AssetMeta, AssetPanel, SynthConfig, synth_panel
+from bundlecast import (
+    AssetMeta,
+    AssetPanel,
+    HierarchyForecast,
+    SynthConfig,
+    reconcile,
+    synth_panel,
+)
 
 
 def make_panel(values, lats=None, lons=None, caps=None, start="2019-01-08T00:00:00",
@@ -36,6 +43,17 @@ def random_bundling_labels(rng, n, k):
     labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
     rng.shuffle(labels)
     return labels
+
+
+def reconciler_gains(model):
+    """G_tau as a (T, N, R) array: the reconciled assets' response to each unit forecast."""
+    k, n = model.bundling.n_bundles, model.bundling.n_assets
+    n_rows = 1 + k + n
+    units = np.repeat(np.eye(n_rows)[:, :, None], model.horizon, axis=2)
+    origins = (np.datetime64("2019-01-08T00:00:00", "s")
+               + np.timedelta64(900, "s") * np.arange(n_rows))
+    rec = reconcile(model, HierarchyForecast(origins, units, k, n))
+    return rec.assets.transpose(2, 1, 0)
 
 
 @pytest.fixture

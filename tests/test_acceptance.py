@@ -43,7 +43,7 @@ from bundlecast.errors import InfeasiblePartitionError
 from bundlecast.forecast import read_forecast_csv
 from bundlecast.synth import SynthConfig, synth_panel
 
-from conftest import make_panel, random_bundling_labels, random_panel
+from conftest import make_panel, random_bundling_labels, random_panel, reconciler_gains
 
 
 def gate(name, elapsed, budget, failures):
@@ -188,9 +188,8 @@ def test_reconciliation_exactness():
 
     # hand-derived case
     b2 = Bundling.from_labels([0, 0], 1, ("a", "b"))
-    s2 = summing_matrix(b2)
     w2 = LeadWeights(np.ones((1, 4)), 1, 1e-12, np.zeros(1, dtype=int))
-    model2 = build_reconciler(s2, w2)
+    model2 = build_reconciler(b2, w2)
     origins = np.array(["2019-01-08T00:00:00"], dtype="datetime64[s]")
     hand_in = HierarchyForecast(origins, np.array([10.0, 10.0, 3.0, 5.0]).reshape(1, 4, 1), 1, 2)
     hand_out = reconcile(model2, hand_in).values[0, :, 0]
@@ -208,7 +207,8 @@ def test_reconciliation_exactness():
         s = summing_matrix(bundling)
         weights = LeadWeights(rng.uniform(0.1, 10.0, size=(horizon, n + k + 1)),
                               5, 1e-12, np.zeros(horizon, dtype=int))
-        model = build_reconciler(s, weights)
+        model = build_reconciler(bundling, weights)
+        gains = reconciler_gains(model)
         values = rng.uniform(0.0, 100.0, size=(2, n + k + 1, horizon))
         fc = HierarchyForecast(
             origins[0] + np.timedelta64(900, "s") * np.arange(2), values, k, n)
@@ -220,11 +220,11 @@ def test_reconciliation_exactness():
         if np.max(np.abs(again.values - rec.values)) > 1e-10 * max(1.0, rec.values.max()):
             failures.append(f"instance {trial}: reconcile not idempotent")
         for tau in range(horizon):
-            if np.max(np.abs(model.gains[tau] @ s - np.eye(n))) > 1e-8:
+            if np.max(np.abs(gains[tau] @ s - np.eye(n))) > 1e-8:
                 failures.append(f"instance {trial}: G@S != I at lead {tau + 1}")
         rescaled = LeadWeights(weights.variances * rng.uniform(0.01, 100.0),
                                5, 1e-12, np.zeros(horizon, dtype=int))
-        if np.max(np.abs(build_reconciler(s, rescaled).gains - model.gains)) > 1e-10:
+        if np.max(np.abs(reconciler_gains(build_reconciler(bundling, rescaled)) - gains)) > 1e-10:
             failures.append(f"instance {trial}: gains changed under weight rescaling")
 
         if trial % 5 == 0:  # independent WLS minimizer oracle

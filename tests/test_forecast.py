@@ -14,7 +14,6 @@ from bundlecast import (
     hierarchy_actuals,
     hierarchy_capacities,
     hierarchy_series,
-    persistence_forecast,
     ridge_fit,
     rolling_forecast,
 )
@@ -25,7 +24,6 @@ from bundlecast.forecast import (
     write_forecast_csv,
 )
 from bundlecast.errors import (
-    EmptyHistoryError,
     FormatError,
     InsufficientDataError,
     LengthMismatchError,
@@ -38,16 +36,6 @@ from conftest import make_panel, random_panel
 
 def hourly_timestamps(n, start="2019-03-01T00:00:00"):
     return np.datetime64(start, "s") + np.timedelta64(3600, "s") * np.arange(n)
-
-
-# --- persistence -----------------------------------------------------------------
-
-def test_persistence_examples():
-    np.testing.assert_array_equal(persistence_forecast([1.0, 7.0], 4), [7.0] * 4)
-    np.testing.assert_array_equal(persistence_forecast([3.0, 0.0], 2), [0.0, 0.0])
-    np.testing.assert_array_equal(persistence_forecast([5.0], 1), [5.0])
-    with pytest.raises(EmptyHistoryError):
-        persistence_forecast([], 3)
 
 
 # --- ridge fit -------------------------------------------------------------------
@@ -244,6 +232,12 @@ def test_rolling_persistence_is_coherent(rng):
     rf = rolling_forecast(panel, b, task, persistence_specs(), panel.timestamps[40])
     gap = np.abs(rf.test.fleet[:, 0, :] - rf.test.assets.sum(axis=1))
     assert gap.max() < 1e-9 * panel.fleet_capacity
+    # every lead repeats the series value at the origin
+    series = hierarchy_series(panel, b)
+    for fc in (rf.test, rf.insample):
+        at_origin = series[:, np.searchsorted(panel.timestamps, fc.origins)].T
+        np.testing.assert_array_equal(
+            fc.values, np.broadcast_to(at_origin[:, :, None], fc.values.shape))
 
 
 def test_rolling_shapes_and_k1_duplication(rng):
@@ -328,20 +322,25 @@ def test_forecast_csv_round_trip(tmp_path, rng):
     np.testing.assert_allclose(back.values, rf.test.values, rtol=1e-11)
 
 
-@pytest.mark.parametrize("row, message", [
-    ("fleet,,1", "expected 5 fields"),
-    ("fleet,,x,1.5", "not an integer"),
-    ("fleet,,0,1.5", "below 1"),  # lead 0 would overwrite the last lead's value
-    ("fleet,,1,abc", "not a number"),
-    ("fleet,,1,1.5", "duplicate cell"),
-])
-def test_read_forecast_csv_rejects_malformed_rows(tmp_path, row, message):
+MALFORMED_FORECAST_ROWS = [  # (origin, rest of the appended row, expected message)
+    ("2019-01-08T00:00:00Z", "fleet,,1", "expected 5 fields"),
+    ("2019-01-08T00:00:00Z", "fleet,,x,1.5", "not an integer"),
+    ("2019-01-08T00:00:00Z", "fleet,,0,1.5", "below 1"),  # lead 0 would overwrite the last
+    ("2019-01-08T00:00:00Z", "fleet,,1,abc", "not a number"),
+    ("2019-01-08T00:00:00Z", "fleet,,1,1.5", "duplicate cell"),
+    ("2019-13-13T00:00:00Z", "fleet,,1,1.5", "unparsable timestamp"),
+]
+
+
+@pytest.mark.parametrize("origin, row, message", MALFORMED_FORECAST_ROWS,
+                         ids=[f"{row}-{message}" for _, row, message in MALFORMED_FORECAST_ROWS])
+def test_read_forecast_csv_rejects_malformed_rows(tmp_path, origin, row, message):
     origins = np.datetime64("2019-01-08T00:00:00", "s") + np.timedelta64(900, "s") * np.arange(2)
     forecast = HierarchyForecast(origins, np.ones((2, 3, 2)), 1, 1)
     path = tmp_path / "forecast.csv"
     write_forecast_csv(forecast, ("a0",), path)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(f"2019-01-08T00:00:00Z,{row}\n")
+        fh.write(f"{origin},{row}\n")
     with pytest.raises(FormatError, match=message) as info:
         read_forecast_csv(path, ("a0",), 1)
     assert f"{path}:14:" in str(info.value)  # header + 2 origins x 3 rows x 2 leads

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from bundlecast import coherence_gap, ingest_panel, summing_matrix
-from bundlecast.bundling import read_bundling_csv
+from bundlecast import Bundling, coherence_gap, ingest_panel, summing_matrix
+from bundlecast.bundling import read_bundling_csv, write_bundling_csv
 from bundlecast.cli import main
 from bundlecast.forecast import HierarchyForecast, read_forecast_csv, write_forecast_csv
 from bundlecast.pipeline import run as pipeline_run
@@ -229,16 +229,26 @@ def _rewrite_forecasts(out, asset_ids, names, horizon=None, shift=None):
                                              n_bundles, len(asset_ids)), asset_ids, out / name)
 
 
+def _merge_bundles(out, asset_ids):
+    """Relabel bundling.csv to one bundle fewer by folding the last bundle into the first."""
+    bundling = read_bundling_csv(out / "bundling.csv", asset_ids)
+    last = bundling.n_bundles - 1
+    labels = np.where(bundling.labels == last, 0, bundling.labels)
+    write_bundling_csv(Bundling.from_labels(labels, last, asset_ids), out / "bundling.csv")
+
+
 @pytest.mark.parametrize("command, corrupt", [
     ("forecast", lambda out, ids: (out / "bundling.csv").write_text(
         f"bundle_id,asset_id\n0 {ids[0]}\n")),
+    ("forecast", _merge_bundles),
     ("reconcile", lambda out, ids: _rewrite_forecasts(
         out, ids, ["forecasts_insample.csv", "forecasts_raw.csv"], horizon=7)),
     ("evaluate", lambda out, ids: _rewrite_forecasts(
         out, ids, ["forecasts_raw.csv", "forecasts_reconciled.csv"], horizon=7)),
     ("evaluate", lambda out, ids: _rewrite_forecasts(
         out, ids, ["forecasts_reconciled.csv"], shift=np.timedelta64(900, "s"))),
-], ids=["malformed-bundling", "reconcile-horizon", "evaluate-horizon", "evaluate-origins"])
+], ids=["malformed-bundling", "bundle-count", "reconcile-horizon", "evaluate-horizon",
+        "evaluate-origins"])
 def test_cli_stage_rejects_bad_inputs(data_dir, capsys, command, corrupt):
     cfg = str(write_run_config(data_dir, out="bad_inputs"))
     for stage in ("bundle", "forecast", "reconcile"):

@@ -16,7 +16,7 @@ from bundlecast import (
 )
 from bundlecast.errors import NoOriginsError, ShapeMismatchError
 
-from conftest import random_bundling_labels
+from conftest import random_bundling_labels, reconciler_gains
 
 
 def unit_weights(horizon, n_rows):
@@ -115,35 +115,67 @@ def test_estimate_weights_errors(rng):
 def test_build_reconciler_hand_linear_algebra():
     b = Bundling.from_labels([0, 0], 1, ("a", "b"))
     s = summing_matrix(b)
-    model = build_reconciler(s, unit_weights(1, 4))
+    model = build_reconciler(b, unit_weights(1, 4))
     # (S'S)^-1 = inv([[3,2],[2,3]]) = (1/5) [[3,-2],[-2,3]]
     expect = np.array([[3.0, -2.0], [-2.0, 3.0]]) / 5.0 @ s.T
-    np.testing.assert_allclose(model.gains[0], expect, atol=1e-12)
+    np.testing.assert_allclose(reconciler_gains(model)[0], expect, atol=1e-12)
 
 
 def test_gains_invariant_to_weight_rescaling(rng):
-    _, s, _, weights = random_instance(rng, n=6, k=2, horizon=3)
-    model = build_reconciler(s, weights)
+    bundling, _, _, weights = random_instance(rng, n=6, k=2, horizon=3)
+    model = build_reconciler(bundling, weights)
     scaled = LeadWeights(weights.variances * np.array([[7.0], [0.003], [123.0]]),
                          weights.sample_count, weights.floor, weights.n_floored)
-    model_scaled = build_reconciler(s, scaled)
-    assert np.max(np.abs(model.gains - model_scaled.gains)) < 1e-10
+    model_scaled = build_reconciler(bundling, scaled)
+    assert np.max(np.abs(reconciler_gains(model) - reconciler_gains(model_scaled))) < 1e-10
 
 
 def test_gains_times_summing_is_identity(rng):
-    for _ in range(20):
-        _, s, _, weights = random_instance(rng)
-        model = build_reconciler(s, weights)
+    instances = [random_instance(rng) for _ in range(20)]
+    # N=1000, K=100, spread 1e8: exact fleet and bundle rows over inexact assets make
+    # S'W^-1 S as badly conditioned as this allows (~1e11); a dense solve misses I by ~1e-7
+    bundling, s, fc, _ = random_instance(rng, n=1000, k=100, horizon=1)
+    variances = np.concatenate([np.ones(101), np.full(1000, 1e8)])[None, :]
+    instances.append((bundling, s, fc, LeadWeights(variances, sample_count=5, floor=1e-12,
+                                                   n_floored=np.zeros(1, dtype=int))))
+    for bundling, s, _, weights in instances:
+        gains = reconciler_gains(build_reconciler(bundling, weights))
         n = s.shape[1]
-        for tau in range(model.horizon):
-            np.testing.assert_allclose(model.gains[tau] @ s, np.eye(n), atol=1e-8)
+        for tau in range(gains.shape[0]):
+            np.testing.assert_allclose(gains[tau] @ s, np.eye(n), atol=1e-8)
+
+
+def spread_weights(rng, horizon, n_rows, spread):
+    """Log-uniform variances whose max/min is exactly ``spread`` at every lead."""
+    v = 10.0 ** rng.uniform(0.0, np.log10(spread), size=(horizon, n_rows))
+    for tau in range(horizon):
+        lo, hi = rng.choice(n_rows, size=2, replace=False)
+        v[tau, lo], v[tau, hi] = 1.0, spread
+    return LeadWeights(v, sample_count=5, floor=1e-12, n_floored=np.zeros(horizon, dtype=int))
+
+
+def test_reconcile_matches_dense_normal_solve(rng):
+    """Oracle: the bottom level solves S'W^-1 S b = S'W^-1 h densely, lead by lead."""
+    cases = [(1, 1), (7, 1), (7, 7), (60, 1), (60, 60), (60, 9), (33, 5), (12, 4)]
+    for n, k in cases:
+        for spread in (1.0, 1e4, 1e8):
+            bundling, s, fc, _ = random_instance(rng, n=n, k=k, horizon=3)
+            weights = spread_weights(rng, 3, n + k + 1, spread)
+            rec = reconcile(build_reconciler(bundling, weights), fc)
+            for tau in range(3):
+                inv_w = 1.0 / weights.variances[tau]
+                normal = s.T @ (inv_w[:, None] * s)
+                bottom = np.linalg.solve(normal, s.T @ (inv_w[:, None] * fc.values[:, :, tau].T))
+                dense = s @ bottom
+                assert np.max(np.abs(rec.values[:, :, tau].T - dense)) < 1e-9 * 100.0 * n, \
+                    (n, k, spread, tau)
 
 
 # --- reconciliation -------------------------------------------------------------------
 
 def test_reconcile_hand_case():
     b = Bundling.from_labels([0, 0], 1, ("a", "b"))
-    model = build_reconciler(summing_matrix(b), unit_weights(1, 4))
+    model = build_reconciler(b, unit_weights(1, 4))
     fc = forecast_of(np.array([10.0, 10.0, 3.0, 5.0]).reshape(1, 4, 1), 1, 2)
     rec = reconcile(model, fc)
     np.testing.assert_allclose(rec.values[0, :, 0], [9.6, 9.6, 3.8, 5.8], atol=1e-10)
@@ -152,7 +184,7 @@ def test_reconcile_hand_case():
 def test_reconcile_fixes_coherence_and_is_idempotent(rng):
     for _ in range(10):
         bundling, s, fc, weights = random_instance(rng)
-        model = build_reconciler(s, weights)
+        model = build_reconciler(bundling, weights)
         rec = reconcile(model, fc)
         fleet_cap = 100.0 * bundling.n_assets
         assert coherence_gap(rec, s) < 1e-9 * fleet_cap
@@ -165,7 +197,7 @@ def test_reconcile_identity_on_coherent_input(rng):
     bottom = rng.uniform(0, 50, size=(3, 5, 2))
     coherent = np.einsum("rn,mnt->mrt", s, bottom)
     fc = forecast_of(coherent, 2, 5)
-    rec = reconcile(build_reconciler(s, weights), fc)
+    rec = reconcile(build_reconciler(bundling, weights), fc)
     assert np.max(np.abs(rec.values - fc.values)) < 1e-10 * coherent.max()
 
 
@@ -173,7 +205,7 @@ def test_reconciled_bottom_minimizes_weighted_least_squares(rng):
     """Independent optimality oracle: scipy minimizer on the WLS objective."""
     for _ in range(5):
         bundling, s, fc, weights = random_instance(rng, n=4, k=2, horizon=2, n_origins=1)
-        model = build_reconciler(s, weights)
+        model = build_reconciler(bundling, weights)
         rec = reconcile(model, fc)
         for tau in range(2):
             h = fc.values[0, :, tau]
@@ -192,8 +224,8 @@ def test_reconciled_bottom_minimizes_weighted_least_squares(rng):
 
 
 def test_reconcile_shape_mismatch(rng):
-    _, s, fc, weights = random_instance(rng, n=4, k=2, horizon=2)
-    model = build_reconciler(s, weights)
+    bundling, _, fc, weights = random_instance(rng, n=4, k=2, horizon=2)
+    model = build_reconciler(bundling, weights)
     other = forecast_of(np.zeros((1, 9, 2)), 3, 5)
     with pytest.raises(ShapeMismatchError):
         reconcile(model, other)
