@@ -12,7 +12,10 @@ Solvers:
   and repeatedly merges the pair of bundles with the most negative
   inter-bundle covariance among diameter-feasible pairs. Merging the argmin
   pair is the steepest single-merge descent: merging bundles k and l changes
-  the objective by exactly ``2 * lam_k @ sigma @ lam_l``.
+  the objective by exactly ``2 * lam_k @ sigma @ lam_l``. Each bundle keeps
+  its nearest feasible neighbour cached, so a merge rescans only the rows
+  it touched (nearest-neighbour bookkeeping as in Muellner 2011, "Modern
+  hierarchical, agglomerative clustering algorithms", arXiv:1109.2378).
 * :func:`exact_bundle` -- exhaustive enumeration of set partitions into
   exactly K non-empty parts, guarded to N <= 12. Used as the optimality
   oracle for the greedy.
@@ -37,6 +40,7 @@ from .errors import (
     InfeasibleMergeError,
     InfeasiblePartitionError,
     PartitionTooLargeError,
+    ValueOutOfRangeError,
 )
 
 EXACT_MAX_ASSETS = 12
@@ -191,6 +195,28 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
     merges the diameter-feasible pair with minimal inter-bundle covariance.
     Ties are broken by the lexicographically smallest pair of smallest
     member indices, which makes the result independent of scan order.
+
+    Bundles live in N fixed slots: slot ``i`` holds the bundle whose
+    smallest member is asset ``i``, and merging slot ``b`` into slot ``a``
+    (``a < b``) keeps that true, so row-major order over the active slots
+    is the tie-break order and nothing is ever compacted. ``pairs`` holds
+    the criterion of every feasible active pair above the diagonal (inf
+    elsewhere), and each row ``r`` caches its first argmin ``nn[r]`` and
+    that value ``nn_cov[r]``; the first argmin of ``nn_cov`` and its
+    neighbour are then the lexicographically smallest minimal pair, the
+    same pair a scan of every pair picks. The merge arithmetic on ``cov``
+    and ``diam`` is the elementwise update a compacted matrix would get, so
+    every value, and hence every choice, is bitwise the same. A merge
+    changes only row and column ``a`` and retires slot ``b``: the rows that
+    pointed at ``a`` or ``b`` are rescanned, and each row above ``a`` takes
+    ``a`` when its new value is smaller, or equal from a smaller column.
+    That costs O(N) vector work plus O(N) per rescanned row per merge,
+    where rescanning every pair cost O(N^2).
+
+    Raises:
+        ValueOutOfRangeError: ``sigma`` has a non-finite entry or
+            ``distances`` a NaN one.
+        InfeasibleMergeError: no feasible pair is left before ``n_bundles``.
     """
     s = _sigma_array(sigma)
     distances = np.asarray(distances, dtype=np.float64)
@@ -199,37 +225,54 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
         raise DimensionMismatchError("sigma, distances, and asset_order sizes disagree")
     if not 1 <= n_bundles <= n:
         raise DimensionMismatchError(f"n_bundles must be in 1..{n}, got {n_bundles}")
+    bad = np.argwhere(~np.isfinite(s))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueOutOfRangeError(f"criterion matrix entry ({i}, {j}) is {s[i, j]}")
+    bad = np.argwhere(np.isnan(distances))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueOutOfRangeError(f"distance matrix entry ({i}, {j}) is NaN")
 
     members: list[list[int]] = [[i] for i in range(n)]
     cov = s.copy()              # cov[a, b] = lam_a @ sigma @ lam_b
     diam = distances.copy()     # diam[a, b] = max cross-pair distance
+    active = np.ones(n, dtype=bool)
+    # pairs[r, c] = cov[r, c] for feasible active pairs with r < c, else inf
+    pairs = np.where(np.triu(diam <= diameter_km, k=1), cov, np.inf)
+    nn = pairs.argmin(axis=1)
+    nn_cov = pairs[np.arange(n), nn]
 
-    while len(members) > n_bundles:
-        b_count = len(members)
-        iu, ju = np.triu_indices(b_count, k=1)
-        pair_cov = np.where(diam[iu, ju] <= diameter_km, cov[iu, ju], np.inf)
-        best = float(pair_cov.min()) if pair_cov.size else math.inf
-        if not math.isfinite(best):
+    for b_count in range(n, n_bundles, -1):
+        a = int(nn_cov.argmin())
+        if not math.isfinite(nn_cov[a]):
             raise InfeasibleMergeError(
                 f"no diameter-feasible merge left at {b_count} bundles "
                 f"(target {n_bundles}, cutoff {diameter_km} km)",
                 bundles_reached=b_count,
             )
-        # members stays sorted by smallest member, so the first row-major tie
-        # is the lexicographically smallest (min index, second index) pair.
-        first = int(np.nonzero(pair_cov == best)[0][0])
-        a, b = int(iu[first]), int(ju[first])
+        b = int(nn[a])
 
         cov[a, :] += cov[b, :]
         cov[:, a] += cov[:, b]
-        cov = np.delete(np.delete(cov, b, axis=0), b, axis=1)
         diam[a, :] = np.maximum(diam[a, :], diam[b, :])
         diam[:, a] = np.maximum(diam[:, a], diam[:, b])
-        diam = np.delete(np.delete(diam, b, axis=0), b, axis=1)
-        members[a] = sorted(members[a] + members[b])
-        del members[b]
+        members[a] += members[b]
+        active[b] = False
+        pairs[:, b] = nn_cov[b] = np.inf
+        pairs[a, a + 1:] = np.where((diam[a, a + 1:] <= diameter_km) & active[a + 1:],
+                                    cov[a, a + 1:], np.inf)
+        col = pairs[:a, a] = np.where((diam[:a, a] <= diameter_km) & active[:a],
+                                      cov[:a, a], np.inf)
 
-    return Bundling.from_members(members, asset_order)
+        stale = np.flatnonzero(active & ((nn == a) | (nn == b)))
+        wins = (col < nn_cov[:a]) | ((col == nn_cov[:a]) & (a < nn[:a]))
+        nn[:a][wins] = a
+        nn_cov[:a][wins] = col[wins]
+        nn[stale] = pairs[stale].argmin(axis=1)
+        nn_cov[stale] = pairs[stale, nn[stale]]
+
+    return Bundling.from_members([members[i] for i in np.flatnonzero(active)], asset_order)
 
 
 def greedy_bundle(panel: AssetPanel, distances: np.ndarray, config: BundlingConfig) -> Bundling:

@@ -447,8 +447,10 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
     row_index.update({("bundle", str(k)): 1 + k for k in range(n_bundles)})
     row_index.update({("asset", a): 1 + n_bundles + i for i, a in enumerate(asset_ids)})
 
+    # cells maps each origin text, and by_instant each parsed origin, to the
+    # same dict, so two spellings of one instant fill (and collide in) one grid
     cells: dict[str, dict[tuple[int, int], float]] = {}
-    instants: dict[str, np.datetime64] = {}
+    by_instant: dict[np.datetime64, dict[tuple[int, int], float]] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != FORECAST_HEADER:
@@ -477,10 +479,10 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
             by_cell = cells.get(origin)
             if by_cell is None:
                 try:
-                    instants[origin] = parse_utc_timestamp(origin)
+                    instant = parse_utc_timestamp(origin)
                 except FormatError as exc:
                     raise FormatError(f"{path}:{ln}: {exc}") from None
-                by_cell = cells[origin] = {}
+                by_cell = cells[origin] = by_instant.setdefault(instant, {})
             cell = (row, lead - 1)
             if cell in by_cell:
                 raise FormatError(
@@ -488,16 +490,16 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
                     f"{sid!r}, lead {lead}")
             by_cell[cell] = value
 
-    if not cells:
+    if not by_instant:
         raise FormatError(f"{path}: no forecast rows")
-    origin_texts = sorted(cells, key=instants.__getitem__)
-    horizon = 1 + max(tau for by_cell in cells.values() for (_, tau) in by_cell)
+    instants = sorted(by_instant)
+    horizon = 1 + max(tau for by_cell in by_instant.values() for (_, tau) in by_cell)
     n_rows = 1 + n_bundles + len(asset_ids)
-    values = np.full((len(origin_texts), n_rows, horizon), np.nan)
-    for m, origin in enumerate(origin_texts):
-        for (r, tau), v in cells[origin].items():
+    values = np.full((len(instants), n_rows, horizon), np.nan)
+    for m, instant in enumerate(instants):
+        for (r, tau), v in by_instant[instant].items():
             values[m, r, tau] = v
     if np.isnan(values).any():
         raise FormatError(f"{path}: incomplete forecast grid")
-    origins = np.array([instants[o] for o in origin_texts], dtype="datetime64[s]")
+    origins = np.array(instants, dtype="datetime64[s]")
     return HierarchyForecast(origins, values, n_bundles, len(asset_ids))

@@ -28,6 +28,7 @@ from bundlecast.errors import (
     InfeasibleMergeError,
     InfeasiblePartitionError,
     PartitionTooLargeError,
+    ValueOutOfRangeError,
 )
 from bundlecast.synth import SynthConfig, synth_panel
 
@@ -173,6 +174,101 @@ def test_greedy_within_tolerance_of_exact(small_panel):
     exact_obj = objective(exact_bundle(small_panel, d, cfg), sigma)
     assert exact_obj <= greedy_obj + 1e-12
     assert greedy_obj <= 1.05 * exact_obj
+
+
+def _reference_greedy(s, distances, n_bundles, diameter_km):
+    """The triu-rescan greedy: rebuild every feasible pair, merge, compact.
+
+    Returns the bundles' member lists, or the InfeasibleMergeError's
+    ``bundles_reached``.
+    """
+    members = [[i] for i in range(s.shape[0])]
+    cov, diam = s.copy(), distances.copy()
+    while len(members) > n_bundles:
+        iu, ju = np.triu_indices(len(members), k=1)
+        pair_cov = np.where(diam[iu, ju] <= diameter_km, cov[iu, ju], np.inf)
+        best = float(pair_cov.min()) if pair_cov.size else math.inf
+        if not math.isfinite(best):
+            return len(members)
+        first = int(np.nonzero(pair_cov == best)[0][0])
+        a, b = int(iu[first]), int(ju[first])
+        cov[a, :] += cov[b, :]
+        cov[:, a] += cov[:, b]
+        cov = np.delete(np.delete(cov, b, axis=0), b, axis=1)
+        diam[a, :] = np.maximum(diam[a, :], diam[b, :])
+        diam[:, a] = np.maximum(diam[:, a], diam[:, b])
+        diam = np.delete(np.delete(diam, b, axis=0), b, axis=1)
+        members[a] = sorted(members[a] + members[b])
+        del members[b]
+    return members
+
+
+def _assert_matches_reference(s, distances, n_bundles, diameter_km):
+    """Compare greedy_merge with the reference; True on an infeasible stop."""
+    names = [f"a{i}" for i in range(s.shape[0])]
+    expected = _reference_greedy(s, distances, n_bundles, diameter_km)
+    if isinstance(expected, int):
+        with pytest.raises(InfeasibleMergeError) as err:
+            greedy_merge(s, distances, n_bundles, diameter_km, names)
+        assert err.value.bundles_reached == expected
+        assert f"at {expected} bundles" in str(err.value)
+        return True
+    got = greedy_merge(s, distances, n_bundles, diameter_km, names)
+    np.testing.assert_array_equal(
+        got.assignment, Bundling.from_members(expected, names).assignment)
+    return False
+
+
+def test_greedy_matches_reference_on_tie_heavy_instances():
+    """Small-integer sigma and distances make exact ties common."""
+    rng = np.random.default_rng(5)
+    infeasible = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 41))
+        s = rng.integers(-3, 4, size=(n, n)).astype(float)
+        s = s + s.T
+        d = rng.integers(0, 10, size=(n, n)).astype(float)
+        d = d + d.T
+        np.fill_diagonal(d, 0.0)
+        k = int(rng.integers(1, n + 1))
+        cutoff = float(rng.choice([2.0, 4.0, 8.0, math.inf]))
+        infeasible += _assert_matches_reference(s, d, k, cutoff)
+    assert 50 <= infeasible <= 550  # both outcomes are exercised
+
+
+def test_greedy_matches_reference_on_synth_panel():
+    cfg = SynthConfig(n_assets=300, n_steps=200, granularity_minutes=15, seed=11,
+                      n_regions=9, anticorrelated_pairs=5)
+    panel = synth_panel(cfg)
+    d = haversine_matrix(panel.assets)
+    sigma = covariance(panel, "imcy").sigma
+    _assert_matches_reference(sigma, d, 30, 300.0)
+
+
+def test_greedy_breaks_ties_by_smallest_pair():
+    s = np.ones((5, 5))
+    d = np.zeros((5, 5))
+    names = [f"a{i}" for i in range(5)]
+    first = greedy_merge(s, d, 4, math.inf, names)
+    assert [list(first.members(k)) for k in range(4)] == [[0, 1], [2], [3], [4]]
+    # {0, 1} now has covariance 2 with every singleton; the singletons tie at 1
+    second = greedy_merge(s, d, 3, math.inf, names)
+    assert [list(second.members(k)) for k in range(3)] == [[0, 1], [2, 3], [4]]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_greedy_rejects_non_finite_sigma(bad):
+    s = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    s[1, 2] = s[2, 1] = bad
+    with pytest.raises(ValueOutOfRangeError, match=r"criterion matrix entry \(1, 2\)"):
+        greedy_merge(s, np.zeros((3, 3)), 1, math.inf, ("a", "b", "c"))
+
+
+def test_greedy_rejects_nan_distance():
+    d = np.zeros((3, 3))
+    d[0, 2] = d[2, 0] = math.nan
+    with pytest.raises(ValueOutOfRangeError, match=r"distance matrix entry \(0, 2\) is NaN"):
+        greedy_merge(np.eye(3), d, 1, math.inf, ("a", "b", "c"))
 
 
 # --- exact oracle ----------------------------------------------------------------

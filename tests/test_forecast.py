@@ -323,17 +323,22 @@ def test_forecast_csv_round_trip(tmp_path, rng):
 
 
 MALFORMED_FORECAST_ROWS = [  # (origin, rest of the appended row, expected message)
-    ("2019-01-08T00:00:00Z", "fleet,,1", "expected 5 fields"),
-    ("2019-01-08T00:00:00Z", "fleet,,x,1.5", "not an integer"),
-    ("2019-01-08T00:00:00Z", "fleet,,0,1.5", "below 1"),  # lead 0 would overwrite the last
-    ("2019-01-08T00:00:00Z", "fleet,,1,abc", "not a number"),
-    ("2019-01-08T00:00:00Z", "fleet,,1,1.5", "duplicate cell"),
-    ("2019-13-13T00:00:00Z", "fleet,,1,1.5", "unparsable timestamp"),
+    pytest.param(origin, row, message, id=f"{row}-{message}") for origin, row, message in [
+        ("2019-01-08T00:00:00Z", "fleet,,1", "expected 5 fields"),
+        ("2019-01-08T00:00:00Z", "fleet,,x,1.5", "not an integer"),
+        ("2019-01-08T00:00:00Z", "fleet,,0,1.5", "below 1"),  # lead 0 would overwrite the last
+        ("2019-01-08T00:00:00Z", "fleet,,1,abc", "not a number"),
+        ("2019-01-08T00:00:00Z", "fleet,,1,1.5", "duplicate cell"),
+        ("2019-13-13T00:00:00Z", "fleet,,1,1.5", "unparsable timestamp"),
+    ]
+] + [
+    # the first origin's instant spelled another way must not become a third origin
+    pytest.param("2019-01-08T00:00:00+00:00", "fleet,,1,1.5", "duplicate cell",
+                 id="utc-offset-duplicate cell"),
 ]
 
 
-@pytest.mark.parametrize("origin, row, message", MALFORMED_FORECAST_ROWS,
-                         ids=[f"{row}-{message}" for _, row, message in MALFORMED_FORECAST_ROWS])
+@pytest.mark.parametrize("origin, row, message", MALFORMED_FORECAST_ROWS)
 def test_read_forecast_csv_rejects_malformed_rows(tmp_path, origin, row, message):
     origins = np.datetime64("2019-01-08T00:00:00", "s") + np.timedelta64(900, "s") * np.arange(2)
     forecast = HierarchyForecast(origins, np.ones((2, 3, 2)), 1, 1)
