@@ -11,8 +11,10 @@ bundle, and for the fleet total):
   to the physical range of the series.
 
 The rolling harness issues a forecast at every eligible origin of the test
-range and, separately, over the training range; the in-sample pass feeds the
-per-lead residual variances that reconciliation needs.
+range and keeps those forecasts. It also forecasts every eligible origin of
+the training range, but keeps only each row's per-lead mean squared error
+there: that second moment is all reconciliation needs, so no in-sample
+forecast outlives the row it was made for.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ from .errors import (
     FormatError,
     InsufficientDataError,
     LengthMismatchError,
+    NoOriginsError,
     ShapeMismatchError,
     SingularSystemError,
+    ValueOutOfRangeError,
 )
 
 LEVELS = ("fleet", "bundle", "asset")
@@ -110,7 +114,7 @@ class HierarchyForecast:
                 f"{values.shape[1]} rows != 1 + {self.n_bundles} bundles + {self.n_assets} assets"
             )
         if values.size and not np.all(np.isfinite(values)):
-            raise ShapeMismatchError("hierarchy forecast contains NaN or infinities")
+            raise ValueOutOfRangeError("hierarchy forecast contains NaN or infinities")
         origins.flags.writeable = False
         values.flags.writeable = False
 
@@ -312,10 +316,16 @@ def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
 
 @dataclass(frozen=True)
 class RollingForecasts:
-    """Test-range and in-sample hierarchy forecasts plus skip accounting."""
+    """Test-range forecasts, in-sample residual moments, and skip accounting.
+
+    ``second_moment[tau-1, r]`` is the mean over the ``n_insample_origins``
+    training-range origins of hierarchy row r's squared lead-tau error; the
+    in-sample forecasts themselves are not kept.
+    """
 
     test: HierarchyForecast
-    insample: HierarchyForecast
+    second_moment: np.ndarray   # (horizon, n_rows)
+    n_insample_origins: int
     skipped_test: tuple[np.datetime64, ...]
     skipped_insample: tuple[np.datetime64, ...]
 
@@ -377,7 +387,10 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     before it. Forecasts are issued at every origin whose full horizon
     stays inside its range (training range for the in-sample pass, the
     panel for the test pass). Origins with fewer than H prior samples are
-    skipped and reported.
+    skipped and reported. Each row's in-sample forecasts are reduced to
+    their per-lead mean squared error as soon as they exist; a training
+    range without an eligible origin raises NoOriginsError, since the
+    reconciliation weights need at least one.
     """
     for level in LEVELS:
         if level not in specs:
@@ -396,21 +409,26 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     test_origins = candidates_test[candidates_test >= h - 1]
     skipped_train = tuple(panel.timestamps[candidates_train[candidates_train < h - 1]])
     skipped_test = tuple(panel.timestamps[candidates_test[candidates_test < h - 1]])
+    if train_origins.size == 0:
+        raise NoOriginsError(
+            f"the training range has no origin with {h} samples of history and a full "
+            f"{t}-step horizon, so no in-sample error can weight the reconciliation")
 
     level_of_row = ["fleet"] + ["bundle"] * bundling.n_bundles + ["asset"] * panel.n_assets
     test_values = np.empty((test_origins.shape[0], n_rows, t))
-    train_values = np.empty((train_origins.shape[0], n_rows, t))
+    moments = np.empty((n_rows, t))  # one contiguous row per series, handed on as (T, R)
     for r in range(n_rows):
         spec = specs[level_of_row[r]]
-        test_values[:, r, :], train_values[:, r, :] = _forecast_series(
+        test_values[:, r, :], train_pred = _forecast_series(
             series[r], panel.timestamps, (test_origins, train_origins), spec, task,
             split_idx, caps[r])
+        err = train_pred - sliding_window_view(series[r], t)[train_origins + 1]
+        moments[r] = np.mean(err * err, axis=0)
 
     test = HierarchyForecast(panel.timestamps[test_origins], test_values,
                              bundling.n_bundles, panel.n_assets)
-    insample = HierarchyForecast(panel.timestamps[train_origins], train_values,
-                                 bundling.n_bundles, panel.n_assets)
-    return RollingForecasts(test, insample, skipped_test, skipped_train)
+    return RollingForecasts(test, moments.T, int(train_origins.size), skipped_test,
+                            skipped_train)
 
 
 # --- CSV interface ----------------------------------------------------------------
@@ -503,3 +521,78 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
         raise FormatError(f"{path}: incomplete forecast grid")
     origins = np.array(instants, dtype="datetime64[s]")
     return HierarchyForecast(origins, values, n_bundles, len(asset_ids))
+
+
+MOMENTS_HEADER = "lead,row,second_moment"
+
+
+def write_moments_csv(second_moment: np.ndarray, n_origins: int, path) -> None:
+    """Write (horizon, n_rows) residual moments as `lead,row,second_moment` lines.
+
+    The first line records the origin count. Cells go in (lead, row) order
+    and each value is its ``repr``, the shortest text that parses back to
+    the same float, so a reader rebuilds the exact moments.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"n_origins,{n_origins}\n{MOMENTS_HEADER}\n")
+        for tau, values in enumerate(np.asarray(second_moment).tolist(), start=1):
+            fh.write("".join(f"{tau},{r},{v!r}\n" for r, v in enumerate(values)))
+
+
+def read_moments_csv(path, n_rows: int, horizon: int) -> tuple[np.ndarray, int]:
+    """The (horizon, n_rows) moments and origin count written by :func:`write_moments_csv`.
+
+    Every cell must appear once, in the writer's (lead, row) order, with a
+    finite non-negative value; anything else raises FormatError at its line.
+    """
+    values = np.empty(horizon * n_rows)
+    with open(path, encoding="utf-8") as fh:
+        count_line, header = fh.readline().strip(), fh.readline().strip()
+        key, _, count_text = count_line.partition(",")
+        try:
+            n_origins = int(count_text) if key == "n_origins" else 0
+        except ValueError:
+            n_origins = 0
+        if n_origins < 1:
+            raise FormatError(f"{path}:1: expected 'n_origins,<count of at least 1>', "
+                              f"got {count_line!r}")
+        if header != MOMENTS_HEADER:
+            raise FormatError(f"{path}:2: expected header {MOMENTS_HEADER!r}, got {header!r}")
+        i, ln = 0, 2
+        for ln, line in enumerate(fh, start=3):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise FormatError(f"{path}:{ln}: expected 3 fields, got {len(fields)}")
+            try:
+                lead, row = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise FormatError(f"{path}:{ln}: lead {fields[0]!r} or row {fields[1]!r} "
+                                  f"is not an integer") from None
+            expected = (i // n_rows + 1, i % n_rows)
+            if (lead, row) != expected or i == values.size:
+                if not 1 <= lead <= horizon:
+                    problem = f"lead {lead} outside the horizon 1..{horizon}"
+                elif not 0 <= row < n_rows:
+                    problem = f"row {row} outside the hierarchy's rows 0..{n_rows - 1}"
+                elif (lead, row) < expected:
+                    problem = f"duplicate cell for lead {lead}, row {row}"
+                else:
+                    problem = (f"expected lead {expected[0]}, row {expected[1]}, got lead "
+                               f"{lead}, row {row}: a cell is missing or out of order")
+                raise FormatError(f"{path}:{ln}: {problem}")
+            try:
+                value = float(fields[2])
+            except ValueError:
+                raise FormatError(f"{path}:{ln}: value {fields[2]!r} is not a number") from None
+            if not 0.0 <= value < np.inf:
+                raise FormatError(f"{path}:{ln}: second moment {value} is not finite "
+                                  f"and non-negative")
+            values[i] = value
+            i += 1
+    if i < values.size:
+        raise FormatError(f"{path}:{ln + 1}: the file ends before lead {i // n_rows + 1}, "
+                          f"row {i % n_rows}; expected {horizon} leads of {n_rows} rows")
+    return values.reshape(horizon, n_rows), n_origins

@@ -49,8 +49,10 @@ from .forecast import (
     hierarchy_actuals,
     hierarchy_capacities,
     read_forecast_csv,
+    read_moments_csv,
     rolling_forecast,
     write_forecast_csv,
+    write_moments_csv,
 )
 from .metrics import EvaluationReport, evaluate, write_report_csv
 from .reconcile import (
@@ -69,7 +71,7 @@ WEIGHT_FLOOR_REL = 1e-8  # of squared fleet capacity
 
 BUNDLING_FILE = "bundling.csv"
 FORECAST_TEST_FILE = "forecasts_raw.csv"
-FORECAST_INSAMPLE_FILE = "forecasts_insample.csv"
+MOMENTS_FILE = "residual_moments.csv"
 RECONCILED_FILE = "forecasts_reconciled.csv"
 REPORT_FILE = "evaluation.csv"
 REPORT_RAW_FILE = "evaluation_raw.csv"
@@ -116,11 +118,11 @@ def make_bundling(config: RunConfig, panel: AssetPanel, distances: np.ndarray,
     return greedy_bundle(train_panel, distances, cfg)
 
 
-def reconcile_forecasts(panel: AssetPanel, bundling: Bundling, insample: HierarchyForecast,
+def reconcile_forecasts(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
+                        n_origins: int,
                         test: HierarchyForecast) -> tuple[LeadWeights, HierarchyForecast]:
-    """Per-lead WLS weights from the in-sample residuals, applied to the test forecasts."""
-    actual_train = hierarchy_actuals(panel, bundling, insample.origins, insample.horizon)
-    weights = estimate_weights(insample, actual_train,
+    """Per-lead WLS weights from the in-sample residual moments, applied to the test forecasts."""
+    weights = estimate_weights(second_moment, n_origins,
                                eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
     return weights, reconcile(build_reconciler(bundling, weights), test)
 
@@ -199,10 +201,11 @@ def _run_pass(config: RunConfig, panel: AssetPanel, distances: np.ndarray, out: 
     write_bundling_csv(bundling, out / (prefix + BUNDLING_FILE))
     forecasts = _stage("forecast", rolling_forecast, panel, bundling, config.forecast_task,
                        config.specs, config.test_start)
-    # the in-sample forecasts are a stage interface, not a run product
+    # the residual moments are a stage interface, not a run product
     write_forecast_csv(forecasts.test, panel.asset_ids, out / (prefix + FORECAST_TEST_FILE))
     weights, reconciled = _stage(
-        "reconcile", reconcile_forecasts, panel, bundling, forecasts.insample, forecasts.test)
+        "reconcile", reconcile_forecasts, panel, bundling, forecasts.second_moment,
+        forecasts.n_insample_origins, forecasts.test)
     _write_reconciled(out, panel, bundling, weights, reconciled, prefix)
     raw_reports, reports = _stage(
         "evaluate", evaluate_forecasts, panel, bundling, forecasts.test, reconciled)
@@ -237,26 +240,34 @@ def _open_stage(config_path, out_dir) -> tuple[RunConfig, Path, AssetPanel]:
 
 
 _PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_TEST_FILE: "forecast",
-             FORECAST_INSAMPLE_FILE: "forecast", RECONCILED_FILE: "reconcile"}
+             MOMENTS_FILE: "forecast", RECONCILED_FILE: "reconcile"}
 
 
-def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *forecast_files):
-    """``(bundling, *forecasts)`` read from a run directory, checked against the config."""
-    for name in (BUNDLING_FILE, *forecast_files):
+def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *names):
+    """``(bundling, *products)`` read from a run directory, checked against the config.
+
+    A forecast CSV is read as a HierarchyForecast, the moments file as its
+    ``(second_moment, n_origins)`` pair.
+    """
+    for name in (BUNDLING_FILE, *names):
         if not (out / name).exists():
             raise ConfigError(f"{out / name} not found; run the '{_PRODUCER[name]}' stage first")
     bundling = read_bundling_csv(out / BUNDLING_FILE, panel.asset_ids)
     if bundling.n_bundles != config.n_bundles:
         raise ShapeMismatchError(f"{out / BUNDLING_FILE}: {bundling.n_bundles} bundles, but "
                                  f"the config's n_bundles is {config.n_bundles}")
-    forecasts = []
-    for name in forecast_files:
+    products = []
+    for name in names:
+        if name == MOMENTS_FILE:
+            n_rows = 1 + bundling.n_bundles + panel.n_assets
+            products.append(read_moments_csv(out / name, n_rows, config.horizon))
+            continue
         forecast = read_forecast_csv(out / name, panel.asset_ids, bundling.n_bundles)
         if forecast.horizon != config.horizon:
             raise ShapeMismatchError(f"{out / name}: {forecast.horizon} leads, but the "
                                      f"config's horizon is {config.horizon}")
-        forecasts.append(forecast)
-    return (bundling, *forecasts)
+        products.append(forecast)
+    return (bundling, *products)
 
 
 def stage_synth(config_path, out_dir=None) -> tuple[Path, Path]:
@@ -292,23 +303,23 @@ def stage_bundle(config_path, out_dir=None) -> Path:
 
 
 def stage_forecast(config_path, out_dir=None) -> Path:
-    """Produce test and in-sample forecasts for a previously learned bundling."""
+    """Produce test forecasts and in-sample residual moments for a learned bundling."""
     config, out, panel = _open_stage(config_path, out_dir)
     (bundling,) = _stage("forecast", _load_inputs, config, out, panel)
     forecasts = _stage("forecast", rolling_forecast, panel, bundling, config.forecast_task,
                        config.specs, config.test_start)
     write_forecast_csv(forecasts.test, panel.asset_ids, out / FORECAST_TEST_FILE)
-    write_forecast_csv(forecasts.insample, panel.asset_ids, out / FORECAST_INSAMPLE_FILE)
+    write_moments_csv(forecasts.second_moment, forecasts.n_insample_origins, out / MOMENTS_FILE)
     return out / FORECAST_TEST_FILE
 
 
 def stage_reconcile(config_path, out_dir=None) -> Path:
     """Reconcile the raw forecasts written by the forecast stage."""
     config, out, panel = _open_stage(config_path, out_dir)
-    bundling, insample, test = _stage("reconcile", _load_inputs, config, out, panel,
-                                      FORECAST_INSAMPLE_FILE, FORECAST_TEST_FILE)
+    bundling, (second_moment, n_origins), test = _stage(
+        "reconcile", _load_inputs, config, out, panel, MOMENTS_FILE, FORECAST_TEST_FILE)
     weights, reconciled = _stage(
-        "reconcile", reconcile_forecasts, panel, bundling, insample, test)
+        "reconcile", reconcile_forecasts, panel, bundling, second_moment, n_origins, test)
     _write_reconciled(out, panel, bundling, weights, reconciled)
     return out / RECONCILED_FILE
 

@@ -3,7 +3,10 @@
 Incoherent hierarchy forecasts h^ (fleet, bundles, assets predicted by
 separate models) are projected onto the coherent subspace spanned by the
 summing matrix S, h~ = S (S' W^-1 S)^-1 S' W^-1 h^, where W is the diagonal
-of the in-sample error second moments at each lead.
+of the in-sample error second moments at each lead: the "WLS_var" scaling of
+Wickramasuriya, Athanasopoulos & Hyndman (2019, JASA 114). The forecast
+stage hands over those moments, per lead and row, rather than the in-sample
+forecasts they come from.
 
 S is a tree (fleet -> bundles -> assets) and W is diagonal, so the
 projection is one upward and one downward pass per lead. With variances
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import Bundling
-from .errors import NoOriginsError, ShapeMismatchError
+from .errors import NoOriginsError, ShapeMismatchError, ValueOutOfRangeError
 from .forecast import HierarchyForecast
 
 
@@ -49,7 +52,10 @@ class LeadWeights:
 
     ``variances[tau-1, r]`` is the in-sample mean squared error of
     hierarchy row r at lead tau; ``n_floored`` counts the entries raised to
-    the floor.
+    the floor. ``variances`` is stored Fortran-ordered whatever it was built
+    from, the layout of a transposed (rows, leads) array: the reconciler's
+    matrix products then take one BLAS path, so equal weights give bitwise
+    equal gains.
     """
 
     variances: np.ndarray   # (horizon, n_rows)
@@ -58,39 +64,34 @@ class LeadWeights:
     n_floored: np.ndarray   # (horizon,)
 
     def __post_init__(self):
-        v = np.asarray(self.variances, dtype=np.float64)
+        v = np.asfortranarray(self.variances, dtype=np.float64)
         object.__setattr__(self, "variances", v)
         object.__setattr__(self, "n_floored", np.asarray(self.n_floored, dtype=np.int64))
         if v.ndim != 2:
             raise ShapeMismatchError(f"variances must be 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)) or not np.all(v > 0.0):
-            raise ShapeMismatchError("lead weights must be finite and strictly positive")
+            raise ValueOutOfRangeError("lead weights must be finite and strictly positive")
         v.flags.writeable = False
 
 
-def estimate_weights(forecasts: HierarchyForecast, actuals: HierarchyForecast,
+def estimate_weights(second_moment: np.ndarray, n_origins: int,
                      eps_floor: float) -> LeadWeights:
-    """Per-lead, per-row mean squared in-sample error, floored at eps_floor.
+    """Per-lead, per-row weights from the (T, R) mean squared in-sample errors.
 
-    The floor guards against exactly-zero residuals (e.g. persistence over a
-    constant stretch), which would make the weight matrix singular.
+    ``second_moment`` averages over ``n_origins`` in-sample origins (see
+    ``RollingForecasts``). The floor guards against exactly-zero residuals
+    (e.g. persistence over a constant stretch), which would make the weight
+    matrix singular.
     """
-    if forecasts.values.shape != actuals.values.shape:
-        raise ShapeMismatchError(
-            f"forecast shape {forecasts.values.shape} != actuals shape {actuals.values.shape}"
-        )
-    if not np.array_equal(forecasts.origins, actuals.origins):
-        raise ShapeMismatchError("forecast and actual origins differ")
-    if forecasts.n_origins == 0:
+    if n_origins < 1:
         raise NoOriginsError("weight estimation needs at least one origin")
     if not eps_floor > 0.0:
-        raise ShapeMismatchError(f"eps_floor must be positive, got {eps_floor}")
-    err = forecasts.values - actuals.values           # (M, R, T)
-    second_moment = np.mean(err * err, axis=0).T      # (T, R)
+        raise ValueOutOfRangeError(f"eps_floor must be positive, got {eps_floor}")
+    second_moment = np.asarray(second_moment, dtype=np.float64)
     floored = second_moment < eps_floor
     return LeadWeights(
         variances=np.maximum(second_moment, eps_floor),
-        sample_count=forecasts.n_origins,
+        sample_count=n_origins,
         floor=eps_floor,
         n_floored=floored.sum(axis=1),
     )

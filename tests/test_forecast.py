@@ -21,14 +21,18 @@ from bundlecast.forecast import (
     _calendar_features,
     _supervised_windows,
     read_forecast_csv,
+    read_moments_csv,
     write_forecast_csv,
+    write_moments_csv,
 )
 from bundlecast.errors import (
     FormatError,
     InsufficientDataError,
     LengthMismatchError,
+    NoOriginsError,
     ShapeMismatchError,
     SingularSystemError,
+    ValueOutOfRangeError,
 )
 
 from conftest import make_panel, random_panel
@@ -234,10 +238,17 @@ def test_rolling_persistence_is_coherent(rng):
     assert gap.max() < 1e-9 * panel.fleet_capacity
     # every lead repeats the series value at the origin
     series = hierarchy_series(panel, b)
-    for fc in (rf.test, rf.insample):
-        at_origin = series[:, np.searchsorted(panel.timestamps, fc.origins)].T
-        np.testing.assert_array_equal(
-            fc.values, np.broadcast_to(at_origin[:, :, None], fc.values.shape))
+    at_origin = series[:, np.searchsorted(panel.timestamps, rf.test.origins)].T
+    np.testing.assert_array_equal(
+        rf.test.values, np.broadcast_to(at_origin[:, :, None], rf.test.values.shape))
+    # so the lead-tau in-sample moment is the mean of (y[o] - y[o+tau])^2 over
+    # origins o with 4 samples of history and a horizon inside the training range
+    origins = np.arange(task.history_len - 1, 40 - task.horizon)
+    assert rf.n_insample_origins == origins.size
+    for tau in range(1, task.horizon + 1):
+        # summed origin by origin, the order np.mean takes down an (M, T) array's rows
+        expect = sum((series[:, o] - series[:, o + tau]) ** 2 for o in origins) / origins.size
+        np.testing.assert_array_equal(rf.second_moment[tau - 1], expect)
 
 
 def test_rolling_shapes_and_k1_duplication(rng):
@@ -256,10 +267,21 @@ def test_rolling_skips_exactly_short_history_origins(rng):
     task = ForecastTask(8, 2, 15)
     rf = rolling_forecast(panel, b, task, persistence_specs(), panel.timestamps[30])
     assert len(rf.skipped_insample) == 7  # origins 0..6 lack 8 prior samples
-    assert rf.insample.origins[0] == panel.timestamps[7]
+    assert rf.skipped_insample == tuple(panel.timestamps[:7])
+    assert rf.n_insample_origins == 21   # origins 7..27: 28 + 2 leads stay before the split
     assert len(rf.skipped_test) == 0
     assert not np.isnan(rf.test.values).any()
-    assert not np.isnan(rf.insample.values).any()
+    assert rf.second_moment.shape == (2, 5)
+    assert np.isfinite(rf.second_moment).all()
+
+
+def test_rolling_without_insample_origin_raises(rng):
+    panel = random_panel(rng, 3, 50)
+    b = Bundling.single_bundle(panel.asset_ids)
+    # 20 samples of history and a 2-step horizon leave no origin before step 20
+    with pytest.raises(NoOriginsError, match="no origin"):
+        rolling_forecast(panel, b, ForecastTask(20, 2, 15), persistence_specs(),
+                         panel.timestamps[20])
 
 
 def test_rolling_is_deterministic(rng):
@@ -272,7 +294,8 @@ def test_rolling_is_deterministic(rng):
     a = rolling_forecast(panel, b, task, specs, panel.timestamps[90])
     c = rolling_forecast(panel, b, task, specs, panel.timestamps[90])
     np.testing.assert_array_equal(a.test.values, c.test.values)
-    np.testing.assert_array_equal(a.insample.values, c.insample.values)
+    np.testing.assert_array_equal(a.second_moment, c.second_moment)
+    assert a.n_insample_origins == c.n_insample_origins
 
 
 def test_rolling_fits_each_ridge_row_once(rng, monkeypatch):
@@ -290,7 +313,7 @@ def test_rolling_fits_each_ridge_row_once(rng, monkeypatch):
              "asset": ModelSpec("persistence")}
     rf = rolling_forecast(panel, b, ForecastTask(6, 4, 15), specs, panel.timestamps[90])
     assert len(calls) == 1 + b.n_bundles  # fleet and bundle rows; assets use persistence
-    assert rf.test.n_origins > 0 and rf.insample.n_origins > 0
+    assert rf.test.n_origins > 0 and rf.n_insample_origins > 0
 
 
 def test_rolling_ridge_predictions_respect_capacity(rng):
@@ -304,6 +327,53 @@ def test_rolling_ridge_predictions_respect_capacity(rng):
     caps = hierarchy_capacities(panel, b)
     assert (rf.test.values >= 0.0).all()
     assert (rf.test.values <= caps[None, :, None] + 1e-9).all()
+
+
+def _insample_tensor(panel, b, task, specs, split_idx, origins):
+    """The (M, R, T) in-sample forecasts, each row fitted and predicted on its own."""
+    series = hierarchy_series(panel, b)
+    caps = hierarchy_capacities(panel, b)
+    levels = ["fleet"] + ["bundle"] * b.n_bundles + ["asset"] * panel.n_assets
+    out = np.empty((origins.size, series.shape[0], task.horizon))
+    for r, level in enumerate(levels):
+        spec = specs[level]
+        if spec.model == "persistence":
+            out[:, r, :] = series[r, origins][:, None]
+            continue
+        model = ridge_fit(series[r, :split_idx], panel.timestamps[:split_idx], task,
+                          spec.ridge_lambda, spec.use_calendar)
+        histories = np.stack([series[r, o - task.history_len + 1:o + 1] for o in origins])
+        out[:, r, :] = model.predict_batch(histories, panel.timestamps[origins], caps[r])
+    return out
+
+
+@pytest.mark.parametrize("model, use_calendar, horizon", [
+    ("ridge", False, 4), ("ridge", True, 4), ("persistence", False, 4),
+    ("ridge", True, 1), ("persistence", False, 1),
+])
+def test_rolling_moments_match_insample_tensor(rng, model, use_calendar, horizon):
+    """Oracle: the streamed moments are the mean over an (M, R, T) in-sample error tensor."""
+    panel = random_panel(rng, 5, 160)
+    b = Bundling.from_labels([0, 1, 0, 2, 1], 3, panel.asset_ids)
+    task = ForecastTask(6, horizon, 15)
+    spec = ModelSpec(model, 0.7, use_calendar)
+    specs = {"fleet": spec, "bundle": spec, "asset": spec}
+    split_idx = 120
+    rf = rolling_forecast(panel, b, task, specs, panel.timestamps[split_idx])
+
+    origins = np.arange(task.history_len - 1, split_idx - horizon)
+    assert rf.n_insample_origins == origins.size
+    forecasts = _insample_tensor(panel, b, task, specs, split_idx, origins)
+    actuals = hierarchy_actuals(panel, b, panel.timestamps[origins], horizon).values
+    err = forecasts - actuals
+    expect = np.mean(err * err, axis=0).T
+    if horizon > 1:
+        np.testing.assert_array_equal(rf.second_moment, expect)
+    else:
+        # one lead: each row's mean runs down a single contiguous column, which
+        # numpy sums pairwise, while the tensor's mean adds origin by origin
+        np.testing.assert_allclose(rf.second_moment, expect,
+                                   rtol=origins.size * np.finfo(np.float64).eps, atol=0.0)
 
 
 # --- forecast CSV -------------------------------------------------------------------------
@@ -351,8 +421,67 @@ def test_read_forecast_csv_rejects_malformed_rows(tmp_path, origin, row, message
     assert f"{path}:14:" in str(info.value)  # header + 2 origins x 3 rows x 2 leads
 
 
+def test_moments_csv_round_trip_is_exact(tmp_path, rng):
+    moments = rng.uniform(0.0, 50.0, size=(3, 4)) ** 3  # all 17 significant digits in use
+    moments[1, 2] = 0.0
+    path = tmp_path / "moments.csv"
+    write_moments_csv(moments, 57, path)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["n_origins,57", "lead,row,second_moment", f"1,0,{float(moments[0, 0])!r}"]
+    back, n_origins = read_moments_csv(path, 4, 3)
+    np.testing.assert_array_equal(back, moments)
+    assert n_origins == 57
+
+
+COUNT, HEADER = "n_origins,5", "lead,row,second_moment"
+CELLS = ["1,0,1.5", "1,1,1.5", "2,0,1.5", "2,1,1.5"]  # 2 leads x 2 hierarchy rows
+
+
+def _cells(n_leads, n_rows):
+    return [f"{tau},{r},1.5" for tau in range(1, n_leads + 1) for r in range(n_rows)]
+
+
+MALFORMED_MOMENTS = [  # (count line, header, cell lines, line number named, message)
+    pytest.param("n_origins,0", HEADER, CELLS, 1, "n_origins", id="zero-origins"),
+    pytest.param("origins,5", HEADER, CELLS, 1, "n_origins", id="count-key"),
+    pytest.param("n_origins,five", HEADER, CELLS, 1, "n_origins", id="count-text"),
+    pytest.param(COUNT, "lead,row,value", CELLS, 2, "expected header", id="header"),
+    pytest.param(COUNT, HEADER, ["1,0,1.5", "1,1"] + CELLS[2:], 4, "expected 3 fields",
+                 id="field-count"),
+    pytest.param(COUNT, HEADER, ["x,0,1.5"] + CELLS[1:], 3, "not an integer", id="lead-text"),
+    pytest.param(COUNT, HEADER, ["1,0.0,1.5"] + CELLS[1:], 3, "not an integer", id="row-text"),
+    pytest.param(COUNT, HEADER, ["1,0,abc"] + CELLS[1:], 3, "not a number", id="value-text"),
+    pytest.param(COUNT, HEADER, ["1,0,nan"] + CELLS[1:], 3, "not finite", id="nan"),
+    pytest.param(COUNT, HEADER, ["1,0,inf"] + CELLS[1:], 3, "not finite", id="inf"),
+    pytest.param(COUNT, HEADER, ["1,0,-0.5"] + CELLS[1:], 3, "non-negative", id="negative"),
+    pytest.param(COUNT, HEADER, ["1,0,1.5", "1,0,1.5"] + CELLS[2:], 4, "duplicate cell",
+                 id="duplicate"),
+    pytest.param(COUNT, HEADER, ["1,1,1.5", "1,0,1.5"] + CELLS[2:], 3,
+                 "missing or out of order", id="out-of-order"),
+    pytest.param(COUNT, HEADER, CELLS[:1] + CELLS[2:], 4, "missing or out of order",
+                 id="missing-cell"),
+    pytest.param(COUNT, HEADER, CELLS[:3], 6, "file ends before lead 2, row 1",
+                 id="truncated"),
+    pytest.param(COUNT, HEADER, _cells(2, 3), 5, "row 2 outside", id="more-rows"),
+    pytest.param(COUNT, HEADER, _cells(4, 1), 4, "expected lead 1, row 1", id="fewer-rows"),
+    pytest.param(COUNT, HEADER, _cells(3, 2), 7, "lead 3 outside the horizon",
+                 id="more-leads"),
+    pytest.param(COUNT, HEADER, _cells(1, 2), 5, "file ends before lead 2", id="fewer-leads"),
+]
+
+
+@pytest.mark.parametrize("count, header, cells, line_number, message", MALFORMED_MOMENTS)
+def test_read_moments_csv_rejects_malformed_files(tmp_path, count, header, cells,
+                                                  line_number, message):
+    path = tmp_path / "moments.csv"
+    path.write_text("\n".join([count, header, *cells]) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=message) as info:
+        read_moments_csv(path, 2, 2)
+    assert f"{path}:{line_number}:" in str(info.value)
+
+
 def test_hierarchy_forecast_rejects_nan():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValueOutOfRangeError):
         HierarchyForecast(
             np.array(["2019-01-08T00:00:00"], dtype="datetime64[s]"),
             np.full((1, 3, 2), np.nan), 1, 1,

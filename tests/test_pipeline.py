@@ -33,11 +33,11 @@ series_file = {tmp_path / 'series.csv'}
 
 def write_run_config(tmp_path, name="run.cfg", n_bundles=2, criterion="savar",
                      model="ridge", baseline="false", out="run_dir",
-                     diameters=None, seed=42):
+                     diameters=None, seed=42, history_len=24):
     # 1400 15-min steps: train on the first ~12 days, test on the rest
     lines = f"""
 task = short_term
-history_len = 24
+history_len = {history_len}
 horizon = 8
 granularity_minutes = 15
 n_bundles = {n_bundles}
@@ -88,7 +88,7 @@ def test_cli_stagewise_pipeline(data_dir):
     out = data_dir / "run_dir"
     for command in ("bundle", "forecast", "reconcile", "evaluate"):
         assert main([command, "--config", cfg]) == 0
-    for name in ("bundling.csv", "forecasts_raw.csv", "forecasts_insample.csv",
+    for name in ("bundling.csv", "forecasts_raw.csv", "residual_moments.csv",
                  "forecasts_reconciled.csv", "diagnostics.csv",
                  "evaluation.csv", "evaluation_raw.csv"):
         assert (out / name).exists(), name
@@ -208,10 +208,12 @@ def test_run_and_stage_commands_agree(data_dir):
     for command in ("bundle", "forecast", "reconcile", "evaluate"):
         assert main([command, "--config", cfg, "--out", str(staged)]) == 0
     full = data_dir / "full"
-    for name in ("bundling.csv", "forecasts_raw.csv"):
+    # the moments are handed between stages exactly, so the weights agree bit for bit
+    for name in ("bundling.csv", "forecasts_raw.csv", "diagnostics.csv"):
         assert (full / name).read_bytes() == (staged / name).read_bytes(), name
+    assert not (full / "residual_moments.csv").exists()  # a stage interface, not a run product
 
-    # the stage path reconciles forecasts read back from 12-digit CSVs
+    # the stage path reconciles test forecasts read back from 12-digit CSVs
     panel = ingest_panel(data_dir / "assets.csv", data_dir / "series.csv")
     bundling = read_bundling_csv(full / "bundling.csv", panel.asset_ids)
     a, b = (read_forecast_csv(d / "forecasts_reconciled.csv", panel.asset_ids,
@@ -229,6 +231,13 @@ def _rewrite_forecasts(out, asset_ids, names, horizon=None, shift=None):
                                              n_bundles, len(asset_ids)), asset_ids, out / name)
 
 
+def _truncate_moments(out, asset_ids, horizon=7):
+    """Keep the first ``horizon`` leads of residual_moments.csv."""
+    n_rows = 1 + read_bundling_csv(out / "bundling.csv", asset_ids).n_bundles + len(asset_ids)
+    lines = (out / "residual_moments.csv").read_text().splitlines(keepends=True)
+    (out / "residual_moments.csv").write_text("".join(lines[:2 + horizon * n_rows]))
+
+
 def _merge_bundles(out, asset_ids):
     """Relabel bundling.csv to one bundle fewer by folding the last bundle into the first."""
     bundling = read_bundling_csv(out / "bundling.csv", asset_ids)
@@ -241,8 +250,7 @@ def _merge_bundles(out, asset_ids):
     ("forecast", lambda out, ids: (out / "bundling.csv").write_text(
         f"bundle_id,asset_id\n0 {ids[0]}\n")),
     ("forecast", _merge_bundles),
-    ("reconcile", lambda out, ids: _rewrite_forecasts(
-        out, ids, ["forecasts_insample.csv", "forecasts_raw.csv"], horizon=7)),
+    ("reconcile", _truncate_moments),
     ("evaluate", lambda out, ids: _rewrite_forecasts(
         out, ids, ["forecasts_raw.csv", "forecasts_reconciled.csv"], horizon=7)),
     ("evaluate", lambda out, ids: _rewrite_forecasts(
@@ -258,3 +266,23 @@ def test_cli_stage_rejects_bad_inputs(data_dir, capsys, command, corrupt):
     capsys.readouterr()
     assert main([command, "--config", cfg]) == 1
     assert f"bundlecast {command}: [{command}] " in capsys.readouterr().err
+
+
+def test_cli_no_insample_origin_fails_cleanly(data_dir, capsys):
+    # 1,200 steps of history: no origin of the 1,152-step training range has them
+    cfg = str(write_run_config(data_dir, model="persistence", history_len=1200,
+                               out="no_origins"))
+    out = data_dir / "no_origins"
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "bundlecast run: [forecast] " in err and "no origin" in err
+    assert not out.exists()
+
+    assert main(["bundle", "--config", cfg]) == 0
+    assert main(["forecast", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "bundlecast forecast: [forecast] " in err and "no origin" in err
+    assert main(["reconcile", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "bundlecast reconcile: [reconcile] " in err and "residual_moments.csv not found" in err
+    assert {p.name for p in out.iterdir()} == {"bundling.csv"}

@@ -14,7 +14,7 @@ from bundlecast import (
     reconcile,
     summing_matrix,
 )
-from bundlecast.errors import NoOriginsError, ShapeMismatchError
+from bundlecast.errors import NoOriginsError, ShapeMismatchError, ValueOutOfRangeError
 
 from conftest import random_bundling_labels, reconciler_gains
 
@@ -74,40 +74,54 @@ def test_summing_matrix_column_sums_are_three(rng):
 # --- weight estimation -------------------------------------------------------------
 
 def test_estimate_weights_hand_example():
-    actual = forecast_of(np.zeros((1, 4, 1)), 1, 2)
-    fc = forecast_of(np.array([2.0, 2.0, 1.0, 1.0]).reshape(1, 4, 1), 1, 2)
-    w = estimate_weights(fc, actual, eps_floor=1e-12)
-    np.testing.assert_allclose(w.variances[0], [4.0, 4.0, 1.0, 1.0], rtol=1e-12)
-    assert w.sample_count == 1
+    moments = np.array([[4.0, 4.0, 1.0, 1e-14]])
+    w = estimate_weights(moments, 3, eps_floor=1e-12)
+    np.testing.assert_array_equal(w.variances[0], [4.0, 4.0, 1.0, 1e-12])
+    np.testing.assert_array_equal(w.n_floored, [1])
+    assert w.sample_count == 3
+    assert w.floor == 1e-12
 
 
 def test_estimate_weights_floor_on_perfect_forecasts():
-    values = np.random.default_rng(1).uniform(0, 10, size=(3, 4, 2))
-    fc = forecast_of(values, 1, 2)
-    actual = forecast_of(values, 1, 2)
-    w = estimate_weights(fc, actual, eps_floor=1e-6)
+    w = estimate_weights(np.zeros((2, 4)), 3, eps_floor=1e-6)
     np.testing.assert_array_equal(w.variances, np.full((2, 4), 1e-6))
     np.testing.assert_array_equal(w.n_floored, [4, 4])
 
 
 def test_estimate_weights_lead_independent_residuals(rng):
-    err = rng.uniform(-3, 3, size=(5, 4, 1))
-    actual_vals = rng.uniform(10, 20, size=(5, 4, 3))
-    fc_vals = actual_vals + np.repeat(err, 3, axis=2)
-    w = estimate_weights(forecast_of(fc_vals, 1, 2), forecast_of(actual_vals, 1, 2),
-                         eps_floor=1e-12)
-    np.testing.assert_allclose(w.variances[0], w.variances[1], rtol=1e-12)
-    np.testing.assert_allclose(w.variances[0], w.variances[2], rtol=1e-12)
+    # the same moments at every lead give the same weights at every lead
+    row = rng.uniform(0.0, 3.0, size=4) ** 2
+    row[1] = 0.0
+    w = estimate_weights(np.tile(row, (3, 1)), 5, eps_floor=1e-12)
+    np.testing.assert_array_equal(w.variances, np.tile(np.maximum(row, 1e-12), (3, 1)))
+    np.testing.assert_array_equal(w.n_floored, [1, 1, 1])
 
 
 def test_estimate_weights_errors(rng):
-    fc = forecast_of(rng.uniform(0, 1, size=(2, 4, 2)), 1, 2)
-    bad = forecast_of(rng.uniform(0, 1, size=(2, 4, 3)), 1, 2)
-    with pytest.raises(ShapeMismatchError):
-        estimate_weights(fc, bad, eps_floor=1e-9)
-    empty = forecast_of(np.empty((0, 4, 2)), 1, 2)
+    moments = rng.uniform(0, 1, size=(2, 4))
     with pytest.raises(NoOriginsError):
-        estimate_weights(empty, empty, eps_floor=1e-9)
+        estimate_weights(moments, 0, eps_floor=1e-9)
+    for eps_floor in (0.0, -1e-9, np.nan):
+        with pytest.raises(ValueOutOfRangeError, match="eps_floor must be positive"):
+            estimate_weights(moments, 4, eps_floor=eps_floor)
+    moments[1, 2] = np.nan
+    with pytest.raises(ValueOutOfRangeError, match="finite and strictly positive"):
+        estimate_weights(moments, 4, eps_floor=1e-9)
+    for bad in (0.0, -1.0, np.inf):
+        with pytest.raises(ValueOutOfRangeError, match="finite and strictly positive"):
+            LeadWeights(np.full((1, 4), bad), 1, 1e-12, np.zeros(1, dtype=int))
+
+
+def test_reconciler_bits_independent_of_weight_layout(rng):
+    """C- and Fortran-ordered copies of one set of variances reconcile bit for bit alike."""
+    bundling, _, fc, _ = random_instance(rng, n=200, k=20, horizon=48)
+    variances = rng.uniform(0.1, 10.0, size=(48, 221))
+    models = [build_reconciler(bundling, LeadWeights(layout(variances), 5, 1e-12,
+                                                     np.zeros(48, dtype=int)))
+              for layout in (np.ascontiguousarray, np.asfortranarray)]
+    np.testing.assert_array_equal(models[0].gains, models[1].gains)
+    np.testing.assert_array_equal(models[0].shares, models[1].shares)
+    np.testing.assert_array_equal(reconcile(models[0], fc).values, reconcile(models[1], fc).values)
 
 
 # --- projection construction ----------------------------------------------------------
