@@ -35,15 +35,15 @@ import numpy as np
 
 from .core import AssetMeta, AssetPanel, Criterion, CriterionMatrix, covariance
 from .errors import (
-    DimensionMismatchError,
     FormatError,
     InfeasibleMergeError,
     InfeasiblePartitionError,
-    PartitionTooLargeError,
+    ShapeMismatchError,
     ValueOutOfRangeError,
 )
 
 EXACT_MAX_ASSETS = 12
+KMEANS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,17 @@ class Bundling:
         object.__setattr__(self, "assignment", lam)
         object.__setattr__(self, "asset_order", tuple(self.asset_order))
         if lam.ndim != 2:
-            raise DimensionMismatchError(f"assignment must be 2-D, got shape {lam.shape}")
+            raise ShapeMismatchError(f"assignment must be 2-D, got shape {lam.shape}")
         if lam.shape[1] != len(self.asset_order):
-            raise DimensionMismatchError(
+            raise ShapeMismatchError(
                 f"assignment has {lam.shape[1]} columns for {len(self.asset_order)} assets"
             )
         if not np.all((lam == 0.0) | (lam == 1.0)):
-            raise DimensionMismatchError("assignment entries must be 0 or 1")
+            raise ShapeMismatchError("assignment entries must be 0 or 1")
         if not np.all(lam.sum(axis=0) == 1.0):
-            raise DimensionMismatchError("each asset must belong to exactly one bundle")
+            raise ShapeMismatchError("each asset must belong to exactly one bundle")
         if not np.all(lam.sum(axis=1) >= 1.0):
-            raise DimensionMismatchError("each bundle must be non-empty")
+            raise ShapeMismatchError("each bundle must be non-empty")
         lam.flags.writeable = False
 
     @classmethod
@@ -116,7 +116,7 @@ class Bundling:
         """Aggregate an (N, T) panel into the (K, T) bundle series."""
         values = np.asarray(values)
         if values.shape[0] != self.n_assets:
-            raise DimensionMismatchError(
+            raise ShapeMismatchError(
                 f"panel has {values.shape[0]} rows, bundling expects {self.n_assets}"
             )
         return self.assignment @ values
@@ -139,9 +139,9 @@ class BundlingConfig:
     def __post_init__(self):
         object.__setattr__(self, "criterion", Criterion(self.criterion))
         if self.n_bundles < 1:
-            raise DimensionMismatchError(f"n_bundles must be >= 1, got {self.n_bundles}")
+            raise ValueOutOfRangeError(f"n_bundles must be >= 1, got {self.n_bundles}")
         if not self.diameter_km > 0.0:
-            raise DimensionMismatchError(f"diameter_km must be positive, got {self.diameter_km}")
+            raise ValueOutOfRangeError(f"diameter_km must be positive, got {self.diameter_km}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def objective(bundling: Bundling, sigma) -> float:
     s = _sigma_array(sigma)
     lam = bundling.assignment
     if s.shape != (bundling.n_assets, bundling.n_assets):
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"criterion matrix shape {s.shape} does not match {bundling.n_assets} assets"
         )
     return float(np.einsum("ki,ij,kj->", lam, s, lam))
@@ -171,7 +171,7 @@ def check_feasible(bundling: Bundling, distances: np.ndarray, diameter_km: float
     """Check the pairwise diameter constraint inside every bundle."""
     distances = np.asarray(distances)
     if distances.shape != (bundling.n_assets, bundling.n_assets):
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"distance matrix shape {distances.shape} does not match {bundling.n_assets} assets"
         )
     violations = []
@@ -222,9 +222,9 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
     distances = np.asarray(distances, dtype=np.float64)
     n = s.shape[0]
     if distances.shape != (n, n) or len(asset_order) != n:
-        raise DimensionMismatchError("sigma, distances, and asset_order sizes disagree")
+        raise ShapeMismatchError("sigma, distances, and asset_order sizes disagree")
     if not 1 <= n_bundles <= n:
-        raise DimensionMismatchError(f"n_bundles must be in 1..{n}, got {n_bundles}")
+        raise ValueOutOfRangeError(f"n_bundles must be in 1..{n}, got {n_bundles}")
     bad = np.argwhere(~np.isfinite(s))
     if bad.size:
         i, j = bad[0]
@@ -295,13 +295,13 @@ def exact_partition(sigma, distances: np.ndarray, n_bundles: int, diameter_km: f
     distances = np.asarray(distances, dtype=np.float64)
     n = s.shape[0]
     if n > EXACT_MAX_ASSETS:
-        raise PartitionTooLargeError(
+        raise ValueOutOfRangeError(
             f"exact enumeration is limited to {EXACT_MAX_ASSETS} assets, got {n}"
         )
     if distances.shape != (n, n) or len(asset_order) != n:
-        raise DimensionMismatchError("sigma, distances, and asset_order sizes disagree")
+        raise ShapeMismatchError("sigma, distances, and asset_order sizes disagree")
     if not 1 <= n_bundles <= n:
-        raise DimensionMismatchError(f"n_bundles must be in 1..{n}, got {n_bundles}")
+        raise ValueOutOfRangeError(f"n_bundles must be in 1..{n}, got {n_bundles}")
 
     best_cost = math.inf
     best_parts: list[list[int]] | None = None
@@ -359,8 +359,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def kmeans_bundle(assets, distances: np.ndarray, config: BundlingConfig,
-                  max_iter: int = 100) -> Bundling:
+def kmeans_bundle(assets, distances: np.ndarray, config: BundlingConfig) -> Bundling:
     """Geographic k-means baseline on raw (lat, lon) degree coordinates.
 
     Deterministic for a fixed config seed. Empty clusters are repaired by
@@ -371,13 +370,13 @@ def kmeans_bundle(assets, distances: np.ndarray, config: BundlingConfig,
     assets = list(assets)
     k = config.n_bundles
     if not 1 <= k <= len(assets):
-        raise DimensionMismatchError(f"n_bundles must be in 1..{len(assets)}, got {k}")
+        raise ValueOutOfRangeError(f"n_bundles must be in 1..{len(assets)}, got {k}")
     points = np.array([[a.latitude_deg, a.longitude_deg] for a in assets])
     rng = np.random.default_rng(config.seed)
     centers = _kmeans_pp_init(points, k, rng)
 
     labels = np.full(points.shape[0], -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         for empty in np.setdiff1d(np.arange(k), np.unique(new_labels)):
@@ -426,9 +425,9 @@ def diameter_sweep(panel: AssetPanel, distances: np.ndarray, criterion: Criterio
     """
     diameters = [float(d) for d in diameters]
     if any(d <= 0.0 for d in diameters):
-        raise DimensionMismatchError("diameters must be positive")
+        raise ValueOutOfRangeError("diameters must be positive")
     if any(b < a for a, b in zip(diameters, diameters[1:])):
-        raise DimensionMismatchError("diameters must be ascending")
+        raise ValueOutOfRangeError("diameters must be ascending")
     if not diameters:
         return []
     sigma = covariance(panel, Criterion(criterion))

@@ -112,6 +112,7 @@ class _Fields:
 class RunConfig:
     """Everything one pipeline run depends on, paths included."""
 
+    path: str   # the config file itself: hashed into the manifest, named in errors
     task: str
     history_len: int
     horizon: int
@@ -146,6 +147,7 @@ def load_run_config(path) -> RunConfig:
             use_calendar=fields.flag(f"{level}_use_calendar_encodings"),
         )
     cfg = RunConfig(
+        path=str(path),
         task=fields.text("task", choices=_TASKS),
         history_len=fields.integer("history_len"),
         horizon=fields.integer("horizon"),

@@ -28,12 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
-    DuplicateAssetIdError,
     FormatError,
-    MissingColumnError,
-    TimestampGapError,
-    TooShortSeriesError,
+    InsufficientDataError,
+    ShapeMismatchError,
     ValueOutOfRangeError,
 )
 
@@ -113,20 +110,20 @@ class AssetPanel:
         ids = [a.asset_id for a in self.assets]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise DuplicateAssetIdError(f"duplicate asset ids: {dupes}")
+            raise FormatError(f"duplicate asset ids: {dupes}")
         if vals.ndim != 2 or vals.shape != (len(ids), ts.shape[0]):
-            raise DimensionMismatchError(
+            raise ShapeMismatchError(
                 f"values shape {vals.shape} does not match "
                 f"{len(ids)} assets x {ts.shape[0]} timestamps"
             )
         if ts.shape[0] < 2:
-            raise TimestampGapError("panel needs at least two timestamps")
+            raise FormatError("panel needs at least two timestamps")
         steps = np.diff(ts)
         if np.any(steps <= np.timedelta64(0, "s")):
-            raise TimestampGapError("timestamps are not strictly increasing")
+            raise FormatError("timestamps are not strictly increasing")
         if np.any(steps != steps[0]):
             bad = int(np.nonzero(steps != steps[0])[0][0])
-            raise TimestampGapError(
+            raise FormatError(
                 f"non-uniform step at {format_utc_timestamp(ts[bad + 1])} "
                 f"(expected {steps[0]}, got {steps[bad]})"
             )
@@ -177,7 +174,7 @@ class AssetPanel:
         lo = self.index_of(start)
         hi = int(np.searchsorted(self.timestamps, np.datetime64(end, "s"), side="right"))
         if hi - lo < 2:
-            raise TimestampGapError(
+            raise FormatError(
                 f"window [{format_utc_timestamp(np.datetime64(start, 's'))}, "
                 f"{format_utc_timestamp(np.datetime64(end, 's'))}] covers "
                 f"{hi - lo} timestamps"
@@ -221,7 +218,7 @@ def ingest_panel(assets_file, series_file) -> AssetPanel:
     by_id: dict[str, AssetMeta] = {}
     for a in assets:
         if a.asset_id in by_id:
-            raise DuplicateAssetIdError(f"duplicate asset id {a.asset_id!r} in {assets_file}")
+            raise FormatError(f"duplicate asset id {a.asset_id!r} in {assets_file}")
         by_id[a.asset_id] = a
 
     rows = _read_csv_rows(Path(series_file))
@@ -229,13 +226,13 @@ def ingest_panel(assets_file, series_file) -> AssetPanel:
         raise FormatError(f"{series_file}: first header column must be 'timestamp'")
     series_ids = [c.strip() for c in rows[0][1:]]
     if len(set(series_ids)) != len(series_ids):
-        raise DuplicateAssetIdError(f"duplicate series columns in {series_file}")
+        raise FormatError(f"duplicate series columns in {series_file}")
     missing = [i for i in by_id if i not in set(series_ids)]
     if missing:
-        raise MissingColumnError(f"assets missing from series file: {missing}")
+        raise FormatError(f"assets missing from series file: {missing}")
     unknown = [i for i in series_ids if i not in by_id]
     if unknown:
-        raise MissingColumnError(f"series columns without metadata: {unknown}")
+        raise FormatError(f"series columns without metadata: {unknown}")
 
     n_cols = len(series_ids) + 1
     timestamps = np.empty(len(rows) - 1, dtype="datetime64[s]")
@@ -314,7 +311,7 @@ class CriterionMatrix:
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=np.float64)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise DimensionMismatchError(f"criterion matrix must be square, got {sigma.shape}")
+            raise ShapeMismatchError(f"criterion matrix must be square, got {sigma.shape}")
         object.__setattr__(self, "sigma", sigma)
         sigma.flags.writeable = False
 
@@ -351,7 +348,7 @@ def covariance(panel: AssetPanel, kind: Criterion | str) -> CriterionMatrix:
     kind = Criterion(kind)
     min_steps = 4 if kind is Criterion.IMCY else 3
     if panel.n_steps < min_steps:
-        raise TooShortSeriesError(
+        raise InsufficientDataError(
             f"{kind.value} covariance needs at least {min_steps} steps, panel has {panel.n_steps}"
         )
     if kind is Criterion.VARIANCE:

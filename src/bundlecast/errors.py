@@ -2,7 +2,16 @@
 
 Every error that callers are expected to handle derives from
 :class:`BundlecastError`, so pipeline code can catch one base class and
-re-tag it with the stage that failed.
+re-tag it with the stage that failed. The subclasses are the kinds of
+failure a caller can tell apart:
+
+* :class:`FormatError` -- an input file or its content is malformed;
+* :class:`ValueOutOfRangeError` -- a value or parameter is outside its range;
+* :class:`ShapeMismatchError` -- arrays or containers disagree in shape;
+* :class:`InsufficientDataError` -- too little data for the computation;
+* :class:`InfeasibleMergeError`, :class:`InfeasiblePartitionError` -- no
+  bundling satisfies the diameter cutoff;
+* :class:`ConfigError` -- a config file or the run directory is unusable.
 """
 
 
@@ -10,36 +19,21 @@ class BundlecastError(Exception):
     """Base class for all package errors."""
 
 
-# --- panel ingest -----------------------------------------------------------
-
 class FormatError(BundlecastError):
-    """Malformed input file (bad header, ragged row, unparsable field)."""
-
-
-class MissingColumnError(BundlecastError):
-    """Asset set of the metadata file and the series file disagree."""
-
-
-class TimestampGapError(BundlecastError):
-    """Series timestamps are not strictly increasing with a uniform step."""
+    """Malformed input: bad header, ragged row, unparsable field, duplicate
+    or missing asset ids, timestamps that are not a uniform grid."""
 
 
 class ValueOutOfRangeError(BundlecastError):
-    """A series value is missing, non-finite, negative, or above capacity."""
+    """A value or parameter is missing, non-finite, or outside its range."""
 
 
-class DuplicateAssetIdError(BundlecastError):
-    """The same asset identifier appears more than once."""
+class ShapeMismatchError(BundlecastError):
+    """Arrays or containers disagree in shape, length, or origins."""
 
 
-class TooShortSeriesError(BundlecastError):
-    """Panel has too few time steps for the requested covariance."""
-
-
-# --- bundling ---------------------------------------------------------------
-
-class DimensionMismatchError(BundlecastError):
-    """Array shapes are inconsistent with each other."""
+class InsufficientDataError(BundlecastError):
+    """Too few samples or origins for the requested computation."""
 
 
 class InfeasibleMergeError(BundlecastError):
@@ -54,53 +48,10 @@ class InfeasibleMergeError(BundlecastError):
         self.bundles_reached = bundles_reached
 
 
-class PartitionTooLargeError(BundlecastError):
-    """Exact enumeration was asked for more assets than it can handle."""
-
-
 class InfeasiblePartitionError(BundlecastError):
     """No partition into K bundles satisfies the diameter constraint."""
 
 
-# --- forecasting ------------------------------------------------------------
-
-class InsufficientDataError(BundlecastError):
-    """Training series too short for the requested window/horizon."""
-
-
-class SingularSystemError(BundlecastError):
-    """Ridge normal equations are singular (only possible at lambda=0)."""
-
-
-class LengthMismatchError(BundlecastError):
-    """Prediction history length differs from the model's input window."""
-
-
-# --- reconciliation ---------------------------------------------------------
-
-class ShapeMismatchError(BundlecastError):
-    """Forecast and actual containers disagree in shape or origins."""
-
-
-class NoOriginsError(BundlecastError):
-    """Residual estimation received zero forecast origins."""
-
-
-# --- metrics ----------------------------------------------------------------
-
-class NonpositiveCapacityError(BundlecastError):
-    """NMAE normalization requires strictly positive capacities."""
-
-
-class NonpositiveOrderError(BundlecastError):
-    """Variogram score order p must be > 0."""
-
-
-class ExpensiveMetricError(BundlecastError):
-    """Quadratic-cost metric requested on a wide level without opting in."""
-
-
-# --- configuration ----------------------------------------------------------
-
 class ConfigError(BundlecastError):
-    """Config file is missing keys or holds values that fail validation."""
+    """Config file is missing keys, holds values that fail validation, or does
+    not fit the panel or run directory it is used with."""

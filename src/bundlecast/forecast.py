@@ -19,9 +19,7 @@ forecast outlives the row it was made for.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,13 +28,9 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from .bundling import Bundling
 from .core import AssetPanel, format_utc_timestamp, parse_utc_timestamp
 from .errors import (
-    DimensionMismatchError,
     FormatError,
     InsufficientDataError,
-    LengthMismatchError,
-    NoOriginsError,
     ShapeMismatchError,
-    SingularSystemError,
     ValueOutOfRangeError,
 )
 
@@ -55,7 +49,7 @@ class ForecastTask:
 
     def __post_init__(self):
         if self.history_len < 1 or self.horizon < 1 or self.granularity_minutes < 1:
-            raise DimensionMismatchError(
+            raise ValueOutOfRangeError(
                 f"history_len, horizon, granularity must be >= 1, got "
                 f"({self.history_len}, {self.horizon}, {self.granularity_minutes})"
             )
@@ -79,9 +73,9 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.model not in ("persistence", "ridge"):
-            raise DimensionMismatchError(f"unknown model {self.model!r}")
+            raise ValueOutOfRangeError(f"unknown model {self.model!r}")
         if self.ridge_lambda < 0.0:
-            raise DimensionMismatchError("ridge_lambda must be >= 0")
+            raise ValueOutOfRangeError("ridge_lambda must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,8 @@ class HierarchyForecast:
     ``origins[m]`` for hierarchy row r. Rows follow the summing-matrix
     convention: row 0 is the fleet total, rows 1..K the bundles, the last N
     rows the assets. The same container carries realized values when used
-    as "actuals".
+    as "actuals". Both arrays are stored as read-only views, so the arrays
+    the container was built from stay writeable.
     """
 
     origins: np.ndarray
@@ -101,8 +96,8 @@ class HierarchyForecast:
     n_assets: int
 
     def __post_init__(self):
-        origins = np.asarray(self.origins, dtype="datetime64[s]")
-        values = np.asarray(self.values, dtype=np.float64)
+        origins = np.asarray(self.origins, dtype="datetime64[s]").view()
+        values = np.asarray(self.values, dtype=np.float64).view()
         object.__setattr__(self, "origins", origins)
         object.__setattr__(self, "values", values)
         if values.ndim != 3 or values.shape[0] != origins.shape[0]:
@@ -160,11 +155,10 @@ class RidgeModel:
     """Fitted direct multi-horizon ridge map from H lags to T leads.
 
     ``weights`` act on standardized features; ``intercept`` is unpenalized.
-    ``coefficients`` exposes the de-standardized linear map for inspection.
 
     The arrays are stored C-contiguous and read-only whatever they were
-    built from, so a fitted model and the same model reloaded from disk
-    hand BLAS the same layout and predict bit-for-bit alike.
+    built from, so models with equal arrays hand BLAS the same layout and
+    predict bit-for-bit alike.
     """
 
     weights: np.ndarray        # (n_features, horizon)
@@ -182,16 +176,11 @@ class RidgeModel:
             object.__setattr__(self, name, arr)
             arr.flags.writeable = False
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Linear map on raw (unstandardized) features, (n_features, horizon)."""
-        return self.weights / self.feature_scale[:, None]
-
     def _features(self, histories: np.ndarray, origins) -> np.ndarray:
         feats = histories
         if self.use_calendar:
             if origins is None:
-                raise LengthMismatchError("model uses calendar encodings; origins required")
+                raise ShapeMismatchError("model uses calendar encodings; origins required")
             feats = np.hstack([feats, _calendar_features(np.atleast_1d(origins))])
         return (feats - self.feature_mean) / self.feature_scale
 
@@ -199,7 +188,7 @@ class RidgeModel:
         """Predict (M, T) leads from (M, H) trailing windows."""
         histories = np.asarray(histories, dtype=np.float64)
         if histories.ndim != 2 or histories.shape[1] != self.history_len:
-            raise LengthMismatchError(
+            raise ShapeMismatchError(
                 f"histories shape {histories.shape} does not match input window {self.history_len}"
             )
         x = self._features(histories, origins)
@@ -207,48 +196,6 @@ class RidgeModel:
         if cap is not None:
             out = np.clip(out, 0.0, cap)
         return out
-
-    def predict(self, history: np.ndarray, origin=None, cap: float | None = None) -> np.ndarray:
-        """Predict the length-T horizon from one length-H history."""
-        history = np.asarray(history, dtype=np.float64)
-        if history.ndim != 1 or history.shape[0] != self.history_len:
-            raise LengthMismatchError(
-                f"history length {history.shape} does not match input window {self.history_len}"
-            )
-        origins = None if origin is None else np.array([origin], dtype="datetime64[s]")
-        return self.predict_batch(history[None, :], origins, cap)[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "intercept": self.intercept.tolist(),
-            "feature_mean": self.feature_mean.tolist(),
-            "feature_scale": self.feature_scale.tolist(),
-            "history_len": self.history_len,
-            "horizon": self.horizon,
-            "ridge_lambda": self.ridge_lambda,
-            "use_calendar": self.use_calendar,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RidgeModel":
-        return cls(
-            weights=np.array(d["weights"], dtype=np.float64),
-            intercept=np.array(d["intercept"], dtype=np.float64),
-            feature_mean=np.array(d["feature_mean"], dtype=np.float64),
-            feature_scale=np.array(d["feature_scale"], dtype=np.float64),
-            history_len=int(d["history_len"]),
-            horizon=int(d["horizon"]),
-            ridge_lambda=float(d["ridge_lambda"]),
-            use_calendar=bool(d["use_calendar"]),
-        )
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "RidgeModel":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _supervised_windows(values: np.ndarray, history_len: int, horizon: int):
@@ -267,7 +214,7 @@ def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
 
     Solves (X'X + lambda*P) W = X'Y where P penalizes every standardized
     feature except the intercept. At lambda=0 a rank-deficient feature
-    matrix raises SingularSystemError instead of being silently
+    matrix raises InsufficientDataError instead of being silently
     regularized.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -296,7 +243,7 @@ def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
     try:
         solution = cho_solve(cho_factor(gram), rhs)
     except LinAlgError as exc:
-        raise SingularSystemError(
+        raise InsufficientDataError(
             f"normal equations singular at lambda={ridge_lambda} "
             f"({x.shape[0]} rows, {n_feat} features); degenerate features"
         ) from exc
@@ -316,7 +263,7 @@ def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
 
 @dataclass(frozen=True)
 class RollingForecasts:
-    """Test-range forecasts, in-sample residual moments, and skip accounting.
+    """Test-range forecasts and in-sample residual moments.
 
     ``second_moment[tau-1, r]`` is the mean over the ``n_insample_origins``
     training-range origins of hierarchy row r's squared lead-tau error; the
@@ -326,8 +273,6 @@ class RollingForecasts:
     test: HierarchyForecast
     second_moment: np.ndarray   # (horizon, n_rows)
     n_insample_origins: int
-    skipped_test: tuple[np.datetime64, ...]
-    skipped_insample: tuple[np.datetime64, ...]
 
 
 def hierarchy_series(panel: AssetPanel, bundling: Bundling) -> np.ndarray:
@@ -387,10 +332,10 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     before it. Forecasts are issued at every origin whose full horizon
     stays inside its range (training range for the in-sample pass, the
     panel for the test pass). Origins with fewer than H prior samples are
-    skipped and reported. Each row's in-sample forecasts are reduced to
-    their per-lead mean squared error as soon as they exist; a training
-    range without an eligible origin raises NoOriginsError, since the
-    reconciliation weights need at least one.
+    skipped. Each row's in-sample forecasts are reduced to their per-lead
+    mean squared error as soon as they exist; a training range without an
+    eligible origin raises InsufficientDataError, since the reconciliation
+    weights need at least one.
     """
     for level in LEVELS:
         if level not in specs:
@@ -407,10 +352,8 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     candidates_test = np.arange(split_idx, max(panel.n_steps - t, split_idx))
     train_origins = candidates_train[candidates_train >= h - 1]
     test_origins = candidates_test[candidates_test >= h - 1]
-    skipped_train = tuple(panel.timestamps[candidates_train[candidates_train < h - 1]])
-    skipped_test = tuple(panel.timestamps[candidates_test[candidates_test < h - 1]])
     if train_origins.size == 0:
-        raise NoOriginsError(
+        raise InsufficientDataError(
             f"the training range has no origin with {h} samples of history and a full "
             f"{t}-step horizon, so no in-sample error can weight the reconciliation")
 
@@ -427,8 +370,7 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
 
     test = HierarchyForecast(panel.timestamps[test_origins], test_values,
                              bundling.n_bundles, panel.n_assets)
-    return RollingForecasts(test, moments.T, int(train_origins.size), skipped_test,
-                            skipped_train)
+    return RollingForecasts(test, moments.T, int(train_origins.size))
 
 
 # --- CSV interface ----------------------------------------------------------------

@@ -7,8 +7,7 @@ forecast values:
 * RMSE -- root mean squared error, in MW;
 * VS   -- variogram score of order p (default 1/2), which compares all
   pairwise value differences across series and leads and therefore costs
-  O(M N^2 T^2); it is computed for the one-series fleet level unless the
-  caller explicitly opts into the quadratic cost;
+  O(M N^2 T^2); it is computed for the one-series fleet level only;
 * ED   -- energy distance: twice the mean Frobenius norm of the per-origin
   error block, in MW.
 """
@@ -20,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import Bundling
-from .errors import (
-    ExpensiveMetricError,
-    NonpositiveCapacityError,
-    NonpositiveOrderError,
-    ShapeMismatchError,
-)
+from .errors import ShapeMismatchError, ValueOutOfRangeError
 from .forecast import FLOAT_FORMAT, LEVELS, HierarchyForecast
 
 
@@ -46,7 +40,7 @@ def nmae(actuals, forecasts, capacities) -> float:
     if caps.shape != (a.shape[1],):
         raise ShapeMismatchError(f"{caps.shape} capacities for {a.shape[1]} series")
     if np.any(caps <= 0.0):
-        raise NonpositiveCapacityError("capacities must be strictly positive")
+        raise ValueOutOfRangeError("capacities must be strictly positive")
     m, n, t = a.shape
     per_series_l1 = np.abs(a - f).sum(axis=2)  # (M, N)
     return float((per_series_l1 / caps[None, :]).sum() / (m * n * t) * 100.0)
@@ -63,7 +57,7 @@ def variogram_score(actuals, forecasts, p: float = 0.5) -> float:
     """Variogram score of order p over all series/lead pairs, per origin."""
     a, f = _blocks(actuals, forecasts)
     if not p > 0.0:
-        raise NonpositiveOrderError(f"variogram order must be > 0, got {p}")
+        raise ValueOutOfRangeError(f"variogram order must be > 0, got {p}")
     m = a.shape[0]
     total = 0.0
     for t in range(m):
@@ -85,7 +79,7 @@ def energy_distance(actuals, forecasts) -> float:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Metric values for one hierarchy level."""
+    """Metric values for one hierarchy level; ``vs`` is None below the fleet."""
 
     level: str
     nmae: float
@@ -93,19 +87,14 @@ class EvaluationReport:
     ed: float
     vs: float | None
     n_origins: int
-    per_series: dict[str, dict[str, float]] | None = None
 
 
 def evaluate(actuals: HierarchyForecast, forecasts: HierarchyForecast,
-             bundling: Bundling, capacities, vs_order: float = 0.5,
-             vs_levels=("fleet",), allow_expensive_vs: bool = False,
-             per_series: bool = False) -> dict[str, EvaluationReport]:
+             bundling: Bundling, capacities) -> dict[str, EvaluationReport]:
     """Score a hierarchy forecast per level against realized values.
 
     ``capacities`` are per-asset; bundle and fleet capacities are their
-    member sums. The variogram score is restricted to the fleet level
-    unless ``allow_expensive_vs`` acknowledges the O(M N^2 T^2) cost of
-    wider levels.
+    member sums. The variogram score is computed at the fleet level only.
     """
     if actuals.values.shape != forecasts.values.shape:
         raise ShapeMismatchError(
@@ -118,41 +107,23 @@ def evaluate(actuals: HierarchyForecast, forecasts: HierarchyForecast,
     caps = np.asarray(capacities, dtype=np.float64)
     if caps.shape != (actuals.n_assets,):
         raise ShapeMismatchError(f"{caps.shape} capacities for {actuals.n_assets} assets")
-    expensive = [lv for lv in vs_levels if lv != "fleet"]
-    if expensive and not allow_expensive_vs:
-        raise ExpensiveMetricError(
-            f"variogram score on {expensive} costs O(M*N^2*T^2); "
-            "pass allow_expensive_vs=True to accept it"
-        )
 
     blocks = {
-        "fleet": (actuals.fleet, forecasts.fleet, np.array([caps.sum()]), [""]),
-        "bundle": (actuals.bundles, forecasts.bundles, bundling.assignment @ caps,
-                   [str(k) for k in range(bundling.n_bundles)]),
-        "asset": (actuals.assets, forecasts.assets, caps, list(bundling.asset_order)),
+        "fleet": (actuals.fleet, forecasts.fleet, np.array([caps.sum()])),
+        "bundle": (actuals.bundles, forecasts.bundles, bundling.assignment @ caps),
+        "asset": (actuals.assets, forecasts.assets, caps),
     }
-    reports = {}
-    for level, (a, f, level_caps, ids) in blocks.items():
-        detail = None
-        if per_series:
-            detail = {
-                sid: {
-                    "nmae": nmae(a[:, i:i + 1, :], f[:, i:i + 1, :], level_caps[i:i + 1]),
-                    "rmse": rmse(a[:, i:i + 1, :], f[:, i:i + 1, :]),
-                    "ed": energy_distance(a[:, i:i + 1, :], f[:, i:i + 1, :]),
-                }
-                for i, sid in enumerate(ids)
-            }
-        reports[level] = EvaluationReport(
+    return {
+        level: EvaluationReport(
             level=level,
             nmae=nmae(a, f, level_caps),
             rmse=rmse(a, f),
             ed=energy_distance(a, f),
-            vs=variogram_score(a, f, vs_order) if level in vs_levels else None,
+            vs=variogram_score(a, f) if level == "fleet" else None,
             n_origins=actuals.n_origins,
-            per_series=detail,
         )
-    return reports
+        for level, (a, f, level_caps) in blocks.items()
+    }
 
 
 REPORT_HEADER = "level,metric,value,M,series_id"
@@ -163,18 +134,9 @@ def write_report_csv(reports: dict[str, EvaluationReport], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(REPORT_HEADER + "\n")
         for level in LEVELS:
-            if level not in reports:
-                continue
             rep = reports[level]
             rows = [("nmae", rep.nmae), ("rmse", rep.rmse), ("ed", rep.ed)]
             if rep.vs is not None:
                 rows.append(("vs", rep.vs))
             for name, value in rows:
                 fh.write(f"{level},{name},{FLOAT_FORMAT.format(value)},{rep.n_origins},\n")
-            if rep.per_series:
-                for sid, vals in rep.per_series.items():
-                    for name, value in vals.items():
-                        fh.write(
-                            f"{level},{name},{FLOAT_FORMAT.format(value)},"
-                            f"{rep.n_origins},{sid}\n"
-                        )

@@ -99,8 +99,15 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 def load_panel(config: RunConfig) -> AssetPanel:
-    """Ingest the configured files, restricted to the train..test range."""
+    """Ingest the configured files, restricted to the train..test range.
+
+    The panel's time step must be the config's ``granularity_minutes``.
+    """
     panel = ingest_panel(config.assets_file, config.series_file)
+    if panel.step != config.forecast_task.step:
+        raise ConfigError(
+            f"{config.path}: granularity_minutes is {config.granularity_minutes}, but "
+            f"{config.series_file} has a {panel.step / np.timedelta64(60, 's'):g}-minute step")
     return panel.window(config.train_start, config.test_end)
 
 
@@ -151,11 +158,11 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(config_path, config: RunConfig, out_dir: Path) -> None:
+def write_manifest(config: RunConfig, out_dir: Path) -> None:
     manifest = {
         "package": "bundlecast",
         "version": __version__,
-        "config_sha256": _sha256(config_path),
+        "config_sha256": _sha256(config.path),
         "assets_sha256": _sha256(config.assets_file),
         "series_sha256": _sha256(config.series_file),
     }
@@ -226,7 +233,7 @@ def run(config_path, out_dir=None) -> Path:
         if config.baseline:
             baseline = _run_pass(config, panel, distances, out, n_bundles=1, prefix="baseline_")
             _write_comparison(bundled, baseline, out / COMPARISON_FILE)
-        write_manifest(config_path, config, out)
+        write_manifest(config, out)
     return out
 
 
@@ -356,5 +363,5 @@ def run_sweep(config_path, out_dir=None) -> Path:
                         f"{FLOAT_FORMAT.format(pt.diameter_km)},{criterion.value},"
                         f"{obj},{str(pt.feasible).lower()}\n"
                     )
-        write_manifest(config_path, config, out)
+        write_manifest(config, out)
     return out

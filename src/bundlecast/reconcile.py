@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import Bundling
-from .errors import NoOriginsError, ShapeMismatchError, ValueOutOfRangeError
+from .errors import InsufficientDataError, ShapeMismatchError, ValueOutOfRangeError
 from .forecast import HierarchyForecast
 
 
@@ -52,19 +52,17 @@ class LeadWeights:
 
     ``variances[tau-1, r]`` is the in-sample mean squared error of
     hierarchy row r at lead tau; ``n_floored`` counts the entries raised to
-    the floor. ``variances`` is stored Fortran-ordered whatever it was built
-    from, the layout of a transposed (rows, leads) array: the reconciler's
-    matrix products then take one BLAS path, so equal weights give bitwise
-    equal gains.
+    the floor. ``variances`` is stored as a read-only, Fortran-ordered view
+    whatever it was built from, the layout of a transposed (rows, leads)
+    array: the reconciler's matrix products then take one BLAS path, so
+    equal weights give bitwise equal gains.
     """
 
     variances: np.ndarray   # (horizon, n_rows)
-    sample_count: int
-    floor: float
     n_floored: np.ndarray   # (horizon,)
 
     def __post_init__(self):
-        v = np.asfortranarray(self.variances, dtype=np.float64)
+        v = np.asfortranarray(self.variances, dtype=np.float64).view()
         object.__setattr__(self, "variances", v)
         object.__setattr__(self, "n_floored", np.asarray(self.n_floored, dtype=np.int64))
         if v.ndim != 2:
@@ -79,22 +77,22 @@ def estimate_weights(second_moment: np.ndarray, n_origins: int,
     """Per-lead, per-row weights from the (T, R) mean squared in-sample errors.
 
     ``second_moment`` averages over ``n_origins`` in-sample origins (see
-    ``RollingForecasts``). The floor guards against exactly-zero residuals
-    (e.g. persistence over a constant stretch), which would make the weight
-    matrix singular.
+    ``RollingForecasts``). A negative moment is an error, not a zero. The
+    floor guards against exactly-zero residuals (e.g. persistence over a
+    constant stretch), which would make the weight matrix singular.
     """
     if n_origins < 1:
-        raise NoOriginsError("weight estimation needs at least one origin")
+        raise InsufficientDataError("weight estimation needs at least one origin")
     if not eps_floor > 0.0:
         raise ValueOutOfRangeError(f"eps_floor must be positive, got {eps_floor}")
     second_moment = np.asarray(second_moment, dtype=np.float64)
+    negative = np.argwhere(second_moment < 0.0)
+    if negative.size:
+        tau, r = negative[0]
+        raise ValueOutOfRangeError(f"second moment at lead {tau + 1}, row {r} is "
+                                   f"{second_moment[tau, r]}; it must be non-negative")
     floored = second_moment < eps_floor
-    return LeadWeights(
-        variances=np.maximum(second_moment, eps_floor),
-        sample_count=n_origins,
-        floor=eps_floor,
-        n_floored=floored.sum(axis=1),
-    )
+    return LeadWeights(np.maximum(second_moment, eps_floor), floored.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -184,12 +182,10 @@ def count_bound_violations(forecast: HierarchyForecast, capacities) -> np.ndarra
     return outside.sum(axis=(0, 1))
 
 
-def write_diagnostics_csv(weights: LeadWeights, path, bound_violations=None) -> None:
+def write_diagnostics_csv(weights: LeadWeights, path, bound_violations) -> None:
     """Per-lead weight ratio, floored weights, and range violations."""
     v = weights.variances
     ratio = v.max(axis=1) / v.min(axis=1)
-    if bound_violations is None:
-        bound_violations = np.zeros(v.shape[0], dtype=np.int64)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("lead,weight_ratio,n_floored_weights,n_bound_violations\n")
         for tau in range(v.shape[0]):

@@ -188,7 +188,7 @@ def test_reconciliation_exactness():
 
     # hand-derived case
     b2 = Bundling.from_labels([0, 0], 1, ("a", "b"))
-    w2 = LeadWeights(np.ones((1, 4)), 1, 1e-12, np.zeros(1, dtype=int))
+    w2 = LeadWeights(np.ones((1, 4)), np.zeros(1, dtype=int))
     model2 = build_reconciler(b2, w2)
     origins = np.array(["2019-01-08T00:00:00"], dtype="datetime64[s]")
     hand_in = HierarchyForecast(origins, np.array([10.0, 10.0, 3.0, 5.0]).reshape(1, 4, 1), 1, 2)
@@ -206,7 +206,7 @@ def test_reconciliation_exactness():
         bundling = Bundling.from_labels(labels, k, tuple(f"a{i}" for i in range(n)))
         s = summing_matrix(bundling)
         weights = LeadWeights(rng.uniform(0.1, 10.0, size=(horizon, n + k + 1)),
-                              5, 1e-12, np.zeros(horizon, dtype=int))
+                              np.zeros(horizon, dtype=int))
         model = build_reconciler(bundling, weights)
         gains = reconciler_gains(model)
         values = rng.uniform(0.0, 100.0, size=(2, n + k + 1, horizon))
@@ -223,7 +223,7 @@ def test_reconciliation_exactness():
             if np.max(np.abs(gains[tau] @ s - np.eye(n))) > 1e-8:
                 failures.append(f"instance {trial}: G@S != I at lead {tau + 1}")
         rescaled = LeadWeights(weights.variances * rng.uniform(0.01, 100.0),
-                               5, 1e-12, np.zeros(horizon, dtype=int))
+                               np.zeros(horizon, dtype=int))
         if np.max(np.abs(reconciler_gains(build_reconciler(bundling, rescaled)) - gains)) > 1e-10:
             failures.append(f"instance {trial}: gains changed under weight rescaling")
 

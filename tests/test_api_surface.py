@@ -1,0 +1,45 @@
+"""Guards against unused surface: every error kind is raised, every export resolves."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import bundlecast
+from bundlecast import errors
+
+PACKAGE_DIR = Path(bundlecast.__file__).parent
+
+
+def raised_classes():
+    """Exception classes named by a ``raise`` statement anywhere in the package."""
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module = importlib.import_module(
+            "bundlecast" if path.stem == "__init__" else f"bundlecast.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(target, ast.Name):
+                obj = getattr(module, target.id, None)
+                if inspect.isclass(obj) and issubclass(obj, BaseException):
+                    found.add(obj)
+    return found
+
+
+def test_every_error_class_is_raised():
+    """A class in ``bundlecast.errors`` is raised itself or through a subclass
+    (the base class is raised as ``pipeline.StageError``)."""
+    raised = raised_classes()
+    defined = [obj for _, obj in inspect.getmembers(errors, inspect.isclass)
+               if obj.__module__ == errors.__name__]
+    unraised = [cls.__name__ for cls in defined
+                if not any(issubclass(r, cls) for r in raised)]
+    assert unraised == []
+
+
+def test_every_export_resolves():
+    missing = [name for name in bundlecast.__all__ if not hasattr(bundlecast, name)]
+    assert missing == []
+    assert len(set(bundlecast.__all__)) == len(bundlecast.__all__)

@@ -23,11 +23,10 @@ from bundlecast import (
 )
 from bundlecast.bundling import read_bundling_csv, write_bundling_csv
 from bundlecast.errors import (
-    DimensionMismatchError,
     FormatError,
     InfeasibleMergeError,
     InfeasiblePartitionError,
-    PartitionTooLargeError,
+    ShapeMismatchError,
     ValueOutOfRangeError,
 )
 from bundlecast.synth import SynthConfig, synth_panel
@@ -52,12 +51,12 @@ def close_panel():
 # --- Bundling invariants -------------------------------------------------------
 
 def test_bundling_rejects_empty_bundle():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ShapeMismatchError, match="each bundle must be non-empty"):
         Bundling(np.array([[1.0, 1.0], [0.0, 0.0]]), ("a", "b"))
 
 
 def test_bundling_rejects_double_assignment():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ShapeMismatchError, match="exactly one bundle"):
         Bundling(np.array([[1.0, 1.0], [1.0, 0.0]]), ("a", "b"))
 
 
@@ -86,7 +85,7 @@ def test_objective_hand_examples():
 
 def test_objective_dimension_mismatch():
     b = Bundling(np.array([[1.0, 1.0]]), ("a", "b"))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ShapeMismatchError, match=r"criterion matrix shape \(3, 3\)"):
         objective(b, np.eye(3))
 
 
@@ -289,7 +288,7 @@ def test_exact_single_partition_objective_zero():
 
 
 def test_exact_guard_and_infeasibility():
-    with pytest.raises(PartitionTooLargeError):
+    with pytest.raises(ValueOutOfRangeError, match="limited to 12 assets, got 13"):
         exact_partition(np.eye(13), np.zeros((13, 13)), 2, math.inf, [str(i) for i in range(13)])
     panel = far_apart_panel()
     d = haversine_matrix(panel.assets)

@@ -1,5 +1,7 @@
 """Persistence, direct multi-horizon ridge, and the rolling harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from bundlecast import (
     ForecastTask,
     HierarchyForecast,
     ModelSpec,
-    RidgeModel,
     hierarchy_actuals,
     hierarchy_capacities,
     hierarchy_series,
@@ -28,10 +29,7 @@ from bundlecast.forecast import (
 from bundlecast.errors import (
     FormatError,
     InsufficientDataError,
-    LengthMismatchError,
-    NoOriginsError,
     ShapeMismatchError,
-    SingularSystemError,
     ValueOutOfRangeError,
 )
 
@@ -49,7 +47,8 @@ def test_ridge_recovers_exact_linear_map():
     values = 2.0 ** np.arange(12)
     task = ForecastTask(1, 1, 60)
     model = ridge_fit(values, hourly_timestamps(12), task, ridge_lambda=0.0)
-    assert model.coefficients[0, 0] == pytest.approx(2.0, abs=1e-8)
+    # weights act on standardized features; divide by the scale for the raw map
+    assert model.weights[0, 0] / model.feature_scale[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_ridge_matches_pseudo_inverse_oracle(rng):
@@ -100,7 +99,7 @@ def test_ridge_insufficient_data():
 def test_ridge_singular_at_lambda_zero():
     # constant series: zero-variance lag columns are degenerate at lambda=0
     task = ForecastTask(3, 1, 60)
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(InsufficientDataError, match="normal equations singular"):
         ridge_fit(np.full(30, 5.0), hourly_timestamps(30), task, ridge_lambda=0.0)
     # any positive penalty restores solvability
     ridge_fit(np.full(30, 5.0), hourly_timestamps(30), task, ridge_lambda=1.0)
@@ -111,7 +110,8 @@ def test_ridge_singular_at_lambda_zero():
 def test_ridge_predict_constant_series():
     task = ForecastTask(4, 3, 60)
     model = ridge_fit(np.full(40, 8.25), hourly_timestamps(40), task, ridge_lambda=1.0)
-    np.testing.assert_allclose(model.predict(np.full(4, 8.25)), np.full(3, 8.25), atol=1e-9)
+    np.testing.assert_allclose(model.predict_batch(np.full((1, 4), 8.25)), np.full((1, 3), 8.25),
+                               atol=1e-9)
 
 
 def test_ridge_predict_clips_to_range():
@@ -119,9 +119,9 @@ def test_ridge_predict_clips_to_range():
     values = np.linspace(50.0, 1.0, 60)
     task = ForecastTask(2, 4, 60)
     model = ridge_fit(values, hourly_timestamps(60), task, ridge_lambda=0.0)
-    raw = model.predict(np.array([2.0, 1.0]))
+    raw = model.predict_batch(np.array([[2.0, 1.0]]))
     assert raw.min() < 0.0
-    clipped = model.predict(np.array([2.0, 1.0]), cap=50.0)
+    clipped = model.predict_batch(np.array([[2.0, 1.0]]), cap=50.0)
     assert clipped.min() == 0.0
     assert clipped.max() <= 50.0
 
@@ -133,7 +133,7 @@ def test_ridge_predict_reproduces_training_row(rng):
     model = ridge_fit(values, ts, task, ridge_lambda=0.5, use_calendar=True)
     lags, _, origin_idx = _supervised_windows(values, 5, 2)
     j = 17
-    fitted = model.predict(lags[j], origin=ts[origin_idx[j]])
+    fitted = model.predict_batch(lags[j:j + 1], ts[origin_idx[j:j + 1]])[0]
     x = np.concatenate([lags[j], _calendar_features(ts[origin_idx[j]:origin_idx[j] + 1])[0]])
     expect = ((x - model.feature_mean) / model.feature_scale) @ model.weights + model.intercept
     np.testing.assert_allclose(fitted, expect, rtol=1e-12)
@@ -142,52 +142,49 @@ def test_ridge_predict_reproduces_training_row(rng):
 def test_ridge_predict_length_mismatch():
     task = ForecastTask(4, 2, 60)
     model = ridge_fit(np.arange(40.0), hourly_timestamps(40), task)
-    with pytest.raises(LengthMismatchError):
-        model.predict(np.ones(3))
+    for histories in (np.ones((1, 3)), np.ones(4)):
+        with pytest.raises(ShapeMismatchError, match="does not match input window 4"):
+            model.predict_batch(histories)
 
 
-def test_ridge_round_trip_is_bitwise(tmp_path, rng):
-    values = rng.uniform(0.0, 100.0, size=100)
-    ts = hourly_timestamps(100)
-    task = ForecastTask(6, 4, 60)
-    model = ridge_fit(values, ts, task, ridge_lambda=2.0, use_calendar=True)
-    path = tmp_path / "model.json"
-    model.save(path)
-    loaded = RidgeModel.load(path)
-    history = rng.uniform(0.0, 100.0, size=6)
-    a = model.predict(history, origin=ts[50])
-    b = loaded.predict(history, origin=ts[50])
-    np.testing.assert_array_equal(a, b)
+RIDGE_ARRAYS = ("weights", "intercept", "feature_mean", "feature_scale")
 
-    # The shapes the pipeline fits, with and without calendar features,
-    # each compared on a batch of histories rather than a single one.
+
+def rebuilt(model, layout):
+    """The same model rebuilt from copies of its arrays in the given memory layout."""
+    return dataclasses.replace(
+        model, **{name: layout(getattr(model, name).copy()) for name in RIDGE_ARRAYS})
+
+
+def test_ridge_predict_bitwise_independent_of_array_layout(rng):
+    # The shapes the pipeline fits, with and without calendar features, each
+    # compared on a batch of histories: a model rebuilt from C- or
+    # Fortran-ordered copies of its arrays must hand BLAS the same layout as
+    # the fitted one (whose weights come out of the solver strided) and
+    # predict the same bits.
     for shape in (SHORT_TERM, DAY_AHEAD):
         for use_calendar in (False, True):
             n = 4 * (shape.history_len + shape.horizon)
             values = rng.uniform(0.0, 100.0, size=n)
             ts = np.datetime64("2019-03-01T00:00:00", "s") + shape.step * np.arange(n)
             model = ridge_fit(values, ts, shape, ridge_lambda=2.0, use_calendar=use_calendar)
-            path = tmp_path / f"model_{shape.history_len}_{use_calendar}.json"
-            model.save(path)
-            loaded = RidgeModel.load(path)
             histories = rng.uniform(0.0, 100.0, size=(16, shape.history_len))
             origins = ts[rng.integers(0, n, size=16)] if use_calendar else None
-            np.testing.assert_array_equal(
-                model.predict_batch(histories, origins),
-                loaded.predict_batch(histories, origins),
-                err_msg=f"H={shape.history_len} T={shape.horizon} calendar={use_calendar}",
-            )
+            expected = model.predict_batch(histories, origins)
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                np.testing.assert_array_equal(
+                    rebuilt(model, layout).predict_batch(histories, origins), expected,
+                    err_msg=f"H={shape.history_len} T={shape.horizon} "
+                            f"calendar={use_calendar} {layout.__name__}",
+                )
 
 
-def test_ridge_arrays_contiguous_and_read_only(tmp_path, rng):
+def test_ridge_arrays_contiguous_and_read_only(rng):
     values = rng.uniform(0.0, 100.0, size=100)
     ts = hourly_timestamps(100)
     fitted = ridge_fit(values, ts, ForecastTask(6, 4, 60), ridge_lambda=2.0, use_calendar=True)
-    path = tmp_path / "model.json"
-    fitted.save(path)
-    loaded = RidgeModel.load(path)
-    for model in (fitted, loaded):
-        for name in ("weights", "intercept", "feature_mean", "feature_scale"):
+    for model in (fitted, rebuilt(fitted, np.asfortranarray)):
+        for name in RIDGE_ARRAYS:
             arr = getattr(model, name)
             assert arr.dtype == np.float64, name
             assert arr.flags.c_contiguous, name
@@ -266,10 +263,9 @@ def test_rolling_skips_exactly_short_history_origins(rng):
     b = Bundling.single_bundle(panel.asset_ids)
     task = ForecastTask(8, 2, 15)
     rf = rolling_forecast(panel, b, task, persistence_specs(), panel.timestamps[30])
-    assert len(rf.skipped_insample) == 7  # origins 0..6 lack 8 prior samples
-    assert rf.skipped_insample == tuple(panel.timestamps[:7])
-    assert rf.n_insample_origins == 21   # origins 7..27: 28 + 2 leads stay before the split
-    assert len(rf.skipped_test) == 0
+    # origins 0..6 lack 8 prior samples; origins 7..27: 28 + 2 leads stay before the split
+    assert rf.n_insample_origins == 21
+    assert rf.test.origins[0] == panel.timestamps[30]  # no test origin is skipped
     assert not np.isnan(rf.test.values).any()
     assert rf.second_moment.shape == (2, 5)
     assert np.isfinite(rf.second_moment).all()
@@ -279,7 +275,7 @@ def test_rolling_without_insample_origin_raises(rng):
     panel = random_panel(rng, 3, 50)
     b = Bundling.single_bundle(panel.asset_ids)
     # 20 samples of history and a 2-step horizon leave no origin before step 20
-    with pytest.raises(NoOriginsError, match="no origin"):
+    with pytest.raises(InsufficientDataError, match="no origin"):
         rolling_forecast(panel, b, ForecastTask(20, 2, 15), persistence_specs(),
                          panel.timestamps[20])
 
@@ -486,3 +482,16 @@ def test_hierarchy_forecast_rejects_nan():
             np.array(["2019-01-08T00:00:00"], dtype="datetime64[s]"),
             np.full((1, 3, 2), np.nan), 1, 1,
         )
+
+
+def test_hierarchy_forecast_leaves_the_callers_arrays_writeable():
+    origins = np.array(["2019-01-08T00:00:00", "2019-01-08T00:15:00"], dtype="datetime64[s]")
+    values = np.arange(12.0).reshape(2, 3, 2)
+    fc = HierarchyForecast(origins, values, 1, 1)
+    assert origins.flags.writeable and values.flags.writeable
+    assert not fc.origins.flags.writeable and not fc.values.flags.writeable
+    np.testing.assert_array_equal(fc.values, values)
+    np.testing.assert_array_equal(fc.origins, origins)
+    with pytest.raises(ValueError):
+        fc.values[0, 0, 0] = -1.0
+    values[0, 0, 0] = -1.0  # the caller may still write its own array

@@ -12,12 +12,7 @@ from bundlecast import (
     rmse,
     variogram_score,
 )
-from bundlecast.errors import (
-    ExpensiveMetricError,
-    NonpositiveCapacityError,
-    NonpositiveOrderError,
-    ShapeMismatchError,
-)
+from bundlecast.errors import ShapeMismatchError, ValueOutOfRangeError
 from bundlecast.metrics import write_report_csv
 
 
@@ -176,9 +171,9 @@ def test_metric_validation_errors(rng):
     a = rng.uniform(0, 1, size=(2, 2, 2))
     with pytest.raises(ShapeMismatchError):
         rmse(a, a[:1])
-    with pytest.raises(NonpositiveCapacityError):
+    with pytest.raises(ValueOutOfRangeError, match="capacities must be strictly positive"):
         nmae(a, a, [1.0, 0.0])
-    with pytest.raises(NonpositiveOrderError):
+    with pytest.raises(ValueOutOfRangeError, match="variogram order must be > 0"):
         variogram_score(a, a, p=0.0)
 
 
@@ -219,24 +214,21 @@ def test_evaluate_identical_hierarchies_zero(rng):
         assert rep.nmae == 0.0 and rep.rmse == 0.0 and rep.ed == 0.0
 
 
-def test_evaluate_refuses_expensive_vs_without_flag(rng):
-    bundling, actual, fc = hierarchy_pair(rng)
-    caps = rng.uniform(10, 100, size=4)
-    with pytest.raises(ExpensiveMetricError):
-        evaluate(actual, fc, bundling, caps, vs_levels=("fleet", "asset"))
-    reports = evaluate(actual, fc, bundling, caps, vs_levels=("fleet", "asset"),
-                       allow_expensive_vs=True)
-    assert reports["asset"].vs is not None
-
-
 def test_report_csv_structure(tmp_path, rng):
     bundling, actual, fc = hierarchy_pair(rng)
     caps = rng.uniform(10, 100, size=4)
-    reports = evaluate(actual, fc, bundling, caps, per_series=True)
+    reports = evaluate(actual, fc, bundling, caps)
     path = tmp_path / "evaluation.csv"
     write_report_csv(reports, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "level,metric,value,M,series_id"
-    # fleet nmae/rmse/ed/vs + per-series fleet row block comes first
-    assert lines[1].startswith("fleet,nmae,")
-    assert any(line.startswith("asset,nmae,") and line.endswith(",a0") for line in lines)
+    # fleet nmae/rmse/ed/vs, then bundle and asset nmae/rmse/ed, one row each
+    keys = [tuple(line.split(",")[:2]) for line in lines[1:]]
+    assert keys == [("fleet", "nmae"), ("fleet", "rmse"), ("fleet", "ed"), ("fleet", "vs"),
+                    ("bundle", "nmae"), ("bundle", "rmse"), ("bundle", "ed"),
+                    ("asset", "nmae"), ("asset", "rmse"), ("asset", "ed")]
+    for line in lines[1:]:
+        level, metric, value, m, series_id = line.split(",")
+        assert float(value) == pytest.approx(getattr(reports[level], metric), rel=1e-11)
+        assert m == str(actual.n_origins)
+        assert series_id == ""

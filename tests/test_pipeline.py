@@ -286,3 +286,20 @@ def test_cli_no_insample_origin_fails_cleanly(data_dir, capsys):
     err = capsys.readouterr().err
     assert "bundlecast reconcile: [reconcile] " in err and "residual_moments.csv not found" in err
     assert {p.name for p in out.iterdir()} == {"bundling.csv"}
+
+
+def test_cli_rejects_granularity_that_differs_from_the_panel(data_dir, capsys):
+    # the synth panel has 15-minute steps; this config declares hourly ones
+    cfg = write_run_config(data_dir, out="hourly", diameters="200, 600")
+    cfg.write_text(cfg.read_text().replace("task = short_term", "task = day_ahead")
+                   .replace("granularity_minutes = 15", "granularity_minutes = 60"))
+    expected = (f"[ingest] {cfg}: granularity_minutes is 60, but "
+                f"{data_dir / 'series.csv'} has a 15-minute step")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert f"bundlecast run: {expected}\n" == capsys.readouterr().err
+    assert not (data_dir / "hourly").exists()
+    for command in ("sweep", "bundle", "forecast", "reconcile", "evaluate"):
+        assert main([command, "--config", str(cfg)]) == 1
+        assert f"bundlecast {command}: {expected}\n" == capsys.readouterr().err
+    assert list((data_dir / "hourly").iterdir()) == []  # a stage command wrote nothing

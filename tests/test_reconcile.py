@@ -14,14 +14,13 @@ from bundlecast import (
     reconcile,
     summing_matrix,
 )
-from bundlecast.errors import NoOriginsError, ShapeMismatchError, ValueOutOfRangeError
+from bundlecast.errors import InsufficientDataError, ShapeMismatchError, ValueOutOfRangeError
 
 from conftest import random_bundling_labels, reconciler_gains
 
 
 def unit_weights(horizon, n_rows):
-    return LeadWeights(np.ones((horizon, n_rows)), sample_count=1, floor=1e-12,
-                       n_floored=np.zeros(horizon, dtype=int))
+    return LeadWeights(np.ones((horizon, n_rows)), n_floored=np.zeros(horizon, dtype=int))
 
 
 def forecast_of(values, n_bundles, n_assets):
@@ -41,7 +40,6 @@ def random_instance(rng, n=None, k=None, horizon=None, n_origins=2):
     s = summing_matrix(bundling)
     values = rng.uniform(0.0, 100.0, size=(n_origins, n + k + 1, horizon))
     weights = LeadWeights(rng.uniform(0.1, 10.0, size=(horizon, n + k + 1)),
-                          sample_count=5, floor=1e-12,
                           n_floored=np.zeros(horizon, dtype=int))
     return bundling, s, forecast_of(values, k, n), weights
 
@@ -78,8 +76,6 @@ def test_estimate_weights_hand_example():
     w = estimate_weights(moments, 3, eps_floor=1e-12)
     np.testing.assert_array_equal(w.variances[0], [4.0, 4.0, 1.0, 1e-12])
     np.testing.assert_array_equal(w.n_floored, [1])
-    assert w.sample_count == 3
-    assert w.floor == 1e-12
 
 
 def test_estimate_weights_floor_on_perfect_forecasts():
@@ -99,25 +95,44 @@ def test_estimate_weights_lead_independent_residuals(rng):
 
 def test_estimate_weights_errors(rng):
     moments = rng.uniform(0, 1, size=(2, 4))
-    with pytest.raises(NoOriginsError):
+    with pytest.raises(InsufficientDataError, match="at least one origin"):
         estimate_weights(moments, 0, eps_floor=1e-9)
     for eps_floor in (0.0, -1e-9, np.nan):
         with pytest.raises(ValueOutOfRangeError, match="eps_floor must be positive"):
             estimate_weights(moments, 4, eps_floor=eps_floor)
+    # a negative moment is an error, not a value to floor
+    with pytest.raises(ValueOutOfRangeError, match="lead 1, row 0 is -1.0; it must be non-negative"):
+        estimate_weights([[-1.0, 1.0]], 1, 1e-12)
+    negative = moments.copy()
+    negative[1, 3] = -1e-300
+    with pytest.raises(ValueOutOfRangeError, match="lead 2, row 3 is -1e-300"):
+        estimate_weights(negative, 4, eps_floor=1e-9)
     moments[1, 2] = np.nan
     with pytest.raises(ValueOutOfRangeError, match="finite and strictly positive"):
         estimate_weights(moments, 4, eps_floor=1e-9)
     for bad in (0.0, -1.0, np.inf):
         with pytest.raises(ValueOutOfRangeError, match="finite and strictly positive"):
-            LeadWeights(np.full((1, 4), bad), 1, 1e-12, np.zeros(1, dtype=int))
+            LeadWeights(np.full((1, 4), bad), np.zeros(1, dtype=int))
+
+
+def test_lead_weights_leave_the_callers_array_writeable(rng):
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        variances = layout(rng.uniform(0.1, 10.0, size=(3, 5)))
+        weights = LeadWeights(variances, np.zeros(3, dtype=int))
+        assert variances.flags.writeable
+        assert not weights.variances.flags.writeable
+        assert weights.variances.flags.f_contiguous
+        np.testing.assert_array_equal(weights.variances, variances)
+        with pytest.raises(ValueError):
+            weights.variances[0, 0] = 1.0
+        variances[0, 0] = 1.0  # the caller may still write its own array
 
 
 def test_reconciler_bits_independent_of_weight_layout(rng):
     """C- and Fortran-ordered copies of one set of variances reconcile bit for bit alike."""
     bundling, _, fc, _ = random_instance(rng, n=200, k=20, horizon=48)
     variances = rng.uniform(0.1, 10.0, size=(48, 221))
-    models = [build_reconciler(bundling, LeadWeights(layout(variances), 5, 1e-12,
-                                                     np.zeros(48, dtype=int)))
+    models = [build_reconciler(bundling, LeadWeights(layout(variances), np.zeros(48, dtype=int)))
               for layout in (np.ascontiguousarray, np.asfortranarray)]
     np.testing.assert_array_equal(models[0].gains, models[1].gains)
     np.testing.assert_array_equal(models[0].shares, models[1].shares)
@@ -139,7 +154,7 @@ def test_gains_invariant_to_weight_rescaling(rng):
     bundling, _, _, weights = random_instance(rng, n=6, k=2, horizon=3)
     model = build_reconciler(bundling, weights)
     scaled = LeadWeights(weights.variances * np.array([[7.0], [0.003], [123.0]]),
-                         weights.sample_count, weights.floor, weights.n_floored)
+                         weights.n_floored)
     model_scaled = build_reconciler(bundling, scaled)
     assert np.max(np.abs(reconciler_gains(model) - reconciler_gains(model_scaled))) < 1e-10
 
@@ -150,8 +165,7 @@ def test_gains_times_summing_is_identity(rng):
     # S'W^-1 S as badly conditioned as this allows (~1e11); a dense solve misses I by ~1e-7
     bundling, s, fc, _ = random_instance(rng, n=1000, k=100, horizon=1)
     variances = np.concatenate([np.ones(101), np.full(1000, 1e8)])[None, :]
-    instances.append((bundling, s, fc, LeadWeights(variances, sample_count=5, floor=1e-12,
-                                                   n_floored=np.zeros(1, dtype=int))))
+    instances.append((bundling, s, fc, LeadWeights(variances, n_floored=np.zeros(1, dtype=int))))
     for bundling, s, _, weights in instances:
         gains = reconciler_gains(build_reconciler(bundling, weights))
         n = s.shape[1]
@@ -165,7 +179,7 @@ def spread_weights(rng, horizon, n_rows, spread):
     for tau in range(horizon):
         lo, hi = rng.choice(n_rows, size=2, replace=False)
         v[tau, lo], v[tau, hi] = 1.0, spread
-    return LeadWeights(v, sample_count=5, floor=1e-12, n_floored=np.zeros(horizon, dtype=int))
+    return LeadWeights(v, n_floored=np.zeros(horizon, dtype=int))
 
 
 def test_reconcile_matches_dense_normal_solve(rng):
