@@ -53,13 +53,15 @@ class Bundling:
     Invariants: every column sums to exactly 1 (each asset in one bundle)
     and every row sums to >= 1 (no empty bundle). Rows are conventionally
     ordered by smallest member index; the solvers always emit that order.
+    ``assignment`` is stored as a read-only view; the caller's array stays
+    writeable.
     """
 
     assignment: np.ndarray
     asset_order: tuple[str, ...]
 
     def __post_init__(self):
-        lam = np.asarray(self.assignment, dtype=np.float64)
+        lam = np.asarray(self.assignment, dtype=np.float64).view()
         object.__setattr__(self, "assignment", lam)
         object.__setattr__(self, "asset_order", tuple(self.asset_order))
         if lam.ndim != 2:

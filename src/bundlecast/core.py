@@ -95,6 +95,9 @@ class AssetPanel:
         timestamps: strictly increasing ``datetime64[s]`` grid with a
             constant step, length T.
         values: (N, T) float array of MW, within [0, capacity] per asset.
+
+    Both arrays are stored as read-only views, so the arrays the panel was
+    built from stay writeable.
     """
 
     assets: tuple[AssetMeta, ...]
@@ -102,8 +105,8 @@ class AssetPanel:
     values: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype="datetime64[s]")
-        vals = np.asarray(self.values, dtype=np.float64)
+        ts = np.asarray(self.timestamps, dtype="datetime64[s]").view()
+        vals = np.asarray(self.values, dtype=np.float64).view()
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "values", vals)
 
@@ -303,13 +306,16 @@ class Criterion(str, Enum):
 
 @dataclass(frozen=True)
 class CriterionMatrix:
-    """An N x N symmetric PSD matrix together with the criterion it encodes."""
+    """An N x N symmetric PSD matrix together with the criterion it encodes.
+
+    ``sigma`` is stored as a read-only view; the caller's array stays writeable.
+    """
 
     kind: Criterion
     sigma: np.ndarray
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.float64)
+        sigma = np.asarray(self.sigma, dtype=np.float64).view()
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ShapeMismatchError(f"criterion matrix must be square, got {sigma.shape}")
         object.__setattr__(self, "sigma", sigma)

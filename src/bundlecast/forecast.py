@@ -15,11 +15,19 @@ range and keeps those forecasts. It also forecasts every eligible origin of
 the training range, but keeps only each row's per-lead mean squared error
 there: that second moment is all reconciliation needs, so no in-sample
 forecast outlives the row it was made for.
+
+Forecast sets are stored as ``origin,level,series_id,lead,value`` CSV lines
+in one canonical order: origins strictly ascending; within an origin the
+fleet, bundles 0..K-1, then the assets in panel order; within a row leads
+1..T. The reader streams the file one origin block at a time and rejects
+any other order with ``path:line``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -378,91 +386,166 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
 FORECAST_HEADER = "origin,level,series_id,lead,value"
 
 
+def _row_keys(n_bundles: int, asset_ids: tuple) -> list[tuple[str, str]]:
+    """``(level, series_id)`` of every hierarchy row, in row order."""
+    return ([("fleet", "")] + [("bundle", str(k)) for k in range(n_bundles)]
+            + [("asset", a) for a in asset_ids])
+
+
+def _line_suffixes(keys, horizon: int) -> list[str]:
+    """The ``,level,series_id,lead,`` text of one origin's lines, in the canonical order."""
+    return [f",{level},{sid},{tau}," for level, sid in keys for tau in range(1, horizon + 1)]
+
+
 def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
-    """Write `origin,level,series_id,lead,value` rows (12 significant digits)."""
+    """Write `origin,level,series_id,lead,value` lines (12 significant digits).
+
+    The lines follow the canonical order that :func:`read_forecast_csv`
+    requires: origins strictly ascending; within an origin the fleet,
+    bundles 0..K-1, then the assets in ``asset_ids`` order; within a row
+    leads 1..T.
+    """
     asset_ids = tuple(asset_ids)
     if len(asset_ids) != forecast.n_assets:
         raise ShapeMismatchError(
             f"{len(asset_ids)} asset ids for {forecast.n_assets} asset rows"
         )
-    row_meta = [("fleet", "")]
-    row_meta += [("bundle", str(k)) for k in range(forecast.n_bundles)]
-    row_meta += [("asset", a) for a in asset_ids]
+    if np.any(np.diff(forecast.origins) <= np.timedelta64(0, "s")):
+        raise ValueOutOfRangeError("forecast origins are not strictly ascending")
+    suffixes = _line_suffixes(_row_keys(forecast.n_bundles, asset_ids), forecast.horizon)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(FORECAST_HEADER + "\n")
-        for m in range(forecast.n_origins):
-            origin = format_utc_timestamp(forecast.origins[m])
-            for r, (level, sid) in enumerate(row_meta):
-                for tau in range(forecast.horizon):
-                    fh.write(
-                        f"{origin},{level},{sid},{tau + 1},"
-                        f"{FLOAT_FORMAT.format(forecast.values[m, r, tau])}\n"
-                    )
+        for origin, block in zip(forecast.origins, forecast.values):
+            stamp = format_utc_timestamp(origin)
+            texts = map(FLOAT_FORMAT.format, block.ravel().tolist())
+            fh.write("".join([f"{stamp}{suffix}{text}\n"
+                              for suffix, text in zip(suffixes, texts)]))
 
 
 def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
-    """Reconstruct a HierarchyForecast written by :func:`write_forecast_csv`."""
-    asset_ids = tuple(asset_ids)
-    row_index = {("fleet", ""): 0}
-    row_index.update({("bundle", str(k)): 1 + k for k in range(n_bundles)})
-    row_index.update({("asset", a): 1 + n_bundles + i for i, a in enumerate(asset_ids)})
+    """Read the forecast CSV that :func:`write_forecast_csv` writes.
 
-    # cells maps each origin text, and by_instant each parsed origin, to the
-    # same dict, so two spellings of one instant fill (and collide in) one grid
-    cells: dict[str, dict[tuple[int, int], float]] = {}
-    by_instant: dict[np.datetime64, dict[tuple[int, int], float]] = {}
+    The lines must follow the writer's canonical order: origins strictly
+    ascending; within an origin the fleet, bundles 0..K-1, then the assets
+    in ``asset_ids`` order; within a row leads 1..T, where T is the number
+    of fleet lines the first origin opens with. The file is read one origin
+    block of (1 + K + N) * T lines at a time. A line out of that order, a
+    malformed or duplicate line, and a file that ends inside a block raise
+    FormatError naming ``path:line``. CR-LF line endings read like LF, and
+    blank lines may follow the last block but stand nowhere else.
+    """
+    asset_ids = tuple(asset_ids)
+    keys = _row_keys(n_bundles, asset_ids)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != FORECAST_HEADER:
             raise FormatError(f"{path}: expected header {FORECAST_HEADER!r}, got {header!r}")
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise FormatError(f"{path}:{ln}: expected 5 fields, got {len(fields)}")
-            origin, level, sid, lead_text, value_text = fields
-            row = row_index.get((level, sid))
-            if row is None:
-                raise FormatError(f"{path}:{ln}: unknown series {(level, sid)}")
+        head = [fh.readline()]
+        stamp = head[0].partition(",")[0]
+        while head[-1].startswith(f"{stamp},fleet,,{len(head)},"):
+            head.append(fh.readline())
+        horizon = max(len(head) - 1, 1)  # without fleet lead 1 on line 2, line 2 is rejected
+        lines = chain(filter(None, head), fh)  # readline() returns "" only at the end
+        suffixes = _line_suffixes(keys, horizon)
+        size = len(suffixes)
+        instants, blocks = [], []
+        while block := list(islice(lines, size)):
+            stamp = block[0].partition(",")[0]
+            prefixes = [stamp + suffix for suffix in suffixes]
             try:
-                lead = int(lead_text)
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: lead {lead_text!r} is not an integer") from None
-            if lead < 1:
-                raise FormatError(f"{path}:{ln}: lead {lead} is below 1")
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: value {value_text!r} is not a number") from None
-            by_cell = cells.get(origin)
-            if by_cell is None:
-                try:
-                    instant = parse_utc_timestamp(origin)
-                except FormatError as exc:
-                    raise FormatError(f"{path}:{ln}: {exc}") from None
-                by_cell = cells[origin] = by_instant.setdefault(instant, {})
-            cell = (row, lead - 1)
-            if cell in by_cell:
-                raise FormatError(
-                    f"{path}:{ln}: duplicate cell for origin {origin}, {level} "
-                    f"{sid!r}, lead {lead}")
-            by_cell[cell] = value
+                instant = parse_utc_timestamp(stamp)
+                ordered = ((not instants or instant > instants[-1]) and len(block) == size
+                           and all(map(str.startswith, block, prefixes)))
+                values = (np.fromiter(map(float, map(str.removeprefix, block, prefixes)),
+                                      np.float64, size) if ordered else None)
+            except (FormatError, ValueError):
+                values = None
+            if values is None or not np.isfinite(values).all():
+                if not any(map(str.strip, block)) and not any(map(str.strip, lines)):
+                    break  # only blank lines follow the last block
+                raise _block_fault(path, 2 + len(instants) * size, block, keys, suffixes,
+                                   instants)
+            instants.append(instant)
+            blocks.append(values)
 
-    if not by_instant:
+    if not blocks:
         raise FormatError(f"{path}: no forecast rows")
-    instants = sorted(by_instant)
-    horizon = 1 + max(tau for by_cell in by_instant.values() for (_, tau) in by_cell)
-    n_rows = 1 + n_bundles + len(asset_ids)
-    values = np.full((len(instants), n_rows, horizon), np.nan)
-    for m, instant in enumerate(instants):
-        for (r, tau), v in by_instant[instant].items():
-            values[m, r, tau] = v
-    if np.isnan(values).any():
-        raise FormatError(f"{path}: incomplete forecast grid")
-    origins = np.array(instants, dtype="datetime64[s]")
-    return HierarchyForecast(origins, values, n_bundles, len(asset_ids))
+    values = np.stack(blocks).reshape(len(blocks), len(keys), horizon)
+    return HierarchyForecast(np.array(instants, dtype="datetime64[s]"), values,
+                             n_bundles, len(asset_ids))
+
+
+def _block_fault(path, first_ln: int, block: list[str], keys, suffixes: list[str],
+                 instants: list) -> FormatError:
+    """The error for the first line of ``block`` that is malformed or out of order.
+
+    ``block`` starts at line ``first_ln`` and ``instants`` holds the origins
+    of the blocks before it. The first line that does not continue the
+    canonical order gets the per-field checks (field count, known series,
+    integer lead of at least 1, finite value, parsable origin); a line that
+    passes them is a duplicate if its cell was read already, else out of
+    order. If every line continues the order, the file ends inside the block.
+    """
+    stamp = block[0].partition(",")[0]
+    try:
+        start = parse_utc_timestamp(stamp)
+    except FormatError:
+        start = None
+    for i, line in enumerate(block):
+        if i == 0 and (start is None or instants and start <= instants[-1]):
+            break
+        prefix = stamp + suffixes[i]
+        if not line.startswith(prefix):
+            break
+        try:
+            if not math.isfinite(float(line.removeprefix(prefix))):
+                break
+        except ValueError:
+            break
+    else:
+        return FormatError(
+            f"{path}:{first_ln + len(block)}: the file ends inside the block of origin "
+            f"{stamp}, after {len(block)} of its {len(suffixes)} lines")
+
+    ln = first_ln + i
+    fields = line.strip().split(",")
+    if len(fields) != 5:
+        return FormatError(f"{path}:{ln}: expected 5 fields, got {len(fields)}")
+    origin, level, sid, lead_text, value_text = fields
+    if (level, sid) not in keys:
+        return FormatError(f"{path}:{ln}: unknown series {(level, sid)}")
+    try:
+        lead = int(lead_text)
+    except ValueError:
+        return FormatError(f"{path}:{ln}: lead {lead_text!r} is not an integer")
+    if lead < 1:
+        return FormatError(f"{path}:{ln}: lead {lead} is below 1")
+    try:
+        value = float(value_text)
+    except ValueError:
+        return FormatError(f"{path}:{ln}: value {value_text!r} is not a number")
+    if not math.isfinite(value):
+        return FormatError(f"{path}:{ln}: value {value_text!r} is not finite")
+    try:
+        instant = parse_utc_timestamp(origin)
+    except FormatError as exc:
+        return FormatError(f"{path}:{ln}: {exc}")
+
+    horizon = len(suffixes) // len(keys)
+    cell = keys.index((level, sid)) * horizon + lead - 1
+    if lead <= horizon and (instant in instants or i > 0 and instant == start and cell < i):
+        return FormatError(f"{path}:{ln}: duplicate cell for origin {origin}, {level} "
+                           f"{sid!r}, lead {lead}")
+    if i > 0:
+        expected = repr(stamp + suffixes[i])
+    elif instants:
+        expected = f"an origin after {format_utc_timestamp(instants[-1])}, then {suffixes[0]!r}"
+    else:
+        expected = f"an origin, then {suffixes[0]!r}"
+    return FormatError(
+        f"{path}:{ln}: line out of order: expected {expected}, got {line.strip()!r} "
+        f"(origins ascend; each lists the fleet, bundles and assets in order, "
+        f"each with leads 1..{horizon})")
 
 
 MOMENTS_HEADER = "lead,row,second_moment"

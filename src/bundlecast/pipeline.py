@@ -240,10 +240,9 @@ def run(config_path, out_dir=None) -> Path:
 # --- stage-wise commands (build one run directory incrementally) -------------
 
 def _open_stage(config_path, out_dir) -> tuple[RunConfig, Path, AssetPanel]:
+    """The config, run directory and panel of a stage command; creates no directory."""
     config = load_run_config(config_path)
-    out = Path(out_dir or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return config, out, _stage("ingest", load_panel, config)
+    return config, Path(out_dir or config.output_dir), _stage("ingest", load_panel, config)
 
 
 _PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_TEST_FILE: "forecast",
@@ -296,6 +295,7 @@ def stage_bundle(config_path, out_dir=None) -> Path:
     config, out, panel = _open_stage(config_path, out_dir)
     distances = haversine_matrix(panel.assets)
     bundling = _stage("bundle", make_bundling, config, panel, distances)
+    out.mkdir(parents=True, exist_ok=True)  # the one stage that may create the run directory
     write_bundling_csv(bundling, out / BUNDLING_FILE)
     if math.isfinite(config.diameter_km):
         report = check_feasible(bundling, distances, config.diameter_km)

@@ -1,4 +1,5 @@
-"""Guards against unused surface: every error kind is raised, every export resolves."""
+"""Guards on the API surface: every error kind is raised, every export resolves, and
+the names the benchmark binds stay put."""
 
 import ast
 import importlib
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import bundlecast
 from bundlecast import errors
+from bundlecast.forecast import read_forecast_csv, write_forecast_csv
 
 PACKAGE_DIR = Path(bundlecast.__file__).parent
 
@@ -43,3 +45,12 @@ def test_every_export_resolves():
     missing = [name for name in bundlecast.__all__ if not hasattr(bundlecast, name)]
     assert missing == []
     assert len(set(bundlecast.__all__)) == len(bundlecast.__all__)
+
+
+def test_forecast_csv_parameters_keep_their_names():
+    """The benchmark's span counters (``bench/spans.py``) bind these parameters
+    and the return value by name, so a rename would silently zero them."""
+    assert list(inspect.signature(write_forecast_csv).parameters) == [
+        "forecast", "asset_ids", "path"]
+    assert list(inspect.signature(read_forecast_csv).parameters) == [
+        "path", "asset_ids", "n_bundles"]

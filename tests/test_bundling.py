@@ -60,6 +60,15 @@ def test_bundling_rejects_double_assignment():
         Bundling(np.array([[1.0, 1.0], [1.0, 0.0]]), ("a", "b"))
 
 
+def test_bundling_leaves_the_callers_array_writeable():
+    lam = np.ones((1, 2))
+    b = Bundling(lam, ("a", "b"))
+    assert lam.flags.writeable and not b.assignment.flags.writeable
+    with pytest.raises(ValueError):
+        b.assignment[0, 0] = 0.0
+    lam[0, 0] = 0.0  # the caller may still write its own array
+
+
 def test_bundling_members_and_series():
     b = Bundling.from_labels([0, 1, 0], 2, ("a", "b", "c"))
     assert list(b.members(0)) == [0, 2]

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from bundlecast import (
     AssetMeta,
+    AssetPanel,
     Bundling,
     Criterion,
+    CriterionMatrix,
     covariance,
     difference,
     haversine_matrix,
@@ -50,13 +52,33 @@ def test_panel_rejects_duplicate_ids():
     assets = (AssetMeta("a", 40, -100, 10), AssetMeta("a", 41, -101, 10))
     ts = np.datetime64("2019-01-08T00:00:00", "s") + np.timedelta64(900, "s") * np.arange(4)
     with pytest.raises(FormatError, match=r"duplicate asset ids: \['a'\]"):
-        from bundlecast import AssetPanel
         AssetPanel(assets, ts, np.ones((2, 4)))
 
 
 def test_panel_rejects_value_above_capacity():
     with pytest.raises(ValueOutOfRangeError):
         make_panel([[1.0, 12.0, 1.0]], caps=[10.0])
+
+
+def test_panel_leaves_the_callers_arrays_writeable():
+    assets = (AssetMeta("a", 40, -100, 10), AssetMeta("b", 41, -101, 10))
+    ts = np.datetime64("2019-01-08T00:00:00", "s") + np.timedelta64(900, "s") * np.arange(3)
+    values = np.ones((2, 3))
+    panel = AssetPanel(assets, ts, values)
+    assert ts.flags.writeable and values.flags.writeable
+    assert not panel.timestamps.flags.writeable and not panel.values.flags.writeable
+    with pytest.raises(ValueError):
+        panel.values[0, 0] = 2.0
+    values[0, 0] = 2.0  # the caller may still write its own array
+
+
+def test_criterion_matrix_leaves_the_callers_array_writeable():
+    sigma = np.eye(2)
+    matrix = CriterionMatrix(Criterion.VARIANCE, sigma)
+    assert sigma.flags.writeable and not matrix.sigma.flags.writeable
+    with pytest.raises(ValueError):
+        matrix.sigma[0, 1] = 1.0
+    sigma[0, 1] = 1.0
 
 
 def test_panel_window_and_index():

@@ -386,6 +386,38 @@ def test_forecast_csv_round_trip(tmp_path, rng):
     back = read_forecast_csv(path, panel.asset_ids, b.n_bundles)
     np.testing.assert_array_equal(back.origins, rf.test.origins)
     np.testing.assert_allclose(back.values, rf.test.values, rtol=1e-11)
+    printed = np.array([float(f"{v:.12g}") for v in rf.test.values.ravel()])
+    assert back.values.tobytes() == printed.reshape(back.values.shape).tobytes()
+
+
+def test_write_forecast_csv_golden_bytes(tmp_path):
+    origins = np.datetime64("2019-01-08T00:00:00", "s") + np.timedelta64(900, "s") * np.arange(2)
+    values = np.array([[[1 / 3, 0.0], [1e-5, 123456789012.5], [-2.75, 1234567890123.0]],
+                       [[2 / 3, 1.0], [100.0, 0.1], [1e16, -12345.678901234]]])
+    path = tmp_path / "forecast.csv"
+    write_forecast_csv(HierarchyForecast(origins, values, 1, 1), ("w1",), path)
+    assert path.read_bytes() == (
+        b"origin,level,series_id,lead,value\n"
+        b"2019-01-08T00:00:00Z,fleet,,1,0.333333333333\n"
+        b"2019-01-08T00:00:00Z,fleet,,2,0\n"
+        b"2019-01-08T00:00:00Z,bundle,0,1,1e-05\n"
+        b"2019-01-08T00:00:00Z,bundle,0,2,123456789012\n"
+        b"2019-01-08T00:00:00Z,asset,w1,1,-2.75\n"
+        b"2019-01-08T00:00:00Z,asset,w1,2,1.23456789012e+12\n"
+        b"2019-01-08T00:15:00Z,fleet,,1,0.666666666667\n"
+        b"2019-01-08T00:15:00Z,fleet,,2,1\n"
+        b"2019-01-08T00:15:00Z,bundle,0,1,100\n"
+        b"2019-01-08T00:15:00Z,bundle,0,2,0.1\n"
+        b"2019-01-08T00:15:00Z,asset,w1,1,1e+16\n"
+        b"2019-01-08T00:15:00Z,asset,w1,2,-12345.6789012\n"
+    )
+
+
+def test_write_forecast_csv_rejects_origins_out_of_order(tmp_path):
+    origins = np.array(["2019-01-08T00:15:00", "2019-01-08T00:00:00"], dtype="datetime64[s]")
+    with pytest.raises(ValueOutOfRangeError, match="not strictly ascending"):
+        write_forecast_csv(HierarchyForecast(origins, np.ones((2, 3, 2)), 1, 1), ("a0",),
+                           tmp_path / "forecast.csv")
 
 
 MALFORMED_FORECAST_ROWS = [  # (origin, rest of the appended row, expected message)
@@ -401,6 +433,9 @@ MALFORMED_FORECAST_ROWS = [  # (origin, rest of the appended row, expected messa
     # the first origin's instant spelled another way must not become a third origin
     pytest.param("2019-01-08T00:00:00+00:00", "fleet,,1,1.5", "duplicate cell",
                  id="utc-offset-duplicate cell"),
+    pytest.param("2019-01-08T00:30:00Z", "fleet,,1,nan", "value 'nan' is not finite", id="nan"),
+    pytest.param("2019-01-08T00:30:00Z", "fleet,,1,-inf", "value '-inf' is not finite",
+                 id="inf"),
 ]
 
 
@@ -415,6 +450,56 @@ def test_read_forecast_csv_rejects_malformed_rows(tmp_path, origin, row, message
     with pytest.raises(FormatError, match=message) as info:
         read_forecast_csv(path, ("a0",), 1)
     assert f"{path}:14:" in str(info.value)  # header + 2 origins x 3 rows x 2 leads
+
+
+def _swap(lines, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def _duplicate(lines, i):
+    lines[i + 1] = lines[i]
+    return lines
+
+
+# lines[0] is the header, so lines[i] is file line i + 1; each origin block is 6 lines
+DISORDERED_FORECAST_LINES = [  # (edit of the writer's lines, where, message)
+    pytest.param(lambda lines: _swap(lines, 3, 4), ":4:", "line out of order", id="swapped-leads"),
+    pytest.param(lambda lines: _swap(lines, 1, 2), ":2:", "line out of order", id="swapped-fleet"),
+    pytest.param(lambda lines: lines[:1] + lines[7:] + lines[1:7], ":8:",
+                 "out of order: expected an origin after 2019-01-08T00:15:00Z",
+                 id="descending-origins"),
+    pytest.param(lambda lines: lines[:-1], ":13:", "ends inside the block of origin "
+                 "2019-01-08T00:15:00Z, after 5 of its 6 lines", id="truncated-block"),
+    pytest.param(lambda lines: _duplicate(lines, 3), ":5:", "duplicate cell",
+                 id="duplicate-in-block"),
+    pytest.param(lambda lines: lines[:4] + ["\n"] + lines[4:], ":5:", "expected 5 fields, got 1",
+                 id="blank-line-inside"),
+    pytest.param(lambda lines: lines[:1], ": ", "no forecast rows", id="header-only"),
+]
+
+
+@pytest.mark.parametrize("edit, where, message", DISORDERED_FORECAST_LINES)
+def test_read_forecast_csv_rejects_lines_out_of_order(tmp_path, edit, where, message):
+    origins = np.datetime64("2019-01-08T00:00:00", "s") + np.timedelta64(900, "s") * np.arange(2)
+    path = tmp_path / "forecast.csv"
+    write_forecast_csv(HierarchyForecast(origins, np.arange(12.0).reshape(2, 3, 2), 1, 1),
+                       ("a0",), path)
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    with pytest.raises(FormatError, match=message) as info:
+        read_forecast_csv(path, ("a0",), 1)
+    assert str(info.value).startswith(f"{path}{where}")
+
+
+def test_read_forecast_csv_takes_crlf_endings_and_trailing_blank_lines(tmp_path):
+    origins = np.datetime64("2019-01-08T00:00:00", "s") + np.timedelta64(900, "s") * np.arange(2)
+    forecast = HierarchyForecast(origins, np.arange(12.0).reshape(2, 3, 2), 1, 1)
+    path = tmp_path / "forecast.csv"
+    write_forecast_csv(forecast, ("a0",), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n") + b"\r\n  \n\n")
+    back = read_forecast_csv(path, ("a0",), 1)
+    np.testing.assert_array_equal(back.origins, forecast.origins)
+    np.testing.assert_array_equal(back.values, forecast.values)
 
 
 def test_moments_csv_round_trip_is_exact(tmp_path, rng):

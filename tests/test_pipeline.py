@@ -302,4 +302,13 @@ def test_cli_rejects_granularity_that_differs_from_the_panel(data_dir, capsys):
     for command in ("sweep", "bundle", "forecast", "reconcile", "evaluate"):
         assert main([command, "--config", str(cfg)]) == 1
         assert f"bundlecast {command}: {expected}\n" == capsys.readouterr().err
-    assert list((data_dir / "hourly").iterdir()) == []  # a stage command wrote nothing
+    assert not (data_dir / "hourly").exists()  # no stage command made the directory
+
+
+def test_cli_stage_before_bundle_creates_no_directory(data_dir, capsys):
+    cfg = str(write_run_config(data_dir, out="unbundled"))
+    capsys.readouterr()
+    for command in ("forecast", "reconcile", "evaluate"):
+        assert main([command, "--config", cfg]) == 1
+        assert "bundling.csv not found; run the 'bundle' stage first" in capsys.readouterr().err
+    assert not (data_dir / "unbundled").exists()
