@@ -11,14 +11,10 @@ __version__ = "0.1.0"
 
 from .bundling import (
     Bundling,
-    BundlingConfig,
-    FeasibilityReport,
     SweepPoint,
     check_feasible,
     diameter_sweep,
-    exact_bundle,
     exact_partition,
-    greedy_bundle,
     greedy_merge,
     kmeans_bundle,
     objective,
@@ -27,7 +23,6 @@ from .core import (
     AssetMeta,
     AssetPanel,
     Criterion,
-    CriterionMatrix,
     covariance,
     difference,
     haversine_matrix,
@@ -69,11 +64,11 @@ from .synth import SynthConfig, synth_panel, write_synth_csv
 
 __all__ = [
     "__version__",
-    "AssetMeta", "AssetPanel", "Criterion", "CriterionMatrix",
+    "AssetMeta", "AssetPanel", "Criterion",
     "covariance", "difference", "haversine_matrix", "ingest_panel", "seasonal_adjust",
-    "Bundling", "BundlingConfig", "FeasibilityReport", "SweepPoint",
-    "check_feasible", "diameter_sweep", "exact_bundle", "exact_partition",
-    "greedy_bundle", "greedy_merge", "kmeans_bundle", "objective",
+    "Bundling", "SweepPoint",
+    "check_feasible", "diameter_sweep", "exact_partition",
+    "greedy_merge", "kmeans_bundle", "objective",
     "ForecastTask", "HierarchyForecast", "ModelSpec", "RidgeModel", "RollingForecasts",
     "SHORT_TERM", "DAY_AHEAD",
     "hierarchy_actuals", "hierarchy_capacities", "hierarchy_series",

@@ -8,7 +8,7 @@ their great-circle distance exceeds a cutoff.
 
 Solvers:
 
-* :func:`greedy_bundle` -- agglomerative descent that starts from singletons
+* :func:`greedy_merge` -- agglomerative descent that starts from singletons
   and repeatedly merges the pair of bundles with the most negative
   inter-bundle covariance among diameter-feasible pairs. Merging the argmin
   pair is the steepest single-merge descent: merging bundles k and l changes
@@ -16,24 +16,25 @@ Solvers:
   its nearest feasible neighbour cached, so a merge rescans only the rows
   it touched (nearest-neighbour bookkeeping as in Muellner 2011, "Modern
   hierarchical, agglomerative clustering algorithms", arXiv:1109.2378).
-* :func:`exact_bundle` -- exhaustive enumeration of set partitions into
+* :func:`exact_partition` -- exhaustive enumeration of set partitions into
   exactly K non-empty parts, guarded to N <= 12. Used as the optimality
   oracle for the greedy.
 * :func:`kmeans_bundle` -- geographic baseline; Lloyd's algorithm on
-  (lat, lon) degrees with deterministic k-means++ seeding. The diameter
-  constraint is reported, not enforced, for this baseline.
+  (lat, lon) degrees with deterministic k-means++ seeding. It ignores the
+  diameter constraint; :func:`check_feasible` lists the pairs it breaks.
+
+The two covariance solvers take sigma as an (N, N) array, such as
+:func:`bundlecast.core.covariance` returns.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AssetMeta, AssetPanel, Criterion, CriterionMatrix, covariance
+from .core import AssetPanel, Criterion, covariance
 from .errors import (
     FormatError,
     InfeasibleMergeError,
@@ -129,38 +130,9 @@ class Bundling:
         return Bundling(self.assignment[order], self.asset_order)
 
 
-@dataclass(frozen=True)
-class BundlingConfig:
-    """Target bundle count, criterion, diameter cutoff, and kmeans seed."""
-
-    n_bundles: int
-    criterion: Criterion = Criterion.VARIANCE
-    diameter_km: float = math.inf
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "criterion", Criterion(self.criterion))
-        if self.n_bundles < 1:
-            raise ValueOutOfRangeError(f"n_bundles must be >= 1, got {self.n_bundles}")
-        if not self.diameter_km > 0.0:
-            raise ValueOutOfRangeError(f"diameter_km must be positive, got {self.diameter_km}")
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    violations: tuple[tuple[int, int, int], ...]  # (bundle, asset_i, asset_j)
-
-
-def _sigma_array(sigma) -> np.ndarray:
-    if isinstance(sigma, CriterionMatrix):
-        return sigma.sigma
-    return np.asarray(sigma, dtype=np.float64)
-
-
 def objective(bundling: Bundling, sigma) -> float:
     """Evaluate tr(L @ sigma @ L.T) for a bundling."""
-    s = _sigma_array(sigma)
+    s = np.asarray(sigma, dtype=np.float64)
     lam = bundling.assignment
     if s.shape != (bundling.n_assets, bundling.n_assets):
         raise ShapeMismatchError(
@@ -169,8 +141,12 @@ def objective(bundling: Bundling, sigma) -> float:
     return float(np.einsum("ki,ij,kj->", lam, s, lam))
 
 
-def check_feasible(bundling: Bundling, distances: np.ndarray, diameter_km: float) -> FeasibilityReport:
-    """Check the pairwise diameter constraint inside every bundle."""
+def check_feasible(bundling: Bundling, distances: np.ndarray,
+                   diameter_km: float) -> tuple[tuple[int, int, int], ...]:
+    """The ``(bundle, i, j)`` asset pairs, ``i < j``, farther apart than the cutoff.
+
+    Empty when the bundling satisfies the diameter constraint.
+    """
     distances = np.asarray(distances)
     if distances.shape != (bundling.n_assets, bundling.n_assets):
         raise ShapeMismatchError(
@@ -184,7 +160,7 @@ def check_feasible(bundling: Bundling, distances: np.ndarray, diameter_km: float
                 i, j = int(idx[a]), int(idx[b])
                 if distances[i, j] > diameter_km:
                     violations.append((k, i, j))
-    return FeasibilityReport(not violations, tuple(violations))
+    return tuple(violations)
 
 
 # --- greedy agglomerative solver ---------------------------------------------
@@ -220,7 +196,7 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
             ``distances`` a NaN one.
         InfeasibleMergeError: no feasible pair is left before ``n_bundles``.
     """
-    s = _sigma_array(sigma)
+    s = np.asarray(sigma, dtype=np.float64)
     distances = np.asarray(distances, dtype=np.float64)
     n = s.shape[0]
     if distances.shape != (n, n) or len(asset_order) != n:
@@ -277,12 +253,6 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
     return Bundling.from_members([members[i] for i in np.flatnonzero(active)], asset_order)
 
 
-def greedy_bundle(panel: AssetPanel, distances: np.ndarray, config: BundlingConfig) -> Bundling:
-    """Greedy bundling of a panel under its configured criterion."""
-    sigma = covariance(panel, config.criterion)
-    return greedy_merge(sigma, distances, config.n_bundles, config.diameter_km, panel.asset_ids)
-
-
 # --- exact enumeration oracle -------------------------------------------------
 
 def exact_partition(sigma, distances: np.ndarray, n_bundles: int, diameter_km: float,
@@ -293,7 +263,7 @@ def exact_partition(sigma, distances: np.ndarray, n_bundles: int, diameter_km: f
     first appearance), so ties resolve to the lexicographically smallest
     canonical assignment. Guarded to N <= 12.
     """
-    s = _sigma_array(sigma)
+    s = np.asarray(sigma, dtype=np.float64)
     distances = np.asarray(distances, dtype=np.float64)
     n = s.shape[0]
     if n > EXACT_MAX_ASSETS:
@@ -338,12 +308,6 @@ def exact_partition(sigma, distances: np.ndarray, n_bundles: int, diameter_km: f
     return Bundling.from_members(best_parts, asset_order)
 
 
-def exact_bundle(panel: AssetPanel, distances: np.ndarray, config: BundlingConfig) -> Bundling:
-    """Exact bundling of a panel under its configured criterion."""
-    sigma = covariance(panel, config.criterion)
-    return exact_partition(sigma, distances, config.n_bundles, config.diameter_km, panel.asset_ids)
-
-
 # --- geographic k-means baseline ----------------------------------------------
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -361,20 +325,20 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def kmeans_bundle(assets, distances: np.ndarray, config: BundlingConfig) -> Bundling:
+def kmeans_bundle(assets, n_bundles: int, seed: int) -> Bundling:
     """Geographic k-means baseline on raw (lat, lon) degree coordinates.
 
-    Deterministic for a fixed config seed. Empty clusters are repaired by
-    reassigning the point farthest from its current center. The diameter
-    constraint is only reported (as a warning) because this baseline does
-    not optimize a covariance criterion.
+    Deterministic for a fixed seed. Empty clusters are repaired by
+    reassigning the point farthest from its current center. This baseline
+    does not optimize a covariance criterion and ignores the diameter
+    constraint; :func:`check_feasible` reports what it breaks.
     """
     assets = list(assets)
-    k = config.n_bundles
+    k = n_bundles
     if not 1 <= k <= len(assets):
         raise ValueOutOfRangeError(f"n_bundles must be in 1..{len(assets)}, got {k}")
     points = np.array([[a.latitude_deg, a.longitude_deg] for a in assets])
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(points, k, rng)
 
     labels = np.full(points.shape[0], -1)
@@ -392,20 +356,7 @@ def kmeans_bundle(assets, distances: np.ndarray, config: BundlingConfig) -> Bund
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
 
-    # relabel by smallest member index so the output row order is canonical
-    order = {old: new for new, old in enumerate(sorted(set(labels), key=lambda c: int(np.nonzero(labels == c)[0][0])))}
-    labels = np.array([order[c] for c in labels])
-    bundling = Bundling.from_labels(labels, k, [a.asset_id for a in assets])
-
-    if math.isfinite(config.diameter_km):
-        report = check_feasible(bundling, distances, config.diameter_km)
-        if not report.feasible:
-            warnings.warn(
-                f"kmeans bundling violates the {config.diameter_km} km diameter "
-                f"cutoff in {len(report.violations)} asset pair(s)",
-                stacklevel=2,
-            )
-    return bundling
+    return Bundling.from_labels(labels, k, [a.asset_id for a in assets]).canonical()
 
 
 # --- diameter sweep ------------------------------------------------------------
@@ -460,10 +411,14 @@ def write_bundling_csv(bundling: Bundling, path) -> None:
 
 
 def read_bundling_csv(path, asset_order) -> Bundling:
-    """Read a bundling CSV back against a known asset ordering."""
+    """Read a bundling CSV back against a known asset ordering.
+
+    Bundle ids must cover 0..K-1 without a gap, so that every bundle has an asset.
+    """
     asset_order = tuple(asset_order)
     index = {a: i for i, a in enumerate(asset_order)}
     labels = np.full(len(asset_order), -1)
+    first_line = {}  # bundle id -> line of its first asset
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != BUNDLING_HEADER:
@@ -487,10 +442,15 @@ def read_bundling_csv(path, asset_order) -> Bundling:
             if labels[index[asset_id]] >= 0:
                 raise FormatError(f"{path}:{ln}: asset {asset_id!r} is listed twice")
             labels[index[asset_id]] = bundle_id
+            first_line.setdefault(bundle_id, ln)
     if np.all(labels < 0):
         raise FormatError(f"{path}: no bundle assignments")
     n_bundles = int(labels.max()) + 1
     if np.any(labels < 0):
         missing = [asset_order[i] for i in np.nonzero(labels < 0)[0]]
         raise FormatError(f"{path}: assets without a bundle: {missing}")
+    skipped = sorted(set(range(n_bundles)) - set(first_line))
+    if skipped:
+        raise FormatError(f"{path}:{first_line[n_bundles - 1]}: bundle id {n_bundles - 1} is "
+                          f"used, but no asset has bundle id {', '.join(map(str, skipped))}")
     return Bundling.from_labels(labels, n_bundles, asset_order)

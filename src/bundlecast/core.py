@@ -304,28 +304,6 @@ class Criterion(str, Enum):
     IMCY = "imcy"
 
 
-@dataclass(frozen=True)
-class CriterionMatrix:
-    """An N x N symmetric PSD matrix together with the criterion it encodes.
-
-    ``sigma`` is stored as a read-only view; the caller's array stays writeable.
-    """
-
-    kind: Criterion
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.float64).view()
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ShapeMismatchError(f"criterion matrix must be square, got {sigma.shape}")
-        object.__setattr__(self, "sigma", sigma)
-        sigma.flags.writeable = False
-
-    @property
-    def n_assets(self) -> int:
-        return int(self.sigma.shape[0])
-
-
 def seasonal_adjust(values: np.ndarray) -> np.ndarray:
     """Subtract the cross-sectional mean series from every row."""
     values = np.asarray(values, dtype=np.float64)
@@ -345,11 +323,12 @@ def population_covariance(rows: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-def covariance(panel: AssetPanel, kind: Criterion | str) -> CriterionMatrix:
+def covariance(panel: AssetPanel, kind: Criterion | str) -> np.ndarray:
     """Build the criterion covariance matrix of a panel.
 
-    Requires T >= 3 (T >= 4 for ``imcy``, since differencing drops one
-    sample).
+    Returns a read-only, symmetric PSD float64 (N, N) array in the panel's
+    asset order. Requires T >= 3 (T >= 4 for ``imcy``, since differencing
+    drops one sample).
     """
     kind = Criterion(kind)
     min_steps = 4 if kind is Criterion.IMCY else 3
@@ -363,4 +342,6 @@ def covariance(panel: AssetPanel, kind: Criterion | str) -> CriterionMatrix:
         rows = seasonal_adjust(panel.values)
     else:
         rows = difference(panel.values)
-    return CriterionMatrix(kind, population_covariance(rows))
+    sigma = population_covariance(rows)
+    sigma.flags.writeable = False
+    return sigma

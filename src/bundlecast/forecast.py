@@ -174,8 +174,6 @@ class RidgeModel:
     feature_mean: np.ndarray   # (n_features,)
     feature_scale: np.ndarray  # (n_features,)
     history_len: int
-    horizon: int
-    ridge_lambda: float
     use_calendar: bool
 
     def __post_init__(self):
@@ -261,8 +259,6 @@ def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
         feature_mean=mean,
         feature_scale=scale,
         history_len=h,
-        horizon=t,
-        ridge_lambda=float(ridge_lambda),
         use_calendar=use_calendar,
     )
 
@@ -307,9 +303,7 @@ def hierarchy_actuals(panel: AssetPanel, bundling: Bundling, origins,
         raise ShapeMismatchError("an origin is not on the panel's timestamp grid")
     if np.any(idx + horizon > panel.n_steps - 1):
         raise ShapeMismatchError("an origin's horizon extends past the panel")
-    values = np.empty((origins.shape[0], series.shape[0], horizon))
-    for m, o in enumerate(idx):
-        values[m] = series[:, o + 1:o + 1 + horizon]
+    values = sliding_window_view(series.T, horizon, axis=0)[idx + 1]
     return HierarchyForecast(origins, values, bundling.n_bundles, panel.n_assets)
 
 

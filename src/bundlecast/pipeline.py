@@ -8,20 +8,20 @@ machine state leaks into any file, so identical runs are byte-identical.
 
 Each stage is one function over in-memory inputs plus one writer:
 :func:`make_bundling`, ``rolling_forecast``, :func:`reconcile_forecasts`,
-:func:`evaluate_forecasts`. ``run`` ingests once and calls them in order,
-writing each product as soon as it exists; for the no-bundling baseline it
-repeats the pass with one bundle (K=1) under a ``baseline_`` prefix and
-compares the two. A stage command loads its inputs from the run directory,
-reading and checking the CSVs inside the stage, then calls the same
-function and writer.
+:func:`evaluate_forecasts`. ``run`` ingests and bundles once, then calls
+the others in order, writing each product as soon as it exists; for the
+no-bundling baseline it repeats the forecast, reconcile and evaluate pass
+with all assets in one bundle under a ``baseline_`` prefix and compares the
+two. A stage command loads its inputs from the run directory, reading and
+checking the CSVs inside the stage, then calls the same function and writer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import shutil
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -30,10 +30,9 @@ import numpy as np
 from . import __version__
 from .bundling import (
     Bundling,
-    BundlingConfig,
     check_feasible,
     diameter_sweep,
-    greedy_bundle,
+    greedy_merge,
     kmeans_bundle,
     objective,
     read_bundling_csv,
@@ -111,18 +110,24 @@ def load_panel(config: RunConfig) -> AssetPanel:
     return panel.window(config.train_start, config.test_end)
 
 
-def make_bundling(config: RunConfig, panel: AssetPanel, distances: np.ndarray,
-                  n_bundles: int | None = None) -> Bundling:
-    """Learn bundles on the training range only (test data stays unseen)."""
-    k = config.n_bundles if n_bundles is None else n_bundles
-    if k == 1:
-        return Bundling.single_bundle(panel.asset_ids)
-    train_panel = panel.window(config.train_start, config.train_end)
+def make_bundling(config: RunConfig, panel: AssetPanel, distances: np.ndarray) -> Bundling:
+    """The config's ``n_bundles`` bundles, learned on the training range only.
+
+    A covariance criterion runs the greedy on the training window (test data
+    stays unseen), which enforces the diameter cutoff or raises
+    InfeasibleMergeError. ``kmeans`` clusters the coordinates and ignores the
+    cutoff, so each pair it breaks is counted in one UserWarning.
+    """
+    train = panel.window(config.train_start, config.train_end)  # checks the range for kmeans too
     if config.criterion == "kmeans":
-        cfg = BundlingConfig(k, Criterion.VARIANCE, config.diameter_km, config.seed)
-        return kmeans_bundle(panel.assets, distances, cfg)
-    cfg = BundlingConfig(k, Criterion(config.criterion), config.diameter_km, config.seed)
-    return greedy_bundle(train_panel, distances, cfg)
+        bundling = kmeans_bundle(panel.assets, config.n_bundles, config.seed)
+        violations = check_feasible(bundling, distances, config.diameter_km)
+        if violations:
+            warnings.warn(f"kmeans bundling violates the {config.diameter_km} km diameter "
+                          f"cutoff in {len(violations)} asset pair(s)", stacklevel=2)
+        return bundling
+    sigma = covariance(train, config.criterion)
+    return greedy_merge(sigma, distances, config.n_bundles, config.diameter_km, panel.asset_ids)
 
 
 def reconcile_forecasts(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
@@ -201,10 +206,9 @@ def _fresh_out_dir(out: Path):
         raise
 
 
-def _run_pass(config: RunConfig, panel: AssetPanel, distances: np.ndarray, out: Path,
-              n_bundles: int | None = None, prefix: str = "") -> Reports:
-    """Bundle -> forecast -> reconcile -> evaluate; returns the reconciled reports."""
-    bundling = _stage("bundle", make_bundling, config, panel, distances, n_bundles)
+def _run_pass(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Path,
+              prefix: str = "") -> Reports:
+    """Forecast -> reconcile -> evaluate under one bundling; returns the reconciled reports."""
     write_bundling_csv(bundling, out / (prefix + BUNDLING_FILE))
     forecasts = _stage("forecast", rolling_forecast, panel, bundling, config.forecast_task,
                        config.specs, config.test_start)
@@ -228,10 +232,11 @@ def run(config_path, out_dir=None) -> Path:
     config = load_run_config(config_path)
     with _fresh_out_dir(Path(out_dir or config.output_dir)) as out:
         panel = _stage("ingest", load_panel, config)
-        distances = haversine_matrix(panel.assets)
-        bundled = _run_pass(config, panel, distances, out)
+        bundling = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
+        bundled = _run_pass(config, panel, bundling, out)
         if config.baseline:
-            baseline = _run_pass(config, panel, distances, out, n_bundles=1, prefix="baseline_")
+            baseline = _run_pass(config, panel, Bundling.single_bundle(panel.asset_ids), out,
+                                 "baseline_")
             _write_comparison(bundled, baseline, out / COMPARISON_FILE)
         write_manifest(config, out)
     return out
@@ -293,18 +298,12 @@ def stage_synth(config_path, out_dir=None) -> tuple[Path, Path]:
 def stage_bundle(config_path, out_dir=None) -> Path:
     """Learn bundles and write bundling.csv into the run directory."""
     config, out, panel = _open_stage(config_path, out_dir)
-    distances = haversine_matrix(panel.assets)
-    bundling = _stage("bundle", make_bundling, config, panel, distances)
+    bundling = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
     out.mkdir(parents=True, exist_ok=True)  # the one stage that may create the run directory
     write_bundling_csv(bundling, out / BUNDLING_FILE)
-    if math.isfinite(config.diameter_km):
-        report = check_feasible(bundling, distances, config.diameter_km)
-        if not report.feasible:
-            print(f"warning: bundling violates the diameter cutoff in "
-                  f"{len(report.violations)} pair(s)")
     if config.criterion != "kmeans":
         train = panel.window(config.train_start, config.train_end)
-        sigma = covariance(train, Criterion(config.criterion))
+        sigma = covariance(train, config.criterion)
         print(f"objective[{config.criterion}] = {objective(bundling, sigma):.6g}")
     return out / BUNDLING_FILE
 

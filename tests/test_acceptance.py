@@ -15,7 +15,6 @@ from scipy.optimize import minimize
 
 from bundlecast import (
     Bundling,
-    BundlingConfig,
     Criterion,
     HierarchyForecast,
     LeadWeights,
@@ -24,9 +23,8 @@ from bundlecast import (
     coherence_gap,
     covariance,
     energy_distance,
-    exact_bundle,
     exact_partition,
-    greedy_bundle,
+    greedy_merge,
     haversine_matrix,
     ingest_panel,
     nmae,
@@ -91,7 +89,7 @@ def test_quadratic_form_identity():
             # identically zero); both sides are then pure roundoff of the
             # sigma-magnitude computation
             tol = 1e-8 * max(abs(direct), abs(trace_value)) \
-                + 1e-10 * np.abs(sigma.sigma).sum()
+                + 1e-10 * np.abs(sigma).sum()
             if abs(trace_value - direct) > tol:
                 failures.append(
                     f"instance {trial} {kind.value}: |{trace_value} - {direct}| "
@@ -119,10 +117,9 @@ def test_greedy_close_to_exact():
         d = haversine_matrix(panel.assets)
         frac = diameter_fracs[i % 3]
         diameter = math.inf if frac is None else frac * d.max()
-        bcfg = BundlingConfig(k, crit, diameter)
         sigma = covariance(panel, crit)
-        greedy_obj = objective(greedy_bundle(panel, d, bcfg), sigma)
-        exact_obj = objective(exact_bundle(panel, d, bcfg), sigma)
+        greedy_obj = objective(greedy_merge(sigma, d, k, diameter, panel.asset_ids), sigma)
+        exact_obj = objective(exact_partition(sigma, d, k, diameter, panel.asset_ids), sigma)
         if exact_obj > greedy_obj + 1e-9 * abs(greedy_obj):
             failures.append(f"instance {i}: exact {exact_obj} > greedy {greedy_obj}")
         if greedy_obj <= 1.05 * exact_obj + 1e-12:

@@ -6,8 +6,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import bundlecast
-from bundlecast import errors
+from bundlecast import Bundling, LeadWeights, build_reconciler, core, errors, greedy_merge
 from bundlecast.forecast import read_forecast_csv, write_forecast_csv
 
 PACKAGE_DIR = Path(bundlecast.__file__).parent
@@ -54,3 +56,15 @@ def test_forecast_csv_parameters_keep_their_names():
         "forecast", "asset_ids", "path"]
     assert list(inspect.signature(read_forecast_csv).parameters) == [
         "path", "asset_ids", "n_bundles"]
+
+
+def test_traced_layer_names_keep_their_names():
+    """``bench/spans.py`` wraps ``core.covariance`` by name, counts merges from
+    ``greedy_merge``'s ``asset_order`` argument, and reads ``horizon`` and
+    ``gains`` off ``build_reconciler``'s result."""
+    assert inspect.isfunction(core.covariance)
+    assert "asset_order" in inspect.signature(greedy_merge).parameters
+    model = build_reconciler(Bundling.single_bundle(("a", "b")),
+                             LeadWeights(np.ones((3, 4)), np.zeros(3)))
+    assert model.horizon == 3
+    assert isinstance(model.gains, np.ndarray) and model.gains.nbytes == 3 * 4 * 8

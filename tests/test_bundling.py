@@ -1,6 +1,7 @@
 """Objective evaluation, feasibility, greedy merging, and the exact oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +9,11 @@ import pytest
 from bundlecast import (
     AssetMeta,
     Bundling,
-    BundlingConfig,
     Criterion,
     check_feasible,
     covariance,
     diameter_sweep,
-    exact_bundle,
     exact_partition,
-    greedy_bundle,
     greedy_merge,
     haversine_matrix,
     kmeans_bundle,
@@ -29,6 +27,7 @@ from bundlecast.errors import (
     ShapeMismatchError,
     ValueOutOfRangeError,
 )
+from bundlecast.pipeline import make_bundling
 from bundlecast.synth import SynthConfig, synth_panel
 
 from conftest import make_panel, random_bundling_labels, random_panel
@@ -82,7 +81,7 @@ def test_objective_identity_is_trace(rng):
     panel = random_panel(rng, 5, 30)
     sigma = covariance(panel, "variance")
     b = Bundling.from_labels(np.arange(5), 5, panel.asset_ids)
-    assert objective(b, sigma) == pytest.approx(np.trace(sigma.sigma), rel=1e-12)
+    assert objective(b, sigma) == pytest.approx(np.trace(sigma), rel=1e-12)
 
 
 def test_objective_hand_examples():
@@ -104,23 +103,21 @@ def test_singletons_always_feasible(rng):
     panel = random_panel(rng, 6, 4)
     d = haversine_matrix(panel.assets)
     b = Bundling.from_labels(np.arange(6), 6, panel.asset_ids)
-    assert check_feasible(b, d, 0.001).feasible
+    assert check_feasible(b, d, 0.001) == ()
 
 
 def test_far_pair_in_one_bundle_is_infeasible():
     panel = far_apart_panel()
     d = haversine_matrix(panel.assets)
     b = Bundling.single_bundle(panel.asset_ids)
-    report = check_feasible(b, d, 500.0)
-    assert not report.feasible
-    assert report.violations == ((0, 0, 1),)
+    assert check_feasible(b, d, 500.0) == ((0, 0, 1),)
 
 
 def test_unbounded_diameter_always_feasible(rng):
     panel = random_panel(rng, 5, 4)
     d = haversine_matrix(panel.assets)
     b = Bundling.single_bundle(panel.asset_ids)
-    assert check_feasible(b, d, math.inf).feasible
+    assert check_feasible(b, d, math.inf) == ()
 
 
 # --- greedy ------------------------------------------------------------------------
@@ -128,7 +125,7 @@ def test_unbounded_diameter_always_feasible(rng):
 def test_greedy_merges_anticorrelated_pair():
     panel = close_panel()
     d = haversine_matrix(panel.assets)
-    b = greedy_bundle(panel, d, BundlingConfig(1, "variance", 500.0))
+    b = greedy_merge(covariance(panel, "variance"), d, 1, 500.0, panel.asset_ids)
     assert b.n_bundles == 1
     assert list(b.members(0)) == [0, 1]
 
@@ -137,7 +134,7 @@ def test_greedy_infeasible_merge_reports_count():
     panel = far_apart_panel()
     d = haversine_matrix(panel.assets)
     with pytest.raises(InfeasibleMergeError) as err:
-        greedy_bundle(panel, d, BundlingConfig(1, "variance", 500.0))
+        greedy_merge(covariance(panel, "variance"), d, 1, 500.0, panel.asset_ids)
     assert err.value.bundles_reached == 2
 
 
@@ -159,16 +156,16 @@ def test_greedy_invariants_and_recomputed_objective(rng):
 
 def test_greedy_deterministic(small_panel):
     d = haversine_matrix(small_panel.assets)
-    cfg = BundlingConfig(2, "imcy", 900.0)
-    b1 = greedy_bundle(small_panel, d, cfg)
-    b2 = greedy_bundle(small_panel, d, cfg)
+    sigma = covariance(small_panel, "imcy")
+    b1 = greedy_merge(sigma, d, 2, 900.0, small_panel.asset_ids)
+    b2 = greedy_merge(sigma, d, 2, 900.0, small_panel.asset_ids)
     np.testing.assert_array_equal(b1.assignment, b2.assignment)
 
 
 def test_greedy_scale_invariance(rng):
     panel = random_panel(rng, 8, 50)
     d = haversine_matrix(panel.assets)
-    sigma = covariance(panel, "variance").sigma
+    sigma = covariance(panel, "variance")
     b1 = greedy_merge(sigma, d, 3, math.inf, panel.asset_ids)
     b2 = greedy_merge(37.5 * sigma, d, 3, math.inf, panel.asset_ids)
     np.testing.assert_array_equal(b1.assignment, b2.assignment)
@@ -176,10 +173,10 @@ def test_greedy_scale_invariance(rng):
 
 def test_greedy_within_tolerance_of_exact(small_panel):
     d = haversine_matrix(small_panel.assets)
-    cfg = BundlingConfig(2, "variance", math.inf)
     sigma = covariance(small_panel, "variance")
-    greedy_obj = objective(greedy_bundle(small_panel, d, cfg), sigma)
-    exact_obj = objective(exact_bundle(small_panel, d, cfg), sigma)
+    ids = small_panel.asset_ids
+    greedy_obj = objective(greedy_merge(sigma, d, 2, math.inf, ids), sigma)
+    exact_obj = objective(exact_partition(sigma, d, 2, math.inf, ids), sigma)
     assert exact_obj <= greedy_obj + 1e-12
     assert greedy_obj <= 1.05 * exact_obj
 
@@ -249,7 +246,7 @@ def test_greedy_matches_reference_on_synth_panel():
                       n_regions=9, anticorrelated_pairs=5)
     panel = synth_panel(cfg)
     d = haversine_matrix(panel.assets)
-    sigma = covariance(panel, "imcy").sigma
+    sigma = covariance(panel, "imcy")
     _assert_matches_reference(sigma, d, 30, 300.0)
 
 
@@ -284,14 +281,14 @@ def test_greedy_rejects_nan_distance():
 def test_exact_identity_when_k_equals_n(rng):
     panel = random_panel(rng, 5, 20)
     d = haversine_matrix(panel.assets)
-    b = exact_bundle(panel, d, BundlingConfig(5, "variance", math.inf))
+    b = exact_partition(covariance(panel, "variance"), d, 5, math.inf, panel.asset_ids)
     np.testing.assert_array_equal(b.assignment, np.eye(5))
 
 
 def test_exact_single_partition_objective_zero():
     panel = close_panel()
     d = haversine_matrix(panel.assets)
-    b = exact_bundle(panel, d, BundlingConfig(1, "variance", math.inf))
+    b = exact_partition(covariance(panel, "variance"), d, 1, math.inf, panel.asset_ids)
     assert b.n_bundles == 1
     assert objective(b, covariance(panel, "variance")) == pytest.approx(0.0, abs=1e-12)
 
@@ -302,7 +299,7 @@ def test_exact_guard_and_infeasibility():
     panel = far_apart_panel()
     d = haversine_matrix(panel.assets)
     with pytest.raises(InfeasiblePartitionError):
-        exact_bundle(panel, d, BundlingConfig(1, "variance", 500.0))
+        exact_partition(covariance(panel, "variance"), d, 1, 500.0, panel.asset_ids)
 
 
 def test_exact_beats_or_ties_brute_force(rng):
@@ -318,7 +315,7 @@ def test_exact_beats_or_ties_brute_force(rng):
         if len(set(labels)) != k:
             continue
         b = Bundling.from_labels(labels, k, panel.asset_ids)
-        if not check_feasible(b, d, math.inf).feasible:
+        if check_feasible(b, d, math.inf):
             continue
         best = min(best, objective(b, sigma))
     found = objective(exact_partition(sigma, d, k, math.inf, panel.asset_ids), sigma)
@@ -330,8 +327,9 @@ def test_exact_golden_instance():
                       n_regions=2, anticorrelated_pairs=1)
     panel = synth_panel(cfg)
     d = haversine_matrix(panel.assets)
-    b = exact_bundle(panel, d, BundlingConfig(2, "variance", math.inf))
-    value = objective(b, covariance(panel, "variance"))
+    sigma = covariance(panel, "variance")
+    b = exact_partition(sigma, d, 2, math.inf, panel.asset_ids)
+    value = objective(b, sigma)
     # frozen after the first verified enumeration run on this seeded instance,
     # cross-checked against an unpruned search over all labelings
     assert value == pytest.approx(8866.283151175838, rel=1e-10)
@@ -344,10 +342,9 @@ def test_exact_never_above_greedy_seeded():
                           n_regions=2, anticorrelated_pairs=1)
         panel = synth_panel(cfg)
         d = haversine_matrix(panel.assets)
-        bcfg = BundlingConfig(2, "imcy", math.inf)
         sigma = covariance(panel, "imcy")
-        exact_obj = objective(exact_bundle(panel, d, bcfg), sigma)
-        greedy_obj = objective(greedy_bundle(panel, d, bcfg), sigma)
+        exact_obj = objective(exact_partition(sigma, d, 2, math.inf, panel.asset_ids), sigma)
+        greedy_obj = objective(greedy_merge(sigma, d, 2, math.inf, panel.asset_ids), sigma)
         assert exact_obj <= greedy_obj + 1e-9 * abs(greedy_obj)
 
 
@@ -360,35 +357,38 @@ def cluster_assets():
 
 
 def test_kmeans_recovers_coordinate_clusters():
-    assets = cluster_assets()
-    d = haversine_matrix(assets)
-    b = kmeans_bundle(assets, d, BundlingConfig(3, "variance", math.inf, seed=5))
+    b = kmeans_bundle(cluster_assets(), 3, seed=5)
     assert sorted(tuple(b.members(k)) for k in range(3)) == [(0, 1), (2, 3), (4, 5)]
 
 
 def test_kmeans_degenerate_counts():
     assets = cluster_assets()
-    d = haversine_matrix(assets)
-    one = kmeans_bundle(assets, d, BundlingConfig(1, "variance", math.inf, seed=1))
+    one = kmeans_bundle(assets, 1, seed=1)
     assert one.n_bundles == 1 and len(one.members(0)) == 6
-    n = kmeans_bundle(assets, d, BundlingConfig(6, "variance", math.inf, seed=1))
+    n = kmeans_bundle(assets, 6, seed=1)
     np.testing.assert_array_equal(n.assignment.sum(axis=1), np.ones(6))
 
 
 def test_kmeans_deterministic():
     assets = cluster_assets()
-    d = haversine_matrix(assets)
-    cfg = BundlingConfig(3, "variance", math.inf, seed=123)
-    b1 = kmeans_bundle(assets, d, cfg)
-    b2 = kmeans_bundle(assets, d, cfg)
+    b1 = kmeans_bundle(assets, 3, seed=123)
+    b2 = kmeans_bundle(assets, 3, seed=123)
     np.testing.assert_array_equal(b1.assignment, b2.assignment)
 
 
 def test_kmeans_warns_on_diameter_violation():
-    assets = cluster_assets()
-    d = haversine_matrix(assets)
-    with pytest.warns(UserWarning, match="diameter"):
-        kmeans_bundle(assets, d, BundlingConfig(1, "variance", 100.0, seed=0))
+    """kmeans ignores the cutoff, so make_bundling counts the pairs it breaks in one warning."""
+    coords = [(a.latitude_deg, a.longitude_deg) for a in cluster_assets()]
+    panel = make_panel(np.ones((6, 4)), lats=[la for la, _ in coords],
+                       lons=[lo for _, lo in coords])
+    config = SimpleNamespace(criterion="kmeans", n_bundles=1, seed=0, diameter_km=100.0,
+                             train_start=panel.timestamps[0], train_end=panel.timestamps[-1])
+    d = haversine_matrix(panel.assets)
+    with pytest.warns(UserWarning) as record:
+        make_bundling(config, panel, d)
+    # 15 pairs, of which the three within a cluster are ~14 km apart
+    assert [str(w.message) for w in record] == [
+        "kmeans bundling violates the 100.0 km diameter cutoff in 12 asset pair(s)"]
 
 
 # --- diameter sweep ------------------------------------------------------------------
@@ -437,7 +437,7 @@ def test_unbounded_diameter_dominates_constrained(small_panel):
 
 def test_bundling_csv_round_trip(tmp_path, small_panel):
     d = haversine_matrix(small_panel.assets)
-    b = greedy_bundle(small_panel, d, BundlingConfig(3, "variance", math.inf))
+    b = greedy_merge(covariance(small_panel, "variance"), d, 3, math.inf, small_panel.asset_ids)
     path = tmp_path / "bundling.csv"
     write_bundling_csv(b, path)
     lines = path.read_text().strip().splitlines()
@@ -452,10 +452,11 @@ def test_bundling_csv_round_trip(tmp_path, small_panel):
     ("x,a1", "not an integer"),
     ("-1,a1", "negative"),
     ("1,a0", "listed twice"),  # would silently move a0 to bundle 1
+    ("3,a3", "no asset has bundle id 2"),  # would fail later, naming no file
 ])
 def test_read_bundling_csv_rejects_malformed_rows(tmp_path, row, message):
     path = tmp_path / "bundling.csv"
     path.write_text(f"bundle_id,asset_id\n0,a0\n{row}\n0,a2\n1,a1\n")
     with pytest.raises(FormatError, match=message) as info:
-        read_bundling_csv(path, ("a0", "a1", "a2"))
+        read_bundling_csv(path, ("a0", "a1", "a2", "a3"))
     assert f"{path}:3:" in str(info.value)

@@ -12,7 +12,6 @@ from bundlecast import (
     AssetPanel,
     Bundling,
     Criterion,
-    CriterionMatrix,
     covariance,
     difference,
     haversine_matrix,
@@ -70,15 +69,6 @@ def test_panel_leaves_the_callers_arrays_writeable():
     with pytest.raises(ValueError):
         panel.values[0, 0] = 2.0
     values[0, 0] = 2.0  # the caller may still write its own array
-
-
-def test_criterion_matrix_leaves_the_callers_array_writeable():
-    sigma = np.eye(2)
-    matrix = CriterionMatrix(Criterion.VARIANCE, sigma)
-    assert sigma.flags.writeable and not matrix.sigma.flags.writeable
-    with pytest.raises(ValueError):
-        matrix.sigma[0, 1] = 1.0
-    sigma[0, 1] = 1.0
 
 
 def test_panel_window_and_index():
@@ -250,19 +240,29 @@ def test_haversine_triangle_inequality(rng):
 
 def test_covariance_hand_example():
     panel = make_panel([[1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0]])
-    sigma = covariance(panel, "variance").sigma
+    sigma = covariance(panel, "variance")
     np.testing.assert_allclose(sigma, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
+
+
+def test_covariance_is_read_only(rng):
+    panel = random_panel(rng, 3, 10)
+    for kind in Criterion:
+        sigma = covariance(panel, kind)
+        assert sigma.dtype == np.float64 and sigma.shape == (3, 3)
+        assert not sigma.flags.writeable
+        with pytest.raises(ValueError):
+            sigma[0, 1] = 1.0
 
 
 def test_savar_zero_for_identical_rows():
     panel = make_panel(np.tile([1.0, 3.0, 2.0, 5.0], (4, 1)))
-    sigma = covariance(panel, Criterion.SAVAR).sigma
+    sigma = covariance(panel, Criterion.SAVAR)
     np.testing.assert_allclose(sigma, np.zeros((4, 4)), atol=1e-12)
 
 
 def test_imcy_zero_for_constant_series():
     panel = make_panel(np.full((3, 6), 4.0))
-    sigma = covariance(panel, "imcy").sigma
+    sigma = covariance(panel, "imcy")
     np.testing.assert_allclose(sigma, np.zeros((3, 3)), atol=1e-12)
 
 
@@ -279,7 +279,7 @@ def test_covariance_too_short_series():
 def test_covariance_positive_semidefinite(rng):
     for kind in Criterion:
         panel = random_panel(rng, 6, 40)
-        sigma = covariance(panel, kind).sigma
+        sigma = covariance(panel, kind)
         eigs = np.linalg.eigvalsh(sigma)
         assert eigs.min() >= -1e-8 * np.trace(sigma)
 
@@ -289,7 +289,7 @@ def test_covariance_ignores_timestamp_labels(rng):
     a = make_panel(values, start="2019-01-08T00:00:00", step_minutes=15)
     b = make_panel(values, start="2020-06-01T12:00:00", step_minutes=60)
     for kind in Criterion:
-        np.testing.assert_array_equal(covariance(a, kind).sigma, covariance(b, kind).sigma)
+        np.testing.assert_array_equal(covariance(a, kind), covariance(b, kind))
 
 
 # --- the quadratic-form identity ------------------------------------------------
@@ -317,7 +317,7 @@ def assert_trace_matches_direct(panel, labels, k):
         trace_value = objective(bundling, sigma)
         direct = direct_criterion(panel.values, labels, k, kind)
         # absolute floor for exact cancellations (K=1 savar is identically 0)
-        floor = 1e-10 * np.abs(sigma.sigma).sum()
+        floor = 1e-10 * np.abs(sigma).sum()
         assert trace_value == pytest.approx(direct, rel=1e-8, abs=floor)
 
 

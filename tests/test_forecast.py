@@ -215,6 +215,10 @@ def test_hierarchy_actuals_matches_slices(rng):
     series = hierarchy_series(panel, b)
     np.testing.assert_array_equal(actual.values[0], series[:, 11:15])
     np.testing.assert_array_equal(actual.values[2], series[:, 13:17])
+    scattered = [25, 3, 12]  # any order, up to the last full horizon
+    got = hierarchy_actuals(panel, b, panel.timestamps[scattered], horizon=4).values
+    for m, o in enumerate(scattered):
+        np.testing.assert_array_equal(got[m], series[:, o + 1:o + 5])
     with pytest.raises(ShapeMismatchError):
         hierarchy_actuals(panel, b, panel.timestamps[[28]], horizon=4)
 

@@ -33,7 +33,7 @@ series_file = {tmp_path / 'series.csv'}
 
 def write_run_config(tmp_path, name="run.cfg", n_bundles=2, criterion="savar",
                      model="ridge", baseline="false", out="run_dir",
-                     diameters=None, seed=42, history_len=24):
+                     diameters=None, seed=42, history_len=24, diameter_km="unbounded"):
     # 1400 15-min steps: train on the first ~12 days, test on the rest
     lines = f"""
 task = short_term
@@ -42,7 +42,7 @@ horizon = 8
 granularity_minutes = 15
 n_bundles = {n_bundles}
 criterion = {criterion}
-diameter_km = unbounded
+diameter_km = {diameter_km}
 fleet_model = {model}
 fleet_ridge_lambda = 1.0
 fleet_use_calendar_encodings = false
@@ -133,6 +133,28 @@ def test_cli_run_k1_hierarchy_rows(data_dir):
     fc = read_forecast_csv(data_dir / "k1_run" / "forecasts_raw.csv",
                            panel.asset_ids, 1)
     assert fc.values.shape[1] == panel.n_assets + 2
+
+
+def test_cli_run_k1_obeys_the_diameter_cutoff(data_dir, capsys):
+    # the synth assets lie in two regions more than 700 km apart
+    cfg = str(write_run_config(data_dir, n_bundles=1, diameter_km="100", out="k1_cut"))
+    capsys.readouterr()
+    for command in ("run", "bundle"):
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"bundlecast {command}: [bundle] " in err and "no diameter-feasible merge" in err
+        assert not (data_dir / "k1_cut").exists()
+
+
+def test_cli_reports_a_kmeans_diameter_violation_once(data_dir, capsys):
+    cfg = str(write_run_config(data_dir, criterion="kmeans", diameter_km="100"))
+    for command in ("bundle", "run"):
+        capsys.readouterr()
+        with pytest.warns(UserWarning) as record:
+            assert main([command, "--config", cfg, "--out", str(data_dir / command)]) == 0
+        assert [str(w.message) for w in record] == [
+            "kmeans bundling violates the 100.0 km diameter cutoff in 4 asset pair(s)"]
+        assert "violates" not in capsys.readouterr().out
 
 
 def test_cli_run_persistence_reconciliation_is_identity(data_dir):
