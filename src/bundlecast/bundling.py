@@ -138,7 +138,7 @@ def objective(bundling: Bundling, sigma) -> float:
         raise ShapeMismatchError(
             f"criterion matrix shape {s.shape} does not match {bundling.n_assets} assets"
         )
-    return float(np.einsum("ki,ij,kj->", lam, s, lam))
+    return float(((lam @ s) * lam).sum())
 
 
 def check_feasible(bundling: Bundling, distances: np.ndarray,
@@ -413,7 +413,8 @@ def write_bundling_csv(bundling: Bundling, path) -> None:
 def read_bundling_csv(path, asset_order) -> Bundling:
     """Read a bundling CSV back against a known asset ordering.
 
-    Bundle ids must cover 0..K-1 without a gap, so that every bundle has an asset.
+    Bundle ids must cover 0..K-1 without a gap, so that every bundle has an
+    asset; K cannot exceed the asset count N.
     """
     asset_order = tuple(asset_order)
     index = {a: i for i, a in enumerate(asset_order)}
@@ -439,6 +440,9 @@ def read_bundling_csv(path, asset_order) -> Bundling:
                     f"{path}:{ln}: bundle id {bundle_text!r} is not an integer") from None
             if bundle_id < 0:
                 raise FormatError(f"{path}:{ln}: bundle id {bundle_id} is negative")
+            if bundle_id >= len(asset_order):  # K <= N, and the gap check below is O(K)
+                raise FormatError(f"{path}:{ln}: bundle id {bundle_id} is not below the "
+                                  f"asset count {len(asset_order)}")
             if labels[index[asset_id]] >= 0:
                 raise FormatError(f"{path}:{ln}: asset {asset_id!r} is listed twice")
             labels[index[asset_id]] = bundle_id

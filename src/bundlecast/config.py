@@ -141,11 +141,13 @@ def load_run_config(path) -> RunConfig:
     fields = _Fields(_read_flat(path), path)
     specs = {}
     for level in LEVELS:
-        specs[level] = ModelSpec(
-            model=fields.text(f"{level}_model", choices=_MODELS),
-            ridge_lambda=fields.real(f"{level}_ridge_lambda"),
-            use_calendar=fields.flag(f"{level}_use_calendar_encodings"),
-        )
+        key = f"{level}_ridge_lambda"
+        model = fields.text(f"{level}_model", choices=_MODELS)
+        ridge_lambda = fields.real(key)
+        if not 0.0 <= ridge_lambda < math.inf:
+            raise ConfigError(f"{path}: {key} must be finite and >= 0, got {fields.raw[key]!r}")
+        specs[level] = ModelSpec(model, ridge_lambda,
+                                 fields.flag(f"{level}_use_calendar_encodings"))
     cfg = RunConfig(
         path=str(path),
         task=fields.text("task", choices=_TASKS),

@@ -31,7 +31,6 @@ from itertools import chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .bundling import Bundling
 from .core import AssetPanel, format_utc_timestamp, parse_utc_timestamp
@@ -82,8 +81,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.model not in ("persistence", "ridge"):
             raise ValueOutOfRangeError(f"unknown model {self.model!r}")
-        if self.ridge_lambda < 0.0:
-            raise ValueOutOfRangeError("ridge_lambda must be >= 0")
+        if not 0.0 <= self.ridge_lambda < math.inf:
+            raise ValueOutOfRangeError(
+                f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,6 @@ class RidgeModel:
     """Fitted direct multi-horizon ridge map from H lags to T leads.
 
     ``weights`` act on standardized features; ``intercept`` is unpenalized.
-
-    The arrays are stored C-contiguous and read-only whatever they were
-    built from, so models with equal arrays hand BLAS the same layout and
-    predict bit-for-bit alike.
     """
 
     weights: np.ndarray        # (n_features, horizon)
@@ -175,12 +171,6 @@ class RidgeModel:
     feature_scale: np.ndarray  # (n_features,)
     history_len: int
     use_calendar: bool
-
-    def __post_init__(self):
-        for name in ("weights", "intercept", "feature_mean", "feature_scale"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-            arr.flags.writeable = False
 
     def _features(self, histories: np.ndarray, origins) -> np.ndarray:
         feats = histories
@@ -219,9 +209,10 @@ def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
     """Fit the direct multi-horizon ridge model on one series.
 
     Solves (X'X + lambda*P) W = X'Y where P penalizes every standardized
-    feature except the intercept. At lambda=0 a rank-deficient feature
-    matrix raises InsufficientDataError instead of being silently
-    regularized.
+    feature except the intercept. ``np.linalg.cholesky`` first tests the
+    left-hand side for positive definiteness, so at lambda=0 a
+    rank-deficient feature matrix raises InsufficientDataError instead of
+    being silently regularized.
     """
     values = np.asarray(values, dtype=np.float64)
     h, t = task.history_len, task.horizon
@@ -247,12 +238,13 @@ def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
     gram[np.diag_indices_from(gram)] += penalty
     rhs = xa.T @ targets
     try:
-        solution = cho_solve(cho_factor(gram), rhs)
-    except LinAlgError as exc:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise InsufficientDataError(
             f"normal equations singular at lambda={ridge_lambda} "
             f"({x.shape[0]} rows, {n_feat} features); degenerate features"
         ) from exc
+    solution = np.linalg.solve(gram, rhs)
     return RidgeModel(
         weights=solution[:n_feat],
         intercept=solution[n_feat],

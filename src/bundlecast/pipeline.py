@@ -110,13 +110,15 @@ def load_panel(config: RunConfig) -> AssetPanel:
     return panel.window(config.train_start, config.test_end)
 
 
-def make_bundling(config: RunConfig, panel: AssetPanel, distances: np.ndarray) -> Bundling:
+def make_bundling(config: RunConfig, panel: AssetPanel,
+                  distances: np.ndarray) -> tuple[Bundling, np.ndarray | None]:
     """The config's ``n_bundles`` bundles, learned on the training range only.
 
     A covariance criterion runs the greedy on the training window (test data
     stays unseen), which enforces the diameter cutoff or raises
     InfeasibleMergeError. ``kmeans`` clusters the coordinates and ignores the
-    cutoff, so each pair it breaks is counted in one UserWarning.
+    cutoff, so each pair it breaks is counted in one UserWarning. Returns the
+    bundling and the criterion matrix it minimized (None for kmeans).
     """
     train = panel.window(config.train_start, config.train_end)  # checks the range for kmeans too
     if config.criterion == "kmeans":
@@ -125,9 +127,10 @@ def make_bundling(config: RunConfig, panel: AssetPanel, distances: np.ndarray) -
         if violations:
             warnings.warn(f"kmeans bundling violates the {config.diameter_km} km diameter "
                           f"cutoff in {len(violations)} asset pair(s)", stacklevel=2)
-        return bundling
+        return bundling, None
     sigma = covariance(train, config.criterion)
-    return greedy_merge(sigma, distances, config.n_bundles, config.diameter_km, panel.asset_ids)
+    bundling = greedy_merge(sigma, distances, config.n_bundles, config.diameter_km, panel.asset_ids)
+    return bundling, sigma
 
 
 def reconcile_forecasts(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
@@ -232,7 +235,7 @@ def run(config_path, out_dir=None) -> Path:
     config = load_run_config(config_path)
     with _fresh_out_dir(Path(out_dir or config.output_dir)) as out:
         panel = _stage("ingest", load_panel, config)
-        bundling = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
+        bundling, _ = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
         bundled = _run_pass(config, panel, bundling, out)
         if config.baseline:
             baseline = _run_pass(config, panel, Bundling.single_bundle(panel.asset_ids), out,
@@ -298,12 +301,10 @@ def stage_synth(config_path, out_dir=None) -> tuple[Path, Path]:
 def stage_bundle(config_path, out_dir=None) -> Path:
     """Learn bundles and write bundling.csv into the run directory."""
     config, out, panel = _open_stage(config_path, out_dir)
-    bundling = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
+    bundling, sigma = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
     out.mkdir(parents=True, exist_ok=True)  # the one stage that may create the run directory
     write_bundling_csv(bundling, out / BUNDLING_FILE)
-    if config.criterion != "kmeans":
-        train = panel.window(config.train_start, config.train_end)
-        sigma = covariance(train, config.criterion)
+    if sigma is not None:
         print(f"objective[{config.criterion}] = {objective(bundling, sigma):.6g}")
     return out / BUNDLING_FILE
 

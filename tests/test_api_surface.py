@@ -1,9 +1,12 @@
-"""Guards on the API surface: every error kind is raised, every export resolves, and
-the names the benchmark binds stay put."""
+"""Guards on the API surface: every error kind is raised, every export resolves, the
+names the benchmark binds stay put, and the command line needs NumPy alone."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,3 +71,15 @@ def test_traced_layer_names_keep_their_names():
                              LeadWeights(np.ones((3, 4)), np.zeros(3)))
     assert model.horizon == 3
     assert isinstance(model.gains, np.ndarray) and model.gains.nbytes == 3 * 4 * 8
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy is a test-only dependency: the command line runs on NumPy alone."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys, bundlecast.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"

@@ -453,6 +453,7 @@ def test_bundling_csv_round_trip(tmp_path, small_panel):
     ("-1,a1", "negative"),
     ("1,a0", "listed twice"),  # would silently move a0 to bundle 1
     ("3,a3", "no asset has bundle id 2"),  # would fail later, naming no file
+    ("3000000,a1", "bundle id 3000000 is not below the asset count 4"),  # K <= N
 ])
 def test_read_bundling_csv_rejects_malformed_rows(tmp_path, row, message):
     path = tmp_path / "bundling.csv"

@@ -1,6 +1,7 @@
 """Config file parsing: mandatory keys, validation, and the sweep list."""
 
 import math
+import re
 
 import pytest
 
@@ -89,6 +90,14 @@ def test_run_config_diameters_list(tmp_path):
     with pytest.raises(ConfigError, match="ascending"):
         load_run_config(write_config(
             tmp_path / "run.cfg", overrides={"diameters": "600, 250"}))
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_run_config_rejects_a_negative_or_non_finite_ridge_lambda(tmp_path, value):
+    path = write_config(tmp_path / "run.cfg", overrides={"bundle_ridge_lambda": value})
+    message = f"{path}: bundle_ridge_lambda must be finite and >= 0, got '{value}'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_run_config(path)
 
 
 def test_run_config_bad_choice(tmp_path):

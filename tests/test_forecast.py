@@ -1,13 +1,11 @@
 """Persistence, direct multi-horizon ridge, and the rolling harness."""
 
-import dataclasses
-
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import cho_factor, cho_solve
 
 from bundlecast import (
-    DAY_AHEAD,
-    SHORT_TERM,
     Bundling,
     ForecastTask,
     HierarchyForecast,
@@ -147,52 +145,6 @@ def test_ridge_predict_length_mismatch():
             model.predict_batch(histories)
 
 
-RIDGE_ARRAYS = ("weights", "intercept", "feature_mean", "feature_scale")
-
-
-def rebuilt(model, layout):
-    """The same model rebuilt from copies of its arrays in the given memory layout."""
-    return dataclasses.replace(
-        model, **{name: layout(getattr(model, name).copy()) for name in RIDGE_ARRAYS})
-
-
-def test_ridge_predict_bitwise_independent_of_array_layout(rng):
-    # The shapes the pipeline fits, with and without calendar features, each
-    # compared on a batch of histories: a model rebuilt from C- or
-    # Fortran-ordered copies of its arrays must hand BLAS the same layout as
-    # the fitted one (whose weights come out of the solver strided) and
-    # predict the same bits.
-    for shape in (SHORT_TERM, DAY_AHEAD):
-        for use_calendar in (False, True):
-            n = 4 * (shape.history_len + shape.horizon)
-            values = rng.uniform(0.0, 100.0, size=n)
-            ts = np.datetime64("2019-03-01T00:00:00", "s") + shape.step * np.arange(n)
-            model = ridge_fit(values, ts, shape, ridge_lambda=2.0, use_calendar=use_calendar)
-            histories = rng.uniform(0.0, 100.0, size=(16, shape.history_len))
-            origins = ts[rng.integers(0, n, size=16)] if use_calendar else None
-            expected = model.predict_batch(histories, origins)
-            for layout in (np.ascontiguousarray, np.asfortranarray):
-                np.testing.assert_array_equal(
-                    rebuilt(model, layout).predict_batch(histories, origins), expected,
-                    err_msg=f"H={shape.history_len} T={shape.horizon} "
-                            f"calendar={use_calendar} {layout.__name__}",
-                )
-
-
-def test_ridge_arrays_contiguous_and_read_only(rng):
-    values = rng.uniform(0.0, 100.0, size=100)
-    ts = hourly_timestamps(100)
-    fitted = ridge_fit(values, ts, ForecastTask(6, 4, 60), ridge_lambda=2.0, use_calendar=True)
-    for model in (fitted, rebuilt(fitted, np.asfortranarray)):
-        for name in RIDGE_ARRAYS:
-            arr = getattr(model, name)
-            assert arr.dtype == np.float64, name
-            assert arr.flags.c_contiguous, name
-            assert not arr.flags.writeable, name
-        with pytest.raises(ValueError):
-            model.weights[0, 0] = 0.0
-
-
 # --- hierarchy assembly ----------------------------------------------------------------
 
 def test_hierarchy_series_and_capacities(rng):
@@ -327,6 +279,46 @@ def test_rolling_ridge_predictions_respect_capacity(rng):
     caps = hierarchy_capacities(panel, b)
     assert (rf.test.values >= 0.0).all()
     assert (rf.test.values <= caps[None, :, None] + 1e-9).all()
+
+
+def _cholesky_ridge_forecasts(series, timestamps, task, spec, train_len, origins, cap):
+    """Oracle: one row's ridge forecasts at ``origins``, the normal equations
+    solved by scipy's Cholesky factorization."""
+    h = task.history_len
+    lags, targets, idx = _supervised_windows(series[:train_len], h, task.horizon)
+
+    def features(windows, at):
+        calendar = [_calendar_features(timestamps[at])] if spec.use_calendar else []
+        return np.hstack([windows, *calendar])
+
+    feats = features(lags, idx)
+    mean, scale = feats.mean(axis=0), feats.std(axis=0)
+    scale[scale < 1e-12] = 1.0
+    xa = np.hstack([(feats - mean) / scale, np.ones((feats.shape[0], 1))])
+    penalty = np.append(np.full(feats.shape[1], spec.ridge_lambda), 0.0)
+    w = cho_solve(cho_factor(xa.T @ xa + np.diag(penalty)), xa.T @ targets)
+    x = (features(sliding_window_view(series, h)[origins - h + 1], origins) - mean) / scale
+    return np.clip(x @ w[:-1] + w[-1], 0.0, cap)
+
+
+def test_rolling_ridge_matches_scipy_cholesky_oracle(rng):
+    panel = random_panel(rng, 5, 200)
+    b = Bundling.from_labels([0, 1, 0, 2, 1], 3, panel.asset_ids)
+    task = ForecastTask(8, 6, 15)
+    specs = {"fleet": ModelSpec("ridge", 0.5, True),
+             "bundle": ModelSpec("ridge", 2.0, False),
+             "asset": ModelSpec("ridge", 0.1, True)}
+    split_idx = 150
+    rf = rolling_forecast(panel, b, task, specs, panel.timestamps[split_idx])
+
+    series, caps = hierarchy_series(panel, b), hierarchy_capacities(panel, b)
+    levels = ["fleet"] + ["bundle"] * b.n_bundles + ["asset"] * panel.n_assets
+    origins = np.searchsorted(panel.timestamps, rf.test.origins)
+    expected = np.stack([
+        _cholesky_ridge_forecasts(series[r], panel.timestamps, task, specs[level], split_idx,
+                                  origins, caps[r])
+        for r, level in enumerate(levels)], axis=1)
+    np.testing.assert_allclose(rf.test.values, expected, rtol=1e-12, atol=0.0)
 
 
 def _insample_tensor(panel, b, task, specs, split_idx, origins):

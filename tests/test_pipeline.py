@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from bundlecast import Bundling, coherence_gap, ingest_panel, summing_matrix
+from bundlecast import (
+    Bundling,
+    coherence_gap,
+    covariance,
+    ingest_panel,
+    objective,
+    pipeline,
+    summing_matrix,
+)
 from bundlecast.bundling import read_bundling_csv, write_bundling_csv
 from bundlecast.cli import main
 from bundlecast.forecast import HierarchyForecast, read_forecast_csv, write_forecast_csv
@@ -205,6 +213,22 @@ def test_cli_stage_errors_are_tagged(data_dir, capsys):
     assert main(["reconcile", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "bundle" in err or "forecast" in err
+
+
+def test_cli_bundle_computes_the_covariance_once(data_dir, capsys, monkeypatch):
+    calls = []
+
+    def counting_covariance(*args):
+        calls.append(args)
+        return covariance(*args)
+
+    monkeypatch.setattr(pipeline, "covariance", counting_covariance)
+    assert main(["bundle", "--config", str(write_run_config(data_dir))]) == 0
+    assert len(calls) == 1
+    train, kind = calls[0]
+    bundling = read_bundling_csv(data_dir / "run_dir" / "bundling.csv", train.asset_ids)
+    assert capsys.readouterr().out.startswith(
+        f"objective[savar] = {objective(bundling, covariance(train, kind)):.6g}\n")
 
 
 def test_cli_sweep(data_dir):
