@@ -30,12 +30,9 @@ from .core import (
     seasonal_adjust,
 )
 from .forecast import (
-    DAY_AHEAD,
-    SHORT_TERM,
     ForecastTask,
     HierarchyForecast,
     ModelSpec,
-    RidgeModel,
     RollingForecasts,
     hierarchy_actuals,
     hierarchy_capacities,
@@ -69,8 +66,7 @@ __all__ = [
     "Bundling", "SweepPoint",
     "check_feasible", "diameter_sweep", "exact_partition",
     "greedy_merge", "kmeans_bundle", "objective",
-    "ForecastTask", "HierarchyForecast", "ModelSpec", "RidgeModel", "RollingForecasts",
-    "SHORT_TERM", "DAY_AHEAD",
+    "ForecastTask", "HierarchyForecast", "ModelSpec", "RollingForecasts",
     "hierarchy_actuals", "hierarchy_capacities", "hierarchy_series",
     "ridge_fit", "rolling_forecast",
     "EvaluationReport", "energy_distance", "evaluate", "nmae", "rmse", "variogram_score",

@@ -377,7 +377,7 @@ def diameter_sweep(panel: AssetPanel, distances: np.ndarray, criterion: Criterio
     failing the sweep.
     """
     diameters = [float(d) for d in diameters]
-    if any(d <= 0.0 for d in diameters):
+    if any(not d > 0.0 for d in diameters):
         raise ValueOutOfRangeError("diameters must be positive")
     if any(b < a for a, b in zip(diameters, diameters[1:])):
         raise ValueOutOfRangeError("diameters must be ascending")

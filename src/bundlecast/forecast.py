@@ -10,6 +10,11 @@ bundle, and for the fleet total):
   standardized, the intercept is unpenalized, and predictions are clipped
   to the physical range of the series.
 
+A ridge series builds one feature map over the whole panel: row j holds the
+H samples that end at index j+H-1, then that origin's calendar encodings.
+The model is fitted on the rows whose T targets lie in the training range,
+and every forecast reads its row from the same map.
+
 The rolling harness issues a forecast at every eligible origin of the test
 range and keeps those forecasts. It also forecasts every eligible origin of
 the training range, but keeps only each row's per-lead mean squared error
@@ -64,10 +69,6 @@ class ForecastTask:
     @property
     def step(self) -> np.timedelta64:
         return np.timedelta64(self.granularity_minutes * 60, "s")
-
-
-SHORT_TERM = ForecastTask(history_len=48, horizon=24, granularity_minutes=15)
-DAY_AHEAD = ForecastTask(history_len=72, horizon=48, granularity_minutes=60)
 
 
 @dataclass(frozen=True)
@@ -158,84 +159,35 @@ def _calendar_features(origins: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class RidgeModel:
-    """Fitted direct multi-horizon ridge map from H lags to T leads.
+def _ridge_features(series: np.ndarray, timestamps: np.ndarray, history_len: int,
+                    use_calendar: bool) -> np.ndarray:
+    """Row j: the H samples ending at index j+H-1, then that origin's calendar encodings."""
+    lags = sliding_window_view(series, history_len)
+    if not use_calendar:
+        return lags
+    return np.hstack([lags, _calendar_features(timestamps[history_len - 1:])])
 
-    ``weights`` act on standardized features; ``intercept`` is unpenalized.
+
+def ridge_fit(features: np.ndarray, targets: np.ndarray,
+              ridge_lambda: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit the direct multi-horizon ridge map from (n, F) features to (n, T) targets.
+
+    Returns the feature mean and scale that standardize a row, and the
+    (F+1, T) solution of (X'X + lambda*P) W = X'Y, whose last row is the
+    intercept; P penalizes every standardized feature except the intercept.
+    ``np.linalg.cholesky`` first tests the left-hand side for positive
+    definiteness, so at lambda=0 a rank-deficient feature matrix raises
+    InsufficientDataError instead of being silently regularized.
     """
-
-    weights: np.ndarray        # (n_features, horizon)
-    intercept: np.ndarray      # (horizon,)
-    feature_mean: np.ndarray   # (n_features,)
-    feature_scale: np.ndarray  # (n_features,)
-    history_len: int
-    use_calendar: bool
-
-    def _features(self, histories: np.ndarray, origins) -> np.ndarray:
-        feats = histories
-        if self.use_calendar:
-            if origins is None:
-                raise ShapeMismatchError("model uses calendar encodings; origins required")
-            feats = np.hstack([feats, _calendar_features(np.atleast_1d(origins))])
-        return (feats - self.feature_mean) / self.feature_scale
-
-    def predict_batch(self, histories: np.ndarray, origins=None, cap: float | None = None) -> np.ndarray:
-        """Predict (M, T) leads from (M, H) trailing windows."""
-        histories = np.asarray(histories, dtype=np.float64)
-        if histories.ndim != 2 or histories.shape[1] != self.history_len:
-            raise ShapeMismatchError(
-                f"histories shape {histories.shape} does not match input window {self.history_len}"
-            )
-        x = self._features(histories, origins)
-        out = x @ self.weights + self.intercept
-        if cap is not None:
-            out = np.clip(out, 0.0, cap)
-        return out
-
-
-def _supervised_windows(values: np.ndarray, history_len: int, horizon: int):
-    """Sliding (lags, targets, origin-index) triples over one series."""
-    n = values.shape[0]
-    n_rows = n - history_len - horizon + 1
-    lags = sliding_window_view(values, history_len)[:n_rows]
-    targets = sliding_window_view(values, horizon)[history_len:history_len + n_rows]
-    origin_idx = np.arange(history_len - 1, history_len - 1 + n_rows)
-    return lags, targets, origin_idx
-
-
-def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
-              ridge_lambda: float = 1.0, use_calendar: bool = False) -> RidgeModel:
-    """Fit the direct multi-horizon ridge model on one series.
-
-    Solves (X'X + lambda*P) W = X'Y where P penalizes every standardized
-    feature except the intercept. ``np.linalg.cholesky`` first tests the
-    left-hand side for positive definiteness, so at lambda=0 a
-    rank-deficient feature matrix raises InsufficientDataError instead of
-    being silently regularized.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    h, t = task.history_len, task.horizon
-    if values.shape[0] < h + t + 1:
-        raise InsufficientDataError(
-            f"need at least {h + t + 1} training samples for H={h}, T={t}; got {values.shape[0]}"
-        )
-    lags, targets, origin_idx = _supervised_windows(values, h, t)
-    feats = lags
-    if use_calendar:
-        feats = np.hstack([lags, _calendar_features(np.asarray(timestamps)[origin_idx])])
-
-    mean = feats.mean(axis=0)
-    scale = feats.std(axis=0)
+    mean = features.mean(axis=0)
+    scale = features.std(axis=0)
     scale = np.where(scale < 1e-12, 1.0, scale)
-    x = (feats - mean) / scale
+    x = (features - mean) / scale
     xa = np.hstack([x, np.ones((x.shape[0], 1))])
 
     n_feat = x.shape[1]
     gram = xa.T @ xa
-    penalty = np.zeros(n_feat + 1)
-    penalty[:n_feat] = ridge_lambda
-    gram[np.diag_indices_from(gram)] += penalty
+    gram[np.diag_indices(n_feat)] += ridge_lambda
     rhs = xa.T @ targets
     try:
         np.linalg.cholesky(gram)
@@ -244,15 +196,7 @@ def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
             f"normal equations singular at lambda={ridge_lambda} "
             f"({x.shape[0]} rows, {n_feat} features); degenerate features"
         ) from exc
-    solution = np.linalg.solve(gram, rhs)
-    return RidgeModel(
-        weights=solution[:n_feat],
-        intercept=solution[n_feat],
-        feature_mean=mean,
-        feature_scale=scale,
-        history_len=h,
-        use_calendar=use_calendar,
-    )
+    return mean, scale, np.linalg.solve(gram, rhs)
 
 
 # --- rolling-origin harness ------------------------------------------------------
@@ -261,14 +205,13 @@ def ridge_fit(values: np.ndarray, timestamps: np.ndarray, task: ForecastTask,
 class RollingForecasts:
     """Test-range forecasts and in-sample residual moments.
 
-    ``second_moment[tau-1, r]`` is the mean over the ``n_insample_origins``
-    training-range origins of hierarchy row r's squared lead-tau error; the
-    in-sample forecasts themselves are not kept.
+    ``second_moment[tau-1, r]`` is the mean over the eligible training-range
+    origins of hierarchy row r's squared lead-tau error; the in-sample
+    forecasts themselves are not kept.
     """
 
     test: HierarchyForecast
     second_moment: np.ndarray   # (horizon, n_rows)
-    n_insample_origins: int
 
 
 def hierarchy_series(panel: AssetPanel, bundling: Bundling) -> np.ndarray:
@@ -304,17 +247,22 @@ def _forecast_series(series: np.ndarray, timestamps: np.ndarray, origin_sets,
                      cap: float) -> list[np.ndarray]:
     """Forecasts (M, T) for one series at each array of origin indices.
 
-    A ridge model is fitted once and predicts each origin set with its own
-    ``predict_batch`` call, so every set gets the values it would get alone.
+    A ridge row is fitted once, on the feature rows whose targets end inside
+    the first ``train_len`` samples, and predicts each origin set with its
+    own product, so every set gets the values it would get alone.
     """
+    h, t = task.history_len, task.horizon
     if spec.model == "persistence":
-        return [np.repeat(series[origins][:, None], task.horizon, axis=1)
-                for origins in origin_sets]
-    model = ridge_fit(series[:train_len], timestamps[:train_len], task,
-                      spec.ridge_lambda, spec.use_calendar)
-    windows = sliding_window_view(series, task.history_len)
-    return [model.predict_batch(windows[origins - task.history_len + 1],
-                                timestamps[origins], cap)
+        return [np.repeat(series[origins][:, None], t, axis=1) for origins in origin_sets]
+    if train_len < h + t + 1:
+        raise InsufficientDataError(
+            f"need at least {h + t + 1} training samples for H={h}, T={t}; got {train_len}"
+        )
+    feats = _ridge_features(series, timestamps, h, spec.use_calendar)
+    n_fit = train_len - h - t + 1
+    mean, scale, w = ridge_fit(feats[:n_fit], sliding_window_view(series, t)[h:h + n_fit],
+                               spec.ridge_lambda)
+    return [np.clip((feats[origins - h + 1] - mean) / scale @ w[:-1] + w[-1], 0.0, cap)
             for origins in origin_sets]
 
 
@@ -364,7 +312,7 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
 
     test = HierarchyForecast(panel.timestamps[test_origins], test_values,
                              bundling.n_bundles, panel.n_assets)
-    return RollingForecasts(test, moments.T, int(train_origins.size))
+    return RollingForecasts(test, moments.T)
 
 
 # --- CSV interface ----------------------------------------------------------------
@@ -537,40 +485,32 @@ def _block_fault(path, first_ln: int, block: list[str], keys, suffixes: list[str
 MOMENTS_HEADER = "lead,row,second_moment"
 
 
-def write_moments_csv(second_moment: np.ndarray, n_origins: int, path) -> None:
+def write_moments_csv(second_moment: np.ndarray, path) -> None:
     """Write (horizon, n_rows) residual moments as `lead,row,second_moment` lines.
 
-    The first line records the origin count. Cells go in (lead, row) order
-    and each value is its ``repr``, the shortest text that parses back to
-    the same float, so a reader rebuilds the exact moments.
+    Cells go in (lead, row) order and each value is its ``repr``, the
+    shortest text that parses back to the same float, so a reader rebuilds
+    the exact moments.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n_origins,{n_origins}\n{MOMENTS_HEADER}\n")
+        fh.write(f"{MOMENTS_HEADER}\n")
         for tau, values in enumerate(np.asarray(second_moment).tolist(), start=1):
             fh.write("".join(f"{tau},{r},{v!r}\n" for r, v in enumerate(values)))
 
 
-def read_moments_csv(path, n_rows: int, horizon: int) -> tuple[np.ndarray, int]:
-    """The (horizon, n_rows) moments and origin count written by :func:`write_moments_csv`.
+def read_moments_csv(path, n_rows: int, horizon: int) -> np.ndarray:
+    """The (horizon, n_rows) moments written by :func:`write_moments_csv`.
 
     Every cell must appear once, in the writer's (lead, row) order, with a
     finite non-negative value; anything else raises FormatError at its line.
     """
     values = np.empty(horizon * n_rows)
     with open(path, encoding="utf-8") as fh:
-        count_line, header = fh.readline().strip(), fh.readline().strip()
-        key, _, count_text = count_line.partition(",")
-        try:
-            n_origins = int(count_text) if key == "n_origins" else 0
-        except ValueError:
-            n_origins = 0
-        if n_origins < 1:
-            raise FormatError(f"{path}:1: expected 'n_origins,<count of at least 1>', "
-                              f"got {count_line!r}")
+        header = fh.readline().strip()
         if header != MOMENTS_HEADER:
-            raise FormatError(f"{path}:2: expected header {MOMENTS_HEADER!r}, got {header!r}")
-        i, ln = 0, 2
-        for ln, line in enumerate(fh, start=3):
+            raise FormatError(f"{path}:1: expected header {MOMENTS_HEADER!r}, got {header!r}")
+        i, ln = 0, 1
+        for ln, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
@@ -606,4 +546,4 @@ def read_moments_csv(path, n_rows: int, horizon: int) -> tuple[np.ndarray, int]:
     if i < values.size:
         raise FormatError(f"{path}:{ln + 1}: the file ends before lead {i // n_rows + 1}, "
                           f"row {i % n_rows}; expected {horizon} leads of {n_rows} rows")
-    return values.reshape(horizon, n_rows), n_origins
+    return values.reshape(horizon, n_rows)

@@ -134,10 +134,9 @@ def make_bundling(config: RunConfig, panel: AssetPanel,
 
 
 def reconcile_forecasts(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
-                        n_origins: int,
                         test: HierarchyForecast) -> tuple[LeadWeights, HierarchyForecast]:
     """Per-lead WLS weights from the in-sample residual moments, applied to the test forecasts."""
-    weights = estimate_weights(second_moment, n_origins,
+    weights = estimate_weights(second_moment,
                                eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
     return weights, reconcile(build_reconciler(bundling, weights), test)
 
@@ -219,7 +218,7 @@ def _run_pass(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Pat
     write_forecast_csv(forecasts.test, panel.asset_ids, out / (prefix + FORECAST_TEST_FILE))
     weights, reconciled = _stage(
         "reconcile", reconcile_forecasts, panel, bundling, forecasts.second_moment,
-        forecasts.n_insample_origins, forecasts.test)
+        forecasts.test)
     _write_reconciled(out, panel, bundling, weights, reconciled, prefix)
     raw_reports, reports = _stage(
         "evaluate", evaluate_forecasts, panel, bundling, forecasts.test, reconciled)
@@ -261,7 +260,7 @@ def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *names):
     """``(bundling, *products)`` read from a run directory, checked against the config.
 
     A forecast CSV is read as a HierarchyForecast, the moments file as its
-    ``(second_moment, n_origins)`` pair.
+    (horizon, n_rows) array.
     """
     for name in (BUNDLING_FILE, *names):
         if not (out / name).exists():
@@ -316,17 +315,17 @@ def stage_forecast(config_path, out_dir=None) -> Path:
     forecasts = _stage("forecast", rolling_forecast, panel, bundling, config.forecast_task,
                        config.specs, config.test_start)
     write_forecast_csv(forecasts.test, panel.asset_ids, out / FORECAST_TEST_FILE)
-    write_moments_csv(forecasts.second_moment, forecasts.n_insample_origins, out / MOMENTS_FILE)
+    write_moments_csv(forecasts.second_moment, out / MOMENTS_FILE)
     return out / FORECAST_TEST_FILE
 
 
 def stage_reconcile(config_path, out_dir=None) -> Path:
     """Reconcile the raw forecasts written by the forecast stage."""
     config, out, panel = _open_stage(config_path, out_dir)
-    bundling, (second_moment, n_origins), test = _stage(
+    bundling, second_moment, test = _stage(
         "reconcile", _load_inputs, config, out, panel, MOMENTS_FILE, FORECAST_TEST_FILE)
     weights, reconciled = _stage(
-        "reconcile", reconcile_forecasts, panel, bundling, second_moment, n_origins, test)
+        "reconcile", reconcile_forecasts, panel, bundling, second_moment, test)
     _write_reconciled(out, panel, bundling, weights, reconciled)
     return out / RECONCILED_FILE
 

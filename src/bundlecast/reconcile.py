@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundling import Bundling
-from .errors import InsufficientDataError, ShapeMismatchError, ValueOutOfRangeError
+from .errors import ShapeMismatchError, ValueOutOfRangeError
 from .forecast import HierarchyForecast
 
 
@@ -72,17 +72,14 @@ class LeadWeights:
         v.flags.writeable = False
 
 
-def estimate_weights(second_moment: np.ndarray, n_origins: int,
-                     eps_floor: float) -> LeadWeights:
+def estimate_weights(second_moment: np.ndarray, eps_floor: float) -> LeadWeights:
     """Per-lead, per-row weights from the (T, R) mean squared in-sample errors.
 
-    ``second_moment`` averages over ``n_origins`` in-sample origins (see
+    ``second_moment`` averages over the in-sample origins (see
     ``RollingForecasts``). A negative moment is an error, not a zero. The
     floor guards against exactly-zero residuals (e.g. persistence over a
     constant stretch), which would make the weight matrix singular.
     """
-    if n_origins < 1:
-        raise InsufficientDataError("weight estimation needs at least one origin")
     if not eps_floor > 0.0:
         raise ValueOutOfRangeError(f"eps_floor must be positive, got {eps_floor}")
     second_moment = np.asarray(second_moment, dtype=np.float64)

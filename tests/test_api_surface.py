@@ -3,6 +3,7 @@ names the benchmark binds stay put, and the command line needs NumPy alone."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -12,10 +13,11 @@ from pathlib import Path
 import numpy as np
 
 import bundlecast
-from bundlecast import Bundling, LeadWeights, build_reconciler, core, errors, greedy_merge
+from bundlecast import Bundling, LeadWeights, build_reconciler, errors, greedy_merge
 from bundlecast.forecast import read_forecast_csv, write_forecast_csv
 
 PACKAGE_DIR = Path(bundlecast.__file__).parent
+BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def raised_classes():
@@ -62,10 +64,20 @@ def test_forecast_csv_parameters_keep_their_names():
 
 
 def test_traced_layer_names_keep_their_names():
-    """``bench/spans.py`` wraps ``core.covariance`` by name, counts merges from
-    ``greedy_merge``'s ``asset_order`` argument, and reads ``horizon`` and
-    ``gains`` off ``build_reconciler``'s result."""
-    assert inspect.isfunction(core.covariance)
+    """``bench/spans.py`` wraps each of its layer functions by name (among them
+    ``forecast.ridge_fit``, ``forecast.rolling_forecast`` and
+    ``reconcile.estimate_weights``), counts merges from ``greedy_merge``'s
+    ``asset_order`` argument, and reads ``horizon`` and ``gains`` off
+    ``build_reconciler``'s result."""
+    spec = importlib.util.spec_from_file_location("spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    layers = {(module, function) for module, function, _ in spans.LAYERS}
+    assert {("forecast", "ridge_fit"), ("forecast", "rolling_forecast"),
+            ("reconcile", "estimate_weights"), ("core", "covariance")} <= layers
+    for module, function in sorted(layers):
+        obj = getattr(importlib.import_module(f"bundlecast.{module}"), function, None)
+        assert inspect.isfunction(obj), f"{module}.{function}"
     assert "asset_order" in inspect.signature(greedy_merge).parameters
     model = build_reconciler(Bundling.single_bundle(("a", "b")),
                              LeadWeights(np.ones((3, 4)), np.zeros(3)))

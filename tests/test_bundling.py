@@ -398,6 +398,13 @@ def test_sweep_empty_diameter_list(small_panel):
     assert diameter_sweep(small_panel, d, "savar", 2, []) == []
 
 
+def test_sweep_rejects_a_non_positive_or_nan_diameter(small_panel):
+    d = haversine_matrix(small_panel.assets)
+    for diameters in ([0.0, 300.0], [100.0, math.nan, 600.0]):
+        with pytest.raises(ValueOutOfRangeError, match="diameters must be positive"):
+            diameter_sweep(small_panel, d, "savar", 2, diameters)
+
+
 def test_sweep_marks_infeasible_rows():
     panel = far_apart_panel()
     d = haversine_matrix(panel.assets)

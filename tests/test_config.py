@@ -90,6 +90,10 @@ def test_run_config_diameters_list(tmp_path):
     with pytest.raises(ConfigError, match="ascending"):
         load_run_config(write_config(
             tmp_path / "run.cfg", overrides={"diameters": "600, 250"}))
+    for diameters in ("0, 250", "100, nan, 600"):  # NaN compares false with everything
+        with pytest.raises(ConfigError, match="diameters must be positive"):
+            load_run_config(write_config(
+                tmp_path / "run.cfg", overrides={"diameters": diameters}))
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])

@@ -13,13 +13,14 @@ from bundlecast import (
     hierarchy_actuals,
     hierarchy_capacities,
     hierarchy_series,
-    ridge_fit,
     rolling_forecast,
 )
 from bundlecast.forecast import (
     _calendar_features,
-    _supervised_windows,
+    _forecast_series,
+    _ridge_features,
     read_forecast_csv,
+    ridge_fit,
     read_moments_csv,
     write_forecast_csv,
     write_moments_csv,
@@ -31,118 +32,122 @@ from bundlecast.errors import (
     ValueOutOfRangeError,
 )
 
-from conftest import make_panel, random_panel
+from conftest import random_panel
 
 
 def hourly_timestamps(n, start="2019-03-01T00:00:00"):
     return np.datetime64(start, "s") + np.timedelta64(3600, "s") * np.arange(n)
 
 
-# --- ridge fit -------------------------------------------------------------------
+def windows(values, history_len, horizon):
+    """(lags, targets) of every origin whose H lags and T targets lie in ``values``."""
+    n_rows = values.shape[0] - history_len - horizon + 1
+    lags = np.stack([values[j:j + history_len] for j in range(n_rows)])
+    targets = np.stack([values[j + history_len:j + history_len + horizon]
+                        for j in range(n_rows)])
+    return lags, targets
+
+
+def standardized(lags, mean, scale):
+    return np.hstack([(lags - mean) / scale, np.ones((lags.shape[0], 1))])
+
+
+# --- ridge features and fit ----------------------------------------------------------
+
+def test_ridge_features_are_lags_then_calendar(rng):
+    values = rng.uniform(0.0, 30.0, size=80)
+    ts = hourly_timestamps(80)
+    h = 5
+    plain = _ridge_features(values, ts, h, use_calendar=False)
+    feats = _ridge_features(values, ts, h, use_calendar=True)
+    assert plain.shape == (76, h) and feats.shape == (76, h + 4)
+    for j in range(76):
+        expect = np.concatenate([values[j:j + h], _calendar_features(ts[j + h - 1:j + h])[0]])
+        assert feats[j].tobytes() == expect.tobytes(), j
+        assert plain[j].tobytes() == values[j:j + h].tobytes(), j
+
 
 def test_ridge_recovers_exact_linear_map():
     # y_t = 2 * y_{t-1}, lambda=0, H=1, T=1: lag coefficient must be 2
-    values = 2.0 ** np.arange(12)
-    task = ForecastTask(1, 1, 60)
-    model = ridge_fit(values, hourly_timestamps(12), task, ridge_lambda=0.0)
-    # weights act on standardized features; divide by the scale for the raw map
-    assert model.weights[0, 0] / model.feature_scale[0] == pytest.approx(2.0, abs=1e-8)
+    _, scale, w = ridge_fit(*windows(2.0 ** np.arange(12), 1, 1), ridge_lambda=0.0)
+    # the solution acts on standardized features; divide by the scale for the raw map
+    assert w[0, 0] / scale[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_ridge_matches_pseudo_inverse_oracle(rng):
-    values = rng.uniform(0.0, 50.0, size=120)
-    task = ForecastTask(6, 3, 60)
-    model = ridge_fit(values, hourly_timestamps(120), task, ridge_lambda=0.0)
-
-    lags, targets, _ = _supervised_windows(values, 6, 3)
-    x = (lags - model.feature_mean) / model.feature_scale
-    xa = np.hstack([x, np.ones((x.shape[0], 1))])
-    expect, *_ = np.linalg.lstsq(xa, targets, rcond=None)
-    np.testing.assert_allclose(model.weights, expect[:6], rtol=1e-8, atol=1e-10)
-    np.testing.assert_allclose(model.intercept, expect[6], rtol=1e-8, atol=1e-10)
+    lags, targets = windows(rng.uniform(0.0, 50.0, size=120), 6, 3)
+    mean, scale, w = ridge_fit(lags, targets, ridge_lambda=0.0)
+    expect, *_ = np.linalg.lstsq(standardized(lags, mean, scale), targets, rcond=None)
+    np.testing.assert_allclose(w[:6], expect[:6], rtol=1e-8, atol=1e-10)
+    np.testing.assert_allclose(w[6], expect[6], rtol=1e-8, atol=1e-10)
 
 
 def test_ridge_matches_closed_form_at_positive_lambda(rng):
-    values = rng.uniform(0.0, 10.0, size=90)
     lam = 3.7
-    task = ForecastTask(4, 2, 60)
-    model = ridge_fit(values, hourly_timestamps(90), task, ridge_lambda=lam)
-
-    lags, targets, _ = _supervised_windows(values, 4, 2)
-    x = (lags - model.feature_mean) / model.feature_scale
-    xa = np.hstack([x, np.ones((x.shape[0], 1))])
+    lags, targets = windows(rng.uniform(0.0, 10.0, size=90), 4, 2)
+    mean, scale, w = ridge_fit(lags, targets, ridge_lambda=lam)
+    xa = standardized(lags, mean, scale)
     penalty = np.diag([lam] * 4 + [0.0])
     expect = np.linalg.inv(xa.T @ xa + penalty) @ xa.T @ targets
-    np.testing.assert_allclose(model.weights, expect[:4], rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(model.intercept, expect[4], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(w[:4], expect[:4], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(w[4], expect[4], rtol=1e-9, atol=1e-12)
 
 
 def test_ridge_shrinkage_limit(rng):
     values = rng.uniform(0.0, 1.0, size=200)
     task = ForecastTask(5, 2, 60)
-    model = ridge_fit(values, hourly_timestamps(200), task, ridge_lambda=1e9)
-    assert np.all(np.abs(model.weights) < 1e-5)
-    lags, targets, _ = _supervised_windows(values, 5, 2)
-    preds = model.predict_batch(lags)
+    lags, targets = windows(values, 5, 2)
+    _, _, w = ridge_fit(lags, targets, ridge_lambda=1e9)
+    assert np.all(np.abs(w[:-1]) < 1e-5)
+    origins = np.arange(4, 4 + lags.shape[0])  # every training origin
+    (preds,) = _forecast_series(values, hourly_timestamps(200), [origins],
+                                ModelSpec("ridge", 1e9), task, 200, cap=1.0)
     np.testing.assert_allclose(preds, np.tile(targets.mean(axis=0), (preds.shape[0], 1)),
                                atol=1e-4)
 
 
-def test_ridge_insufficient_data():
-    task = ForecastTask(4, 4, 60)
-    with pytest.raises(InsufficientDataError):
-        ridge_fit(np.ones(8), hourly_timestamps(8), task)
+def test_ridge_insufficient_data(rng):
+    # 8 training samples leave one persistence origin but are too few to fit H=4, T=4
+    panel = random_panel(rng, 3, 50)
+    b = Bundling.single_bundle(panel.asset_ids)
+    specs = {**persistence_specs(), "bundle": ModelSpec("ridge")}
+    rolling_forecast(panel, b, ForecastTask(4, 4, 15), persistence_specs(), panel.timestamps[8])
+    with pytest.raises(InsufficientDataError, match="need at least 9 training samples for "
+                                                    "H=4, T=4; got 8"):
+        rolling_forecast(panel, b, ForecastTask(4, 4, 15), specs, panel.timestamps[8])
 
 
 def test_ridge_singular_at_lambda_zero():
     # constant series: zero-variance lag columns are degenerate at lambda=0
-    task = ForecastTask(3, 1, 60)
+    lags, targets = windows(np.full(30, 5.0), 3, 1)
     with pytest.raises(InsufficientDataError, match="normal equations singular"):
-        ridge_fit(np.full(30, 5.0), hourly_timestamps(30), task, ridge_lambda=0.0)
+        ridge_fit(lags, targets, ridge_lambda=0.0)
     # any positive penalty restores solvability
-    ridge_fit(np.full(30, 5.0), hourly_timestamps(30), task, ridge_lambda=1.0)
+    ridge_fit(lags, targets, ridge_lambda=1.0)
 
 
 # --- ridge predict ------------------------------------------------------------------
 
 def test_ridge_predict_constant_series():
     task = ForecastTask(4, 3, 60)
-    model = ridge_fit(np.full(40, 8.25), hourly_timestamps(40), task, ridge_lambda=1.0)
-    np.testing.assert_allclose(model.predict_batch(np.full((1, 4), 8.25)), np.full((1, 3), 8.25),
-                               atol=1e-9)
+    (preds,) = _forecast_series(np.full(40, 8.25), hourly_timestamps(40), [np.arange(3, 40)],
+                                ModelSpec("ridge", 1.0), task, 40, cap=10.0)
+    np.testing.assert_allclose(preds, np.full((37, 3), 8.25), atol=1e-9)
 
 
 def test_ridge_predict_clips_to_range():
-    # downtrend: extrapolating below zero must clip at 0
+    # downtrend: extrapolating below zero from the last origin must clip at 0
     values = np.linspace(50.0, 1.0, 60)
-    task = ForecastTask(2, 4, 60)
-    model = ridge_fit(values, hourly_timestamps(60), task, ridge_lambda=0.0)
-    raw = model.predict_batch(np.array([[2.0, 1.0]]))
+    lags, targets = windows(values, 2, 4)
+    mean, scale, w = ridge_fit(lags, targets, ridge_lambda=0.0)
+    raw = standardized(values[None, 58:], mean, scale) @ w
     assert raw.min() < 0.0
-    clipped = model.predict_batch(np.array([[2.0, 1.0]]), cap=50.0)
+    (clipped,) = _forecast_series(values, hourly_timestamps(60), [np.array([59])],
+                                  ModelSpec("ridge", 0.0), ForecastTask(2, 4, 60), 60,
+                                  cap=50.0)
     assert clipped.min() == 0.0
     assert clipped.max() <= 50.0
-
-
-def test_ridge_predict_reproduces_training_row(rng):
-    values = rng.uniform(0.0, 30.0, size=80)
-    ts = hourly_timestamps(80)
-    task = ForecastTask(5, 2, 60)
-    model = ridge_fit(values, ts, task, ridge_lambda=0.5, use_calendar=True)
-    lags, _, origin_idx = _supervised_windows(values, 5, 2)
-    j = 17
-    fitted = model.predict_batch(lags[j:j + 1], ts[origin_idx[j:j + 1]])[0]
-    x = np.concatenate([lags[j], _calendar_features(ts[origin_idx[j]:origin_idx[j] + 1])[0]])
-    expect = ((x - model.feature_mean) / model.feature_scale) @ model.weights + model.intercept
-    np.testing.assert_allclose(fitted, expect, rtol=1e-12)
-
-
-def test_ridge_predict_length_mismatch():
-    task = ForecastTask(4, 2, 60)
-    model = ridge_fit(np.arange(40.0), hourly_timestamps(40), task)
-    for histories in (np.ones((1, 3)), np.ones(4)):
-        with pytest.raises(ShapeMismatchError, match="does not match input window 4"):
-            model.predict_batch(histories)
+    np.testing.assert_allclose(clipped, np.clip(raw, 0.0, 50.0), rtol=1e-12, atol=1e-12)
 
 
 # --- hierarchy assembly ----------------------------------------------------------------
@@ -197,7 +202,6 @@ def test_rolling_persistence_is_coherent(rng):
     # so the lead-tau in-sample moment is the mean of (y[o] - y[o+tau])^2 over
     # origins o with 4 samples of history and a horizon inside the training range
     origins = np.arange(task.history_len - 1, 40 - task.horizon)
-    assert rf.n_insample_origins == origins.size
     for tau in range(1, task.horizon + 1):
         # summed origin by origin, the order np.mean takes down an (M, T) array's rows
         expect = sum((series[:, o] - series[:, o + tau]) ** 2 for o in origins) / origins.size
@@ -220,11 +224,14 @@ def test_rolling_skips_exactly_short_history_origins(rng):
     task = ForecastTask(8, 2, 15)
     rf = rolling_forecast(panel, b, task, persistence_specs(), panel.timestamps[30])
     # origins 0..6 lack 8 prior samples; origins 7..27: 28 + 2 leads stay before the split
-    assert rf.n_insample_origins == 21
+    series = hierarchy_series(panel, b)
+    origins = np.arange(7, 28)
+    for tau in (1, 2):
+        expect = sum((series[:, o] - series[:, o + tau]) ** 2 for o in origins) / origins.size
+        np.testing.assert_array_equal(rf.second_moment[tau - 1], expect)
     assert rf.test.origins[0] == panel.timestamps[30]  # no test origin is skipped
     assert not np.isnan(rf.test.values).any()
     assert rf.second_moment.shape == (2, 5)
-    assert np.isfinite(rf.second_moment).all()
 
 
 def test_rolling_without_insample_origin_raises(rng):
@@ -247,7 +254,6 @@ def test_rolling_is_deterministic(rng):
     c = rolling_forecast(panel, b, task, specs, panel.timestamps[90])
     np.testing.assert_array_equal(a.test.values, c.test.values)
     np.testing.assert_array_equal(a.second_moment, c.second_moment)
-    assert a.n_insample_origins == c.n_insample_origins
 
 
 def test_rolling_fits_each_ridge_row_once(rng, monkeypatch):
@@ -265,7 +271,7 @@ def test_rolling_fits_each_ridge_row_once(rng, monkeypatch):
              "asset": ModelSpec("persistence")}
     rf = rolling_forecast(panel, b, ForecastTask(6, 4, 15), specs, panel.timestamps[90])
     assert len(calls) == 1 + b.n_bundles  # fleet and bundle rows; assets use persistence
-    assert rf.test.n_origins > 0 and rf.n_insample_origins > 0
+    assert rf.test.n_origins > 0
 
 
 def test_rolling_ridge_predictions_respect_capacity(rng):
@@ -285,13 +291,13 @@ def _cholesky_ridge_forecasts(series, timestamps, task, spec, train_len, origins
     """Oracle: one row's ridge forecasts at ``origins``, the normal equations
     solved by scipy's Cholesky factorization."""
     h = task.history_len
-    lags, targets, idx = _supervised_windows(series[:train_len], h, task.horizon)
+    lags, targets = windows(series[:train_len], h, task.horizon)
 
     def features(windows, at):
         calendar = [_calendar_features(timestamps[at])] if spec.use_calendar else []
         return np.hstack([windows, *calendar])
 
-    feats = features(lags, idx)
+    feats = features(lags, np.arange(h - 1, h - 1 + lags.shape[0]))
     mean, scale = feats.mean(axis=0), feats.std(axis=0)
     scale[scale < 1e-12] = 1.0
     xa = np.hstack([(feats - mean) / scale, np.ones((feats.shape[0], 1))])
@@ -326,17 +332,10 @@ def _insample_tensor(panel, b, task, specs, split_idx, origins):
     series = hierarchy_series(panel, b)
     caps = hierarchy_capacities(panel, b)
     levels = ["fleet"] + ["bundle"] * b.n_bundles + ["asset"] * panel.n_assets
-    out = np.empty((origins.size, series.shape[0], task.horizon))
-    for r, level in enumerate(levels):
-        spec = specs[level]
-        if spec.model == "persistence":
-            out[:, r, :] = series[r, origins][:, None]
-            continue
-        model = ridge_fit(series[r, :split_idx], panel.timestamps[:split_idx], task,
-                          spec.ridge_lambda, spec.use_calendar)
-        histories = np.stack([series[r, o - task.history_len + 1:o + 1] for o in origins])
-        out[:, r, :] = model.predict_batch(histories, panel.timestamps[origins], caps[r])
-    return out
+    return np.stack([
+        _forecast_series(series[r], panel.timestamps, [origins], specs[level], task,
+                         split_idx, caps[r])[0]
+        for r, level in enumerate(levels)], axis=1)
 
 
 @pytest.mark.parametrize("model, use_calendar, horizon", [
@@ -354,7 +353,6 @@ def test_rolling_moments_match_insample_tensor(rng, model, use_calendar, horizon
     rf = rolling_forecast(panel, b, task, specs, panel.timestamps[split_idx])
 
     origins = np.arange(task.history_len - 1, split_idx - horizon)
-    assert rf.n_insample_origins == origins.size
     forecasts = _insample_tensor(panel, b, task, specs, split_idx, origins)
     actuals = hierarchy_actuals(panel, b, panel.timestamps[origins], horizon).values
     err = forecasts - actuals
@@ -502,15 +500,13 @@ def test_moments_csv_round_trip_is_exact(tmp_path, rng):
     moments = rng.uniform(0.0, 50.0, size=(3, 4)) ** 3  # all 17 significant digits in use
     moments[1, 2] = 0.0
     path = tmp_path / "moments.csv"
-    write_moments_csv(moments, 57, path)
+    write_moments_csv(moments, path)
     lines = path.read_text().splitlines()
-    assert lines[:3] == ["n_origins,57", "lead,row,second_moment", f"1,0,{float(moments[0, 0])!r}"]
-    back, n_origins = read_moments_csv(path, 4, 3)
-    np.testing.assert_array_equal(back, moments)
-    assert n_origins == 57
+    assert lines[:2] == ["lead,row,second_moment", f"1,0,{float(moments[0, 0])!r}"]
+    np.testing.assert_array_equal(read_moments_csv(path, 4, 3), moments)
 
 
-COUNT, HEADER = "n_origins,5", "lead,row,second_moment"
+HEADER = "lead,row,second_moment"
 CELLS = ["1,0,1.5", "1,1,1.5", "2,0,1.5", "2,1,1.5"]  # 2 leads x 2 hierarchy rows
 
 
@@ -518,40 +514,35 @@ def _cells(n_leads, n_rows):
     return [f"{tau},{r},1.5" for tau in range(1, n_leads + 1) for r in range(n_rows)]
 
 
-MALFORMED_MOMENTS = [  # (count line, header, cell lines, line number named, message)
-    pytest.param("n_origins,0", HEADER, CELLS, 1, "n_origins", id="zero-origins"),
-    pytest.param("origins,5", HEADER, CELLS, 1, "n_origins", id="count-key"),
-    pytest.param("n_origins,five", HEADER, CELLS, 1, "n_origins", id="count-text"),
-    pytest.param(COUNT, "lead,row,value", CELLS, 2, "expected header", id="header"),
-    pytest.param(COUNT, HEADER, ["1,0,1.5", "1,1"] + CELLS[2:], 4, "expected 3 fields",
+MALFORMED_MOMENTS = [  # (header, cell lines, line number named, message)
+    pytest.param("lead,row,value", CELLS, 1, "expected header", id="header"),
+    pytest.param(HEADER, ["1,0,1.5", "1,1"] + CELLS[2:], 3, "expected 3 fields",
                  id="field-count"),
-    pytest.param(COUNT, HEADER, ["x,0,1.5"] + CELLS[1:], 3, "not an integer", id="lead-text"),
-    pytest.param(COUNT, HEADER, ["1,0.0,1.5"] + CELLS[1:], 3, "not an integer", id="row-text"),
-    pytest.param(COUNT, HEADER, ["1,0,abc"] + CELLS[1:], 3, "not a number", id="value-text"),
-    pytest.param(COUNT, HEADER, ["1,0,nan"] + CELLS[1:], 3, "not finite", id="nan"),
-    pytest.param(COUNT, HEADER, ["1,0,inf"] + CELLS[1:], 3, "not finite", id="inf"),
-    pytest.param(COUNT, HEADER, ["1,0,-0.5"] + CELLS[1:], 3, "non-negative", id="negative"),
-    pytest.param(COUNT, HEADER, ["1,0,1.5", "1,0,1.5"] + CELLS[2:], 4, "duplicate cell",
+    pytest.param(HEADER, ["x,0,1.5"] + CELLS[1:], 2, "not an integer", id="lead-text"),
+    pytest.param(HEADER, ["1,0.0,1.5"] + CELLS[1:], 2, "not an integer", id="row-text"),
+    pytest.param(HEADER, ["1,0,abc"] + CELLS[1:], 2, "not a number", id="value-text"),
+    pytest.param(HEADER, ["1,0,nan"] + CELLS[1:], 2, "not finite", id="nan"),
+    pytest.param(HEADER, ["1,0,inf"] + CELLS[1:], 2, "not finite", id="inf"),
+    pytest.param(HEADER, ["1,0,-0.5"] + CELLS[1:], 2, "non-negative", id="negative"),
+    pytest.param(HEADER, ["1,0,1.5", "1,0,1.5"] + CELLS[2:], 3, "duplicate cell",
                  id="duplicate"),
-    pytest.param(COUNT, HEADER, ["1,1,1.5", "1,0,1.5"] + CELLS[2:], 3,
+    pytest.param(HEADER, ["1,1,1.5", "1,0,1.5"] + CELLS[2:], 2,
                  "missing or out of order", id="out-of-order"),
-    pytest.param(COUNT, HEADER, CELLS[:1] + CELLS[2:], 4, "missing or out of order",
+    pytest.param(HEADER, CELLS[:1] + CELLS[2:], 3, "missing or out of order",
                  id="missing-cell"),
-    pytest.param(COUNT, HEADER, CELLS[:3], 6, "file ends before lead 2, row 1",
-                 id="truncated"),
-    pytest.param(COUNT, HEADER, _cells(2, 3), 5, "row 2 outside", id="more-rows"),
-    pytest.param(COUNT, HEADER, _cells(4, 1), 4, "expected lead 1, row 1", id="fewer-rows"),
-    pytest.param(COUNT, HEADER, _cells(3, 2), 7, "lead 3 outside the horizon",
-                 id="more-leads"),
-    pytest.param(COUNT, HEADER, _cells(1, 2), 5, "file ends before lead 2", id="fewer-leads"),
+    pytest.param(HEADER, CELLS[:3], 5, "file ends before lead 2, row 1", id="truncated"),
+    pytest.param(HEADER, _cells(2, 3), 4, "row 2 outside", id="more-rows"),
+    pytest.param(HEADER, _cells(4, 1), 3, "expected lead 1, row 1", id="fewer-rows"),
+    pytest.param(HEADER, _cells(3, 2), 6, "lead 3 outside the horizon", id="more-leads"),
+    pytest.param(HEADER, _cells(1, 2), 4, "file ends before lead 2", id="fewer-leads"),
 ]
 
 
-@pytest.mark.parametrize("count, header, cells, line_number, message", MALFORMED_MOMENTS)
-def test_read_moments_csv_rejects_malformed_files(tmp_path, count, header, cells,
-                                                  line_number, message):
+@pytest.mark.parametrize("header, cells, line_number, message", MALFORMED_MOMENTS)
+def test_read_moments_csv_rejects_malformed_files(tmp_path, header, cells, line_number,
+                                                  message):
     path = tmp_path / "moments.csv"
-    path.write_text("\n".join([count, header, *cells]) + "\n", encoding="utf-8")
+    path.write_text("\n".join([header, *cells]) + "\n", encoding="utf-8")
     with pytest.raises(FormatError, match=message) as info:
         read_moments_csv(path, 2, 2)
     assert f"{path}:{line_number}:" in str(info.value)

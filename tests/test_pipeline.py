@@ -281,7 +281,7 @@ def _truncate_moments(out, asset_ids, horizon=7):
     """Keep the first ``horizon`` leads of residual_moments.csv."""
     n_rows = 1 + read_bundling_csv(out / "bundling.csv", asset_ids).n_bundles + len(asset_ids)
     lines = (out / "residual_moments.csv").read_text().splitlines(keepends=True)
-    (out / "residual_moments.csv").write_text("".join(lines[:2 + horizon * n_rows]))
+    (out / "residual_moments.csv").write_text("".join(lines[:1 + horizon * n_rows]))
 
 
 def _merge_bundles(out, asset_ids):

@@ -14,7 +14,7 @@ from bundlecast import (
     reconcile,
     summing_matrix,
 )
-from bundlecast.errors import InsufficientDataError, ShapeMismatchError, ValueOutOfRangeError
+from bundlecast.errors import ShapeMismatchError, ValueOutOfRangeError
 
 from conftest import random_bundling_labels, reconciler_gains
 
@@ -73,13 +73,13 @@ def test_summing_matrix_column_sums_are_three(rng):
 
 def test_estimate_weights_hand_example():
     moments = np.array([[4.0, 4.0, 1.0, 1e-14]])
-    w = estimate_weights(moments, 3, eps_floor=1e-12)
+    w = estimate_weights(moments, eps_floor=1e-12)
     np.testing.assert_array_equal(w.variances[0], [4.0, 4.0, 1.0, 1e-12])
     np.testing.assert_array_equal(w.n_floored, [1])
 
 
 def test_estimate_weights_floor_on_perfect_forecasts():
-    w = estimate_weights(np.zeros((2, 4)), 3, eps_floor=1e-6)
+    w = estimate_weights(np.zeros((2, 4)), eps_floor=1e-6)
     np.testing.assert_array_equal(w.variances, np.full((2, 4), 1e-6))
     np.testing.assert_array_equal(w.n_floored, [4, 4])
 
@@ -88,28 +88,26 @@ def test_estimate_weights_lead_independent_residuals(rng):
     # the same moments at every lead give the same weights at every lead
     row = rng.uniform(0.0, 3.0, size=4) ** 2
     row[1] = 0.0
-    w = estimate_weights(np.tile(row, (3, 1)), 5, eps_floor=1e-12)
+    w = estimate_weights(np.tile(row, (3, 1)), eps_floor=1e-12)
     np.testing.assert_array_equal(w.variances, np.tile(np.maximum(row, 1e-12), (3, 1)))
     np.testing.assert_array_equal(w.n_floored, [1, 1, 1])
 
 
 def test_estimate_weights_errors(rng):
     moments = rng.uniform(0, 1, size=(2, 4))
-    with pytest.raises(InsufficientDataError, match="at least one origin"):
-        estimate_weights(moments, 0, eps_floor=1e-9)
     for eps_floor in (0.0, -1e-9, np.nan):
         with pytest.raises(ValueOutOfRangeError, match="eps_floor must be positive"):
-            estimate_weights(moments, 4, eps_floor=eps_floor)
+            estimate_weights(moments, eps_floor=eps_floor)
     # a negative moment is an error, not a value to floor
     with pytest.raises(ValueOutOfRangeError, match="lead 1, row 0 is -1.0; it must be non-negative"):
-        estimate_weights([[-1.0, 1.0]], 1, 1e-12)
+        estimate_weights([[-1.0, 1.0]], 1e-12)
     negative = moments.copy()
     negative[1, 3] = -1e-300
     with pytest.raises(ValueOutOfRangeError, match="lead 2, row 3 is -1e-300"):
-        estimate_weights(negative, 4, eps_floor=1e-9)
+        estimate_weights(negative, eps_floor=1e-9)
     moments[1, 2] = np.nan
     with pytest.raises(ValueOutOfRangeError, match="finite and strictly positive"):
-        estimate_weights(moments, 4, eps_floor=1e-9)
+        estimate_weights(moments, eps_floor=1e-9)
     for bad in (0.0, -1.0, np.inf):
         with pytest.raises(ValueOutOfRangeError, match="finite and strictly positive"):
             LeadWeights(np.full((1, 4), bad), np.zeros(1, dtype=int))
