@@ -23,7 +23,6 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -130,8 +129,13 @@ class AssetPanel:
                 f"non-uniform step at {format_utc_timestamp(ts[bad + 1])} "
                 f"(expected {steps[0]}, got {steps[bad]})"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueOutOfRangeError("panel values contain NaN or infinities")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            i, t = map(int, next(zip(*np.nonzero(~finite))))
+            raise ValueOutOfRangeError(
+                f"value {vals[i, t]} for asset {ids[i]!r} at "
+                f"{format_utc_timestamp(ts[t])} is not finite"
+            )
         caps = np.array([a.capacity_mw for a in self.assets])
         low = vals < 0.0
         high = vals > caps[:, None]
@@ -185,28 +189,36 @@ class AssetPanel:
         return AssetPanel(self.assets, self.timestamps[lo:hi].copy(), self.values[:, lo:hi].copy())
 
 
-def _read_csv_rows(path: Path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [row for row in csv.reader(fh) if row]
+def _csv_rows(fh):
+    """``(line, row)`` for each non-blank row of an open CSV file.
+
+    ``line`` is the physical line the row ends on, so it counts the blank
+    lines that are skipped.
+    """
+    reader = csv.reader(fh)
+    return ((reader.line_num, row) for row in reader if row)
 
 
 def read_assets_csv(path) -> list[AssetMeta]:
     """Read asset metadata (header: asset_id,latitude_deg,longitude_deg,capacity_mw)."""
-    rows = _read_csv_rows(Path(path))
-    if not rows or tuple(h.strip() for h in rows[0]) != ASSETS_HEADER:
-        raise FormatError(
-            f"{path}: expected header {','.join(ASSETS_HEADER)}, got {rows[0] if rows else 'empty file'}"
-        )
-    assets = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise FormatError(f"{path}:{ln}: expected 4 fields, got {len(row)}")
-        try:
-            assets.append(
-                AssetMeta(row[0].strip(), float(row[1]), float(row[2]), float(row[3]))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = _csv_rows(fh)
+        _, header = next(rows, (0, None))
+        if header is None or tuple(h.strip() for h in header) != ASSETS_HEADER:
+            raise FormatError(
+                f"{path}: expected header {','.join(ASSETS_HEADER)}, "
+                f"got {header if header is not None else 'empty file'}"
             )
-        except ValueError as exc:
-            raise FormatError(f"{path}:{ln}: {exc}") from exc
+        assets = []
+        for ln, row in rows:
+            if len(row) != 4:
+                raise FormatError(f"{path}:{ln}: expected 4 fields, got {len(row)}")
+            try:
+                assets.append(
+                    AssetMeta(row[0].strip(), float(row[1]), float(row[2]), float(row[3]))
+                )
+            except ValueError as exc:
+                raise FormatError(f"{path}:{ln}: {exc}") from exc
     return assets
 
 
@@ -216,6 +228,7 @@ def ingest_panel(assets_file, series_file) -> AssetPanel:
     The series file column order defines the panel's asset ordering. Ingest
     rejects (rather than repairs) duplicate ids, asset sets that disagree
     between the two files, timestamp gaps, and values outside [0, capacity].
+    Errors name the physical line of the series file, blank lines included.
     """
     assets = read_assets_csv(assets_file)
     by_id: dict[str, AssetMeta] = {}
@@ -224,41 +237,58 @@ def ingest_panel(assets_file, series_file) -> AssetPanel:
             raise FormatError(f"duplicate asset id {a.asset_id!r} in {assets_file}")
         by_id[a.asset_id] = a
 
-    rows = _read_csv_rows(Path(series_file))
-    if not rows or not rows[0] or rows[0][0].strip() != "timestamp":
-        raise FormatError(f"{series_file}: first header column must be 'timestamp'")
-    series_ids = [c.strip() for c in rows[0][1:]]
-    if len(set(series_ids)) != len(series_ids):
-        raise FormatError(f"duplicate series columns in {series_file}")
-    missing = [i for i in by_id if i not in set(series_ids)]
-    if missing:
-        raise FormatError(f"assets missing from series file: {missing}")
-    unknown = [i for i in series_ids if i not in by_id]
-    if unknown:
-        raise FormatError(f"series columns without metadata: {unknown}")
+    with open(series_file, newline="", encoding="utf-8") as fh:
+        rows = _csv_rows(fh)
+        _, header = next(rows, (0, None))
+        if not header or header[0].strip() != "timestamp":
+            raise FormatError(f"{series_file}: first header column must be 'timestamp'")
+        series_ids = [c.strip() for c in header[1:]]
+        if len(set(series_ids)) != len(series_ids):
+            raise FormatError(f"duplicate series columns in {series_file}")
+        known = set(series_ids)
+        missing = [i for i in by_id if i not in known]
+        if missing:
+            raise FormatError(f"assets missing from series file: {missing}")
+        unknown = [i for i in series_ids if i not in by_id]
+        if unknown:
+            raise FormatError(f"series columns without metadata: {unknown}")
 
-    n_cols = len(series_ids) + 1
-    timestamps = np.empty(len(rows) - 1, dtype="datetime64[s]")
-    values = np.empty((len(series_ids), len(rows) - 1))
-    for t, row in enumerate(rows[1:]):
-        if len(row) != n_cols:
-            raise FormatError(f"{series_file} row {t + 2}: expected {n_cols} fields, got {len(row)}")
-        timestamps[t] = parse_utc_timestamp(row[0])
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if not cell:
-                raise ValueOutOfRangeError(
-                    f"{series_file} row {t + 2}: missing value for {series_ids[j]!r}"
-                )
-            try:
-                values[j, t] = float(cell)
-            except ValueError as exc:
+        n_cols = len(series_ids) + 1
+        timestamps, columns = [], []
+        for ln, row in rows:
+            if len(row) != n_cols:
                 raise FormatError(
-                    f"{series_file} row {t + 2}: unparsable value {cell!r}"
-                ) from exc
+                    f"{series_file} row {ln}: expected {n_cols} fields, got {len(row)}")
+            timestamps.append(parse_utc_timestamp(row[0]))
+            try:
+                cells = list(map(float, row[1:]))
+            except ValueError:
+                cells = _parse_cells(series_file, ln, row[1:], series_ids)
+            columns.append(np.array(cells))
 
     ordered = tuple(by_id[i] for i in series_ids)
-    return AssetPanel(ordered, timestamps, values)
+    values = (np.stack(columns, axis=1) if columns
+              else np.empty((len(series_ids), 0)))
+    return AssetPanel(ordered, np.array(timestamps, dtype="datetime64[s]"), values)
+
+
+def _parse_cells(series_file, ln: int, cells: list[str], series_ids: list[str]) -> list[float]:
+    """Parse one series row cell by cell, raising for its first empty or unparsable cell.
+
+    Used only on a row that ``map(float, ...)`` rejects. Each cell is
+    stripped before ``float``: ``str.strip`` also removes U+001C..U+001F,
+    which ``float`` alone rejects, so a cell padded with them still parses.
+    """
+    values = []
+    for sid, cell in zip(series_ids, cells):
+        cell = cell.strip()
+        if not cell:
+            raise ValueOutOfRangeError(f"{series_file} row {ln}: missing value for {sid!r}")
+        try:
+            values.append(float(cell))
+        except ValueError as exc:
+            raise FormatError(f"{series_file} row {ln}: unparsable value {cell!r}") from exc
+    return values
 
 
 def write_panel_csv(panel: AssetPanel, assets_file, series_file) -> None:

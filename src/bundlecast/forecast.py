@@ -337,7 +337,9 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
     The lines follow the canonical order that :func:`read_forecast_csv`
     requires: origins strictly ascending; within an origin the fleet,
     bundles 0..K-1, then the assets in ``asset_ids`` order; within a row
-    leads 1..T.
+    leads 1..T. Each origin's values are formatted once per run of bitwise
+    equal values in that order (a persistence row is one run), so ``0.0``
+    and ``-0.0`` stay distinct.
     """
     asset_ids = tuple(asset_ids)
     if len(asset_ids) != forecast.n_assets:
@@ -350,10 +352,23 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(FORECAST_HEADER + "\n")
         for origin, block in zip(forecast.origins, forecast.values):
+            if not block.size:
+                continue
             stamp = format_utc_timestamp(origin)
-            texts = map(FLOAT_FORMAT.format, block.ravel().tolist())
-            fh.write("".join([f"{stamp}{suffix}{text}\n"
-                              for suffix, text in zip(suffixes, texts)]))
+            lines = map(str.__add__, suffixes, _value_texts(block))
+            fh.write(stamp + ("\n" + stamp).join(lines) + "\n")
+
+
+def _value_texts(block: np.ndarray) -> list[str]:
+    """``FLOAT_FORMAT`` of each value of ``block`` in row-major order, formatting
+    each run of bitwise equal values once."""
+    flat = block.ravel()
+    bits = flat.view(np.int64)
+    starts = np.empty(flat.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    texts = np.array(list(map(FLOAT_FORMAT.format, flat[starts].tolist())), dtype=object)
+    return texts[np.cumsum(starts) - 1].tolist()
 
 
 def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:

@@ -67,17 +67,20 @@ def test_traced_layer_names_keep_their_names():
     """``bench/spans.py`` wraps each of its layer functions by name (among them
     ``forecast.ridge_fit``, ``forecast.rolling_forecast`` and
     ``reconcile.estimate_weights``), counts merges from ``greedy_merge``'s
-    ``asset_order`` argument, and reads ``horizon`` and ``gains`` off
-    ``build_reconciler``'s result."""
+    ``asset_order`` argument, counts rows and bytes from
+    ``write_forecast_csv``'s ``forecast`` and ``path`` arguments, and reads
+    ``horizon`` and ``gains`` off ``build_reconciler``'s result."""
     spec = importlib.util.spec_from_file_location("spans", BENCH_SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     layers = {(module, function) for module, function, _ in spans.LAYERS}
     assert {("forecast", "ridge_fit"), ("forecast", "rolling_forecast"),
-            ("reconcile", "estimate_weights"), ("core", "covariance")} <= layers
+            ("reconcile", "estimate_weights"), ("core", "covariance"),
+            ("core", "ingest_panel"), ("forecast", "write_forecast_csv")} <= layers
     for module, function in sorted(layers):
         obj = getattr(importlib.import_module(f"bundlecast.{module}"), function, None)
         assert inspect.isfunction(obj), f"{module}.{function}"
+    assert {"forecast", "path"} <= set(inspect.signature(write_forecast_csv).parameters)
     assert "asset_order" in inspect.signature(greedy_merge).parameters
     model = build_reconciler(Bundling.single_bundle(("a", "b")),
                              LeadWeights(np.ones((3, 4)), np.zeros(3)))

@@ -1,6 +1,7 @@
 """Panel ingest, haversine distances, and criterion covariance matrices."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,81 @@ def test_ingest_rejects_non_utc_timestamp(tmp_path):
     write_series(series, ["w1", "w2", "w3"], rows)
     with pytest.raises(FormatError):
         ingest_panel(assets, series)
+
+
+def write_inputs(tmp_path, rows, assets_text=ASSETS_CSV):
+    """Write ``a.csv`` and ``s.csv`` (ids w1..w3) and return their paths."""
+    assets, series = tmp_path / "a.csv", tmp_path / "s.csv"
+    assets.write_text(assets_text)
+    write_series(series, ["w1", "w2", "w3"], rows)
+    return assets, series
+
+
+@pytest.mark.parametrize("cell, error, message", [
+    pytest.param("", ValueOutOfRangeError, "missing value for 'w2'", id="empty"),
+    pytest.param("  \t", ValueOutOfRangeError, "missing value for 'w2'", id="whitespace"),
+    pytest.param("1.5x", FormatError, "unparsable value '1.5x'", id="unparsable"),
+    pytest.param(" x ", FormatError, "unparsable value 'x'", id="unparsable-padded"),
+])
+def test_ingest_names_the_bad_cell(tmp_path, cell, error, message):
+    """A bad cell after good rows is reported with its line (the header is line 1)."""
+    rows = series_rows(6)
+    rows[3][2] = cell
+    assets, series = write_inputs(tmp_path, rows)
+    with pytest.raises(error, match=re.escape(f"{series} row 5: {message}")):
+        ingest_panel(assets, series)
+
+
+def test_ingest_rejects_a_wrong_field_count(tmp_path):
+    rows = series_rows(6)
+    rows[3].append("1.5")
+    assets, series = write_inputs(tmp_path, rows)
+    with pytest.raises(FormatError, match=re.escape(f"{series} row 5: expected 4 fields, got 5")):
+        ingest_panel(assets, series)
+
+
+@pytest.mark.parametrize("padded", [" 0.1", "0.1  ", "\t0.1 ", "\x1c0.1\x1f"])
+def test_ingest_accepts_padded_cells(tmp_path, padded):
+    """Whitespace around a number (as ``str.strip`` counts it) is ignored, bit for bit."""
+    rows = series_rows(6)
+    rows[3][2] = padded
+    panel = ingest_panel(*write_inputs(tmp_path, rows))
+    assert panel.values[1, 3].tobytes() == np.float64(0.1).tobytes()
+    assert np.all(np.delete(panel.values, 3, axis=1) == 1.5)
+
+
+def test_ingest_series_errors_count_blank_lines(tmp_path):
+    rows = series_rows(6)
+    rows[1][1] = "x"
+    assets, series = write_inputs(tmp_path, rows)
+    lines = series.read_text().split("\n")
+    series.write_text("\n".join(lines[:2] + [""] + lines[2:]))  # blank line 3
+    with pytest.raises(FormatError, match=re.escape(f"{series} row 4: unparsable value 'x'")):
+        ingest_panel(assets, series)
+
+
+def test_ingest_asset_errors_count_blank_lines(tmp_path):
+    lines = ASSETS_CSV.split("\n")
+    lines[2] = "w2,41.0,-101.0"
+    assets, series = write_inputs(tmp_path, series_rows(6),
+                                  "\n".join(lines[:2] + [""] + lines[2:]))
+    with pytest.raises(FormatError, match=re.escape(f"{assets}:4: expected 4 fields, got 3")):
+        ingest_panel(assets, series)
+    lines[2] = "w2,north,-101.0,20.0"
+    assets.write_text("\n".join(lines[:2] + ["", ""] + lines[2:]))
+    with pytest.raises(FormatError, match=re.escape(f"{assets}:5: could not convert")):
+        ingest_panel(assets, series)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_ingest_names_where_a_value_is_not_finite(tmp_path, cell):
+    rows = series_rows(6)
+    rows[3][2] = cell
+    rows[4][3] = cell  # a later one is not the one named
+    with pytest.raises(ValueOutOfRangeError,
+                       match=re.escape(f"value {float(cell)} for asset 'w2' at "
+                                       f"2019-01-08T00:45:00Z is not finite")):
+        ingest_panel(*write_inputs(tmp_path, rows))
 
 
 def test_panel_csv_round_trip(tmp_path, rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
 
@@ -15,7 +17,9 @@ from bundlecast import (
     hierarchy_series,
     rolling_forecast,
 )
+from bundlecast.core import format_utc_timestamp
 from bundlecast.forecast import (
+    FLOAT_FORMAT,
     _calendar_features,
     _forecast_series,
     _ridge_features,
@@ -385,9 +389,12 @@ def test_forecast_csv_round_trip(tmp_path, rng):
 
 
 def test_write_forecast_csv_golden_bytes(tmp_path):
-    origins = np.datetime64("2019-01-08T00:00:00", "s") + np.timedelta64(900, "s") * np.arange(2)
+    origins = np.datetime64("2019-01-08T00:00:00", "s") + np.timedelta64(900, "s") * np.arange(4)
     values = np.array([[[1 / 3, 0.0], [1e-5, 123456789012.5], [-2.75, 1234567890123.0]],
-                       [[2 / 3, 1.0], [100.0, 0.1], [1e16, -12345.678901234]]])
+                       [[2 / 3, 1.0], [100.0, 0.1], [1e16, -12345.678901234]],
+                       # 0.0 then -0.0; runs across the fleet/bundle and bundle/asset rows
+                       [[0.0, -0.0], [-0.0, 7.25], [7.25, 7.25]],
+                       np.full((3, 2), 0.5)])  # one run over the whole block
     path = tmp_path / "forecast.csv"
     write_forecast_csv(HierarchyForecast(origins, values, 1, 1), ("w1",), path)
     assert path.read_bytes() == (
@@ -404,7 +411,47 @@ def test_write_forecast_csv_golden_bytes(tmp_path):
         b"2019-01-08T00:15:00Z,bundle,0,2,0.1\n"
         b"2019-01-08T00:15:00Z,asset,w1,1,1e+16\n"
         b"2019-01-08T00:15:00Z,asset,w1,2,-12345.6789012\n"
+        b"2019-01-08T00:30:00Z,fleet,,1,0\n"
+        b"2019-01-08T00:30:00Z,fleet,,2,-0\n"
+        b"2019-01-08T00:30:00Z,bundle,0,1,-0\n"
+        b"2019-01-08T00:30:00Z,bundle,0,2,7.25\n"
+        b"2019-01-08T00:30:00Z,asset,w1,1,7.25\n"
+        b"2019-01-08T00:30:00Z,asset,w1,2,7.25\n"
+        b"2019-01-08T00:45:00Z,fleet,,1,0.5\n"
+        b"2019-01-08T00:45:00Z,fleet,,2,0.5\n"
+        b"2019-01-08T00:45:00Z,bundle,0,1,0.5\n"
+        b"2019-01-08T00:45:00Z,bundle,0,2,0.5\n"
+        b"2019-01-08T00:45:00Z,asset,w1,1,0.5\n"
+        b"2019-01-08T00:45:00Z,asset,w1,2,0.5\n"
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_write_forecast_csv_matches_the_per_cell_reference(tmp_path_factory, data):
+    """Blocks drawn from a few values (0.0 and -0.0 among them) repeat within
+    and across rows; the file must equal formatting every cell on its own."""
+    n_origins, k, n, horizon = (data.draw(st.integers(1, 3)) for _ in range(4))
+    pool = [0.0, -0.0] + data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                               min_size=n_origins * (1 + k + n) * horizon,
+                               max_size=n_origins * (1 + k + n) * horizon))
+    values = np.array([pool[i] for i in picks]).reshape(n_origins, 1 + k + n, horizon)
+    origins = (np.datetime64("2019-01-08T00:00:00", "s")
+               + np.timedelta64(900, "s") * np.arange(n_origins))
+    asset_ids = tuple(f"w{j}" for j in range(n))
+    path = tmp_path_factory.getbasetemp() / "per_cell_reference.csv"
+    write_forecast_csv(HierarchyForecast(origins, values, k, n), asset_ids, path)
+
+    keys = ([("fleet", "")] + [("bundle", str(b)) for b in range(k)]
+            + [("asset", a) for a in asset_ids])
+    expected = "origin,level,series_id,lead,value\n" + "".join(
+        f"{format_utc_timestamp(origin)},{level},{sid},{tau},{FLOAT_FORMAT.format(float(v))}\n"
+        for origin, block in zip(origins, values)
+        for (level, sid), row in zip(keys, block)
+        for tau, v in enumerate(row, start=1))
+    assert path.read_text(encoding="utf-8") == expected
 
 
 def test_write_forecast_csv_rejects_origins_out_of_order(tmp_path):
