@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import parse_utc_timestamp
-from .errors import ConfigError
+from .errors import ConfigError, ValueOutOfRangeError
 from .forecast import LEVELS, ForecastTask, ModelSpec
 from .synth import SynthConfig
 
@@ -29,7 +29,12 @@ _FALSE = ("false", "no", "0", "off")
 
 
 def _read_flat(path) -> dict[str, str]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     if not text.lstrip().startswith("["):
         text = "[config]\n" + text
     parser = configparser.ConfigParser(interpolation=None)
@@ -113,10 +118,7 @@ class RunConfig:
     """Everything one pipeline run depends on, paths included."""
 
     path: str   # the config file itself: hashed into the manifest, named in errors
-    task: str
-    history_len: int
-    horizon: int
-    granularity_minutes: int
+    forecast_task: ForecastTask
     n_bundles: int
     criterion: str
     diameter_km: float
@@ -132,10 +134,6 @@ class RunConfig:
     baseline: bool
     diameters: tuple[float, ...] | None = None
 
-    @property
-    def forecast_task(self) -> ForecastTask:
-        return ForecastTask(self.history_len, self.horizon, self.granularity_minutes)
-
 
 def load_run_config(path) -> RunConfig:
     fields = _Fields(_read_flat(path), path)
@@ -148,12 +146,15 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"{path}: {key} must be finite and >= 0, got {fields.raw[key]!r}")
         specs[level] = ModelSpec(model, ridge_lambda,
                                  fields.flag(f"{level}_use_calendar_encodings"))
+    fields.text("task", choices=_TASKS)  # mandatory and checked, though nothing reads it
+    try:
+        task = ForecastTask(fields.integer("history_len"), fields.integer("horizon"),
+                            fields.integer("granularity_minutes"))
+    except ValueOutOfRangeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     cfg = RunConfig(
         path=str(path),
-        task=fields.text("task", choices=_TASKS),
-        history_len=fields.integer("history_len"),
-        horizon=fields.integer("horizon"),
-        granularity_minutes=fields.integer("granularity_minutes"),
+        forecast_task=task,
         n_bundles=fields.integer("n_bundles"),
         criterion=fields.text("criterion", choices=_CRITERIA),
         diameter_km=fields.real("diameter_km"),
@@ -171,8 +172,6 @@ def load_run_config(path) -> RunConfig:
     )
     fields.reject_unknown()
 
-    if cfg.history_len < 1 or cfg.horizon < 1 or cfg.granularity_minutes < 1:
-        raise ConfigError(f"{path}: history_len, horizon, granularity_minutes must be >= 1")
     if cfg.n_bundles < 1:
         raise ConfigError(f"{path}: n_bundles must be >= 1")
     if not cfg.diameter_km > 0.0:

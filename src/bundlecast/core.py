@@ -301,9 +301,10 @@ def write_panel_csv(panel: AssetPanel, assets_file, series_file) -> None:
             )
     with open(series_file, "w", encoding="utf-8") as fh:
         fh.write("timestamp," + ",".join(panel.asset_ids) + "\n")
-        for t in range(panel.n_steps):
-            cells = ",".join(f"{v:.6f}" for v in panel.values[:, t])
-            fh.write(f"{format_utc_timestamp(panel.timestamps[t])},{cells}\n")
+        # one time step at a time: a whole-panel tolist() would hold N*T Python floats
+        for stamp, column in zip(panel.timestamps, panel.values.T):
+            cells = ",".join(map("{:.6f}".format, column.tolist()))
+            fh.write(f"{format_utc_timestamp(stamp)},{cells}\n")
 
 
 # --- geographic distances ---------------------------------------------------

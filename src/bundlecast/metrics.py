@@ -81,7 +81,6 @@ def energy_distance(actuals, forecasts) -> float:
 class EvaluationReport:
     """Metric values for one hierarchy level; ``vs`` is None below the fleet."""
 
-    level: str
     nmae: float
     rmse: float
     ed: float
@@ -115,7 +114,6 @@ def evaluate(actuals: HierarchyForecast, forecasts: HierarchyForecast,
     }
     return {
         level: EvaluationReport(
-            level=level,
             nmae=nmae(a, f, level_caps),
             rmse=rmse(a, f),
             ed=energy_distance(a, f),

@@ -6,14 +6,14 @@ evaluation reports, reconciler diagnostics, and a manifest of input hashes.
 Outputs are a pure function of (config, input files): no wall-clock time or
 machine state leaks into any file, so identical runs are byte-identical.
 
-Each stage is one function over in-memory inputs plus one writer:
-:func:`make_bundling`, ``rolling_forecast``, :func:`reconcile_forecasts`,
-:func:`evaluate_forecasts`. ``run`` ingests and bundles once, then calls
-the others in order, writing each product as soon as it exists; for the
-no-bundling baseline it repeats the forecast, reconcile and evaluate pass
-with all assets in one bundle under a ``baseline_`` prefix and compares the
-two. A stage command loads its inputs from the run directory, reading and
-checking the CSVs inside the stage, then calls the same function and writer.
+Bundling is :func:`make_bundling`; each later stage is one body that computes
+its products from in-memory inputs, writes them and returns what the next
+stage needs (``_forecast``, ``_reconcile``, ``_evaluate``). ``run`` ingests
+and bundles once, then calls the bodies in order, again for the no-bundling
+baseline (all assets in one bundle, ``baseline_`` files), and compares the two.
+A stage command loads its inputs from the run directory, then calls the same
+body. Each body runs inside ``_stage``, so a failure while computing or
+writing a product is tagged with its stage either way.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .forecast import (
     FLOAT_FORMAT,
     LEVELS,
     HierarchyForecast,
+    RollingForecasts,
     hierarchy_actuals,
     hierarchy_capacities,
     read_forecast_csv,
@@ -55,7 +56,6 @@ from .forecast import (
 )
 from .metrics import EvaluationReport, evaluate, write_report_csv
 from .reconcile import (
-    LeadWeights,
     build_reconciler,
     count_bound_violations,
     estimate_weights,
@@ -103,9 +103,10 @@ def load_panel(config: RunConfig) -> AssetPanel:
     The panel's time step must be the config's ``granularity_minutes``.
     """
     panel = ingest_panel(config.assets_file, config.series_file)
-    if panel.step != config.forecast_task.step:
+    task = config.forecast_task
+    if panel.step != task.step:
         raise ConfigError(
-            f"{config.path}: granularity_minutes is {config.granularity_minutes}, but "
+            f"{config.path}: granularity_minutes is {task.granularity_minutes}, but "
             f"{config.series_file} has a {panel.step / np.timedelta64(60, 's'):g}-minute step")
     return panel.window(config.train_start, config.test_end)
 
@@ -133,32 +134,36 @@ def make_bundling(config: RunConfig, panel: AssetPanel,
     return bundling, sigma
 
 
-def reconcile_forecasts(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
-                        test: HierarchyForecast) -> tuple[LeadWeights, HierarchyForecast]:
-    """Per-lead WLS weights from the in-sample residual moments, applied to the test forecasts."""
+def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Path,
+              prefix: str = "") -> RollingForecasts:
+    """Rolling test forecasts and in-sample residual moments; writes the test forecasts."""
+    forecasts = rolling_forecast(panel, bundling, config.forecast_task, config.specs,
+                                 config.test_start)
+    write_forecast_csv(forecasts.test, panel.asset_ids, out / (prefix + FORECAST_TEST_FILE))
+    return forecasts
+
+
+def _reconcile(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
+               test: HierarchyForecast, out: Path, prefix: str = "") -> HierarchyForecast:
+    """Per-lead WLS reconciliation; writes the reconciled forecasts and the diagnostics."""
     weights = estimate_weights(second_moment,
                                eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
-    return weights, reconcile(build_reconciler(bundling, weights), test)
-
-
-def evaluate_forecasts(panel: AssetPanel, bundling: Bundling, raw: HierarchyForecast,
-                       reconciled: HierarchyForecast) -> tuple[Reports, Reports]:
-    """Score the raw and the reconciled test forecasts against realized values."""
-    actual_test = hierarchy_actuals(panel, bundling, raw.origins, raw.horizon)
-    return (evaluate(actual_test, raw, bundling, panel.capacities),
-            evaluate(actual_test, reconciled, bundling, panel.capacities))
-
-
-def _write_reconciled(out: Path, panel: AssetPanel, bundling: Bundling, weights: LeadWeights,
-                      reconciled: HierarchyForecast, prefix="") -> None:
+    reconciled = reconcile(build_reconciler(bundling, weights), test)
     write_forecast_csv(reconciled, panel.asset_ids, out / (prefix + RECONCILED_FILE))
     violations = count_bound_violations(reconciled, hierarchy_capacities(panel, bundling))
     write_diagnostics_csv(weights, out / (prefix + DIAGNOSTICS_FILE), violations)
+    return reconciled
 
 
-def _write_reports(out: Path, raw: Reports, reconciled: Reports, prefix="") -> None:
-    write_report_csv(reconciled, out / (prefix + REPORT_FILE))
-    write_report_csv(raw, out / (prefix + REPORT_RAW_FILE))
+def _evaluate(panel: AssetPanel, bundling: Bundling, raw: HierarchyForecast,
+              reconciled: HierarchyForecast, out: Path, prefix: str = "") -> Reports:
+    """Score raw and reconciled test forecasts; writes both, returns the reconciled scores."""
+    actual_test = hierarchy_actuals(panel, bundling, raw.origins, raw.horizon)
+    raw_reports = evaluate(actual_test, raw, bundling, panel.capacities)
+    reports = evaluate(actual_test, reconciled, bundling, panel.capacities)
+    write_report_csv(reports, out / (prefix + REPORT_FILE))
+    write_report_csv(raw_reports, out / (prefix + REPORT_RAW_FILE))
+    return reports
 
 
 def _sha256(path) -> str:
@@ -189,13 +194,19 @@ def _write_comparison(bundled: Reports, baseline: Reports, path) -> None:
                              f"{FLOAT_FORMAT.format(k1)}\n")
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc.strerror or exc}") from exc
+
+
 @contextmanager
 def _fresh_out_dir(out: Path):
     """Create (or claim an empty) run directory; remove what was written on failure."""
     created = not out.exists()
-    if created:
-        out.mkdir(parents=True)
-    elif any(out.iterdir()):
+    _make_dir(out)
+    if not created and any(out.iterdir()):
         raise ConfigError(f"output directory {out} exists and is not empty")
     try:
         yield out
@@ -211,19 +222,12 @@ def _fresh_out_dir(out: Path):
 def _run_pass(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Path,
               prefix: str = "") -> Reports:
     """Forecast -> reconcile -> evaluate under one bundling; returns the reconciled reports."""
-    write_bundling_csv(bundling, out / (prefix + BUNDLING_FILE))
-    forecasts = _stage("forecast", rolling_forecast, panel, bundling, config.forecast_task,
-                       config.specs, config.test_start)
-    # the residual moments are a stage interface, not a run product
-    write_forecast_csv(forecasts.test, panel.asset_ids, out / (prefix + FORECAST_TEST_FILE))
-    weights, reconciled = _stage(
-        "reconcile", reconcile_forecasts, panel, bundling, forecasts.second_moment,
-        forecasts.test)
-    _write_reconciled(out, panel, bundling, weights, reconciled, prefix)
-    raw_reports, reports = _stage(
-        "evaluate", evaluate_forecasts, panel, bundling, forecasts.test, reconciled)
-    _write_reports(out, raw_reports, reports, prefix)
-    return reports
+    _stage("bundle", write_bundling_csv, bundling, out / (prefix + BUNDLING_FILE))
+    forecasts = _stage("forecast", _forecast, config, panel, bundling, out, prefix)
+    reconciled = _stage("reconcile", _reconcile, panel, bundling, forecasts.second_moment,
+                        forecasts.test, out, prefix)
+    return _stage("evaluate", _evaluate, panel, bundling, forecasts.test, reconciled,
+                  out, prefix)
 
 
 def run(config_path, out_dir=None) -> Path:
@@ -269,16 +273,17 @@ def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *names):
     if bundling.n_bundles != config.n_bundles:
         raise ShapeMismatchError(f"{out / BUNDLING_FILE}: {bundling.n_bundles} bundles, but "
                                  f"the config's n_bundles is {config.n_bundles}")
+    horizon = config.forecast_task.horizon
     products = []
     for name in names:
         if name == MOMENTS_FILE:
             n_rows = 1 + bundling.n_bundles + panel.n_assets
-            products.append(read_moments_csv(out / name, n_rows, config.horizon))
+            products.append(read_moments_csv(out / name, n_rows, horizon))
             continue
         forecast = read_forecast_csv(out / name, panel.asset_ids, bundling.n_bundles)
-        if forecast.horizon != config.horizon:
+        if forecast.horizon != horizon:
             raise ShapeMismatchError(f"{out / name}: {forecast.horizon} leads, but the "
-                                     f"config's horizon is {config.horizon}")
+                                     f"config's horizon is {horizon}")
         products.append(forecast)
     return (bundling, *products)
 
@@ -288,11 +293,9 @@ def stage_synth(config_path, out_dir=None) -> tuple[Path, Path]:
     cfg, assets_file, series_file = load_synth_config(config_path)
     assets, series = Path(assets_file), Path(series_file)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        assets, series = out / assets.name, out / series.name
+        assets, series = Path(out_dir) / assets.name, Path(out_dir) / series.name
     for target in (assets, series):
-        target.parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(target.parent)
     _stage("synth", write_synth_csv, cfg, assets, series)
     return assets, series
 
@@ -301,8 +304,8 @@ def stage_bundle(config_path, out_dir=None) -> Path:
     """Learn bundles and write bundling.csv into the run directory."""
     config, out, panel = _open_stage(config_path, out_dir)
     bundling, sigma = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
-    out.mkdir(parents=True, exist_ok=True)  # the one stage that may create the run directory
-    write_bundling_csv(bundling, out / BUNDLING_FILE)
+    _make_dir(out)  # the one stage that may create the run directory
+    _stage("bundle", write_bundling_csv, bundling, out / BUNDLING_FILE)
     if sigma is not None:
         print(f"objective[{config.criterion}] = {objective(bundling, sigma):.6g}")
     return out / BUNDLING_FILE
@@ -312,10 +315,9 @@ def stage_forecast(config_path, out_dir=None) -> Path:
     """Produce test forecasts and in-sample residual moments for a learned bundling."""
     config, out, panel = _open_stage(config_path, out_dir)
     (bundling,) = _stage("forecast", _load_inputs, config, out, panel)
-    forecasts = _stage("forecast", rolling_forecast, panel, bundling, config.forecast_task,
-                       config.specs, config.test_start)
-    write_forecast_csv(forecasts.test, panel.asset_ids, out / FORECAST_TEST_FILE)
-    write_moments_csv(forecasts.second_moment, out / MOMENTS_FILE)
+    forecasts = _stage("forecast", _forecast, config, panel, bundling, out)
+    # the moments hand the in-sample fit to the reconcile command; run keeps them in memory
+    _stage("forecast", write_moments_csv, forecasts.second_moment, out / MOMENTS_FILE)
     return out / FORECAST_TEST_FILE
 
 
@@ -324,9 +326,7 @@ def stage_reconcile(config_path, out_dir=None) -> Path:
     config, out, panel = _open_stage(config_path, out_dir)
     bundling, second_moment, test = _stage(
         "reconcile", _load_inputs, config, out, panel, MOMENTS_FILE, FORECAST_TEST_FILE)
-    weights, reconciled = _stage(
-        "reconcile", reconcile_forecasts, panel, bundling, second_moment, test)
-    _write_reconciled(out, panel, bundling, weights, reconciled)
+    _stage("reconcile", _reconcile, panel, bundling, second_moment, test, out)
     return out / RECONCILED_FILE
 
 
@@ -335,9 +335,7 @@ def stage_evaluate(config_path, out_dir=None) -> Path:
     config, out, panel = _open_stage(config_path, out_dir)
     bundling, raw, reconciled = _stage(
         "evaluate", _load_inputs, config, out, panel, FORECAST_TEST_FILE, RECONCILED_FILE)
-    raw_reports, reports = _stage(
-        "evaluate", evaluate_forecasts, panel, bundling, raw, reconciled)
-    _write_reports(out, raw_reports, reports)
+    _stage("evaluate", _evaluate, panel, bundling, raw, reconciled, out)
     return out / REPORT_FILE
 
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from bundlecast import ForecastTask
 from bundlecast.config import load_run_config, load_synth_config
 from bundlecast.errors import ConfigError
 
@@ -50,6 +51,7 @@ def write_config(path, overrides=None, drop=None):
 
 def test_run_config_parses(tmp_path):
     cfg = load_run_config(write_config(tmp_path / "run.cfg"))
+    assert cfg.forecast_task == ForecastTask(48, 24, 15)
     assert cfg.n_bundles == 3
     assert cfg.criterion == "savar"
     assert cfg.diameter_km == 800.0
@@ -61,6 +63,8 @@ def test_run_config_parses(tmp_path):
 def test_run_config_missing_key(tmp_path):
     with pytest.raises(ConfigError, match="n_bundles"):
         load_run_config(write_config(tmp_path / "run.cfg", drop=["n_bundles"]))
+    with pytest.raises(ConfigError, match="missing mandatory key 'task'"):
+        load_run_config(write_config(tmp_path / "run.cfg", drop=["task"]))
 
 
 def test_run_config_unknown_key(tmp_path):
@@ -104,9 +108,18 @@ def test_run_config_rejects_a_negative_or_non_finite_ridge_lambda(tmp_path, valu
         load_run_config(path)
 
 
+def test_run_config_rejects_a_zero_horizon(tmp_path):
+    path = write_config(tmp_path / "run.cfg", overrides={"horizon": "0"})
+    message = f"{path}: history_len, horizon, granularity must be >= 1, got (48, 0, 15)"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_run_config(path)
+
+
 def test_run_config_bad_choice(tmp_path):
     with pytest.raises(ConfigError, match="criterion"):
         load_run_config(write_config(tmp_path / "run.cfg", overrides={"criterion": "magic"}))
+    with pytest.raises(ConfigError, match="task must be one of"):
+        load_run_config(write_config(tmp_path / "run.cfg", overrides={"task": "hourly"}))
 
 
 def test_run_config_section_header_allowed(tmp_path):

@@ -262,6 +262,22 @@ def test_panel_csv_round_trip(tmp_path, rng):
     np.testing.assert_allclose(back.values, panel.values, atol=1e-6)
 
 
+def test_panel_csv_series_text_matches_per_cell_formatting(tmp_path, rng):
+    panel = random_panel(rng, 5, 30)
+    values = np.array(panel.values)
+    caps = np.array([a.capacity_mw for a in panel.assets])
+    values[0, :4] = 0.0
+    values[1, 10:] = caps[1]
+    values[:, 7] = caps
+    panel = AssetPanel(panel.assets, panel.timestamps, values)
+    write_panel_csv(panel, tmp_path / "a.csv", tmp_path / "s.csv")
+    expected = ["timestamp," + ",".join(panel.asset_ids)]
+    for t, stamp in enumerate(panel.timestamps):
+        cells = ",".join(f"{v:.6f}" for v in values[:, t])
+        expected.append(f"{np.datetime_as_string(stamp, unit='s')}Z,{cells}")
+    assert (tmp_path / "s.csv").read_text() == "\n".join(expected) + "\n"
+
+
 # --- haversine ----------------------------------------------------------------
 
 def test_haversine_identical_coordinates_is_zero():

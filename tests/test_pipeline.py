@@ -1,6 +1,10 @@
 """CLI subcommands, run-directory contents, determinism, and cleanup."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,3 +362,90 @@ def test_cli_stage_before_bundle_creates_no_directory(data_dir, capsys):
         assert main([command, "--config", cfg]) == 1
         assert "bundling.csv not found; run the 'bundle' stage first" in capsys.readouterr().err
     assert not (data_dir / "unbundled").exists()
+
+
+def _missing_config(data_dir, command):
+    cfg = data_dir / "missing.cfg"
+    return ["--config", str(cfg)], f"{cfg}: No such file or directory"
+
+
+def _directory_config(data_dir, command):
+    return ["--config", str(data_dir)], f"{data_dir}: Is a directory"
+
+
+def _latin1_config(data_dir, command):
+    cfg = data_dir / "latin1.cfg"
+    cfg.write_bytes(write_run_config(data_dir).read_bytes() + "# caf\xe9\n".encode("latin-1"))
+    return ["--config", str(cfg)], f"{cfg}: not UTF-8 text (byte "
+
+
+def _out_is_a_file(data_dir, command):
+    blocker = data_dir / "blocker"
+    blocker.write_text("not a directory")
+    cfg = (write_synth_config(data_dir) if command == "synth"
+           else write_run_config(data_dir, diameters="200, 600"))
+    return (["--config", str(cfg), "--out", str(blocker)],
+            f"cannot create directory {blocker}: File exists")
+
+
+@pytest.mark.parametrize("command, arguments", [
+    *[(command, _missing_config) for command in
+      ("synth", "bundle", "forecast", "reconcile", "evaluate", "run", "sweep")],
+    ("run", _directory_config),
+    ("synth", _directory_config),
+    ("run", _latin1_config),
+    ("run", _out_is_a_file),
+    ("sweep", _out_is_a_file),
+    ("bundle", _out_is_a_file),
+    ("synth", _out_is_a_file),
+])
+def test_cli_reports_unusable_paths_in_one_line(data_dir, capsys, command, arguments):
+    argv, message = arguments(data_dir, command)
+    capsys.readouterr()
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bundlecast {command}: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_module_entry_point_reports_a_missing_config_without_a_traceback(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(pipeline.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bundlecast.cli", "run", "--config", str(tmp_path / "none.cfg")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"bundlecast run: {tmp_path / 'none.cfg'}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("writer, name, stage", [
+    ("write_forecast_csv", "forecasts_raw.csv", "forecast"),
+    ("write_forecast_csv", "forecasts_reconciled.csv", "reconcile"),
+    ("write_report_csv", "evaluation.csv", "evaluate"),
+])
+def test_cli_write_failure_is_tagged_with_its_stage(data_dir, capsys, monkeypatch,
+                                                    writer, name, stage):
+    cfg = str(write_run_config(data_dir, out="unwritable"))
+    stages = ["bundle", "forecast", "reconcile", "evaluate"]
+    for command in stages[:stages.index(stage)]:
+        assert main([command, "--config", cfg]) == 0
+    real = getattr(pipeline, writer)
+
+    def failing(*args):
+        if Path(args[-1]).name == name:
+            raise OSError(28, "No space left on device", str(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, writer, failing)
+    capsys.readouterr()
+    assert main([stage, "--config", cfg]) == 1
+    cause = f"[Errno 28] No space left on device: '{data_dir / 'unwritable' / name}'"
+    assert capsys.readouterr().err == f"bundlecast {stage}: [{stage}] {cause}\n"
+
+    run_out = data_dir / "unwritable_run"
+    assert main(["run", "--config", cfg, "--out", str(run_out)]) == 1
+    cause = f"[Errno 28] No space left on device: '{run_out / name}'"
+    assert capsys.readouterr().err == f"bundlecast run: [{stage}] {cause}\n"
+    assert not run_out.exists()
