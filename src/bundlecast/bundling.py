@@ -328,10 +328,11 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def kmeans_bundle(assets, n_bundles: int, seed: int) -> Bundling:
     """Geographic k-means baseline on raw (lat, lon) degree coordinates.
 
-    Deterministic for a fixed seed. Empty clusters are repaired by
-    reassigning the point farthest from its current center. This baseline
-    does not optimize a covariance criterion and ignores the diameter
-    constraint; :func:`check_feasible` reports what it breaks.
+    Deterministic for a fixed seed. Each empty cluster takes the point
+    farthest from its current center among the points that do not sit alone
+    in their cluster, so a repair never empties another cluster. This
+    baseline does not optimize a covariance criterion and ignores the
+    diameter constraint; :func:`check_feasible` reports what it breaks.
     """
     assets = list(assets)
     k = n_bundles
@@ -347,9 +348,8 @@ def kmeans_bundle(assets, n_bundles: int, seed: int) -> Bundling:
         new_labels = d2.argmin(axis=1)
         for empty in np.setdiff1d(np.arange(k), np.unique(new_labels)):
             own = d2[np.arange(points.shape[0]), new_labels]
-            farthest = int(own.argmax())
-            new_labels[farthest] = empty
-            d2[farthest, :] = 0.0  # keep the repair point in place
+            own[np.bincount(new_labels, minlength=k)[new_labels] < 2] = -1.0  # sole members stay
+            new_labels[int(own.argmax())] = empty
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels

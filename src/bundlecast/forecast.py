@@ -275,9 +275,9 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     stays inside its range (training range for the in-sample pass, the
     panel for the test pass). Origins with fewer than H prior samples are
     skipped. Each row's in-sample forecasts are reduced to their per-lead
-    mean squared error as soon as they exist; a training range without an
+    mean squared error as soon as they exist. A training range without an
     eligible origin raises InsufficientDataError, since the reconciliation
-    weights need at least one.
+    weights need at least one, and so does a test range without one.
     """
     for level in LEVELS:
         if level not in specs:
@@ -298,6 +298,10 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
         raise InsufficientDataError(
             f"the training range has no origin with {h} samples of history and a full "
             f"{t}-step horizon, so no in-sample error can weight the reconciliation")
+    if test_origins.size == 0:
+        raise InsufficientDataError(
+            f"the test range has no origin with {h} samples of history and a full "
+            f"{t}-step horizon, so there is nothing to forecast")
 
     level_of_row = ["fleet"] + ["bundle"] * bundling.n_bundles + ["asset"] * panel.n_assets
     test_values = np.empty((test_origins.shape[0], n_rows, t))

@@ -2,9 +2,10 @@
 
 A run consumes one config plus the assets/series CSV pair and produces a
 run directory holding the bundling, raw and reconciled forecasts, the
-evaluation reports, reconciler diagnostics, and a manifest of input hashes.
-Outputs are a pure function of (config, input files): no wall-clock time or
-machine state leaks into any file, so identical runs are byte-identical.
+in-sample residual moments, the evaluation reports, reconciler diagnostics,
+and a manifest of input hashes. Outputs are a pure function of (config,
+input files): no wall-clock time or machine state leaks into any file, so
+identical runs are byte-identical.
 
 Bundling is :func:`make_bundling`; each later stage is one body that computes
 its products from in-memory inputs, writes them and returns what the next
@@ -12,8 +13,9 @@ stage needs (``_forecast``, ``_reconcile``, ``_evaluate``). ``run`` ingests
 and bundles once, then calls the bodies in order, again for the no-bundling
 baseline (all assets in one bundle, ``baseline_`` files), and compares the two.
 A stage command loads its inputs from the run directory, then calls the same
-body. Each body runs inside ``_stage``, so a failure while computing or
-writing a product is tagged with its stage either way.
+body. Each product file is written by one body inside ``_stage``, so a
+failure while computing or writing it is tagged with its stage whichever
+command runs it (the manifest counts as ingest, ``sweep.csv`` as bundle).
 """
 
 from __future__ import annotations
@@ -91,8 +93,6 @@ class StageError(BundlecastError):
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -136,10 +136,11 @@ def make_bundling(config: RunConfig, panel: AssetPanel,
 
 def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Path,
               prefix: str = "") -> RollingForecasts:
-    """Rolling test forecasts and in-sample residual moments; writes the test forecasts."""
+    """Rolling test forecasts and in-sample residual moments; writes both."""
     forecasts = rolling_forecast(panel, bundling, config.forecast_task, config.specs,
                                  config.test_start)
     write_forecast_csv(forecasts.test, panel.asset_ids, out / (prefix + FORECAST_TEST_FILE))
+    write_moments_csv(forecasts.second_moment, out / (prefix + MOMENTS_FILE))
     return forecasts
 
 
@@ -243,8 +244,8 @@ def run(config_path, out_dir=None) -> Path:
         if config.baseline:
             baseline = _run_pass(config, panel, Bundling.single_bundle(panel.asset_ids), out,
                                  "baseline_")
-            _write_comparison(bundled, baseline, out / COMPARISON_FILE)
-        write_manifest(config, out)
+            _stage("evaluate", _write_comparison, bundled, baseline, out / COMPARISON_FILE)
+        _stage("ingest", write_manifest, config, out)
     return out
 
 
@@ -315,9 +316,7 @@ def stage_forecast(config_path, out_dir=None) -> Path:
     """Produce test forecasts and in-sample residual moments for a learned bundling."""
     config, out, panel = _open_stage(config_path, out_dir)
     (bundling,) = _stage("forecast", _load_inputs, config, out, panel)
-    forecasts = _stage("forecast", _forecast, config, panel, bundling, out)
-    # the moments hand the in-sample fit to the reconcile command; run keeps them in memory
-    _stage("forecast", write_moments_csv, forecasts.second_moment, out / MOMENTS_FILE)
+    _stage("forecast", _forecast, config, panel, bundling, out)
     return out / FORECAST_TEST_FILE
 
 
@@ -339,26 +338,26 @@ def stage_evaluate(config_path, out_dir=None) -> Path:
     return out / REPORT_FILE
 
 
+def _sweep(config: RunConfig, train: AssetPanel, path: Path) -> None:
+    """Write the greedy objective at each configured diameter, per criterion."""
+    distances = haversine_matrix(train.assets)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("diameter_km,criterion,objective,feasible\n")
+        for criterion in (Criterion.SAVAR, Criterion.IMCY):
+            for pt in diameter_sweep(train, distances, criterion, config.n_bundles,
+                                     config.diameters):
+                obj = "" if pt.objective is None else FLOAT_FORMAT.format(pt.objective)
+                fh.write(f"{FLOAT_FORMAT.format(pt.diameter_km)},{criterion.value},"
+                         f"{obj},{str(pt.feasible).lower()}\n")
+
+
 def run_sweep(config_path, out_dir=None) -> Path:
     """Greedy objective vs. diameter for the savar and imcy criteria."""
     config = load_run_config(config_path)
     if config.diameters is None:
         raise ConfigError(f"{config_path}: sweep needs a 'diameters' key")
     with _fresh_out_dir(Path(out_dir or config.output_dir)) as out:
-        panel = _stage("ingest", load_panel, config).window(
-            config.train_start, config.train_end)
-        distances = haversine_matrix(panel.assets)
-        with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-            fh.write("diameter_km,criterion,objective,feasible\n")
-            for criterion in (Criterion.SAVAR, Criterion.IMCY):
-                points = _stage(
-                    "bundle", diameter_sweep,
-                    panel, distances, criterion, config.n_bundles, config.diameters)
-                for pt in points:
-                    obj = "" if pt.objective is None else FLOAT_FORMAT.format(pt.objective)
-                    fh.write(
-                        f"{FLOAT_FORMAT.format(pt.diameter_km)},{criterion.value},"
-                        f"{obj},{str(pt.feasible).lower()}\n"
-                    )
-        write_manifest(config, out)
+        train = _stage("ingest", load_panel, config).window(config.train_start, config.train_end)
+        _stage("bundle", _sweep, config, train, out / "sweep.csv")
+        _stage("ingest", write_manifest, config, out)
     return out

@@ -1,6 +1,8 @@
 """Objective evaluation, feasibility, greedy merging, and the exact oracle."""
 
 import math
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -369,6 +371,19 @@ def test_kmeans_degenerate_counts():
     np.testing.assert_array_equal(n.assignment.sum(axis=1), np.ones(6))
 
 
+@pytest.mark.parametrize("lats", [[40.0] * 6, [40.0] * 3 + [41.0] * 3],
+                         ids=["one-site", "two-sites"])
+def test_kmeans_repairs_empty_clusters_of_coincident_assets(lats):
+    """Assets sharing a coordinate reach k-means++'s zero-distance pick and the repair."""
+    assets = [AssetMeta(f"c{i}", lat, -100.0, 10.0) for i, lat in enumerate(lats)]
+    for k in range(1, 7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty cluster's mean warns
+            b = kmeans_bundle(assets, k, seed=1)
+        assert b.n_bundles == k
+        assert np.all(b.assignment.sum(axis=1) >= 1)
+
+
 def test_kmeans_deterministic():
     assets = cluster_assets()
     b1 = kmeans_bundle(assets, 3, seed=123)
@@ -461,6 +476,7 @@ def test_bundling_csv_round_trip(tmp_path, small_panel):
     ("1,a0", "listed twice"),  # would silently move a0 to bundle 1
     ("3,a3", "no asset has bundle id 2"),  # would fail later, naming no file
     ("3000000,a1", "bundle id 3000000 is not below the asset count 4"),  # K <= N
+    ("1,a9", "unknown asset id 'a9'"),
 ])
 def test_read_bundling_csv_rejects_malformed_rows(tmp_path, row, message):
     path = tmp_path / "bundling.csv"
@@ -468,3 +484,15 @@ def test_read_bundling_csv_rejects_malformed_rows(tmp_path, row, message):
     with pytest.raises(FormatError, match=message) as info:
         read_bundling_csv(path, ("a0", "a1", "a2", "a3"))
     assert f"{path}:3:" in str(info.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("bundle,asset\n0,a0\n", "expected header 'bundle_id,asset_id', got 'bundle,asset'"),
+    ("bundle_id,asset_id\n\n", "no bundle assignments"),
+    ("bundle_id,asset_id\n0,a0\n0,a1\n1,a2\n", "assets without a bundle: ['a3']"),
+], ids=["header", "no-assignments", "unassigned-asset"])
+def test_read_bundling_csv_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bundling.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        read_bundling_csv(path, ("a0", "a1", "a2", "a3"))

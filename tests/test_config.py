@@ -157,3 +157,32 @@ def test_synth_config_missing_key(tmp_path):
     path.write_text("n_assets = 6\n")
     with pytest.raises(ConfigError):
         load_synth_config(path)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"history_len": "4.5"}, "history_len must be an integer"),
+    ({"diameter_km": "far"}, "diameter_km must be a number"),
+    ({"baseline": "maybe"}, "baseline must be a boolean, got 'maybe'"),
+    ({"train_start": "2019-13-01T00:00:00Z"},
+     "train_start: unparsable timestamp '2019-13-01T00:00:00Z'"),
+    ({"diameters": "100, far"}, "diameters must be comma-separated numbers"),
+    ({"n_bundles": "0"}, "n_bundles must be >= 1"),
+    ({"diameter_km": "0"}, "diameter_km must be positive (or 'unbounded')"),
+    ({"seed": "-1"}, "seed must be a non-negative integer"),
+], ids=["integer", "number", "boolean", "timestamp", "diameters", "n_bundles",
+        "diameter_km", "seed"])
+def test_run_config_rejects_a_malformed_value(tmp_path, overrides, message):
+    path = write_config(tmp_path / "run.cfg", overrides=overrides)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        load_run_config(path)
+
+
+def test_run_config_rejects_a_duplicate_key(tmp_path):
+    body = "\n".join(f"{k} = {v}" for k, v in RUN_KEYS.items())
+    path = tmp_path / "run.cfg"
+    path.write_text(body + "\nseed = 7\n")  # within one section: configparser's own check
+    with pytest.raises(ConfigError, match="option 'seed' in section 'config' already exists"):
+        load_run_config(path)
+    path.write_text(f"[run]\n{body}\n[more]\nseed = 7\n")  # across sections
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: duplicate key 'seed'")):
+        load_run_config(path)

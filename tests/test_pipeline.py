@@ -122,6 +122,7 @@ def test_cli_run_with_baseline_and_comparison(data_dir):
             "evaluation.csv", "evaluation_raw.csv", "diagnostics.csv",
             "comparison.csv", "manifest.json"} <= names
     assert {"baseline_bundling.csv", "baseline_evaluation.csv"} <= names
+    assert {"residual_moments.csv", "baseline_residual_moments.csv"} <= names
 
     comparison = (out / "comparison.csv").read_text().strip().splitlines()
     assert comparison[0] == "level,metric,bundled,baseline"
@@ -202,6 +203,19 @@ def test_cli_run_cleans_up_on_failure(data_dir):
         (data_dir / "gone.csv").rename(data_dir / "series.csv")
 
 
+def _raise_no_space(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+def test_cli_run_empties_an_existing_out_dir_on_failure(data_dir, monkeypatch):
+    out = data_dir / "claimed"
+    out.mkdir()
+    monkeypatch.setattr(pipeline, "write_report_csv", _raise_no_space)  # after five writes
+    cfg = write_run_config(data_dir, out="claimed")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert out.is_dir() and list(out.iterdir()) == []  # claimed, so kept, and emptied
+
+
 def test_cli_run_refuses_nonempty_out(data_dir):
     out = data_dir / "occupied"
     out.mkdir()
@@ -259,9 +273,8 @@ def test_run_and_stage_commands_agree(data_dir):
         assert main([command, "--config", cfg, "--out", str(staged)]) == 0
     full = data_dir / "full"
     # the moments are handed between stages exactly, so the weights agree bit for bit
-    for name in ("bundling.csv", "forecasts_raw.csv", "diagnostics.csv"):
+    for name in ("bundling.csv", "forecasts_raw.csv", "residual_moments.csv", "diagnostics.csv"):
         assert (full / name).read_bytes() == (staged / name).read_bytes(), name
-    assert not (full / "residual_moments.csv").exists()  # a stage interface, not a run product
 
     # the stage path reconciles test forecasts read back from 12-digit CSVs
     panel = ingest_panel(data_dir / "assets.csv", data_dir / "series.csv")
@@ -336,6 +349,26 @@ def test_cli_no_insample_origin_fails_cleanly(data_dir, capsys):
     err = capsys.readouterr().err
     assert "bundlecast reconcile: [reconcile] " in err and "residual_moments.csv not found" in err
     assert {p.name for p in out.iterdir()} == {"bundling.csv"}
+
+
+def test_cli_no_test_origin_fails_cleanly(data_dir, capsys, recwarn):
+    # 5 test steps cannot hold one 8-step horizon
+    cfg = write_run_config(data_dir, out="no_test_origins")
+    cfg.write_text(cfg.read_text().replace("test_end = 2019-01-15T13:45:00Z",
+                                           "test_end = 2019-01-13T01:00:00Z"))
+    message = ("the test range has no origin with 24 samples of history and a full "
+               "8-step horizon, so there is nothing to forecast\n")
+    out = data_dir / "no_test_origins"
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"bundlecast run: [forecast] {message}"
+    assert not out.exists()
+    assert main(["bundle", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["forecast", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"bundlecast forecast: [forecast] {message}"
+    assert {p.name for p in out.iterdir()} == {"bundling.csv"}
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_rejects_granularity_that_differs_from_the_panel(data_dir, capsys):
@@ -422,6 +455,7 @@ def test_module_entry_point_reports_a_missing_config_without_a_traceback(tmp_pat
 
 @pytest.mark.parametrize("writer, name, stage", [
     ("write_forecast_csv", "forecasts_raw.csv", "forecast"),
+    ("write_moments_csv", "residual_moments.csv", "forecast"),
     ("write_forecast_csv", "forecasts_reconciled.csv", "reconcile"),
     ("write_report_csv", "evaluation.csv", "evaluate"),
 ])
@@ -449,3 +483,21 @@ def test_cli_write_failure_is_tagged_with_its_stage(data_dir, capsys, monkeypatc
     cause = f"[Errno 28] No space left on device: '{run_out / name}'"
     assert capsys.readouterr().err == f"bundlecast run: [{stage}] {cause}\n"
     assert not run_out.exists()
+
+
+@pytest.mark.parametrize("command, writer, stage", [
+    ("run", "write_manifest", "ingest"),
+    ("sweep", "write_manifest", "ingest"),
+    ("run", "_write_comparison", "evaluate"),
+    ("sweep", "open", "bundle"),  # sweep.csv is the one file pipeline opens itself in a sweep
+])
+def test_cli_run_and_sweep_writes_are_tagged_with_their_stage(data_dir, capsys, monkeypatch,
+                                                              command, writer, stage):
+    cfg = str(write_run_config(data_dir, baseline="true", diameters="200, 600",
+                               out="unwritable"))
+    monkeypatch.setattr(pipeline, writer, _raise_no_space, raising=False)
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"bundlecast {command}: [{stage}] [Errno 28] No space left on device\n")
+    assert not (data_dir / "unwritable").exists()
