@@ -115,14 +115,24 @@ class Bundling:
     def members(self, k: int) -> np.ndarray:
         return np.nonzero(self.assignment[k] == 1.0)[0]
 
-    def bundle_series(self, values: np.ndarray) -> np.ndarray:
-        """Aggregate an (N, T) panel into the (K, T) bundle series."""
+    def aggregate(self, values, axis: int = 0) -> np.ndarray:
+        """The 1+K upper hierarchy rows of ``values`` along its asset axis.
+
+        ``values`` holds the N assets along ``axis``; the result holds the
+        fleet total there, then each bundle's member sum. One
+        ``np.add.reduceat`` sums a gather of all assets in order followed by
+        the assets grouped by bundle, so no BLAS thread count can move a bit
+        of it, and a one-bundle row equals the fleet row bit for bit.
+        """
         values = np.asarray(values)
-        if values.shape[0] != self.n_assets:
-            raise ShapeMismatchError(
-                f"panel has {values.shape[0]} rows, bundling expects {self.n_assets}"
-            )
-        return self.assignment @ values
+        if values.shape[axis] != self.n_assets:
+            raise ShapeMismatchError(f"values have {values.shape[axis]} assets along axis "
+                                     f"{axis}, bundling expects {self.n_assets}")
+        n = self.n_assets
+        order = np.concatenate([np.arange(n), np.argsort(self.labels, kind="stable")])
+        sizes = self.assignment.sum(axis=1).astype(np.int64)
+        starts = np.concatenate([[0], n + np.cumsum(sizes) - sizes])
+        return np.add.reduceat(values.take(order, axis=axis), starts, axis=axis)
 
     def canonical(self) -> "Bundling":
         """Reorder rows by smallest member index."""
@@ -133,12 +143,12 @@ class Bundling:
 def objective(bundling: Bundling, sigma) -> float:
     """Evaluate tr(L @ sigma @ L.T) for a bundling."""
     s = np.asarray(sigma, dtype=np.float64)
-    lam = bundling.assignment
     if s.shape != (bundling.n_assets, bundling.n_assets):
         raise ShapeMismatchError(
             f"criterion matrix shape {s.shape} does not match {bundling.n_assets} assets"
         )
-    return float(((lam @ s) * lam).sum())
+    blocks = bundling.aggregate(bundling.aggregate(s)[1:], axis=1)[:, 1:]  # L @ sigma @ L.T
+    return float(np.trace(blocks))
 
 
 def check_feasible(bundling: Bundling, distances: np.ndarray,

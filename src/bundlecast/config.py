@@ -183,6 +183,8 @@ def load_run_config(path) -> RunConfig:
             f"{path}: need train_start < train_end < test_start < test_end"
         )
     if cfg.diameters is not None:
+        if not cfg.diameters:
+            raise ConfigError(f"{path}: diameters must list at least one diameter")
         if any(not d > 0.0 for d in cfg.diameters):
             raise ConfigError(f"{path}: diameters must be positive")
         if any(b < a for a, b in zip(cfg.diameters, cfg.diameters[1:])):

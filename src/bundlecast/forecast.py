@@ -218,14 +218,12 @@ def hierarchy_series(panel: AssetPanel, bundling: Bundling) -> np.ndarray:
     """Stack (fleet total, bundle, asset) series into an (N+K+1, T) matrix."""
     if bundling.asset_order != panel.asset_ids:
         raise ShapeMismatchError("bundling asset order does not match panel")
-    total = panel.values.sum(axis=0, keepdims=True)
-    return np.vstack([total, bundling.bundle_series(panel.values), panel.values])
+    return np.vstack([bundling.aggregate(panel.values), panel.values])
 
 
 def hierarchy_capacities(panel: AssetPanel, bundling: Bundling) -> np.ndarray:
     """Physical capacity of every hierarchy row (fleet, bundles, assets)."""
-    caps = panel.capacities
-    return np.concatenate([[caps.sum()], bundling.assignment @ caps, caps])
+    return np.concatenate([bundling.aggregate(panel.capacities), panel.capacities])
 
 
 def hierarchy_actuals(panel: AssetPanel, bundling: Bundling, origins,

@@ -107,9 +107,10 @@ def evaluate(actuals: HierarchyForecast, forecasts: HierarchyForecast,
     if caps.shape != (actuals.n_assets,):
         raise ShapeMismatchError(f"{caps.shape} capacities for {actuals.n_assets} assets")
 
+    upper_caps = bundling.aggregate(caps)
     blocks = {
-        "fleet": (actuals.fleet, forecasts.fleet, np.array([caps.sum()])),
-        "bundle": (actuals.bundles, forecasts.bundles, bundling.assignment @ caps),
+        "fleet": (actuals.fleet, forecasts.fleet, upper_caps[:1]),
+        "bundle": (actuals.bundles, forecasts.bundles, upper_caps[1:]),
         "asset": (actuals.assets, forecasts.assets, caps),
     }
     return {

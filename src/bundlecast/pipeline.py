@@ -4,8 +4,10 @@ A run consumes one config plus the assets/series CSV pair and produces a
 run directory holding the bundling, raw and reconciled forecasts, the
 in-sample residual moments, the evaluation reports, reconciler diagnostics,
 and a manifest of input hashes. Outputs are a pure function of (config,
-input files): no wall-clock time or machine state leaks into any file, so
-identical runs are byte-identical.
+input files) at any BLAS thread count: no wall-clock time or machine state
+leaks into any file, so identical runs are byte-identical. Every fleet and
+bundle sum is ``Bundling.aggregate``, which uses no BLAS; the covariance and
+ridge products still go through BLAS.
 
 Bundling is :func:`make_bundling`; each later stage is one body that computes
 its products from in-memory inputs, writes them and returns what the next
@@ -168,7 +170,11 @@ def _evaluate(panel: AssetPanel, bundling: Bundling, raw: HierarchyForecast,
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_manifest(config: RunConfig, out_dir: Path) -> None:
@@ -357,7 +363,10 @@ def run_sweep(config_path, out_dir=None) -> Path:
     if config.diameters is None:
         raise ConfigError(f"{config_path}: sweep needs a 'diameters' key")
     with _fresh_out_dir(Path(out_dir or config.output_dir)) as out:
-        train = _stage("ingest", load_panel, config).window(config.train_start, config.train_end)
+        # windowed under the bundle stage, as in make_bundling; no name keeps the
+        # whole panel alive while the sweep runs
+        train = _stage("bundle", _stage("ingest", load_panel, config).window,
+                       config.train_start, config.train_end)
         _stage("bundle", _sweep, config, train, out / "sweep.csv")
         _stage("ingest", write_manifest, config, out)
     return out

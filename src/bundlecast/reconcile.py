@@ -52,17 +52,14 @@ class LeadWeights:
 
     ``variances[tau-1, r]`` is the in-sample mean squared error of
     hierarchy row r at lead tau; ``n_floored`` counts the entries raised to
-    the floor. ``variances`` is stored as a read-only, Fortran-ordered view
-    whatever it was built from, the layout of a transposed (rows, leads)
-    array: the reconciler's matrix products then take one BLAS path, so
-    equal weights give bitwise equal gains.
+    the floor. ``variances`` is stored as a read-only view.
     """
 
     variances: np.ndarray   # (horizon, n_rows)
     n_floored: np.ndarray   # (horizon,)
 
     def __post_init__(self):
-        v = np.asfortranarray(self.variances, dtype=np.float64).view()
+        v = np.asarray(self.variances, dtype=np.float64).view()
         object.__setattr__(self, "variances", v)
         object.__setattr__(self, "n_floored", np.asarray(self.n_floored, dtype=np.int64))
         if v.ndim != 2:
@@ -112,7 +109,7 @@ def build_reconciler(bundling: Bundling, weights: LeadWeights) -> ReconcilerMode
     if v.shape[1] != 1 + k + n:
         raise ShapeMismatchError(f"weights cover {v.shape[1]} rows, the hierarchy has {1 + k + n}")
     v_fleet, v_bundle, v_asset = v[:, :1], v[:, 1:1 + k], v[:, 1 + k:]
-    w_bundle = v_asset @ bundling.assignment.T
+    w_bundle = bundling.aggregate(v_asset, axis=1)[:, 1:]
     g_bundle = w_bundle / (v_bundle + w_bundle)
     fused = g_bundle * v_bundle
     total = fused.sum(axis=1, keepdims=True)
@@ -124,22 +121,23 @@ def build_reconciler(bundling: Bundling, weights: LeadWeights) -> ReconcilerMode
 
 def reconcile(model: ReconcilerModel, forecasts: HierarchyForecast) -> HierarchyForecast:
     """Project forecasts onto the coherent subspace, per origin and lead."""
-    lam, k = model.bundling.assignment, model.bundling.n_bundles
-    if (forecasts.n_bundles, forecasts.n_assets) != lam.shape:
+    bundling, k = model.bundling, model.bundling.n_bundles
+    expected = (k, bundling.n_assets)
+    if (forecasts.n_bundles, forecasts.n_assets) != expected:
         raise ShapeMismatchError(f"forecast has {forecasts.n_bundles} bundles and "
-                                 f"{forecasts.n_assets} assets, reconciler expects {lam.shape}")
+                                 f"{forecasts.n_assets} assets, reconciler expects {expected}")
     if forecasts.horizon != model.horizon:
         raise ShapeMismatchError(
             f"forecast horizon {forecasts.horizon} != reconciler horizon {model.horizon}"
         )
     gains, shares = model.gains.T, model.shares.T      # (n_rows, horizon)
-    asset_sums = lam @ forecasts.assets
+    asset_sums = bundling.aggregate(forecasts.assets, axis=1)[:, 1:]
     fused = asset_sums + gains[1:1 + k] * (forecasts.bundles - asset_sums)
     total = fused.sum(axis=1, keepdims=True)
     fleet = total + gains[:1] * (forecasts.fleet - total)
     bundles = fused + shares[1:1 + k] * (fleet - total)
-    bottom = forecasts.assets + shares[1 + k:] * (bundles - asset_sums)[:, model.bundling.labels]
-    coherent = np.concatenate([bottom.sum(axis=1, keepdims=True), lam @ bottom, bottom], axis=1)
+    bottom = forecasts.assets + shares[1 + k:] * (bundles - asset_sums)[:, bundling.labels]
+    coherent = np.concatenate([bundling.aggregate(bottom, axis=1), bottom], axis=1)
     return HierarchyForecast(forecasts.origins, coherent,
                              forecasts.n_bundles, forecasts.n_assets)
 

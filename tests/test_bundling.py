@@ -74,7 +74,12 @@ def test_bundling_members_and_series():
     b = Bundling.from_labels([0, 1, 0], 2, ("a", "b", "c"))
     assert list(b.members(0)) == [0, 2]
     values = np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0]])
-    np.testing.assert_array_equal(b.bundle_series(values), [[101.0, 202.0], [10.0, 20.0]])
+    np.testing.assert_array_equal(b.aggregate(values),
+                                  [[111.0, 222.0], [101.0, 202.0], [10.0, 20.0]])
+    np.testing.assert_array_equal(b.aggregate(values.T, axis=1),
+                                  [[111.0, 101.0, 10.0], [222.0, 202.0, 20.0]])
+    with pytest.raises(ShapeMismatchError, match="2 assets along axis 0"):
+        b.aggregate(values[:2])
 
 
 # --- objective -------------------------------------------------------------------

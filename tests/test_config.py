@@ -169,8 +169,11 @@ def test_synth_config_missing_key(tmp_path):
     ({"n_bundles": "0"}, "n_bundles must be >= 1"),
     ({"diameter_km": "0"}, "diameter_km must be positive (or 'unbounded')"),
     ({"seed": "-1"}, "seed must be a non-negative integer"),
+    # an empty list would make sweep write a header-only sweep.csv
+    ({"diameters": ""}, "diameters must list at least one diameter"),
+    ({"diameters": " , "}, "diameters must list at least one diameter"),
 ], ids=["integer", "number", "boolean", "timestamp", "diameters", "n_bundles",
-        "diameter_km", "seed"])
+        "diameter_km", "seed", "empty-diameters", "blank-diameters"])
 def test_run_config_rejects_a_malformed_value(tmp_path, overrides, message):
     path = write_config(tmp_path / "run.cfg", overrides=overrides)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):

@@ -12,9 +12,12 @@ from bundlecast import (
     ForecastTask,
     HierarchyForecast,
     ModelSpec,
+    build_reconciler,
+    estimate_weights,
     hierarchy_actuals,
     hierarchy_capacities,
     hierarchy_series,
+    reconcile,
     rolling_forecast,
 )
 from bundlecast.core import format_utc_timestamp
@@ -220,6 +223,17 @@ def test_rolling_shapes_and_k1_duplication(rng):
     # single test origin (last step has no horizon), T=1
     assert rf.test.values.shape == (1, 6, 1)
     np.testing.assert_array_equal(rf.test.values[:, 0, :], rf.test.values[:, 1, :])
+
+    # ridge at N=200: the K=1 bundle row is the fleet series bit for bit, so its raw
+    # and reconciled forecasts are too
+    panel = random_panel(rng, 200, 120)
+    b = Bundling.single_bundle(panel.asset_ids)
+    specs = dict.fromkeys(("fleet", "bundle", "asset"), ModelSpec("ridge", 1.0, False))
+    rf = rolling_forecast(panel, b, ForecastTask(6, 4, 15), specs, panel.timestamps[90])
+    reconciled = reconcile(build_reconciler(b, estimate_weights(rf.second_moment, 1e-9)),
+                           rf.test)
+    for forecast in (rf.test, reconciled):
+        np.testing.assert_array_equal(forecast.fleet, forecast.bundles)
 
 
 def test_rolling_skips_exactly_short_history_origins(rng):

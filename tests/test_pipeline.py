@@ -45,12 +45,14 @@ series_file = {tmp_path / 'series.csv'}
 
 def write_run_config(tmp_path, name="run.cfg", n_bundles=2, criterion="savar",
                      model="ridge", baseline="false", out="run_dir",
-                     diameters=None, seed=42, history_len=24, diameter_km="unbounded"):
+                     diameters=None, seed=42, history_len=24, diameter_km="unbounded",
+                     horizon=8, train_end="2019-01-12T23:45:00Z",
+                     test_start="2019-01-13T00:00:00Z", test_end="2019-01-15T13:45:00Z"):
     # 1400 15-min steps: train on the first ~12 days, test on the rest
     lines = f"""
 task = short_term
 history_len = {history_len}
-horizon = 8
+horizon = {horizon}
 granularity_minutes = 15
 n_bundles = {n_bundles}
 criterion = {criterion}
@@ -65,9 +67,9 @@ asset_model = {model}
 asset_ridge_lambda = 1.0
 asset_use_calendar_encodings = false
 train_start = 2019-01-01T00:00:00Z
-train_end = 2019-01-12T23:45:00Z
-test_start = 2019-01-13T00:00:00Z
-test_end = 2019-01-15T13:45:00Z
+train_end = {train_end}
+test_start = {test_start}
+test_end = {test_end}
 seed = {seed}
 assets_file = {tmp_path / 'assets.csv'}
 series_file = {tmp_path / 'series.csv'}
@@ -79,6 +81,14 @@ baseline = {baseline}
     path = tmp_path / name
     path.write_text(lines)
     return path
+
+
+def _child_env(**variables):
+    """The environment, plus ``variables``, of a child Python that imports this package."""
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(pipeline.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture
@@ -193,6 +203,31 @@ def test_cli_run_determinism(data_dir):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="OpenBLAS caps its thread count at the CPU count")
+def test_cli_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """An N=500, K=50 imcy run with persistence writes the same run directory
+    with one and with two OpenBLAS threads."""
+    synth = write_synth_config(tmp_path, n_assets=500, n_steps=432, seed=11, pairs=4,
+                               regions=9)
+    assert main(["synth", "--config", str(synth)]) == 0
+    # 432 15-min steps: train on the first 4 days, test on the last 12 hours
+    cfg = write_run_config(tmp_path, n_bundles=50, criterion="imcy", model="persistence",
+                           seed=11, history_len=48, diameter_km="300", horizon=24,
+                           train_end="2019-01-04T23:45:00Z", test_start="2019-01-05T00:00:00Z",
+                           test_end="2019-01-05T11:45:00Z")
+    outs = [tmp_path / f"threads_{n}" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        # the variable is read when NumPy loads OpenBLAS, so it is set before the child starts
+        subprocess.run([sys.executable, "-m", "bundlecast.cli", "run", "--config", str(cfg),
+                        "--out", str(out)], env=_child_env(OPENBLAS_NUM_THREADS=str(n)),
+                       capture_output=True, check=True, timeout=300)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert [name for name in names
+            if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes()] == []
+
+
 def test_cli_run_cleans_up_on_failure(data_dir):
     cfg = write_run_config(data_dir, out="failed_run")
     (data_dir / "series.csv").rename(data_dir / "gone.csv")
@@ -256,6 +291,18 @@ def test_cli_sweep(data_dir):
     assert lines[0] == "diameter_km,criterion,objective,feasible"
     assert len(lines) == 1 + 2 * 3  # two criteria x three diameters
     assert {line.split(",")[1] for line in lines[1:]} == {"savar", "imcy"}
+
+
+def test_cli_sweep_tags_a_one_timestamp_training_range_with_the_bundle_stage(data_dir,
+                                                                            capsys):
+    cfg = write_run_config(data_dir, out="short_sweep", diameters="200, 600",
+                           train_end="2019-01-01T00:10:00Z")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "bundlecast sweep: [bundle] window [2019-01-01T00:00:00Z, 2019-01-01T00:10:00Z] "
+        "covers 1 timestamps\n")
+    assert not (data_dir / "short_sweep").exists()
 
 
 def test_pipeline_run_returns_directory(data_dir):
@@ -442,12 +489,9 @@ def test_cli_reports_unusable_paths_in_one_line(data_dir, capsys, command, argum
 
 
 def test_module_entry_point_reports_a_missing_config_without_a_traceback(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(pipeline.__file__).parents[1]),
-                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bundlecast.cli", "run", "--config", str(tmp_path / "none.cfg")],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=_child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"bundlecast run: {tmp_path / 'none.cfg'}: No such file or directory\n"

@@ -119,7 +119,6 @@ def test_lead_weights_leave_the_callers_array_writeable(rng):
         weights = LeadWeights(variances, np.zeros(3, dtype=int))
         assert variances.flags.writeable
         assert not weights.variances.flags.writeable
-        assert weights.variances.flags.f_contiguous
         np.testing.assert_array_equal(weights.variances, variances)
         with pytest.raises(ValueError):
             weights.variances[0, 0] = 1.0
