@@ -49,6 +49,7 @@ from .errors import (
 LEVELS = ("fleet", "bundle", "asset")
 
 FLOAT_FORMAT = "{:.12g}"  # CSV round-trip keeps coherence below 1e-9 relative
+_VALUE_FORMAT = "%.12g"  # FLOAT_FORMAT for the % operator: the same text for finite floats
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,11 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     Returns the feature mean and scale that standardize a row, and the
     (F+1, T) solution of (X'X + lambda*P) W = X'Y, whose last row is the
     intercept; P penalizes every standardized feature except the intercept.
-    ``np.linalg.cholesky`` first tests the left-hand side for positive
-    definiteness, so at lambda=0 a rank-deficient feature matrix raises
-    InsufficientDataError instead of being silently regularized.
+    For lambda > 0 the left-hand side is positive definite: the intercept
+    column is orthogonal to the centred features. At lambda=0
+    ``np.linalg.cholesky`` first tests it for positive definiteness, so a
+    rank-deficient feature matrix raises InsufficientDataError instead of
+    being silently regularized.
     """
     mean = features.mean(axis=0)
     scale = features.std(axis=0)
@@ -189,13 +192,14 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     gram = xa.T @ xa
     gram[np.diag_indices(n_feat)] += ridge_lambda
     rhs = xa.T @ targets
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise InsufficientDataError(
-            f"normal equations singular at lambda={ridge_lambda} "
-            f"({x.shape[0]} rows, {n_feat} features); degenerate features"
-        ) from exc
+    if ridge_lambda == 0.0:
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
+            raise InsufficientDataError(
+                f"normal equations singular at lambda={ridge_lambda} "
+                f"({x.shape[0]} rows, {n_feat} features); degenerate features"
+            ) from exc
     return mean, scale, np.linalg.solve(gram, rhs)
 
 
@@ -265,7 +269,8 @@ def _forecast_series(series: np.ndarray, timestamps: np.ndarray, origin_sets,
 
 
 def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
-                     specs: dict[str, ModelSpec], split: np.datetime64) -> RollingForecasts:
+                     specs: dict[str, ModelSpec], split: np.datetime64,
+                     shared: RollingForecasts | None = None) -> RollingForecasts:
     """Backtest every hierarchy series with per-level models.
 
     ``split`` is the first test timestamp: models train on everything
@@ -276,6 +281,14 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     mean squared error as soon as they exist. A training range without an
     eligible origin raises InsufficientDataError, since the reconciliation
     weights need at least one, and so does a test range without one.
+
+    Each series is fitted once. A row whose series, capacity and model spec
+    equal the fleet row's bit for bit (the one bundle of a one-bundle
+    bundling) copies the fleet row's forecasts and moments. The fleet and
+    asset rows do not depend on the bundling, so with ``shared``, the result
+    of an earlier call on the same panel, task, specs and split under
+    another bundling, they are copied from it and only the bundle rows are
+    forecast. The values are the same bits as without ``shared``.
     """
     for level in LEVELS:
         if level not in specs:
@@ -301,11 +314,28 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
             f"the test range has no origin with {h} samples of history and a full "
             f"{t}-step horizon, so there is nothing to forecast")
 
-    level_of_row = ["fleet"] + ["bundle"] * bundling.n_bundles + ["asset"] * panel.n_assets
+    k = bundling.n_bundles
+    level_of_row = ["fleet"] + ["bundle"] * k + ["asset"] * panel.n_assets
     test_values = np.empty((test_origins.shape[0], n_rows, t))
     moments = np.empty((n_rows, t))  # one contiguous row per series, handed on as (T, R)
-    for r in range(n_rows):
+    rows = range(n_rows)
+    if shared is not None:
+        if (shared.test.n_assets != panel.n_assets or shared.test.horizon != t
+                or not np.array_equal(shared.test.origins, panel.timestamps[test_origins])):
+            raise ShapeMismatchError("shared forecasts do not cover this panel's test origins "
+                                     "and horizon")
+        test_values[:, 0] = shared.test.fleet[:, 0]
+        test_values[:, 1 + k:] = shared.test.assets
+        moments[0] = shared.second_moment[:, 0]
+        moments[1 + k:] = shared.second_moment[:, 1 + shared.test.n_bundles:].T
+        rows = range(1, 1 + k)
+    fleet_bits = series[0].view(np.int64)
+    for r in rows:
         spec = specs[level_of_row[r]]
+        if (r > 0 and spec == specs["fleet"] and caps[r] == caps[0]
+                and np.array_equal(series[r].view(np.int64), fleet_bits)):
+            test_values[:, r], moments[r] = test_values[:, 0], moments[0]
+            continue
         test_values[:, r, :], train_pred = _forecast_series(
             series[r], panel.timestamps, (test_origins, train_origins), spec, task,
             split_idx, caps[r])
@@ -341,7 +371,10 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
     bundles 0..K-1, then the assets in ``asset_ids`` order; within a row
     leads 1..T. Each origin's values are formatted once per run of bitwise
     equal values in that order (a persistence row is one run), so ``0.0``
-    and ``-0.0`` stay distinct.
+    and ``-0.0`` stay distinct. The text around the values is one ``%``
+    template per file, with ``%`` in an asset id escaped, and each origin
+    block is that template filled by one ``%`` with the origin's stamp and
+    the block's value texts.
     """
     asset_ids = tuple(asset_ids)
     if len(asset_ids) != forecast.n_assets:
@@ -350,15 +383,15 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
         )
     if np.any(np.diff(forecast.origins) <= np.timedelta64(0, "s")):
         raise ValueOutOfRangeError("forecast origins are not strictly ascending")
-    suffixes = _line_suffixes(_row_keys(forecast.n_bundles, asset_ids), forecast.horizon)
+    # one "%s<suffix>%s\n" per line, filled with the origin's stamp and the value's text
+    template = "".join("%s" + suffix.replace("%", "%%") + "%s\n" for suffix in
+                       _line_suffixes(_row_keys(forecast.n_bundles, asset_ids), forecast.horizon))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(FORECAST_HEADER + "\n")
         for origin, block in zip(forecast.origins, forecast.values):
-            if not block.size:
-                continue
-            stamp = format_utc_timestamp(origin)
-            lines = map(str.__add__, suffixes, _value_texts(block))
-            fh.write(stamp + ("\n" + stamp).join(lines) + "\n")
+            fields = [format_utc_timestamp(origin)] * (2 * block.size)
+            fields[1::2] = _value_texts(block)
+            fh.write(template % tuple(fields))
 
 
 def _value_texts(block: np.ndarray) -> list[str]:
@@ -369,8 +402,9 @@ def _value_texts(block: np.ndarray) -> list[str]:
     starts = np.empty(flat.size, dtype=bool)
     starts[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    texts = np.array(list(map(FLOAT_FORMAT.format, flat[starts].tolist())), dtype=object)
-    return texts[np.cumsum(starts) - 1].tolist()
+    distinct = flat[starts].tolist()
+    texts = ((_VALUE_FORMAT + "\0") * len(distinct) % tuple(distinct)).split("\0")
+    return np.array(texts, dtype=object)[np.cumsum(starts) - 1].tolist()
 
 
 def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:

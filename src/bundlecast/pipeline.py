@@ -12,8 +12,11 @@ ridge products still go through BLAS.
 Bundling is :func:`make_bundling`; each later stage is one body that computes
 its products from in-memory inputs, writes them and returns what the next
 stage needs (``_forecast``, ``_reconcile``, ``_evaluate``). ``run`` ingests
-and bundles once, then calls the bodies in order, again for the no-bundling
-baseline (all assets in one bundle, ``baseline_`` files), and compares the two.
+and bundles once, then calls the bodies in order. For the no-bundling
+baseline (all assets in one bundle, ``baseline_`` files) it calls them again,
+but the baseline's forecast body copies the fleet and asset rows from the
+bundled pass and its one bundle row from its fleet row, so no series is
+fitted twice; then it compares the two passes.
 A stage command loads its inputs from the run directory, then calls the same
 body. Each product file is written by one body inside ``_stage``, so a
 failure while computing or writing it is tagged with its stage whichever
@@ -137,10 +140,14 @@ def make_bundling(config: RunConfig, panel: AssetPanel,
 
 
 def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Path,
-              prefix: str = "") -> RollingForecasts:
-    """Rolling test forecasts and in-sample residual moments; writes both."""
+              prefix: str = "", shared: RollingForecasts | None = None) -> RollingForecasts:
+    """Rolling test forecasts and in-sample residual moments; writes both.
+
+    ``shared`` is another bundling's forecasts of the same run, whose fleet
+    and asset rows are reused (see :func:`rolling_forecast`).
+    """
     forecasts = rolling_forecast(panel, bundling, config.forecast_task, config.specs,
-                                 config.test_start)
+                                 config.test_start, shared)
     write_forecast_csv(forecasts.test, panel.asset_ids, out / (prefix + FORECAST_TEST_FILE))
     write_moments_csv(forecasts.second_moment, out / (prefix + MOMENTS_FILE))
     return forecasts
@@ -226,11 +233,13 @@ def _fresh_out_dir(out: Path):
         raise
 
 
-def _run_pass(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Path,
-              prefix: str = "") -> Reports:
-    """Forecast -> reconcile -> evaluate under one bundling; returns the reconciled reports."""
-    _stage("bundle", write_bundling_csv, bundling, out / (prefix + BUNDLING_FILE))
-    forecasts = _stage("forecast", _forecast, config, panel, bundling, out, prefix)
+def _score(panel: AssetPanel, bundling: Bundling, forecasts: RollingForecasts, out: Path,
+           prefix: str) -> Reports:
+    """Reconcile one pass's raw forecasts and score both; returns the reconciled reports.
+
+    The reconciled forecasts live only in this call, so the next pass does not
+    hold them.
+    """
     reconciled = _stage("reconcile", _reconcile, panel, bundling, forecasts.second_moment,
                         forecasts.test, out, prefix)
     return _stage("evaluate", _evaluate, panel, bundling, forecasts.test, reconciled,
@@ -246,11 +255,19 @@ def run(config_path, out_dir=None) -> Path:
     with _fresh_out_dir(Path(out_dir or config.output_dir)) as out:
         panel = _stage("ingest", load_panel, config)
         bundling, _ = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
-        bundled = _run_pass(config, panel, bundling, out)
+        passes = {"": bundling}
         if config.baseline:
-            baseline = _run_pass(config, panel, Bundling.single_bundle(panel.asset_ids), out,
-                                 "baseline_")
-            _stage("evaluate", _write_comparison, bundled, baseline, out / COMPARISON_FILE)
+            passes["baseline_"] = Bundling.single_bundle(panel.asset_ids)
+        forecasts, reports = None, []
+        for prefix, pass_bundling in passes.items():
+            _stage("bundle", write_bundling_csv, pass_bundling, out / (prefix + BUNDLING_FILE))
+            # the baseline copies the bundled pass's fleet and asset rows; rebinding
+            # the name then frees them before the baseline reconciles
+            forecasts = _stage("forecast", _forecast, config, panel, pass_bundling, out, prefix,
+                               forecasts)
+            reports.append(_score(panel, pass_bundling, forecasts, out, prefix))
+        if config.baseline:
+            _stage("evaluate", _write_comparison, *reports, out / COMPARISON_FILE)
         _stage("ingest", write_manifest, config, out)
     return out
 

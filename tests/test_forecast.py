@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
@@ -22,6 +22,7 @@ from bundlecast import (
 )
 from bundlecast.core import format_utc_timestamp
 from bundlecast.forecast import (
+    _VALUE_FORMAT,
     FLOAT_FORMAT,
     _calendar_features,
     _forecast_series,
@@ -39,7 +40,7 @@ from bundlecast.errors import (
     ValueOutOfRangeError,
 )
 
-from conftest import random_panel
+from conftest import make_panel, random_panel
 
 
 def hourly_timestamps(n, start="2019-03-01T00:00:00"):
@@ -292,17 +293,74 @@ def test_rolling_fits_each_ridge_row_once(rng, monkeypatch):
     assert rf.test.n_origins > 0
 
 
+@pytest.mark.parametrize("bundle_spec, bundle_fits", [
+    (ModelSpec("ridge", 1.0, True), 0),      # the fleet's spec: the bundle row copies it
+    (ModelSpec("ridge", 0.3, True), 1),
+    (ModelSpec("persistence"), 0),
+])
+def test_rolling_shared_rows_equal_fresh_fits(rng, monkeypatch, bundle_spec, bundle_fits):
+    """Oracle: a K=1 backtest sharing another bundling's rows holds the bits of one
+    without sharing, and each of those rows is its series forecast on its own."""
+    panel = random_panel(rng, 5, 160)
+    task, split_idx = ForecastTask(6, 4, 15), 120
+    specs = {"fleet": ModelSpec("ridge", 1.0, True), "bundle": bundle_spec,
+             "asset": ModelSpec("ridge", 0.7, False)}
+    bundled = rolling_forecast(panel, Bundling.from_labels([0, 1, 0, 2, 1], 3, panel.asset_ids),
+                               task, specs, panel.timestamps[split_idx])
+    single = Bundling.single_bundle(panel.asset_ids)
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args[0].shape)
+        return ridge_fit(*args, **kwargs)
+
+    monkeypatch.setattr("bundlecast.forecast.ridge_fit", counting_fit)
+    shared = rolling_forecast(panel, single, task, specs, panel.timestamps[split_idx], bundled)
+    assert len(calls) == bundle_fits
+    monkeypatch.undo()
+    fresh = rolling_forecast(panel, single, task, specs, panel.timestamps[split_idx])
+    np.testing.assert_array_equal(shared.test.values, fresh.test.values)
+    np.testing.assert_array_equal(shared.second_moment, fresh.second_moment)
+
+    series, caps = hierarchy_series(panel, single), hierarchy_capacities(panel, single)
+    origins = np.searchsorted(panel.timestamps, fresh.test.origins)
+    for r, level in enumerate(["fleet", "bundle"] + ["asset"] * panel.n_assets):
+        alone = _forecast_series(series[r], panel.timestamps, [origins], specs[level], task,
+                                 split_idx, caps[r])[0]
+        np.testing.assert_array_equal(fresh.test.values[:, r], alone)
+    train_origins = np.arange(task.history_len - 1, split_idx - task.horizon)
+    err = (_insample_tensor(panel, single, task, specs, split_idx, train_origins)
+           - hierarchy_actuals(panel, single, panel.timestamps[train_origins],
+                               task.horizon).values)
+    np.testing.assert_array_equal(fresh.second_moment, np.mean(err * err, axis=0).T)
+
+    with pytest.raises(ShapeMismatchError, match="shared forecasts"):
+        rolling_forecast(panel, single, task, specs, panel.timestamps[split_idx + 1], bundled)
+
+
 def test_rolling_ridge_predictions_respect_capacity(rng):
-    panel = random_panel(rng, 3, 150)
-    b = Bundling.single_bundle(panel.asset_ids)
     task = ForecastTask(8, 4, 15)
     specs = {"fleet": ModelSpec("ridge", 0.1, True),
              "bundle": ModelSpec("ridge", 0.1, True),
              "asset": ModelSpec("ridge", 0.1, True)}
+    panel = random_panel(rng, 3, 150)
+    b = Bundling.single_bundle(panel.asset_ids)
     rf = rolling_forecast(panel, b, task, specs, panel.timestamps[120])
     caps = hierarchy_capacities(panel, b)
     assert (rf.test.values >= 0.0).all()
     assert (rf.test.values <= caps[None, :, None] + 1e-9).all()
+
+    # an idle asset of large capacity, alone in bundle 1: bundle 0's series is the
+    # fleet series bit for bit, but its forecasts are clipped to its own capacity
+    flat_topped = np.minimum(1.0, 0.6 + 0.6 * np.sin(2 * np.pi * np.arange(150) / 24))
+    panel = make_panel(np.vstack([np.zeros(150), 50.0 * flat_topped, 80.0 * flat_topped]),
+                       caps=[1000.0, 50.0, 80.0])
+    b = Bundling.from_labels([1, 0, 0], 2, panel.asset_ids)
+    series = hierarchy_series(panel, b)
+    assert np.array_equal(series[1].view(np.int64), series[0].view(np.int64))
+    rf = rolling_forecast(panel, b, task, specs, panel.timestamps[120])
+    assert (rf.test.bundles[:, 0] == 130.0).any()
+    assert (rf.test.values <= hierarchy_capacities(panel, b)[None, :, None]).all()
 
 
 def _cholesky_ridge_forecasts(series, timestamps, task, spec, train_len, origins, cap):
@@ -454,7 +512,9 @@ def test_write_forecast_csv_matches_the_per_cell_reference(tmp_path_factory, dat
     values = np.array([pool[i] for i in picks]).reshape(n_origins, 1 + k + n, horizon)
     origins = (np.datetime64("2019-01-08T00:00:00", "s")
                + np.timedelta64(900, "s") * np.arange(n_origins))
-    asset_ids = tuple(f"w{j}" for j in range(n))
+    # "%" in an id must reach the file as written, not act on the writer's template
+    asset_ids = tuple(f"w{j}" + data.draw(st.sampled_from(["", "%s", "100%", "%%"]))
+                      for j in range(n))
     path = tmp_path_factory.getbasetemp() / "per_cell_reference.csv"
     write_forecast_csv(HierarchyForecast(origins, values, k, n), asset_ids, path)
 
@@ -466,6 +526,19 @@ def test_write_forecast_csv_matches_the_per_cell_reference(tmp_path_factory, dat
         for (level, sid), row in zip(keys, block)
         for tau, v in enumerate(row, start=1))
     assert path.read_text(encoding="utf-8") == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1e308)
+@example(1.7976931348623157e308)
+def test_value_format_matches_float_format(x):
+    """The writer formats with ``%``; every finite float gets FLOAT_FORMAT's text."""
+    assert _VALUE_FORMAT % x == FLOAT_FORMAT.format(x)
 
 
 def test_write_forecast_csv_rejects_origins_out_of_order(tmp_path):

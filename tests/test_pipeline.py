@@ -20,7 +20,13 @@ from bundlecast import (
 )
 from bundlecast.bundling import read_bundling_csv, write_bundling_csv
 from bundlecast.cli import main
-from bundlecast.forecast import HierarchyForecast, read_forecast_csv, write_forecast_csv
+from bundlecast.forecast import (
+    HierarchyForecast,
+    read_forecast_csv,
+    ridge_fit,
+    rolling_forecast,
+    write_forecast_csv,
+)
 from bundlecast.pipeline import run as pipeline_run
 
 
@@ -145,6 +151,33 @@ def test_cli_run_with_baseline_and_comparison(data_dir):
     panel = ingest_panel(data_dir / "assets.csv", data_dir / "series.csv")
     base = read_bundling_csv(out / "baseline_bundling.csv", panel.asset_ids)
     assert base.n_bundles == 1
+
+
+def test_run_k1_baseline_fits_nothing_and_repeats_the_bundled_files(data_dir, monkeypatch):
+    """With one bundle the baseline pass is the bundled pass: it fits no series
+    and every ``baseline_`` file is its twin's bytes."""
+    fits, fits_per_pass = [], []
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args[0].shape)
+        return ridge_fit(*args, **kwargs)
+
+    def counting_rolling(*args, **kwargs):
+        before = len(fits)
+        forecasts = rolling_forecast(*args, **kwargs)
+        fits_per_pass.append(len(fits) - before)
+        return forecasts
+
+    monkeypatch.setattr("bundlecast.forecast.ridge_fit", counting_fit)
+    monkeypatch.setattr("bundlecast.pipeline.rolling_forecast", counting_rolling)
+    out = pipeline_run(write_run_config(data_dir, n_bundles=1, baseline="true", out="k1_base"))
+    n_assets = ingest_panel(data_dir / "assets.csv", data_dir / "series.csv").n_assets
+    # the fleet and each asset once; the bundle row is the fleet series
+    assert fits_per_pass == [n_assets + 1, 0]
+    twins = sorted(out.glob("baseline_*"))
+    assert len(twins) == 7
+    for twin in twins:
+        assert twin.read_bytes() == (out / twin.name.removeprefix("baseline_")).read_bytes()
 
 
 def test_cli_run_k1_hierarchy_rows(data_dir):
