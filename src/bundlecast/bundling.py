@@ -186,24 +186,35 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
 
     Bundles live in N fixed slots: slot ``i`` holds the bundle whose
     smallest member is asset ``i``, and merging slot ``b`` into slot ``a``
-    (``a < b``) keeps that true, so row-major order over the active slots
-    is the tie-break order and nothing is ever compacted. ``pairs`` holds
-    the criterion of every feasible active pair above the diagonal (inf
-    elsewhere), and each row ``r`` caches its first argmin ``nn[r]`` and
-    that value ``nn_cov[r]``; the first argmin of ``nn_cov`` and its
-    neighbour are then the lexicographically smallest minimal pair, the
-    same pair a scan of every pair picks. The merge arithmetic on ``cov``
-    and ``diam`` is the elementwise update a compacted matrix would get, so
-    every value, and hence every choice, is bitwise the same. A merge
-    changes only row and column ``a`` and retires slot ``b``: the rows that
-    pointed at ``a`` or ``b`` are rescanned, and each row above ``a`` takes
-    ``a`` when its new value is smaller, or equal from a smaller column.
-    That costs O(N) vector work plus O(N) per rescanned row per merge,
-    where rescanning every pair cost O(N^2).
+    (``a < b``) keeps that true, so row-major order over the live slots is
+    the tie-break order and nothing is ever compacted. One matrix carries
+    the state: for ``r < c``, ``pairs[r, c]`` is the criterion of slots
+    ``r`` and ``c`` when their union fits the diameter cutoff, and every
+    other entry (the diagonal, the lower triangle and each retired slot's
+    row and column) is inf. A merged bundle fits with ``c`` only if both
+    of its parts do, and its criterion is the sum of theirs, so the merge
+    is one elementwise sum of row/column ``b`` into row/column ``a``:
+    ``inf + x = inf`` carries infeasibility, and a feasible entry is the
+    same float addition a compacted covariance matrix would get, so every
+    choice is bitwise the same.
+
+    Each live row ``r`` caches its first argmin ``nn[r]`` and that value
+    ``nn_cov[r]`` (a retired slot has ``nn = -1``); the first argmin of
+    ``nn_cov`` and its neighbour are then the lexicographically smallest
+    minimal pair, the same pair a scan of every pair picks. After a merge
+    the rows that pointed at ``a`` or ``b`` are rescanned, and so is each
+    row above ``a`` whose new finite value at ``a`` ties or beats its cached
+    minimum; the first argmin of the rescan gives the tie-break. That costs
+    O(N) vector work plus O(N) per rescanned row per merge, where
+    rescanning every pair cost O(N^2).
+
+    Reading only the upper triangle needs a symmetric ``sigma``, and the
+    bundle sums must not overflow, so ``|sigma|`` must have a finite sum.
 
     Raises:
-        ValueOutOfRangeError: ``sigma`` has a non-finite entry or
-            ``distances`` a NaN one.
+        ValueOutOfRangeError: ``sigma`` has a non-finite entry, is not
+            symmetric or has an infinite absolute sum; ``distances`` has a
+            NaN entry.
         InfeasibleMergeError: no feasible pair is left before ``n_bundles``.
     """
     s = np.asarray(sigma, dtype=np.float64)
@@ -217,17 +228,25 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
     if bad.size:
         i, j = bad[0]
         raise ValueOutOfRangeError(f"criterion matrix entry ({i}, {j}) is {s[i, j]}")
+    bad = np.argwhere(s != s.T)
+    if bad.size:
+        i, j = bad[0]
+        raise ValueOutOfRangeError(
+            f"criterion matrix is not symmetric: entry ({i}, {j}) is {s[i, j]} "
+            f"but ({j}, {i}) is {s[j, i]}"
+        )
+    with np.errstate(over="ignore"):
+        total = np.abs(s).sum()
+    if not math.isfinite(total):
+        raise ValueOutOfRangeError(
+            "criterion matrix absolute sum overflows; bundle sums would not be finite")
     bad = np.argwhere(np.isnan(distances))
     if bad.size:
         i, j = bad[0]
         raise ValueOutOfRangeError(f"distance matrix entry ({i}, {j}) is NaN")
 
     members: list[list[int]] = [[i] for i in range(n)]
-    cov = s.copy()              # cov[a, b] = lam_a @ sigma @ lam_b
-    diam = distances.copy()     # diam[a, b] = max cross-pair distance
-    active = np.ones(n, dtype=bool)
-    # pairs[r, c] = cov[r, c] for feasible active pairs with r < c, else inf
-    pairs = np.where(np.triu(diam <= diameter_km, k=1), cov, np.inf)
+    pairs = np.where(np.triu(distances <= diameter_km, k=1), s, np.inf)
     nn = pairs.argmin(axis=1)
     nn_cov = pairs[np.arange(n), nn]
 
@@ -241,26 +260,21 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
             )
         b = int(nn[a])
 
-        cov[a, :] += cov[b, :]
-        cov[:, a] += cov[:, b]
-        diam[a, :] = np.maximum(diam[a, :], diam[b, :])
-        diam[:, a] = np.maximum(diam[:, a], diam[:, b])
+        pairs[:a, a] += pairs[:a, b]
+        pairs[a, a + 1:b] += pairs[a + 1:b, b]
+        pairs[a, b + 1:] += pairs[b, b + 1:]
+        pairs[:b, b] = pairs[b, b + 1:] = nn_cov[b] = np.inf
+        nn[b] = -1  # before the rescan: an all-inf row's argmin is 0
         members[a] += members[b]
-        active[b] = False
-        pairs[:, b] = nn_cov[b] = np.inf
-        pairs[a, a + 1:] = np.where((diam[a, a + 1:] <= diameter_km) & active[a + 1:],
-                                    cov[a, a + 1:], np.inf)
-        col = pairs[:a, a] = np.where((diam[:a, a] <= diameter_km) & active[:a],
-                                      cov[:a, a], np.inf)
 
-        stale = np.flatnonzero(active & ((nn == a) | (nn == b)))
-        wins = (col < nn_cov[:a]) | ((col == nn_cov[:a]) & (a < nn[:a]))
-        nn[:a][wins] = a
-        nn_cov[:a][wins] = col[wins]
-        nn[stale] = pairs[stale].argmin(axis=1)
-        nn_cov[stale] = pairs[stale, nn[stale]]
+        col = pairs[:a, a]
+        rows = (nn == a) | (nn == b)
+        rows[:a] |= (col < np.inf) & (col <= nn_cov[:a])
+        rows = np.flatnonzero(rows)
+        nn[rows] = pairs[rows].argmin(axis=1)
+        nn_cov[rows] = pairs[rows, nn[rows]]
 
-    return Bundling.from_members([members[i] for i in np.flatnonzero(active)], asset_order)
+    return Bundling.from_members([members[i] for i in np.flatnonzero(nn >= 0)], asset_order)
 
 
 # --- exact enumeration oracle -------------------------------------------------

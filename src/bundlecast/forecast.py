@@ -180,7 +180,9 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     column is orthogonal to the centred features. At lambda=0
     ``np.linalg.cholesky`` first tests it for positive definiteness, so a
     rank-deficient feature matrix raises InsufficientDataError instead of
-    being silently regularized.
+    being silently regularized. A system that passes that test on rounding
+    noise, or whose tiny lambda leaves it singular, raises the same error
+    when ``np.linalg.solve`` finds it singular.
     """
     mean = features.mean(axis=0)
     scale = features.std(axis=0)
@@ -192,15 +194,15 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     gram = xa.T @ xa
     gram[np.diag_indices(n_feat)] += ridge_lambda
     rhs = xa.T @ targets
-    if ridge_lambda == 0.0:
-        try:
+    try:
+        if ridge_lambda == 0.0:
             np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise InsufficientDataError(
-                f"normal equations singular at lambda={ridge_lambda} "
-                f"({x.shape[0]} rows, {n_feat} features); degenerate features"
-            ) from exc
-    return mean, scale, np.linalg.solve(gram, rhs)
+        return mean, scale, np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise InsufficientDataError(
+            f"normal equations singular at lambda={ridge_lambda} "
+            f"({x.shape[0]} rows, {n_feat} features); degenerate features"
+        ) from exc
 
 
 # --- rolling-origin harness ------------------------------------------------------

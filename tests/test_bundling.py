@@ -283,6 +283,31 @@ def test_greedy_rejects_nan_distance():
         greedy_merge(np.eye(3), d, 1, math.inf, ("a", "b", "c"))
 
 
+def test_greedy_rejects_asymmetric_sigma():
+    s = np.eye(3)
+    s[2, 1] = -0.5
+    with pytest.raises(ValueOutOfRangeError,
+                       match=r"not symmetric: entry \(1, 2\) is 0.0 but \(2, 1\) is -0.5"):
+        greedy_merge(s, np.zeros((3, 3)), 1, math.inf, ("a", "b", "c"))
+
+
+def test_greedy_rejects_sigma_whose_bundle_sums_could_overflow():
+    big = np.finfo(np.float64).max / 2
+    s = np.array([[big, -big], [-big, big]])
+    with pytest.raises(ValueOutOfRangeError, match="absolute sum overflows"):
+        greedy_merge(s, np.zeros((2, 2)), 1, math.inf, ("a", "b"))
+
+
+def test_greedy_keeps_a_retired_slot_retired():
+    # only (0, 2) fits: after it merges, slot 2's row is all inf and its
+    # argmin is slot 0, the merged slot, so a rescan must skip it
+    d = np.full((3, 3), 10.0)
+    d[0, 2] = d[2, 0] = 1.0
+    np.fill_diagonal(d, 0.0)
+    got = greedy_merge(np.eye(3), d, 2, 5.0, ("a", "b", "c"))
+    assert [list(got.members(k)) for k in range(2)] == [[0, 2], [1]]
+
+
 # --- exact oracle ----------------------------------------------------------------
 
 def test_exact_identity_when_k_equals_n(rng):

@@ -134,6 +134,18 @@ def test_ridge_singular_at_lambda_zero():
     ridge_fit(lags, targets, ridge_lambda=1.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-30])
+def test_ridge_singular_solve_is_insufficient_data(lam):
+    # a repeated column: at this seed the lambda=0 Cholesky test passes on
+    # rounding noise and np.linalg.solve then finds the system singular
+    rng = np.random.default_rng(4)
+    features = rng.standard_normal((50, 4))
+    features[:, 3] = features[:, 0]
+    with pytest.raises(InsufficientDataError,
+                       match=rf"normal equations singular at lambda={lam} \(50 rows, 4 features\)"):
+        ridge_fit(features, rng.standard_normal((50, 2)), ridge_lambda=lam)
+
+
 # --- ridge predict ------------------------------------------------------------------
 
 def test_ridge_predict_constant_series():
