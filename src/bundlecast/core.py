@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +37,8 @@ from .errors import (
 EARTH_RADIUS_KM = 6371.0
 
 ASSETS_HEADER = ("asset_id", "latitude_deg", "longitude_deg", "capacity_mw")
+
+SERIES_BLOCK_ROWS = 64  # data lines per np.loadtxt call; one call per file costs memory
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,12 @@ def ingest_panel(assets_file, series_file) -> AssetPanel:
     rejects (rather than repairs) duplicate ids, asset sets that disagree
     between the two files, timestamp gaps, and values outside [0, capacity].
     Errors name the physical line of the series file, blank lines included.
+
+    The data lines are parsed by ``np.loadtxt`` in blocks of
+    ``SERIES_BLOCK_ROWS``. If a block raises, warns or comes back in another
+    shape, or a stamp does not parse, the file is read again by the row loop,
+    which is the one source of error messages and line numbers and returns
+    the same panel bit for bit wherever both accept a file.
     """
     assets = read_assets_csv(assets_file)
     by_id: dict[str, AssetMeta] = {}
@@ -253,23 +262,90 @@ def ingest_panel(assets_file, series_file) -> AssetPanel:
         if unknown:
             raise FormatError(f"series columns without metadata: {unknown}")
 
-        n_cols = len(series_ids) + 1
-        timestamps, columns = [], []
-        for ln, row in rows:
-            if len(row) != n_cols:
-                raise FormatError(
-                    f"{series_file} row {ln}: expected {n_cols} fields, got {len(row)}")
-            timestamps.append(parse_utc_timestamp(row[0]))
-            try:
-                cells = list(map(float, row[1:]))
-            except ValueError:
-                cells = _parse_cells(series_file, ln, row[1:], series_ids)
-            columns.append(np.array(cells))
+        parsed = _parse_blocks(fh, len(series_ids))
+        if parsed is None:
+            fh.seek(0)
+            rows = _csv_rows(fh)
+            next(rows)  # the header, checked above
+            parsed = _parse_rows(series_file, rows, series_ids)
 
-    ordered = tuple(by_id[i] for i in series_ids)
+    timestamps, values = parsed
+    return AssetPanel(tuple(by_id[i] for i in series_ids), timestamps, values)
+
+
+_BLANK_LINES = ("\n", "\r\n", "\r")  # the lines the csv module reads as no row
+
+
+def _parse_blocks(lines, n_series: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(timestamps, values)`` of the series file's data lines, or None.
+
+    ``lines`` is the open file after its header. Each block of non-blank
+    lines is one ``np.loadtxt`` call, with the csv module's quote character
+    and a converter that keeps each row's stamp text. None means the row loop
+    must read the file: loadtxt raised or warned (an empty body warns), a
+    block's shape is not (lines, 1 + n_series), a stamp does not parse, or a
+    line is longer than the csv module's field size limit, which loadtxt
+    does not enforce.
+    """
+    stamps, blocks = [], []
+
+    def collect(text):
+        stamps.append(text)
+        return 0.0
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for block in _line_blocks(lines):
+                table = np.loadtxt(block, delimiter=",", comments=None, quotechar='"',
+                                   converters={0: collect}, ndmin=2)
+                if table.shape != (len(block), 1 + n_series):
+                    return None
+                blocks.append(np.ascontiguousarray(table[:, 1:].T))
+        timestamps = np.array([parse_utc_timestamp(s) for s in stamps], dtype="datetime64[s]")
+    except (ValueError, FormatError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    values = np.concatenate(blocks, axis=1) if blocks else np.empty((n_series, 0))
+    return (timestamps, values) if timestamps.shape[0] == values.shape[1] else None
+
+
+def _line_blocks(lines):
+    """Lists of up to ``SERIES_BLOCK_ROWS`` non-blank lines, in file order."""
+    limit = csv.field_size_limit()
+    block = []
+    for line in lines:
+        if line in _BLANK_LINES:
+            continue
+        if len(line) > limit:
+            raise ValueError(f"a line longer than the csv field size limit ({limit})")
+        block.append(line)
+        if len(block) == SERIES_BLOCK_ROWS:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
+def _parse_rows(series_file, rows, series_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(timestamps, values)`` of the csv rows after the header, one row at a time.
+
+    Raises for the first bad row, naming its physical line.
+    """
+    n_cols = len(series_ids) + 1
+    timestamps, columns = [], []
+    for ln, row in rows:
+        if len(row) != n_cols:
+            raise FormatError(
+                f"{series_file} row {ln}: expected {n_cols} fields, got {len(row)}")
+        timestamps.append(parse_utc_timestamp(row[0]))
+        try:
+            cells = list(map(float, row[1:]))
+        except ValueError:
+            cells = _parse_cells(series_file, ln, row[1:], series_ids)
+        columns.append(np.array(cells))
     values = (np.stack(columns, axis=1) if columns
               else np.empty((len(series_ids), 0)))
-    return AssetPanel(ordered, np.array(timestamps, dtype="datetime64[s]"), values)
+    return np.array(timestamps, dtype="datetime64[s]"), values
 
 
 def _parse_cells(series_file, ln: int, cells: list[str], series_ids: list[str]) -> list[float]:

@@ -176,13 +176,14 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     Returns the feature mean and scale that standardize a row, and the
     (F+1, T) solution of (X'X + lambda*P) W = X'Y, whose last row is the
     intercept; P penalizes every standardized feature except the intercept.
-    For lambda > 0 the left-hand side is positive definite: the intercept
-    column is orthogonal to the centred features. At lambda=0
-    ``np.linalg.cholesky`` first tests it for positive definiteness, so a
-    rank-deficient feature matrix raises InsufficientDataError instead of
-    being silently regularized. A system that passes that test on rounding
-    noise, or whose tiny lambda leaves it singular, raises the same error
-    when ``np.linalg.solve`` finds it singular.
+    The left-hand side is tested before the solve, at every lambda:
+    ``np.linalg.cholesky`` must factor it, and each squared pivot of that
+    factor must exceed ``eps`` times its diagonal entry. A pivot that small
+    is rounding noise, so the feature matrix is rank-deficient (or lambda too
+    small to regularize it) and InsufficientDataError is raised instead of
+    arbitrary split weights returned. The test is one-sided: a deficient
+    design whose rounding noise lands above that bound still passes it. A
+    system that ``np.linalg.solve`` finds singular raises the same error.
     """
     mean = features.mean(axis=0)
     scale = features.std(axis=0)
@@ -195,8 +196,9 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     gram[np.diag_indices(n_feat)] += ridge_lambda
     rhs = xa.T @ targets
     try:
-        if ridge_lambda == 0.0:
-            np.linalg.cholesky(gram)
+        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+        if np.any(pivots <= np.finfo(np.float64).eps * np.diagonal(gram)):
+            raise np.linalg.LinAlgError("a pivot is rounding noise")
         return mean, scale, np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise InsufficientDataError(

@@ -16,7 +16,14 @@ and bundles once, then calls the bodies in order. For the no-bundling
 baseline (all assets in one bundle, ``baseline_`` files) it calls them again,
 but the baseline's forecast body copies the fleet and asset rows from the
 bundled pass and its one bundle row from its fleet row, so no series is
-fitted twice; then it compares the two passes.
+fitted twice; then it compares the two passes. With ``n_bundles = 1`` the
+baseline is the bundled pass, so ``run`` copies the seven files instead.
+When reconciliation changes no bit of the raw forecasts (persistence input
+is coherent), ``_reconcile`` copies the raw forecast file's bytes, and
+``_evaluate`` scores once and writes both reports from that score. Bits, not
+values, decide: ``-0.0`` equals ``0.0`` but is written as ``-0``. On the
+stage path the raw file is the one the ``forecast`` stage left, so a
+hand-edited raw file is copied as it is.
 A stage command loads its inputs from the run directory, then calls the same
 body. Each product file is written by one body inside ``_stage``, so a
 failure while computing or writing it is tagged with its stage whichever
@@ -27,10 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shutil
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
+from shutil import copyfile, rmtree
 
 import numpy as np
 
@@ -84,6 +91,11 @@ REPORT_RAW_FILE = "evaluation_raw.csv"
 DIAGNOSTICS_FILE = "diagnostics.csv"
 COMPARISON_FILE = "comparison.csv"
 MANIFEST_FILE = "manifest.json"
+
+# the stage that writes each file of a pass, in the order a pass writes them
+_PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_TEST_FILE: "forecast",
+             MOMENTS_FILE: "forecast", RECONCILED_FILE: "reconcile",
+             DIAGNOSTICS_FILE: "reconcile", REPORT_FILE: "evaluate", REPORT_RAW_FILE: "evaluate"}
 
 
 class StageError(BundlecastError):
@@ -153,13 +165,30 @@ def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Pat
     return forecasts
 
 
+def _same_bits(a: HierarchyForecast, b: HierarchyForecast) -> bool:
+    """Whether two forecasts have the same origins and bitwise equal values.
+
+    ``np.array_equal`` on the floats would count ``-0.0`` equal to ``0.0``,
+    which the forecast CSV writes as ``-0`` and ``0``.
+    """
+    return (np.array_equal(a.origins, b.origins)
+            and np.array_equal(a.values.view(np.int64), b.values.view(np.int64)))
+
+
 def _reconcile(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
                test: HierarchyForecast, out: Path, prefix: str = "") -> HierarchyForecast:
-    """Per-lead WLS reconciliation; writes the reconciled forecasts and the diagnostics."""
+    """Per-lead WLS reconciliation; writes the reconciled forecasts and the diagnostics.
+
+    Reconciled forecasts bitwise equal to ``test`` are the raw forecast
+    file's bytes, so that file is copied rather than formatted again.
+    """
     weights = estimate_weights(second_moment,
                                eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
     reconciled = reconcile(build_reconciler(bundling, weights), test)
-    write_forecast_csv(reconciled, panel.asset_ids, out / (prefix + RECONCILED_FILE))
+    if _same_bits(reconciled, test):
+        copyfile(out / (prefix + FORECAST_TEST_FILE), out / (prefix + RECONCILED_FILE))
+    else:
+        write_forecast_csv(reconciled, panel.asset_ids, out / (prefix + RECONCILED_FILE))
     violations = count_bound_violations(reconciled, hierarchy_capacities(panel, bundling))
     write_diagnostics_csv(weights, out / (prefix + DIAGNOSTICS_FILE), violations)
     return reconciled
@@ -167,10 +196,14 @@ def _reconcile(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
 
 def _evaluate(panel: AssetPanel, bundling: Bundling, raw: HierarchyForecast,
               reconciled: HierarchyForecast, out: Path, prefix: str = "") -> Reports:
-    """Score raw and reconciled test forecasts; writes both, returns the reconciled scores."""
+    """Score raw and reconciled test forecasts; writes both, returns the reconciled scores.
+
+    Forecasts bitwise equal to the raw ones are scored once.
+    """
     actual_test = hierarchy_actuals(panel, bundling, raw.origins, raw.horizon)
-    raw_reports = evaluate(actual_test, raw, bundling, panel.capacities)
     reports = evaluate(actual_test, reconciled, bundling, panel.capacities)
+    raw_reports = (reports if _same_bits(raw, reconciled)
+                   else evaluate(actual_test, raw, bundling, panel.capacities))
     write_report_csv(reports, out / (prefix + REPORT_FILE))
     write_report_csv(raw_reports, out / (prefix + REPORT_RAW_FILE))
     return reports
@@ -226,7 +259,7 @@ def _fresh_out_dir(out: Path):
         yield out
     except BaseException:
         if created:
-            shutil.rmtree(out, ignore_errors=True)
+            rmtree(out, ignore_errors=True)
         else:
             for child in out.iterdir():
                 child.unlink()
@@ -256,7 +289,7 @@ def run(config_path, out_dir=None) -> Path:
         panel = _stage("ingest", load_panel, config)
         bundling, _ = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
         passes = {"": bundling}
-        if config.baseline:
+        if config.baseline and config.n_bundles > 1:
             passes["baseline_"] = Bundling.single_bundle(panel.asset_ids)
         forecasts, reports = None, []
         for prefix, pass_bundling in passes.items():
@@ -267,6 +300,10 @@ def run(config_path, out_dir=None) -> Path:
                                forecasts)
             reports.append(_score(panel, pass_bundling, forecasts, out, prefix))
         if config.baseline:
+            if config.n_bundles == 1:  # the baseline pass is the bundled pass
+                for name, stage in _PRODUCER.items():
+                    _stage(stage, copyfile, out / name, out / ("baseline_" + name))
+                reports.append(reports[0])
             _stage("evaluate", _write_comparison, *reports, out / COMPARISON_FILE)
         _stage("ingest", write_manifest, config, out)
     return out
@@ -278,10 +315,6 @@ def _open_stage(config_path, out_dir) -> tuple[RunConfig, Path, AssetPanel]:
     """The config, run directory and panel of a stage command; creates no directory."""
     config = load_run_config(config_path)
     return config, Path(out_dir or config.output_dir), _stage("ingest", load_panel, config)
-
-
-_PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_TEST_FILE: "forecast",
-             MOMENTS_FILE: "forecast", RECONCILED_FILE: "reconcile"}
 
 
 def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *names):

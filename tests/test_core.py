@@ -1,5 +1,6 @@
 """Panel ingest, haversine distances, and criterion covariance matrices."""
 
+import csv
 import math
 import re
 
@@ -20,7 +21,14 @@ from bundlecast import (
     objective,
     seasonal_adjust,
 )
-from bundlecast.core import EARTH_RADIUS_KM, parse_utc_timestamp, write_panel_csv
+from bundlecast import core
+from bundlecast.core import (
+    EARTH_RADIUS_KM,
+    SERIES_BLOCK_ROWS,
+    parse_utc_timestamp,
+    read_assets_csv,
+    write_panel_csv,
+)
 from bundlecast.errors import FormatError, InsufficientDataError, ValueOutOfRangeError
 
 from conftest import make_panel, random_bundling_labels, random_panel
@@ -252,6 +260,121 @@ def test_ingest_names_where_a_value_is_not_finite(tmp_path, cell):
                        match=re.escape(f"value {float(cell)} for asset 'w2' at "
                                        f"2019-01-08T00:45:00Z is not finite")):
         ingest_panel(*write_inputs(tmp_path, rows))
+
+
+def _reference_ingest(assets_file, series_file):
+    """The row loop: one csv row at a time, one Python ``float`` per cell."""
+    by_id = {a.asset_id: a for a in read_assets_csv(assets_file)}
+    with open(series_file, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = ((reader.line_num, row) for row in reader if row)
+        _, header = next(rows)
+        series_ids = [c.strip() for c in header[1:]]
+        timestamps, columns = [], []
+        for ln, row in rows:
+            if len(row) != len(series_ids) + 1:
+                raise FormatError(f"{series_file} row {ln}: expected {len(series_ids) + 1} "
+                                  f"fields, got {len(row)}")
+            timestamps.append(parse_utc_timestamp(row[0]))
+            cells = []
+            for sid, cell in zip(series_ids, row[1:]):
+                try:
+                    cells.append(float(cell))
+                    continue
+                except ValueError:
+                    cell = cell.strip()
+                if not cell:
+                    raise ValueOutOfRangeError(f"{series_file} row {ln}: missing value for {sid!r}")
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    raise FormatError(f"{series_file} row {ln}: unparsable value {cell!r}")
+            columns.append(np.array(cells))
+    values = np.stack(columns, axis=1) if columns else np.empty((len(series_ids), 0))
+    return AssetPanel(tuple(by_id[i] for i in series_ids),
+                      np.array(timestamps, dtype="datetime64[s]"), values)
+
+
+def _outcome(ingest, assets, series):
+    try:
+        return ingest(assets, series)
+    except Exception as exc:  # the reference's exception is the expected outcome
+        return type(exc), str(exc)
+
+
+def _cell_mutation(kind, cell):
+    if kind == "quote":
+        return f'"{cell}"'
+    if kind == "pad":
+        return f"\x1c{cell}\x1f"
+    if kind == "underscore":
+        return re.sub(r"(\d)(\d)", r"\1_\2", cell, count=1)
+    if kind == "empty":
+        return ""
+    if kind == "bad":
+        return "x"
+    return cell.replace("Z", "+01:00")  # "non_utc"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ingest_matches_the_row_loop_on_mutated_files(tmp_path_factory, data):
+    """Blocks of np.loadtxt give the row loop's panel bit for bit, or its error."""
+    n_rows = data.draw(st.integers(2, 2 * SERIES_BLOCK_ROWS + 10), label="n_rows")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    caps = np.array([10.0, 20.0, 30.0])
+    values = np.random.default_rng(seed).uniform(0.0, 1.0, (n_rows, 3)) * caps
+    values[values < 1.0] = 0.0  # zeros, some written as -0.000000 below
+    cells = [[row[0], *(f"{v:.6f}" for v in values[t])]
+             for t, row in enumerate(series_rows(n_rows))]
+    for row in cells[1::7]:
+        row[1] = row[1].replace("0.000000", "-0.000000")
+    for _ in range(data.draw(st.integers(0, 3), label="n_cell_mutations")):
+        kind = data.draw(st.sampled_from(["quote", "pad", "underscore", "empty", "non_utc",
+                                          "bad"]), label="cell_mutation")
+        first = SERIES_BLOCK_ROWS if kind == "bad" and n_rows > SERIES_BLOCK_ROWS else 0
+        t = data.draw(st.integers(first, n_rows - 1), label="row")
+        col = 0 if kind == "non_utc" else data.draw(st.integers(0 if kind == "quote" else 1, 3),
+                                                    label="col")
+        cells[t][col] = _cell_mutation(kind, cells[t][col])
+    lines = ["timestamp,w1,w2,w3"] + [",".join(row) for row in cells]
+    endings = ["\n"] * len(lines)
+    for _ in range(data.draw(st.integers(0, 3), label="n_line_mutations")):
+        kind = data.draw(st.sampled_from(["blank", "whitespace", "crlf", "cr", "extra", "fewer",
+                                          "header_only"]), label="line_mutation")
+        at = data.draw(st.integers(1, len(lines)), label="line")
+        if kind in ("blank", "whitespace"):
+            lines.insert(at, "" if kind == "blank" else data.draw(st.sampled_from([" ", "\t"])))
+            endings.insert(at, data.draw(st.sampled_from(["\n", "\r\n", "\r"])))
+        elif kind in ("crlf", "cr"):
+            endings[at - 1:] = [{"crlf": "\r\n", "cr": "\r"}[kind]] * (len(lines) - at + 1)
+        elif kind == "header_only":
+            lines, endings = lines[:1], endings[:1]
+        elif at < len(lines):
+            lines[at] = lines[at] + ",1.0" if kind == "extra" else lines[at].rsplit(",", 1)[0]
+    directory = tmp_path_factory.mktemp("mutated")
+    assets, series = directory / "a.csv", directory / "s.csv"
+    assets.write_text(ASSETS_CSV)
+    series.write_bytes("".join(map(str.__add__, lines, endings)).encode("utf-8"))
+
+    expected = _outcome(_reference_ingest, assets, series)
+    got = _outcome(ingest_panel, assets, series)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert isinstance(got, AssetPanel) and got.assets == expected.assets
+    assert got.timestamps.tobytes() == expected.timestamps.tobytes()
+    assert got.values.shape == expected.values.shape
+    assert got.values.tobytes() == expected.values.tobytes()
+
+
+def test_ingest_parses_a_clean_file_without_the_row_loop(tmp_path, monkeypatch):
+    def no_row_loop(*args):
+        raise AssertionError("the row loop parsed a clean file")
+
+    monkeypatch.setattr(core, "_parse_rows", no_row_loop)
+    panel = ingest_panel(*write_inputs(tmp_path, series_rows(3 * SERIES_BLOCK_ROWS + 5)))
+    assert panel.n_steps == 3 * SERIES_BLOCK_ROWS + 5 and np.all(panel.values == 1.5)
 
 
 def test_panel_csv_round_trip(tmp_path, rng):

@@ -136,14 +136,15 @@ def test_ridge_singular_at_lambda_zero():
 
 @pytest.mark.parametrize("lam", [0.0, 1e-30])
 def test_ridge_singular_solve_is_insufficient_data(lam):
-    # a repeated column: at this seed the lambda=0 Cholesky test passes on
-    # rounding noise and np.linalg.solve then finds the system singular
-    rng = np.random.default_rng(4)
-    features = rng.standard_normal((50, 4))
-    features[:, 3] = features[:, 0]
-    with pytest.raises(InsufficientDataError,
-                       match=rf"normal equations singular at lambda={lam} \(50 rows, 4 features\)"):
-        ridge_fit(features, rng.standard_normal((50, 2)), ridge_lambda=lam)
+    # a repeated column; without the pivot test, np.linalg.solve finds the system
+    # singular (seed 4) or returns split weights (5 at both lambdas, 6 and 16 at 1e-30)
+    for seed in (4, 5, 6, 16):
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((50, 4))
+        features[:, 3] = features[:, 0]
+        with pytest.raises(InsufficientDataError, match=rf"normal equations singular at "
+                                                        rf"lambda={lam} \(50 rows, 4 features\)"):
+            ridge_fit(features, rng.standard_normal((50, 2)), ridge_lambda=lam)
 
 
 # --- ridge predict ------------------------------------------------------------------

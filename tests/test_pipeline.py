@@ -154,8 +154,8 @@ def test_cli_run_with_baseline_and_comparison(data_dir):
 
 
 def test_run_k1_baseline_fits_nothing_and_repeats_the_bundled_files(data_dir, monkeypatch):
-    """With one bundle the baseline pass is the bundled pass: it fits no series
-    and every ``baseline_`` file is its twin's bytes."""
+    """With one bundle the baseline pass is the bundled pass: it is not run, and
+    every ``baseline_`` file is its twin's bytes."""
     fits, fits_per_pass = [], []
 
     def counting_fit(*args, **kwargs):
@@ -173,7 +173,7 @@ def test_run_k1_baseline_fits_nothing_and_repeats_the_bundled_files(data_dir, mo
     out = pipeline_run(write_run_config(data_dir, n_bundles=1, baseline="true", out="k1_base"))
     n_assets = ingest_panel(data_dir / "assets.csv", data_dir / "series.csv").n_assets
     # the fleet and each asset once; the bundle row is the fleet series
-    assert fits_per_pass == [n_assets + 1, 0]
+    assert fits_per_pass == [n_assets + 1]
     twins = sorted(out.glob("baseline_*"))
     assert len(twins) == 7
     for twin in twins:
@@ -223,6 +223,62 @@ def test_cli_run_persistence_reconciliation_is_identity(data_dir):
     rec = read_forecast_csv(out / "forecasts_reconciled.csv", panel.asset_ids,
                             bundling.n_bundles)
     assert np.max(np.abs(raw.values - rec.values)) < 1e-9 * panel.fleet_capacity
+
+
+def _counting_forecast_writes(monkeypatch):
+    """The file names that ``pipeline.write_forecast_csv`` writes, in call order."""
+    names = []
+
+    def counting(forecast, asset_ids, path):
+        names.append(Path(path).name)
+        return write_forecast_csv(forecast, asset_ids, path)
+
+    monkeypatch.setattr(pipeline, "write_forecast_csv", counting)
+    return names
+
+
+def _assert_same_tree(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert [name for name in names if (a / name).read_bytes() != (b / name).read_bytes()] == []
+
+
+def test_run_copies_a_reconciliation_that_changes_no_bit(data_dir, monkeypatch):
+    """Persistence input is coherent, so each pass formats its raw forecasts once."""
+    cfg = write_run_config(data_dir, model="persistence", baseline="true", out="copied")
+    written = _counting_forecast_writes(monkeypatch)
+    out = pipeline_run(cfg)
+    assert written == ["forecasts_raw.csv", "baseline_forecasts_raw.csv"]
+    for prefix in ("", "baseline_"):
+        assert ((out / f"{prefix}forecasts_reconciled.csv").read_bytes()
+                == (out / f"{prefix}forecasts_raw.csv").read_bytes())
+        assert ((out / f"{prefix}evaluation.csv").read_bytes()
+                == (out / f"{prefix}evaluation_raw.csv").read_bytes())
+    # the same bytes as formatting and scoring the reconciled forecasts anew
+    monkeypatch.setattr(pipeline, "_same_bits", lambda a, b: False)
+    _assert_same_tree(out, pipeline_run(cfg, data_dir / "formatted"))
+    assert written[2:] == ["forecasts_raw.csv", "forecasts_reconciled.csv",
+                           "baseline_forecasts_raw.csv", "baseline_forecasts_reconciled.csv"]
+
+
+def test_run_writes_a_reconciliation_that_turns_negative_zeros_positive(data_dir, monkeypatch):
+    """A -0.0 forecast is equal to, but not the same bits as, its reconciled +0.0."""
+    series = data_dir / "series.csv"
+    lines = series.read_text().splitlines()
+    # every asset reads -0 at noon of the second test day, so the persistence
+    # forecasts issued then, fleet and bundle sums included, are -0.0
+    at = next(i for i, line in enumerate(lines) if line.startswith("2019-01-14T12:00:00Z,"))
+    lines[at] = lines[at].split(",")[0] + ",-0.000000" * (len(lines[0].split(",")) - 1)
+    series.write_text("\n".join(lines) + "\n")
+    cfg = write_run_config(data_dir, model="persistence", out="negative_zero")
+    written = _counting_forecast_writes(monkeypatch)
+    out = pipeline_run(cfg)
+    assert written == ["forecasts_raw.csv", "forecasts_reconciled.csv"]
+    raw, rec = ((out / name).read_text() for name in ("forecasts_raw.csv",
+                                                          "forecasts_reconciled.csv"))
+    assert raw != rec and raw.replace(",-0\n", ",0\n") == rec
+    monkeypatch.setattr(pipeline, "_same_bits", lambda a, b: False)
+    _assert_same_tree(out, pipeline_run(cfg, data_dir / "formatted"))
 
 
 def test_cli_run_determinism(data_dir):
@@ -530,15 +586,35 @@ def test_module_entry_point_reports_a_missing_config_without_a_traceback(tmp_pat
     assert proc.stderr == f"bundlecast run: {tmp_path / 'none.cfg'}: No such file or directory\n"
 
 
+def _halve_series(data_dir):
+    """Round every series value down to a multiple of 1/2.
+
+    The persistence forecasts' fleet and bundle sums are then exact, so the
+    stage commands read back a raw file whose rows still add up bit for bit.
+    """
+    series = data_dir / "series.csv"
+    lines = series.read_text().splitlines()
+    for i, line in enumerate(lines[1:], 1):
+        stamp, *cells = line.split(",")
+        lines[i] = ",".join([stamp, *(f"{np.floor(2 * float(c)) / 2:.6f}" for c in cells)])
+    series.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("writer, name, stage", [
     ("write_forecast_csv", "forecasts_raw.csv", "forecast"),
     ("write_moments_csv", "residual_moments.csv", "forecast"),
     ("write_forecast_csv", "forecasts_reconciled.csv", "reconcile"),
     ("write_report_csv", "evaluation.csv", "evaluate"),
+    # persistence of coherent input reconciles to the same bits: the raw file is copied
+    ("copyfile", "forecasts_reconciled.csv", "reconcile"),
 ])
 def test_cli_write_failure_is_tagged_with_its_stage(data_dir, capsys, monkeypatch,
                                                     writer, name, stage):
-    cfg = str(write_run_config(data_dir, out="unwritable"))
+    model = "ridge"
+    if writer == "copyfile":
+        model = "persistence"
+        _halve_series(data_dir)
+    cfg = str(write_run_config(data_dir, model=model, out="unwritable"))
     stages = ["bundle", "forecast", "reconcile", "evaluate"]
     for command in stages[:stages.index(stage)]:
         assert main([command, "--config", cfg]) == 0
