@@ -1,10 +1,12 @@
 """Partition assets into bundles by minimizing a covariance quadratic form.
 
-The bundling objective is tr(L @ sigma @ L.T) where L is a K x N binary
-assignment matrix (one bundle per row, each asset in exactly one bundle) and
-sigma is one of the criterion covariance matrices from :mod:`bundlecast.core`.
-A diameter constraint forbids placing two assets in the same bundle when
-their great-circle distance exceeds a cutoff.
+A bundling gives each asset one bundle id, so a :class:`Bundling` is one
+label vector. The paper writes its objective as tr(L @ sigma @ L.T), where L
+is the K x N binary matrix with ``L[k, i] = 1`` when asset i is in bundle k
+and sigma is one of the criterion covariance matrices from
+:mod:`bundlecast.core`; :func:`objective` evaluates it from the labels with
+two bundle sums. A diameter constraint forbids placing two assets in the
+same bundle when their great-circle distance exceeds a cutoff.
 
 Solvers:
 
@@ -49,71 +51,59 @@ KMEANS_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class Bundling:
-    """A K x N binary assignment of assets to bundles.
+    """Assets partitioned into K bundles: ``labels[i]`` is the bundle of
+    ``asset_order[i]``.
 
-    Invariants: every column sums to exactly 1 (each asset in one bundle)
-    and every row sums to >= 1 (no empty bundle). Rows are conventionally
-    ordered by smallest member index; the solvers always emit that order.
-    ``assignment`` is stored as a read-only view; the caller's array stays
-    writeable.
+    Invariants: the labels are integers, one per asset, and use every id in
+    0..K-1, so no bundle is empty. Bundles are conventionally numbered by
+    smallest member index (:meth:`canonical`); the solvers always emit that
+    numbering. ``labels`` is stored as a read-only int64 view; the caller's
+    array stays writeable.
     """
 
-    assignment: np.ndarray
+    labels: np.ndarray
     asset_order: tuple[str, ...]
 
     def __post_init__(self):
-        lam = np.asarray(self.assignment, dtype=np.float64).view()
-        object.__setattr__(self, "assignment", lam)
+        raw = np.asarray(self.labels)
+        if not np.issubdtype(raw.dtype, np.integer):
+            raise ShapeMismatchError(f"bundle labels must be integers, got {raw.dtype}")
+        labels = raw.astype(np.int64, copy=False).view()
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "asset_order", tuple(self.asset_order))
-        if lam.ndim != 2:
-            raise ShapeMismatchError(f"assignment must be 2-D, got shape {lam.shape}")
-        if lam.shape[1] != len(self.asset_order):
+        if labels.shape != (len(self.asset_order),):
             raise ShapeMismatchError(
-                f"assignment has {lam.shape[1]} columns for {len(self.asset_order)} assets"
-            )
-        if not np.all((lam == 0.0) | (lam == 1.0)):
-            raise ShapeMismatchError("assignment entries must be 0 or 1")
-        if not np.all(lam.sum(axis=0) == 1.0):
-            raise ShapeMismatchError("each asset must belong to exactly one bundle")
-        if not np.all(lam.sum(axis=1) >= 1.0):
-            raise ShapeMismatchError("each bundle must be non-empty")
-        lam.flags.writeable = False
-
-    @classmethod
-    def from_labels(cls, labels, n_bundles: int, asset_order) -> "Bundling":
-        """Build from a length-N label vector with values in 0..K-1."""
-        labels = np.asarray(labels, dtype=np.int64)
-        lam = np.zeros((n_bundles, labels.shape[0]))
-        lam[labels, np.arange(labels.shape[0])] = 1.0
-        return cls(lam, tuple(asset_order))
+                f"labels have shape {labels.shape} for {len(self.asset_order)} assets")
+        if labels.min(initial=0) < 0:
+            raise ShapeMismatchError(f"bundle id {labels.min()} is negative")
+        unused = np.flatnonzero(np.bincount(labels) == 0)
+        if unused.size:
+            raise ShapeMismatchError(f"each bundle must be non-empty: no asset has bundle id "
+                                     f"{', '.join(map(str, unused))}")
+        labels.flags.writeable = False
 
     @classmethod
     def from_members(cls, members, asset_order) -> "Bundling":
         """Build from a list of member-index lists (one list per bundle)."""
-        n = len(asset_order)
-        lam = np.zeros((len(members), n))
+        labels = np.full(len(asset_order), -1, dtype=np.int64)
         for k, idx in enumerate(members):
-            lam[k, list(idx)] = 1.0
-        return cls(lam, tuple(asset_order))
+            labels[list(idx)] = k
+        return cls(labels, asset_order)
 
     @classmethod
     def single_bundle(cls, asset_order) -> "Bundling":
-        return cls(np.ones((1, len(asset_order))), tuple(asset_order))
+        return cls(np.zeros(len(asset_order), dtype=np.int64), asset_order)
 
     @property
     def n_bundles(self) -> int:
-        return int(self.assignment.shape[0])
+        return int(self.labels.max(initial=-1)) + 1
 
     @property
     def n_assets(self) -> int:
-        return int(self.assignment.shape[1])
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.assignment.argmax(axis=0)
+        return int(self.labels.shape[0])
 
     def members(self, k: int) -> np.ndarray:
-        return np.nonzero(self.assignment[k] == 1.0)[0]
+        return np.flatnonzero(self.labels == k)
 
     def aggregate(self, values, axis: int = 0) -> np.ndarray:
         """The 1+K upper hierarchy rows of ``values`` along its asset axis.
@@ -130,14 +120,14 @@ class Bundling:
                                      f"{axis}, bundling expects {self.n_assets}")
         n = self.n_assets
         order = np.concatenate([np.arange(n), np.argsort(self.labels, kind="stable")])
-        sizes = self.assignment.sum(axis=1).astype(np.int64)
+        sizes = np.bincount(self.labels)
         starts = np.concatenate([[0], n + np.cumsum(sizes) - sizes])
         return np.add.reduceat(values.take(order, axis=axis), starts, axis=axis)
 
     def canonical(self) -> "Bundling":
-        """Reorder rows by smallest member index."""
-        order = np.argsort([int(self.members(k)[0]) for k in range(self.n_bundles)])
-        return Bundling(self.assignment[order], self.asset_order)
+        """Renumber bundles by smallest member index."""
+        _, first = np.unique(self.labels, return_index=True)
+        return Bundling(np.argsort(np.argsort(first))[self.labels], self.asset_order)
 
 
 def objective(bundling: Bundling, sigma) -> float:
@@ -155,22 +145,18 @@ def check_feasible(bundling: Bundling, distances: np.ndarray,
                    diameter_km: float) -> tuple[tuple[int, int, int], ...]:
     """The ``(bundle, i, j)`` asset pairs, ``i < j``, farther apart than the cutoff.
 
-    Empty when the bundling satisfies the diameter constraint.
+    Sorted by bundle, then ``i``, then ``j``; empty when the bundling
+    satisfies the diameter constraint.
     """
     distances = np.asarray(distances)
     if distances.shape != (bundling.n_assets, bundling.n_assets):
         raise ShapeMismatchError(
             f"distance matrix shape {distances.shape} does not match {bundling.n_assets} assets"
         )
-    violations = []
-    for k in range(bundling.n_bundles):
-        idx = bundling.members(k)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = int(idx[a]), int(idx[b])
-                if distances[i, j] > diameter_km:
-                    violations.append((k, i, j))
-    return tuple(violations)
+    labels = bundling.labels
+    i, j = np.nonzero(np.triu((labels[:, None] == labels) & (distances > diameter_km), k=1))
+    order = np.argsort(labels[i], kind="stable")  # np.nonzero is already (i, j) ordered
+    return tuple(zip(labels[i[order]].tolist(), i[order].tolist(), j[order].tolist()))
 
 
 # --- greedy agglomerative solver ---------------------------------------------
@@ -380,7 +366,7 @@ def kmeans_bundle(assets, n_bundles: int, seed: int) -> Bundling:
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
 
-    return Bundling.from_labels(labels, k, [a.asset_id for a in assets]).canonical()
+    return Bundling(labels, [a.asset_id for a in assets]).canonical()
 
 
 # --- diameter sweep ------------------------------------------------------------
@@ -426,12 +412,11 @@ BUNDLING_HEADER = "bundle_id,asset_id"
 
 def write_bundling_csv(bundling: Bundling, path) -> None:
     """Write `bundle_id,asset_id` rows, bundles ordered by smallest member."""
-    canonical = bundling.canonical()
+    labels = bundling.canonical().labels
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(BUNDLING_HEADER + "\n")
-        for k in range(canonical.n_bundles):
-            for i in canonical.members(k):
-                fh.write(f"{k},{canonical.asset_order[int(i)]}\n")
+        for i in np.argsort(labels, kind="stable").tolist():
+            fh.write(f"{labels[i]},{bundling.asset_order[i]}\n")
 
 
 def read_bundling_csv(path, asset_order) -> Bundling:
@@ -481,4 +466,4 @@ def read_bundling_csv(path, asset_order) -> Bundling:
     if skipped:
         raise FormatError(f"{path}:{first_line[n_bundles - 1]}: bundle id {n_bundles - 1} is "
                           f"used, but no asset has bundle id {', '.join(map(str, skipped))}")
-    return Bundling.from_labels(labels, n_bundles, asset_order)
+    return Bundling(labels, asset_order)

@@ -178,12 +178,12 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     intercept; P penalizes every standardized feature except the intercept.
     The left-hand side is tested before the solve, at every lambda:
     ``np.linalg.cholesky`` must factor it, and each squared pivot of that
-    factor must exceed ``eps`` times its diagonal entry. A pivot that small
-    is rounding noise, so the feature matrix is rank-deficient (or lambda too
-    small to regularize it) and InsufficientDataError is raised instead of
-    arbitrary split weights returned. The test is one-sided: a deficient
-    design whose rounding noise lands above that bound still passes it. A
-    system that ``np.linalg.solve`` finds singular raises the same error.
+    factor must exceed ``n * eps`` times its diagonal entry, n being the row
+    count. Each Gram entry sums n rounded products, so a pivot that small is
+    rounding noise: the feature matrix is rank-deficient (or lambda too small
+    to regularize it) and InsufficientDataError is raised instead of
+    arbitrary split weights returned. A system that ``np.linalg.solve``
+    finds singular raises the same error.
     """
     mean = features.mean(axis=0)
     scale = features.std(axis=0)
@@ -197,7 +197,7 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     rhs = xa.T @ targets
     try:
         pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
-        if np.any(pivots <= np.finfo(np.float64).eps * np.diagonal(gram)):
+        if np.any(pivots <= x.shape[0] * np.finfo(np.float64).eps * np.diagonal(gram)):
             raise np.linalg.LinAlgError("a pivot is rounding noise")
         return mean, scale, np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
@@ -305,10 +305,8 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
         raise ShapeMismatchError("split timestamp outside the panel range")
 
     h, t = task.history_len, task.horizon
-    candidates_train = np.arange(0, max(split_idx - t, 0))
-    candidates_test = np.arange(split_idx, max(panel.n_steps - t, split_idx))
-    train_origins = candidates_train[candidates_train >= h - 1]
-    test_origins = candidates_test[candidates_test >= h - 1]
+    train_origins = np.arange(h - 1, split_idx - t)
+    test_origins = np.arange(max(split_idx, h - 1), panel.n_steps - t)
     if train_origins.size == 0:
         raise InsufficientDataError(
             f"the training range has no origin with {h} samples of history and a full "

@@ -41,9 +41,10 @@ from .forecast import HierarchyForecast
 
 
 def summing_matrix(bundling: Bundling) -> np.ndarray:
-    """The (N+K+1) x N matrix stacking (ones row; assignment; identity)."""
+    """The (N+K+1) x N matrix stacking (ones row; the K x N 0/1 bundle matrix; identity)."""
     n = bundling.n_assets
-    return np.vstack([np.ones((1, n)), bundling.assignment, np.eye(n)])
+    bundles = bundling.labels == np.arange(bundling.n_bundles)[:, None]
+    return np.vstack([np.ones((1, n)), bundles, np.eye(n)])
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ def test_quadratic_form_identity():
         k = int(rng.integers(1, n + 1))
         panel = random_panel(rng, n, t)
         labels = random_bundling_labels(rng, n, k)
-        bundling = Bundling.from_labels(labels, k, panel.asset_ids)
+        bundling = Bundling(labels, panel.asset_ids)
         for kind in Criterion:
             sigma = covariance(panel, kind)
             trace_value = objective(bundling, sigma)
@@ -138,7 +138,7 @@ def test_bundling_reduces_variance_of_anticorrelated_pair():
                       n_regions=1, anticorrelated_pairs=1)
     panel = synth_panel(cfg)
     sigma = covariance(panel, "variance")
-    singletons = objective(Bundling.from_labels([0, 1], 2, panel.asset_ids), sigma)
+    singletons = objective(Bundling([0, 1], panel.asset_ids), sigma)
     merged = objective(Bundling.single_bundle(panel.asset_ids), sigma)
     failures = []
     if not merged <= 0.5 * singletons:
@@ -184,7 +184,7 @@ def test_reconciliation_exactness():
     failures = []
 
     # hand-derived case
-    b2 = Bundling.from_labels([0, 0], 1, ("a", "b"))
+    b2 = Bundling([0, 0], ("a", "b"))
     w2 = LeadWeights(np.ones((1, 4)), np.zeros(1, dtype=int))
     model2 = build_reconciler(b2, w2)
     origins = np.array(["2019-01-08T00:00:00"], dtype="datetime64[s]")
@@ -200,7 +200,7 @@ def test_reconciliation_exactness():
         k = int(rng.integers(1, min(n, 4) + 1))
         horizon = int(rng.integers(1, 7))
         labels = random_bundling_labels(rng, n, k)
-        bundling = Bundling.from_labels(labels, k, tuple(f"a{i}" for i in range(n)))
+        bundling = Bundling(labels, tuple(f"a{i}" for i in range(n)))
         s = summing_matrix(bundling)
         weights = LeadWeights(rng.uniform(0.1, 10.0, size=(horizon, n + k + 1)),
                               np.zeros(horizon, dtype=int))

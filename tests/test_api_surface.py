@@ -48,24 +48,6 @@ def test_every_error_class_is_raised():
     assert unraised == []
 
 
-def test_only_bundling_and_summing_matrix_read_the_assignment():
-    """Fleet and bundle sums go through ``Bundling.aggregate``, so outside
-    ``bundling.py`` the dense assignment is read only by the ``summing_matrix``
-    oracle."""
-    readers = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "bundling.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef) and path.stem == "reconcile"
-                   and fn.name == "summing_matrix" for node in ast.walk(fn)}
-        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and node.attr == "assignment"
-                    and id(node) not in allowed]
-    assert readers == []
-
-
 def test_every_export_resolves():
     missing = [name for name in bundlecast.__all__ if not hasattr(bundlecast, name)]
     assert missing == []

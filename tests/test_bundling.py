@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlecast import (
     AssetMeta,
@@ -52,26 +54,33 @@ def close_panel():
 # --- Bundling invariants -------------------------------------------------------
 
 def test_bundling_rejects_empty_bundle():
-    with pytest.raises(ShapeMismatchError, match="each bundle must be non-empty"):
-        Bundling(np.array([[1.0, 1.0], [0.0, 0.0]]), ("a", "b"))
+    with pytest.raises(ShapeMismatchError, match="no asset has bundle id 1, 2"):
+        Bundling([0, 3, 0], ("a", "b", "c"))
 
 
-def test_bundling_rejects_double_assignment():
-    with pytest.raises(ShapeMismatchError, match="exactly one bundle"):
-        Bundling(np.array([[1.0, 1.0], [1.0, 0.0]]), ("a", "b"))
+@pytest.mark.parametrize("labels, message", [
+    ([0.0, 1.0], "bundle labels must be integers, got float64"),
+    ([True, False], "bundle labels must be integers, got bool"),
+    ([0, -1], "bundle id -1 is negative"),
+    ([0, 1, 0], r"labels have shape \(3,\) for 2 assets"),
+    ([[0, 1]], r"labels have shape \(1, 2\) for 2 assets"),
+], ids=["fractional", "bool", "negative", "length", "2-D"])
+def test_bundling_rejects_malformed_labels(labels, message):
+    with pytest.raises(ShapeMismatchError, match=message):
+        Bundling(np.array(labels), ("a", "b"))
 
 
 def test_bundling_leaves_the_callers_array_writeable():
-    lam = np.ones((1, 2))
-    b = Bundling(lam, ("a", "b"))
-    assert lam.flags.writeable and not b.assignment.flags.writeable
+    labels = np.zeros(2, dtype=np.int64)
+    b = Bundling(labels, ("a", "b"))
+    assert labels.flags.writeable and not b.labels.flags.writeable
     with pytest.raises(ValueError):
-        b.assignment[0, 0] = 0.0
-    lam[0, 0] = 0.0  # the caller may still write its own array
+        b.labels[0] = 1
+    labels[0] = 1  # the caller may still write its own array
 
 
 def test_bundling_members_and_series():
-    b = Bundling.from_labels([0, 1, 0], 2, ("a", "b", "c"))
+    b = Bundling([0, 1, 0], ("a", "b", "c"))
     assert list(b.members(0)) == [0, 2]
     values = np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0]])
     np.testing.assert_array_equal(b.aggregate(values),
@@ -82,24 +91,60 @@ def test_bundling_members_and_series():
         b.aggregate(values[:2])
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_labels_agree_with_the_dense_assignment_matrix(data):
+    """Aggregation, feasibility and renumbering read the labels; each must give
+    what the K x N 0/1 matrix L of the objective gives."""
+    n = data.draw(st.integers(1, 12), label="n")
+    raw = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="raw")
+    labels = np.unique(raw, return_inverse=True)[1]  # ids 0..K-1, not in member order
+    b = Bundling(labels, tuple(f"a{i}" for i in range(n)))
+    k = b.n_bundles
+    lam = np.zeros((k, n))
+    lam[labels, np.arange(n)] = 1.0
+
+    values = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=3 * n,
+                                         max_size=3 * n), label="values"),
+                      dtype=float).reshape(n, 3)
+    np.testing.assert_array_equal(b.aggregate(values), np.vstack([np.ones(n), lam]) @ values)
+    np.testing.assert_array_equal(b.aggregate(values.T, axis=1),
+                                  values.T @ np.vstack([np.ones(n), lam]).T)
+
+    distances = np.array(data.draw(st.lists(st.integers(0, 9), min_size=n * n,
+                                            max_size=n * n), label="distances"),
+                         dtype=float).reshape(n, n)
+    cutoff = data.draw(st.integers(0, 9), label="cutoff")
+    expected = tuple((kk, i, j) for kk in range(k) for i in range(n) for j in range(i + 1, n)
+                     if lam[kk, i] == lam[kk, j] == 1.0 and distances[i, j] > cutoff)
+    assert check_feasible(b, distances, cutoff) == expected
+
+    canonical = b.canonical()
+    np.testing.assert_array_equal(canonical.canonical().labels, canonical.labels)
+    firsts = [int(np.flatnonzero(canonical.labels == kk)[0]) for kk in range(k)]
+    assert firsts == sorted(firsts)
+    assert sorted(map(list, lam.astype(bool))) == sorted(
+        map(list, canonical.labels == np.arange(k)[:, None]))  # the same bundles
+
+
 # --- objective -------------------------------------------------------------------
 
 def test_objective_identity_is_trace(rng):
     panel = random_panel(rng, 5, 30)
     sigma = covariance(panel, "variance")
-    b = Bundling.from_labels(np.arange(5), 5, panel.asset_ids)
+    b = Bundling(np.arange(5), panel.asset_ids)
     assert objective(b, sigma) == pytest.approx(np.trace(sigma), rel=1e-12)
 
 
 def test_objective_hand_examples():
-    merged = Bundling(np.array([[1.0, 1.0]]), ("a", "b"))
-    split = Bundling(np.eye(2), ("a", "b"))
+    merged = Bundling([0, 0], ("a", "b"))
+    split = Bundling([0, 1], ("a", "b"))
     assert objective(merged, HAND_SIGMA) == pytest.approx(0.0, abs=1e-12)
     assert objective(split, HAND_SIGMA) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_objective_dimension_mismatch():
-    b = Bundling(np.array([[1.0, 1.0]]), ("a", "b"))
+    b = Bundling([0, 0], ("a", "b"))
     with pytest.raises(ShapeMismatchError, match=r"criterion matrix shape \(3, 3\)"):
         objective(b, np.eye(3))
 
@@ -109,7 +154,7 @@ def test_objective_dimension_mismatch():
 def test_singletons_always_feasible(rng):
     panel = random_panel(rng, 6, 4)
     d = haversine_matrix(panel.assets)
-    b = Bundling.from_labels(np.arange(6), 6, panel.asset_ids)
+    b = Bundling(np.arange(6), panel.asset_ids)
     assert check_feasible(b, d, 0.001) == ()
 
 
@@ -154,9 +199,8 @@ def test_greedy_invariants_and_recomputed_objective(rng):
         sigma = covariance(panel, "savar")
         b = greedy_merge(sigma, d, k, math.inf, panel.asset_ids)
         assert b.n_bundles == k
-        np.testing.assert_array_equal(b.assignment.sum(axis=0), np.ones(n))
-        assert (b.assignment.sum(axis=1) >= 1).all()
-        # canonical row order: bundles sorted by smallest member
+        assert b.labels.shape == (n,)
+        # canonical numbering: bundles sorted by smallest member
         firsts = [int(b.members(j)[0]) for j in range(k)]
         assert firsts == sorted(firsts)
 
@@ -166,7 +210,7 @@ def test_greedy_deterministic(small_panel):
     sigma = covariance(small_panel, "imcy")
     b1 = greedy_merge(sigma, d, 2, 900.0, small_panel.asset_ids)
     b2 = greedy_merge(sigma, d, 2, 900.0, small_panel.asset_ids)
-    np.testing.assert_array_equal(b1.assignment, b2.assignment)
+    np.testing.assert_array_equal(b1.labels, b2.labels)
 
 
 def test_greedy_scale_invariance(rng):
@@ -175,7 +219,7 @@ def test_greedy_scale_invariance(rng):
     sigma = covariance(panel, "variance")
     b1 = greedy_merge(sigma, d, 3, math.inf, panel.asset_ids)
     b2 = greedy_merge(37.5 * sigma, d, 3, math.inf, panel.asset_ids)
-    np.testing.assert_array_equal(b1.assignment, b2.assignment)
+    np.testing.assert_array_equal(b1.labels, b2.labels)
 
 
 def test_greedy_within_tolerance_of_exact(small_panel):
@@ -227,7 +271,7 @@ def _assert_matches_reference(s, distances, n_bundles, diameter_km):
         return True
     got = greedy_merge(s, distances, n_bundles, diameter_km, names)
     np.testing.assert_array_equal(
-        got.assignment, Bundling.from_members(expected, names).assignment)
+        got.labels, Bundling.from_members(expected, names).labels)
     return False
 
 
@@ -314,7 +358,7 @@ def test_exact_identity_when_k_equals_n(rng):
     panel = random_panel(rng, 5, 20)
     d = haversine_matrix(panel.assets)
     b = exact_partition(covariance(panel, "variance"), d, 5, math.inf, panel.asset_ids)
-    np.testing.assert_array_equal(b.assignment, np.eye(5))
+    np.testing.assert_array_equal(b.labels, np.arange(5))
 
 
 def test_exact_single_partition_objective_zero():
@@ -346,7 +390,7 @@ def test_exact_beats_or_ties_brute_force(rng):
     for labels in product(range(k), repeat=n):
         if len(set(labels)) != k:
             continue
-        b = Bundling.from_labels(labels, k, panel.asset_ids)
+        b = Bundling(labels, panel.asset_ids)
         if check_feasible(b, d, math.inf):
             continue
         best = min(best, objective(b, sigma))
@@ -398,7 +442,7 @@ def test_kmeans_degenerate_counts():
     one = kmeans_bundle(assets, 1, seed=1)
     assert one.n_bundles == 1 and len(one.members(0)) == 6
     n = kmeans_bundle(assets, 6, seed=1)
-    np.testing.assert_array_equal(n.assignment.sum(axis=1), np.ones(6))
+    np.testing.assert_array_equal(np.bincount(n.labels), np.ones(6))
 
 
 @pytest.mark.parametrize("lats", [[40.0] * 6, [40.0] * 3 + [41.0] * 3],
@@ -411,14 +455,14 @@ def test_kmeans_repairs_empty_clusters_of_coincident_assets(lats):
             warnings.simplefilter("error")  # an empty cluster's mean warns
             b = kmeans_bundle(assets, k, seed=1)
         assert b.n_bundles == k
-        assert np.all(b.assignment.sum(axis=1) >= 1)
+        assert np.bincount(b.labels).min() >= 1
 
 
 def test_kmeans_deterministic():
     assets = cluster_assets()
     b1 = kmeans_bundle(assets, 3, seed=123)
     b2 = kmeans_bundle(assets, 3, seed=123)
-    np.testing.assert_array_equal(b1.assignment, b2.assignment)
+    np.testing.assert_array_equal(b1.labels, b2.labels)
 
 
 def test_kmeans_warns_on_diameter_violation():
@@ -496,7 +540,7 @@ def test_bundling_csv_round_trip(tmp_path, small_panel):
     assert lines[0] == "bundle_id,asset_id"
     assert len(lines) == 1 + small_panel.n_assets
     back = read_bundling_csv(path, small_panel.asset_ids)
-    np.testing.assert_array_equal(back.assignment, b.canonical().assignment)
+    np.testing.assert_array_equal(back.labels, b.canonical().labels)
 
 
 @pytest.mark.parametrize("row, message", [

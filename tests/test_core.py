@@ -526,7 +526,7 @@ def direct_criterion(values, labels, n_bundles, kind):
 
 
 def assert_trace_matches_direct(panel, labels, k):
-    bundling = Bundling.from_labels(labels, k, panel.asset_ids)
+    bundling = Bundling(labels, panel.asset_ids)
     for kind in Criterion:
         sigma = covariance(panel, kind)
         trace_value = objective(bundling, sigma)

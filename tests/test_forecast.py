@@ -147,6 +147,14 @@ def test_ridge_singular_solve_is_insufficient_data(lam):
             ridge_fit(features, rng.standard_normal((50, 2)), ridge_lambda=lam)
 
 
+def test_ridge_rejects_the_lags_of_a_straight_line():
+    # two lags of a line are one column after centring, but rounding leaves a smallest
+    # squared pivot of 5e-16 of its diagonal entry, above eps and below n * eps
+    lags, targets = windows(np.linspace(50.0, 1.0, 60), 2, 4)
+    with pytest.raises(InsufficientDataError, match="normal equations singular at lambda=0.0"):
+        ridge_fit(lags, targets, ridge_lambda=0.0)
+
+
 # --- ridge predict ------------------------------------------------------------------
 
 def test_ridge_predict_constant_series():
@@ -157,8 +165,9 @@ def test_ridge_predict_constant_series():
 
 
 def test_ridge_predict_clips_to_range():
-    # downtrend: extrapolating below zero from the last origin must clip at 0
-    values = np.linspace(50.0, 1.0, 60)
+    # downtrend: extrapolating below zero from the last origin must clip at 0; the
+    # wiggle keeps the two lags independent, which a straight line would not
+    values = np.linspace(50.0, 1.0, 60) + 0.5 * (-1.0) ** np.arange(60)
     lags, targets = windows(values, 2, 4)
     mean, scale, w = ridge_fit(lags, targets, ridge_lambda=0.0)
     raw = standardized(values[None, 58:], mean, scale) @ w
@@ -175,7 +184,7 @@ def test_ridge_predict_clips_to_range():
 
 def test_hierarchy_series_and_capacities(rng):
     panel = random_panel(rng, 4, 12)
-    b = Bundling.from_labels([0, 1, 0, 1], 2, panel.asset_ids)
+    b = Bundling([0, 1, 0, 1], panel.asset_ids)
     series = hierarchy_series(panel, b)
     assert series.shape == (7, 12)
     np.testing.assert_allclose(series[0], panel.values.sum(axis=0), rtol=1e-12)
@@ -210,7 +219,7 @@ def persistence_specs():
 
 def test_rolling_persistence_is_coherent(rng):
     panel = random_panel(rng, 5, 60)
-    b = Bundling.from_labels([0, 1, 0, 1, 0], 2, panel.asset_ids)
+    b = Bundling([0, 1, 0, 1, 0], panel.asset_ids)
     task = ForecastTask(4, 6, 15)
     rf = rolling_forecast(panel, b, task, persistence_specs(), panel.timestamps[40])
     gap = np.abs(rf.test.fleet[:, 0, :] - rf.test.assets.sum(axis=1))
@@ -277,7 +286,7 @@ def test_rolling_without_insample_origin_raises(rng):
 
 def test_rolling_is_deterministic(rng):
     panel = random_panel(rng, 4, 120)
-    b = Bundling.from_labels([0, 0, 1, 1], 2, panel.asset_ids)
+    b = Bundling([0, 0, 1, 1], panel.asset_ids)
     task = ForecastTask(6, 4, 15)
     specs = {"fleet": ModelSpec("ridge", 1.0, False),
              "bundle": ModelSpec("ridge", 0.5, False),
@@ -297,7 +306,7 @@ def test_rolling_fits_each_ridge_row_once(rng, monkeypatch):
 
     monkeypatch.setattr("bundlecast.forecast.ridge_fit", counting_fit)
     panel = random_panel(rng, 4, 120)
-    b = Bundling.from_labels([0, 0, 1, 1], 2, panel.asset_ids)
+    b = Bundling([0, 0, 1, 1], panel.asset_ids)
     specs = {"fleet": ModelSpec("ridge", 1.0, False),
              "bundle": ModelSpec("ridge", 0.5, True),
              "asset": ModelSpec("persistence")}
@@ -318,7 +327,7 @@ def test_rolling_shared_rows_equal_fresh_fits(rng, monkeypatch, bundle_spec, bun
     task, split_idx = ForecastTask(6, 4, 15), 120
     specs = {"fleet": ModelSpec("ridge", 1.0, True), "bundle": bundle_spec,
              "asset": ModelSpec("ridge", 0.7, False)}
-    bundled = rolling_forecast(panel, Bundling.from_labels([0, 1, 0, 2, 1], 3, panel.asset_ids),
+    bundled = rolling_forecast(panel, Bundling([0, 1, 0, 2, 1], panel.asset_ids),
                                task, specs, panel.timestamps[split_idx])
     single = Bundling.single_bundle(panel.asset_ids)
     calls = []
@@ -368,7 +377,7 @@ def test_rolling_ridge_predictions_respect_capacity(rng):
     flat_topped = np.minimum(1.0, 0.6 + 0.6 * np.sin(2 * np.pi * np.arange(150) / 24))
     panel = make_panel(np.vstack([np.zeros(150), 50.0 * flat_topped, 80.0 * flat_topped]),
                        caps=[1000.0, 50.0, 80.0])
-    b = Bundling.from_labels([1, 0, 0], 2, panel.asset_ids)
+    b = Bundling([1, 0, 0], panel.asset_ids)
     series = hierarchy_series(panel, b)
     assert np.array_equal(series[1].view(np.int64), series[0].view(np.int64))
     rf = rolling_forecast(panel, b, task, specs, panel.timestamps[120])
@@ -398,7 +407,7 @@ def _cholesky_ridge_forecasts(series, timestamps, task, spec, train_len, origins
 
 def test_rolling_ridge_matches_scipy_cholesky_oracle(rng):
     panel = random_panel(rng, 5, 200)
-    b = Bundling.from_labels([0, 1, 0, 2, 1], 3, panel.asset_ids)
+    b = Bundling([0, 1, 0, 2, 1], panel.asset_ids)
     task = ForecastTask(8, 6, 15)
     specs = {"fleet": ModelSpec("ridge", 0.5, True),
              "bundle": ModelSpec("ridge", 2.0, False),
@@ -434,7 +443,7 @@ def _insample_tensor(panel, b, task, specs, split_idx, origins):
 def test_rolling_moments_match_insample_tensor(rng, model, use_calendar, horizon):
     """Oracle: the streamed moments are the mean over an (M, R, T) in-sample error tensor."""
     panel = random_panel(rng, 5, 160)
-    b = Bundling.from_labels([0, 1, 0, 2, 1], 3, panel.asset_ids)
+    b = Bundling([0, 1, 0, 2, 1], panel.asset_ids)
     task = ForecastTask(6, horizon, 15)
     spec = ModelSpec(model, 0.7, use_calendar)
     specs = {"fleet": spec, "bundle": spec, "asset": spec}
@@ -459,7 +468,7 @@ def test_rolling_moments_match_insample_tensor(rng, model, use_calendar, horizon
 
 def test_forecast_csv_round_trip(tmp_path, rng):
     panel = random_panel(rng, 3, 40)
-    b = Bundling.from_labels([0, 1, 0], 2, panel.asset_ids)
+    b = Bundling([0, 1, 0], panel.asset_ids)
     task = ForecastTask(4, 5, 15)
     rf = rolling_forecast(panel, b, task, persistence_specs(), panel.timestamps[30])
     path = tmp_path / "forecast.csv"

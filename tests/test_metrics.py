@@ -10,6 +10,7 @@ from bundlecast import (
     evaluate,
     nmae,
     rmse,
+    summing_matrix,
     variogram_score,
 )
 from bundlecast.errors import ShapeMismatchError, ValueOutOfRangeError
@@ -182,10 +183,10 @@ def test_metric_validation_errors(rng):
 def hierarchy_pair(rng, n=4, k=2, m=3, t=5):
     from conftest import random_bundling_labels
     labels = random_bundling_labels(rng, n, k)
-    bundling = Bundling.from_labels(labels, k, tuple(f"a{i}" for i in range(n)))
+    bundling = Bundling(labels, tuple(f"a{i}" for i in range(n)))
     origins = (np.datetime64("2019-01-08T00:00:00", "s")
                + np.timedelta64(900, "s") * np.arange(m))
-    s = np.vstack([np.ones((1, n)), bundling.assignment, np.eye(n)])
+    s = summing_matrix(bundling)
     bottom_a = rng.uniform(0, 50, size=(m, n, t))
     bottom_f = rng.uniform(0, 50, size=(m, n, t))
     actual = HierarchyForecast(origins, np.einsum("rn,mnt->mrt", s, bottom_a), k, n)

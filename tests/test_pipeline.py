@@ -442,7 +442,7 @@ def _merge_bundles(out, asset_ids):
     bundling = read_bundling_csv(out / "bundling.csv", asset_ids)
     last = bundling.n_bundles - 1
     labels = np.where(bundling.labels == last, 0, bundling.labels)
-    write_bundling_csv(Bundling.from_labels(labels, last, asset_ids), out / "bundling.csv")
+    write_bundling_csv(Bundling(labels, asset_ids), out / "bundling.csv")
 
 
 @pytest.mark.parametrize("command, corrupt", [

@@ -36,7 +36,7 @@ def random_instance(rng, n=None, k=None, horizon=None, n_origins=2):
     k = k if k is not None else int(rng.integers(1, min(n, 4) + 1))
     horizon = horizon if horizon is not None else int(rng.integers(1, 7))
     labels = random_bundling_labels(rng, n, k)
-    bundling = Bundling.from_labels(labels, k, tuple(f"a{i}" for i in range(n)))
+    bundling = Bundling(labels, tuple(f"a{i}" for i in range(n)))
     s = summing_matrix(bundling)
     values = rng.uniform(0.0, 100.0, size=(n_origins, n + k + 1, horizon))
     weights = LeadWeights(rng.uniform(0.1, 10.0, size=(horizon, n + k + 1)),
@@ -47,13 +47,13 @@ def random_instance(rng, n=None, k=None, horizon=None, n_origins=2):
 # --- summing matrix ---------------------------------------------------------------
 
 def test_summing_matrix_hand_example():
-    b = Bundling.from_labels([0, 0], 1, ("a", "b"))
+    b = Bundling([0, 0], ("a", "b"))
     np.testing.assert_array_equal(
         summing_matrix(b), [[1, 1], [1, 1], [1, 0], [0, 1]])
 
 
 def test_summing_matrix_identity_bundling():
-    b = Bundling.from_labels([0, 1, 2], 3, ("a", "b", "c"))
+    b = Bundling([0, 1, 2], ("a", "b", "c"))
     s = summing_matrix(b)
     np.testing.assert_array_equal(s[:1], np.ones((1, 3)))
     np.testing.assert_array_equal(s[1:4], np.eye(3))
@@ -64,8 +64,7 @@ def test_summing_matrix_column_sums_are_three(rng):
     for _ in range(5):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, n + 1))
-        b = Bundling.from_labels(random_bundling_labels(rng, n, k), k,
-                                 tuple(f"a{i}" for i in range(n)))
+        b = Bundling(random_bundling_labels(rng, n, k), tuple(f"a{i}" for i in range(n)))
         np.testing.assert_array_equal(summing_matrix(b).sum(axis=0), np.full(n, 3.0))
 
 
@@ -139,7 +138,7 @@ def test_reconciler_bits_independent_of_weight_layout(rng):
 # --- projection construction ----------------------------------------------------------
 
 def test_build_reconciler_hand_linear_algebra():
-    b = Bundling.from_labels([0, 0], 1, ("a", "b"))
+    b = Bundling([0, 0], ("a", "b"))
     s = summing_matrix(b)
     model = build_reconciler(b, unit_weights(1, 4))
     # (S'S)^-1 = inv([[3,2],[2,3]]) = (1/5) [[3,-2],[-2,3]]
@@ -199,7 +198,7 @@ def test_reconcile_matches_dense_normal_solve(rng):
 # --- reconciliation -------------------------------------------------------------------
 
 def test_reconcile_hand_case():
-    b = Bundling.from_labels([0, 0], 1, ("a", "b"))
+    b = Bundling([0, 0], ("a", "b"))
     model = build_reconciler(b, unit_weights(1, 4))
     fc = forecast_of(np.array([10.0, 10.0, 3.0, 5.0]).reshape(1, 4, 1), 1, 2)
     rec = reconcile(model, fc)
