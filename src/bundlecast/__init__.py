@@ -11,10 +11,7 @@ __version__ = "0.1.0"
 
 from .bundling import (
     Bundling,
-    SweepPoint,
     check_feasible,
-    diameter_sweep,
-    exact_partition,
     greedy_merge,
     kmeans_bundle,
     objective,
@@ -63,9 +60,7 @@ __all__ = [
     "__version__",
     "AssetMeta", "AssetPanel", "Criterion",
     "covariance", "difference", "haversine_matrix", "ingest_panel", "seasonal_adjust",
-    "Bundling", "SweepPoint",
-    "check_feasible", "diameter_sweep", "exact_partition",
-    "greedy_merge", "kmeans_bundle", "objective",
+    "Bundling", "check_feasible", "greedy_merge", "kmeans_bundle", "objective",
     "ForecastTask", "HierarchyForecast", "ModelSpec", "RollingForecasts",
     "hierarchy_actuals", "hierarchy_capacities", "hierarchy_series",
     "ridge_fit", "rolling_forecast",

@@ -18,15 +18,14 @@ Solvers:
   its nearest feasible neighbour cached, so a merge rescans only the rows
   it touched (nearest-neighbour bookkeeping as in Muellner 2011, "Modern
   hierarchical, agglomerative clustering algorithms", arXiv:1109.2378).
-* :func:`exact_partition` -- exhaustive enumeration of set partitions into
-  exactly K non-empty parts, guarded to N <= 12. Used as the optimality
-  oracle for the greedy.
 * :func:`kmeans_bundle` -- geographic baseline; Lloyd's algorithm on
   (lat, lon) degrees with deterministic k-means++ seeding. It ignores the
   diameter constraint; :func:`check_feasible` lists the pairs it breaks.
 
-The two covariance solvers take sigma as an (N, N) array, such as
-:func:`bundlecast.core.covariance` returns.
+The greedy takes sigma as an (N, N) array, such as
+:func:`bundlecast.core.covariance` returns. Its optimality oracle, an
+exhaustive search over the set partitions of N <= 12 assets, is test code
+and lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,16 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AssetPanel, Criterion, covariance
-from .errors import (
-    FormatError,
-    InfeasibleMergeError,
-    InfeasiblePartitionError,
-    ShapeMismatchError,
-    ValueOutOfRangeError,
-)
+from .errors import FormatError, InfeasibleMergeError, ShapeMismatchError, ValueOutOfRangeError
 
-EXACT_MAX_ASSETS = 12
 KMEANS_MAX_ITER = 100
 
 
@@ -81,14 +72,6 @@ class Bundling:
             raise ShapeMismatchError(f"each bundle must be non-empty: no asset has bundle id "
                                      f"{', '.join(map(str, unused))}")
         labels.flags.writeable = False
-
-    @classmethod
-    def from_members(cls, members, asset_order) -> "Bundling":
-        """Build from a list of member-index lists (one list per bundle)."""
-        labels = np.full(len(asset_order), -1, dtype=np.int64)
-        for k, idx in enumerate(members):
-            labels[list(idx)] = k
-        return cls(labels, asset_order)
 
     @classmethod
     def single_bundle(cls, asset_order) -> "Bundling":
@@ -173,7 +156,9 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
     Bundles live in N fixed slots: slot ``i`` holds the bundle whose
     smallest member is asset ``i``, and merging slot ``b`` into slot ``a``
     (``a < b``) keeps that true, so row-major order over the live slots is
-    the tie-break order and nothing is ever compacted. One matrix carries
+    the tie-break order and nothing is ever compacted. Each slot keeps its
+    member list; numbering the live slots in order when the merging ends
+    gives the labels, already in canonical order. One matrix carries
     the state: for ``r < c``, ``pairs[r, c]`` is the criterion of slots
     ``r`` and ``c`` when their union fits the diameter cutoff, and every
     other entry (the diagonal, the lower triangle and each retired slot's
@@ -260,62 +245,10 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
         nn[rows] = pairs[rows].argmin(axis=1)
         nn_cov[rows] = pairs[rows, nn[rows]]
 
-    return Bundling.from_members([members[i] for i in np.flatnonzero(nn >= 0)], asset_order)
-
-
-# --- exact enumeration oracle -------------------------------------------------
-
-def exact_partition(sigma, distances: np.ndarray, n_bundles: int, diameter_km: float,
-                    asset_order) -> Bundling:
-    """Optimal bundling by enumerating set partitions into K non-empty parts.
-
-    Partitions are visited as restricted-growth strings (parts labeled by
-    first appearance), so ties resolve to the lexicographically smallest
-    canonical assignment. Guarded to N <= 12.
-    """
-    s = np.asarray(sigma, dtype=np.float64)
-    distances = np.asarray(distances, dtype=np.float64)
-    n = s.shape[0]
-    if n > EXACT_MAX_ASSETS:
-        raise ValueOutOfRangeError(
-            f"exact enumeration is limited to {EXACT_MAX_ASSETS} assets, got {n}"
-        )
-    if distances.shape != (n, n) or len(asset_order) != n:
-        raise ShapeMismatchError("sigma, distances, and asset_order sizes disagree")
-    if not 1 <= n_bundles <= n:
-        raise ValueOutOfRangeError(f"n_bundles must be in 1..{n}, got {n_bundles}")
-
-    best_cost = math.inf
-    best_parts: list[list[int]] | None = None
-    parts: list[list[int]] = []
-
-    def recurse(i: int, cost: float) -> None:
-        nonlocal best_cost, best_parts
-        if i == n:
-            if len(parts) == n_bundles and cost < best_cost:
-                best_cost = cost
-                best_parts = [list(p) for p in parts]
-            return
-        if len(parts) + (n - i) < n_bundles:
-            return
-        for p in parts:
-            if np.all(distances[i, p] <= diameter_km):
-                delta = s[i, i] + 2.0 * float(s[i, p].sum())
-                p.append(i)
-                recurse(i + 1, cost + delta)
-                p.pop()
-        if len(parts) < n_bundles:
-            parts.append([i])
-            recurse(i + 1, cost + s[i, i])
-            parts.pop()
-
-    recurse(0, 0.0)
-    if best_parts is None:
-        raise InfeasiblePartitionError(
-            f"no partition of {n} assets into {n_bundles} bundles satisfies "
-            f"the {diameter_km} km diameter cutoff"
-        )
-    return Bundling.from_members(best_parts, asset_order)
+    labels = np.empty(n, dtype=np.int64)
+    for k, a in enumerate(np.flatnonzero(nn >= 0).tolist()):
+        labels[members[a]] = k
+    return Bundling(labels, asset_order)
 
 
 # --- geographic k-means baseline ----------------------------------------------
@@ -367,42 +300,6 @@ def kmeans_bundle(assets, n_bundles: int, seed: int) -> Bundling:
             centers[c] = points[labels == c].mean(axis=0)
 
     return Bundling(labels, [a.asset_id for a in assets]).canonical()
-
-
-# --- diameter sweep ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepPoint:
-    diameter_km: float
-    objective: float | None
-    feasible: bool
-
-
-def diameter_sweep(panel: AssetPanel, distances: np.ndarray, criterion: Criterion | str,
-                   n_bundles: int, diameters) -> list[SweepPoint]:
-    """Greedy objective as a function of the diameter cutoff.
-
-    Diameters must be positive and ascending. Cutoffs under which the greedy
-    cannot reach ``n_bundles`` produce an infeasible marker row instead of
-    failing the sweep.
-    """
-    diameters = [float(d) for d in diameters]
-    if any(not d > 0.0 for d in diameters):
-        raise ValueOutOfRangeError("diameters must be positive")
-    if any(b < a for a, b in zip(diameters, diameters[1:])):
-        raise ValueOutOfRangeError("diameters must be ascending")
-    if not diameters:
-        return []
-    sigma = covariance(panel, Criterion(criterion))
-    points = []
-    for d in diameters:
-        try:
-            bundling = greedy_merge(sigma, distances, n_bundles, d, panel.asset_ids)
-        except InfeasibleMergeError:
-            points.append(SweepPoint(d, None, False))
-        else:
-            points.append(SweepPoint(d, objective(bundling, sigma), True))
-    return points
 
 
 # --- CSV interface ---------------------------------------------------------------

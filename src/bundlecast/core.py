@@ -216,12 +216,15 @@ def read_assets_csv(path) -> list[AssetMeta]:
         for ln, row in rows:
             if len(row) != 4:
                 raise FormatError(f"{path}:{ln}: expected 4 fields, got {len(row)}")
+            asset_id = row[0].strip()
+            if "\n" in asset_id or "\r" in asset_id:  # it would break every file that lists it
+                raise FormatError(f"{path}:{ln}: asset id {asset_id!r} holds a line break")
             try:
-                assets.append(
-                    AssetMeta(row[0].strip(), float(row[1]), float(row[2]), float(row[3]))
-                )
+                assets.append(AssetMeta(asset_id, float(row[1]), float(row[2]), float(row[3])))
             except ValueError as exc:
                 raise FormatError(f"{path}:{ln}: {exc}") from exc
+            except (FormatError, ValueOutOfRangeError) as exc:
+                raise type(exc)(f"{path}:{ln}: {exc}") from exc
     return assets
 
 

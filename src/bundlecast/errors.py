@@ -9,8 +9,8 @@ failure a caller can tell apart:
 * :class:`ValueOutOfRangeError` -- a value or parameter is outside its range;
 * :class:`ShapeMismatchError` -- arrays or containers disagree in shape;
 * :class:`InsufficientDataError` -- too little data for the computation;
-* :class:`InfeasibleMergeError`, :class:`InfeasiblePartitionError` -- no
-  bundling satisfies the diameter cutoff;
+* :class:`InfeasibleMergeError` -- the greedy runs out of diameter-feasible
+  merges before it reaches K bundles;
 * :class:`ConfigError` -- a config file or the run directory is unusable.
 """
 
@@ -46,10 +46,6 @@ class InfeasibleMergeError(BundlecastError):
     def __init__(self, message: str, bundles_reached: int):
         super().__init__(message)
         self.bundles_reached = bundles_reached
-
-
-class InfeasiblePartitionError(BundlecastError):
-    """No partition into K bundles satisfies the diameter constraint."""
 
 
 class ConfigError(BundlecastError):

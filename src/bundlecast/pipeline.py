@@ -45,7 +45,6 @@ from . import __version__
 from .bundling import (
     Bundling,
     check_feasible,
-    diameter_sweep,
     greedy_merge,
     kmeans_bundle,
     objective,
@@ -54,7 +53,7 @@ from .bundling import (
 )
 from .config import RunConfig, load_run_config, load_synth_config
 from .core import AssetPanel, Criterion, covariance, haversine_matrix, ingest_panel
-from .errors import BundlecastError, ConfigError, ShapeMismatchError
+from .errors import BundlecastError, ConfigError, InfeasibleMergeError, ShapeMismatchError
 from .forecast import (
     FLOAT_FORMAT,
     LEVELS,
@@ -395,16 +394,26 @@ def stage_evaluate(config_path, out_dir=None) -> Path:
 
 
 def _sweep(config: RunConfig, train: AssetPanel, path: Path) -> None:
-    """Write the greedy objective at each configured diameter, per criterion."""
+    """Write the greedy objective at each configured diameter, per criterion.
+
+    Each criterion matrix is computed once for all diameters. A diameter at
+    which the greedy cannot reach ``n_bundles`` gets an empty objective and
+    ``false``.
+    """
     distances = haversine_matrix(train.assets)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("diameter_km,criterion,objective,feasible\n")
         for criterion in (Criterion.SAVAR, Criterion.IMCY):
-            for pt in diameter_sweep(train, distances, criterion, config.n_bundles,
-                                     config.diameters):
-                obj = "" if pt.objective is None else FLOAT_FORMAT.format(pt.objective)
-                fh.write(f"{FLOAT_FORMAT.format(pt.diameter_km)},{criterion.value},"
-                         f"{obj},{str(pt.feasible).lower()}\n")
+            sigma = covariance(train, criterion)
+            for diameter in config.diameters:
+                try:
+                    bundling = greedy_merge(sigma, distances, config.n_bundles, diameter,
+                                            train.asset_ids)
+                except InfeasibleMergeError:
+                    result = ",false"
+                else:
+                    result = f"{FLOAT_FORMAT.format(objective(bundling, sigma))},true"
+                fh.write(f"{FLOAT_FORMAT.format(diameter)},{criterion.value},{result}\n")
 
 
 def run_sweep(config_path, out_dir=None) -> Path:

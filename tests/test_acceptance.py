@@ -23,7 +23,6 @@ from bundlecast import (
     coherence_gap,
     covariance,
     energy_distance,
-    exact_partition,
     greedy_merge,
     haversine_matrix,
     ingest_panel,
@@ -37,11 +36,11 @@ from bundlecast import (
 )
 from bundlecast.bundling import read_bundling_csv
 from bundlecast.cli import main
-from bundlecast.errors import InfeasiblePartitionError
 from bundlecast.forecast import read_forecast_csv
 from bundlecast.synth import SynthConfig, synth_panel
 
 from conftest import make_panel, random_bundling_labels, random_panel, reconciler_gains
+from oracles import InfeasiblePartitionError, exact_partition
 
 
 def gate(name, elapsed, budget, failures):

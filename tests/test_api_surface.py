@@ -18,6 +18,7 @@ from bundlecast.forecast import read_forecast_csv, write_forecast_csv
 
 PACKAGE_DIR = Path(bundlecast.__file__).parent
 BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH_RUN = BENCH_SPANS.with_name("run.py")
 
 
 def raised_classes():
@@ -52,6 +53,32 @@ def test_every_export_resolves():
     missing = [name for name in bundlecast.__all__ if not hasattr(bundlecast, name)]
     assert missing == []
     assert len(set(bundlecast.__all__)) == len(bundlecast.__all__)
+
+
+def used_names(tree) -> set[str]:
+    """Names a module reads, bare (``f``) or as an attribute (``module.f``)."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_the_package_holds_what_a_command_runs():
+    """Each public top-level function or class is used by its own module or
+    by another package module (a re-export in ``__init__`` does not count), or
+    ``bench/run.py`` imports it from ``bundlecast``. Oracles that only the
+    tests need live in ``tests/oracles.py``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    uses = {stem: used_names(tree) for stem, tree in trees.items() if stem != "__init__"}
+    bench = {alias.name for node in ast.walk(ast.parse(BENCH_RUN.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.module
+             and node.module.partition(".")[0] == "bundlecast"
+             for alias in node.names}
+    unused = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not any(node.name in names for names in uses.values())
+              and node.name not in bench]
+    assert unused == []
 
 
 def test_forecast_csv_parameters_keep_their_names():

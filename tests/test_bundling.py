@@ -1,4 +1,5 @@
-"""Objective evaluation, feasibility, greedy merging, and the exact oracle."""
+"""Objective evaluation, feasibility, greedy merging, and the exact oracle
+(``tests/oracles.py``)."""
 
 import math
 import re
@@ -16,8 +17,6 @@ from bundlecast import (
     Criterion,
     check_feasible,
     covariance,
-    diameter_sweep,
-    exact_partition,
     greedy_merge,
     haversine_matrix,
     kmeans_bundle,
@@ -27,7 +26,6 @@ from bundlecast.bundling import read_bundling_csv, write_bundling_csv
 from bundlecast.errors import (
     FormatError,
     InfeasibleMergeError,
-    InfeasiblePartitionError,
     ShapeMismatchError,
     ValueOutOfRangeError,
 )
@@ -35,6 +33,7 @@ from bundlecast.pipeline import make_bundling
 from bundlecast.synth import SynthConfig, synth_panel
 
 from conftest import make_panel, random_bundling_labels, random_panel
+from oracles import InfeasiblePartitionError, exact_partition
 
 HAND_SIGMA = np.array([[0.25, -0.25], [-0.25, 0.25]])
 
@@ -235,8 +234,8 @@ def test_greedy_within_tolerance_of_exact(small_panel):
 def _reference_greedy(s, distances, n_bundles, diameter_km):
     """The triu-rescan greedy: rebuild every feasible pair, merge, compact.
 
-    Returns the bundles' member lists, or the InfeasibleMergeError's
-    ``bundles_reached``.
+    Returns the labels, bundles numbered by smallest member, or the
+    InfeasibleMergeError's ``bundles_reached``.
     """
     members = [[i] for i in range(s.shape[0])]
     cov, diam = s.copy(), distances.copy()
@@ -256,7 +255,10 @@ def _reference_greedy(s, distances, n_bundles, diameter_km):
         diam = np.delete(np.delete(diam, b, axis=0), b, axis=1)
         members[a] = sorted(members[a] + members[b])
         del members[b]
-    return members
+    labels = np.empty(s.shape[0], dtype=np.int64)
+    for k, idx in enumerate(members):
+        labels[idx] = k
+    return labels
 
 
 def _assert_matches_reference(s, distances, n_bundles, diameter_km):
@@ -270,8 +272,7 @@ def _assert_matches_reference(s, distances, n_bundles, diameter_km):
         assert f"at {expected} bundles" in str(err.value)
         return True
     got = greedy_merge(s, distances, n_bundles, diameter_km, names)
-    np.testing.assert_array_equal(
-        got.labels, Bundling.from_members(expected, names).labels)
+    np.testing.assert_array_equal(got.labels, expected)
     return False
 
 
@@ -480,27 +481,7 @@ def test_kmeans_warns_on_diameter_violation():
         "kmeans bundling violates the 100.0 km diameter cutoff in 12 asset pair(s)"]
 
 
-# --- diameter sweep ------------------------------------------------------------------
-
-def test_sweep_empty_diameter_list(small_panel):
-    d = haversine_matrix(small_panel.assets)
-    assert diameter_sweep(small_panel, d, "savar", 2, []) == []
-
-
-def test_sweep_rejects_a_non_positive_or_nan_diameter(small_panel):
-    d = haversine_matrix(small_panel.assets)
-    for diameters in ([0.0, 300.0], [100.0, math.nan, 600.0]):
-        with pytest.raises(ValueOutOfRangeError, match="diameters must be positive"):
-            diameter_sweep(small_panel, d, "savar", 2, diameters)
-
-
-def test_sweep_marks_infeasible_rows():
-    panel = far_apart_panel()
-    d = haversine_matrix(panel.assets)
-    points = diameter_sweep(panel, d, "variance", 1, [100.0, 2000.0])
-    assert not points[0].feasible and points[0].objective is None
-    assert points[1].feasible and points[1].objective == pytest.approx(0.0, abs=1e-12)
-
+# --- objective against the diameter cutoff --------------------------------------------
 
 def test_sweep_exact_objective_monotone_in_diameter():
     cfg = SynthConfig(n_assets=10, n_steps=400, granularity_minutes=15, seed=3,

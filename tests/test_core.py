@@ -251,6 +251,25 @@ def test_ingest_asset_errors_count_blank_lines(tmp_path):
         ingest_panel(assets, series)
 
 
+@pytest.mark.parametrize("row, line, error, message", [
+    ("w2,95.0,-101.0,20.0", 3, FormatError, "asset 'w2': latitude 95.0 outside [-90, 90]"),
+    ("w2,41.0,-181.0,20.0", 3, FormatError,
+     "asset 'w2': longitude -181.0 outside [-180, 180]"),
+    ("w2,41.0,-101.0,-1.0", 3, ValueOutOfRangeError,
+     "asset 'w2': capacity_mw must be finite and > 0, got -1.0"),
+    (" ,41.0,-101.0,20.0", 3, FormatError, "asset_id must be a non-empty string"),
+    # CSV quoting lets an id hold a line break, which would split its line in
+    # every file that lists the id; the row ends on line 4, the line named
+    ('"w\n2",41.0,-101.0,20.0', 4, FormatError, r"asset id 'w\n2' holds a line break"),
+    ('"w\r2",41.0,-101.0,20.0', 4, FormatError, r"asset id 'w\r2' holds a line break"),
+], ids=["latitude", "longitude", "capacity", "empty-id", "LF-in-id", "CR-in-id"])
+def test_ingest_names_the_line_of_a_bad_asset(tmp_path, row, line, error, message):
+    assets, series = write_inputs(tmp_path, series_rows(6),
+                                  ASSETS_CSV.replace("w2,41.0,-101.0,20.0", row))
+    with pytest.raises(error, match=re.escape(f"{assets}:{line}: {message}")):
+        ingest_panel(assets, series)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_ingest_names_where_a_value_is_not_finite(tmp_path, cell):
     rows = series_rows(6)

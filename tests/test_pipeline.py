@@ -11,6 +11,7 @@ import pytest
 
 from bundlecast import (
     Bundling,
+    Criterion,
     coherence_gap,
     covariance,
     ingest_panel,
@@ -374,12 +375,32 @@ def test_cli_bundle_computes_the_covariance_once(data_dir, capsys, monkeypatch):
 
 
 def test_cli_sweep(data_dir):
-    cfg = str(write_run_config(data_dir, out="sweep_dir", diameters="200, 600, 1200"))
+    # no two assets lie within 1 km, so the greedy cannot reach 2 bundles there
+    cfg = str(write_run_config(data_dir, out="sweep_dir", diameters="1, 200, 600, 1200"))
     assert main(["sweep", "--config", cfg]) == 0
     lines = (data_dir / "sweep_dir" / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "diameter_km,criterion,objective,feasible"
-    assert len(lines) == 1 + 2 * 3  # two criteria x three diameters
-    assert {line.split(",")[1] for line in lines[1:]} == {"savar", "imcy"}
+    assert len(lines) == 1 + 2 * 4  # two criteria x four diameters
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [d, c] for c in ("savar", "imcy") for d in ("1", "200", "600", "1200")]
+    assert lines[1] == "1,savar,,false" and lines[5] == "1,imcy,,false"
+    for line in lines[2:5] + lines[6:]:
+        _, _, value, feasible = line.split(",")
+        assert feasible == "true" and float(value) > 0.0
+
+
+def test_cli_sweep_computes_each_covariance_once(data_dir, monkeypatch):
+    """One covariance per criterion serves every diameter of a sweep."""
+    calls = []
+
+    def counting_covariance(panel, kind):
+        calls.append(kind)
+        return covariance(panel, kind)
+
+    monkeypatch.setattr(pipeline, "covariance", counting_covariance)
+    cfg = write_run_config(data_dir, out="sweep_once", diameters="1, 200, 600, 1200")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert [Criterion(kind) for kind in calls] == [Criterion.SAVAR, Criterion.IMCY]
 
 
 def test_cli_sweep_tags_a_one_timestamp_training_range_with_the_bundle_stage(data_dir,
