@@ -46,7 +46,6 @@ from .metrics import (
     variogram_score,
 )
 from .reconcile import (
-    LeadWeights,
     ReconcilerModel,
     build_reconciler,
     coherence_gap,
@@ -65,7 +64,7 @@ __all__ = [
     "hierarchy_actuals", "hierarchy_capacities", "hierarchy_series",
     "ridge_fit", "rolling_forecast",
     "EvaluationReport", "energy_distance", "evaluate", "nmae", "rmse", "variogram_score",
-    "LeadWeights", "ReconcilerModel", "build_reconciler", "coherence_gap",
-    "estimate_weights", "reconcile", "summing_matrix",
+    "ReconcilerModel", "build_reconciler", "coherence_gap", "estimate_weights", "reconcile",
+    "summing_matrix",
     "SynthConfig", "synth_panel", "write_synth_csv",
 ]

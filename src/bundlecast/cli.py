@@ -25,9 +25,9 @@ from .pipeline import (
 _COMMANDS = {
     "synth": (stage_synth, "generate a seeded synthetic assets/series CSV pair"),
     "bundle": (stage_bundle, "learn asset bundles and write bundling.csv"),
-    "forecast": (stage_forecast, "produce raw test forecasts and in-sample residual moments"),
+    "forecast": (stage_forecast, "produce and score raw test forecasts; write residual moments"),
     "reconcile": (stage_reconcile, "reconcile raw forecasts into coherent ones"),
-    "evaluate": (stage_evaluate, "score raw and reconciled forecasts"),
+    "evaluate": (stage_evaluate, "score the reconciled forecasts"),
     "run": (run, "full pipeline: bundle, forecast, reconcile, evaluate"),
     "sweep": (run_sweep, "greedy objective vs. diameter cutoff (savar, imcy)"),
 }

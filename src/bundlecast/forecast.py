@@ -48,8 +48,7 @@ from .errors import (
 
 LEVELS = ("fleet", "bundle", "asset")
 
-FLOAT_FORMAT = "{:.12g}"  # CSV round-trip keeps coherence below 1e-9 relative
-_VALUE_FORMAT = "%.12g"  # FLOAT_FORMAT for the % operator: the same text for finite floats
+FLOAT_FORMAT = "%.12g"  # CSV round-trip keeps coherence below 1e-9 relative
 
 
 @dataclass(frozen=True)
@@ -248,6 +247,12 @@ def hierarchy_actuals(panel: AssetPanel, bundling: Bundling, origins,
     return HierarchyForecast(origins, values, bundling.n_bundles, panel.n_assets)
 
 
+def forecast_origins(panel: AssetPanel, task: ForecastTask, split: np.datetime64) -> np.ndarray:
+    """Indices of the test origins: from ``split`` on, each with H samples of
+    history and its whole horizon inside the panel."""
+    return np.arange(max(panel.index_of(split), task.history_len - 1), panel.n_steps - task.horizon)
+
+
 def _forecast_series(series: np.ndarray, timestamps: np.ndarray, origin_sets,
                      spec: ModelSpec, task: ForecastTask, train_len: int,
                      cap: float) -> list[np.ndarray]:
@@ -306,7 +311,7 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
 
     h, t = task.history_len, task.horizon
     train_origins = np.arange(h - 1, split_idx - t)
-    test_origins = np.arange(max(split_idx, h - 1), panel.n_steps - t)
+    test_origins = forecast_origins(panel, task, split)
     if train_origins.size == 0:
         raise InsufficientDataError(
             f"the training range has no origin with {h} samples of history and a full "
@@ -405,7 +410,7 @@ def _value_texts(block: np.ndarray) -> list[str]:
     starts[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
     distinct = flat[starts].tolist()
-    texts = ((_VALUE_FORMAT + "\0") * len(distinct) % tuple(distinct)).split("\0")
+    texts = ((FLOAT_FORMAT + "\0") * len(distinct) % tuple(distinct)).split("\0")
     return np.array(texts, dtype=object)[np.cumsum(starts) - 1].tolist()
 
 

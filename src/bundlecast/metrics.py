@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundling import Bundling
 from .errors import ShapeMismatchError, ValueOutOfRangeError
 from .forecast import FLOAT_FORMAT, LEVELS, HierarchyForecast
 
@@ -89,11 +88,12 @@ class EvaluationReport:
 
 
 def evaluate(actuals: HierarchyForecast, forecasts: HierarchyForecast,
-             bundling: Bundling, capacities) -> dict[str, EvaluationReport]:
+             capacities) -> dict[str, EvaluationReport]:
     """Score a hierarchy forecast per level against realized values.
 
-    ``capacities`` are per-asset; bundle and fleet capacities are their
-    member sums. The variogram score is computed at the fleet level only.
+    ``capacities`` holds one capacity per hierarchy row (fleet, bundles,
+    assets), as ``hierarchy_capacities`` gives them. The variogram score is
+    computed at the fleet level only.
     """
     if actuals.values.shape != forecasts.values.shape:
         raise ShapeMismatchError(
@@ -104,14 +104,14 @@ def evaluate(actuals: HierarchyForecast, forecasts: HierarchyForecast,
     if not np.array_equal(actuals.origins, forecasts.origins):
         raise ShapeMismatchError("actuals and forecasts are issued at different origins")
     caps = np.asarray(capacities, dtype=np.float64)
-    if caps.shape != (actuals.n_assets,):
-        raise ShapeMismatchError(f"{caps.shape} capacities for {actuals.n_assets} assets")
+    n_rows, k = actuals.values.shape[1], actuals.n_bundles
+    if caps.shape != (n_rows,):
+        raise ShapeMismatchError(f"{caps.shape} capacities for {n_rows} hierarchy rows")
 
-    upper_caps = bundling.aggregate(caps)
     blocks = {
-        "fleet": (actuals.fleet, forecasts.fleet, upper_caps[:1]),
-        "bundle": (actuals.bundles, forecasts.bundles, upper_caps[1:]),
-        "asset": (actuals.assets, forecasts.assets, caps),
+        "fleet": (actuals.fleet, forecasts.fleet, caps[:1]),
+        "bundle": (actuals.bundles, forecasts.bundles, caps[1:1 + k]),
+        "asset": (actuals.assets, forecasts.assets, caps[1 + k:]),
     }
     return {
         level: EvaluationReport(
@@ -138,4 +138,4 @@ def write_report_csv(reports: dict[str, EvaluationReport], path) -> None:
             if rep.vs is not None:
                 rows.append(("vs", rep.vs))
             for name, value in rows:
-                fh.write(f"{level},{name},{FLOAT_FORMAT.format(value)},{rep.n_origins},\n")
+                fh.write(f"{level},{name},{FLOAT_FORMAT % value},{rep.n_origins},\n")

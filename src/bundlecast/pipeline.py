@@ -11,19 +11,20 @@ ridge products still go through BLAS.
 
 Bundling is :func:`make_bundling`; each later stage is one body that computes
 its products from in-memory inputs, writes them and returns what the next
-stage needs (``_forecast``, ``_reconcile``, ``_evaluate``). ``run`` ingests
-and bundles once, then calls the bodies in order. For the no-bundling
-baseline (all assets in one bundle, ``baseline_`` files) it calls them again,
-but the baseline's forecast body copies the fleet and asset rows from the
-bundled pass and its one bundle row from its fleet row, so no series is
-fitted twice; then it compares the two passes. With ``n_bundles = 1`` the
-baseline is the bundled pass, so ``run`` copies the seven files instead.
-When reconciliation changes no bit of the raw forecasts (persistence input
-is coherent), ``_reconcile`` copies the raw forecast file's bytes, and
-``_evaluate`` scores once and writes both reports from that score. Bits, not
-values, decide: ``-0.0`` equals ``0.0`` but is written as ``-0``. On the
-stage path the raw file is the one the ``forecast`` stage left, so a
-hand-edited raw file is copied as it is.
+stage needs (``_forecast``, ``_reconcile``). One ``_score`` body scores each
+forecast where it is made: ``_forecast`` the raw forecasts
+(``evaluation_raw.csv``), the evaluate stage the reconciled ones
+(``evaluation.csv``). ``run`` ingests and bundles once, then calls the
+bodies in order. For the no-bundling baseline (all assets in one bundle,
+``baseline_`` files) it calls them again, but the baseline's forecast body
+copies the fleet and asset rows from the bundled pass and its one bundle row
+from its fleet row, so no series is fitted twice; then it compares the two
+passes. With ``n_bundles = 1`` the baseline is the bundled pass, so ``run``
+copies the seven files instead. When reconciliation changes no bit of the
+raw forecasts (persistence input is coherent), ``_reconcile`` copies the raw
+forecast file's bytes. Bits, not values, decide: ``-0.0`` equals ``0.0`` but
+is written as ``-0``. On the stage path the raw file is the one the
+``forecast`` stage left, so a hand-edited raw file is copied as it is.
 A stage command loads its inputs from the run directory, then calls the same
 body. Each product file is written by one body inside ``_stage``, so a
 failure while computing or writing it is tagged with its stage whichever
@@ -52,13 +53,21 @@ from .bundling import (
     write_bundling_csv,
 )
 from .config import RunConfig, load_run_config, load_synth_config
-from .core import AssetPanel, Criterion, covariance, haversine_matrix, ingest_panel
+from .core import (
+    AssetPanel,
+    Criterion,
+    covariance,
+    format_utc_timestamp,
+    haversine_matrix,
+    ingest_panel,
+)
 from .errors import BundlecastError, ConfigError, InfeasibleMergeError, ShapeMismatchError
 from .forecast import (
     FLOAT_FORMAT,
     LEVELS,
     HierarchyForecast,
     RollingForecasts,
+    forecast_origins,
     hierarchy_actuals,
     hierarchy_capacities,
     read_forecast_csv,
@@ -93,8 +102,9 @@ MANIFEST_FILE = "manifest.json"
 
 # the stage that writes each file of a pass, in the order a pass writes them
 _PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_TEST_FILE: "forecast",
-             MOMENTS_FILE: "forecast", RECONCILED_FILE: "reconcile",
-             DIAGNOSTICS_FILE: "reconcile", REPORT_FILE: "evaluate", REPORT_RAW_FILE: "evaluate"}
+             MOMENTS_FILE: "forecast", REPORT_RAW_FILE: "forecast",
+             RECONCILED_FILE: "reconcile", DIAGNOSTICS_FILE: "reconcile",
+             REPORT_FILE: "evaluate"}
 
 
 class StageError(BundlecastError):
@@ -116,7 +126,8 @@ def _stage(name: str, fn, *args, **kwargs):
 def load_panel(config: RunConfig) -> AssetPanel:
     """Ingest the configured files, restricted to the train..test range.
 
-    The panel's time step must be the config's ``granularity_minutes``.
+    The panel's time step must be the config's ``granularity_minutes``, and
+    the series file must cover ``train_start`` through ``test_end``.
     """
     panel = ingest_panel(config.assets_file, config.series_file)
     task = config.forecast_task
@@ -124,6 +135,15 @@ def load_panel(config: RunConfig) -> AssetPanel:
         raise ConfigError(
             f"{config.path}: granularity_minutes is {task.granularity_minutes}, but "
             f"{config.series_file} has a {panel.step / np.timedelta64(60, 's'):g}-minute step")
+    first, last = panel.timestamps[0], panel.timestamps[-1]
+    if config.train_start < first:
+        raise ConfigError(
+            f"{config.path}: train_start is {format_utc_timestamp(config.train_start)}, before "
+            f"the first timestamp of {config.series_file}, {format_utc_timestamp(first)}")
+    if config.test_end > last:
+        raise ConfigError(
+            f"{config.path}: test_end is {format_utc_timestamp(config.test_end)}, after "
+            f"the last timestamp of {config.series_file}, {format_utc_timestamp(last)}")
     return panel.window(config.train_start, config.test_end)
 
 
@@ -150,9 +170,18 @@ def make_bundling(config: RunConfig, panel: AssetPanel,
     return bundling, sigma
 
 
+def _score(panel: AssetPanel, bundling: Bundling, forecast: HierarchyForecast,
+           path: Path) -> Reports:
+    """Score test forecasts against realized values; writes the report and returns it."""
+    actuals = hierarchy_actuals(panel, bundling, forecast.origins, forecast.horizon)
+    reports = evaluate(actuals, forecast, hierarchy_capacities(panel, bundling))
+    write_report_csv(reports, path)
+    return reports
+
+
 def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Path,
               prefix: str = "", shared: RollingForecasts | None = None) -> RollingForecasts:
-    """Rolling test forecasts and in-sample residual moments; writes both.
+    """Rolling test forecasts and in-sample residual moments; writes both and the raw scores.
 
     ``shared`` is another bundling's forecasts of the same run, whose fleet
     and asset rows are reused (see :func:`rolling_forecast`).
@@ -161,6 +190,7 @@ def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Pat
                                  config.test_start, shared)
     write_forecast_csv(forecasts.test, panel.asset_ids, out / (prefix + FORECAST_TEST_FILE))
     write_moments_csv(forecasts.second_moment, out / (prefix + MOMENTS_FILE))
+    _score(panel, bundling, forecasts.test, out / (prefix + REPORT_RAW_FILE))
     return forecasts
 
 
@@ -181,31 +211,17 @@ def _reconcile(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
     Reconciled forecasts bitwise equal to ``test`` are the raw forecast
     file's bytes, so that file is copied rather than formatted again.
     """
-    weights = estimate_weights(second_moment,
-                               eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
-    reconciled = reconcile(build_reconciler(bundling, weights), test)
+    variances = estimate_weights(second_moment,
+                                 eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
+    reconciled = reconcile(build_reconciler(bundling, variances), test)
     if _same_bits(reconciled, test):
         copyfile(out / (prefix + FORECAST_TEST_FILE), out / (prefix + RECONCILED_FILE))
     else:
         write_forecast_csv(reconciled, panel.asset_ids, out / (prefix + RECONCILED_FILE))
     violations = count_bound_violations(reconciled, hierarchy_capacities(panel, bundling))
-    write_diagnostics_csv(weights, out / (prefix + DIAGNOSTICS_FILE), violations)
+    write_diagnostics_csv(second_moment, variances, out / (prefix + DIAGNOSTICS_FILE),
+                          violations)
     return reconciled
-
-
-def _evaluate(panel: AssetPanel, bundling: Bundling, raw: HierarchyForecast,
-              reconciled: HierarchyForecast, out: Path, prefix: str = "") -> Reports:
-    """Score raw and reconciled test forecasts; writes both, returns the reconciled scores.
-
-    Forecasts bitwise equal to the raw ones are scored once.
-    """
-    actual_test = hierarchy_actuals(panel, bundling, raw.origins, raw.horizon)
-    reports = evaluate(actual_test, reconciled, bundling, panel.capacities)
-    raw_reports = (reports if _same_bits(raw, reconciled)
-                   else evaluate(actual_test, raw, bundling, panel.capacities))
-    write_report_csv(reports, out / (prefix + REPORT_FILE))
-    write_report_csv(raw_reports, out / (prefix + REPORT_RAW_FILE))
-    return reports
 
 
 def _sha256(path) -> str:
@@ -236,8 +252,7 @@ def _write_comparison(bundled: Reports, baseline: Reports, path) -> None:
             for name in ("nmae", "rmse", "ed", "vs"):
                 b, k1 = getattr(bundled[level], name), getattr(baseline[level], name)
                 if b is not None and k1 is not None:
-                    fh.write(f"{level},{name},{FLOAT_FORMAT.format(b)},"
-                             f"{FLOAT_FORMAT.format(k1)}\n")
+                    fh.write(f"{level},{name},{FLOAT_FORMAT % b},{FLOAT_FORMAT % k1}\n")
 
 
 def _make_dir(path: Path) -> None:
@@ -265,19 +280,6 @@ def _fresh_out_dir(out: Path):
         raise
 
 
-def _score(panel: AssetPanel, bundling: Bundling, forecasts: RollingForecasts, out: Path,
-           prefix: str) -> Reports:
-    """Reconcile one pass's raw forecasts and score both; returns the reconciled reports.
-
-    The reconciled forecasts live only in this call, so the next pass does not
-    hold them.
-    """
-    reconciled = _stage("reconcile", _reconcile, panel, bundling, forecasts.second_moment,
-                        forecasts.test, out, prefix)
-    return _stage("evaluate", _evaluate, panel, bundling, forecasts.test, reconciled,
-                  out, prefix)
-
-
 def run(config_path, out_dir=None) -> Path:
     """Execute a full run from a config file; returns the run directory.
 
@@ -297,7 +299,12 @@ def run(config_path, out_dir=None) -> Path:
             # the name then frees them before the baseline reconciles
             forecasts = _stage("forecast", _forecast, config, panel, pass_bundling, out, prefix,
                                forecasts)
-            reports.append(_score(panel, pass_bundling, forecasts, out, prefix))
+            # the reconciled forecasts are only an argument, so the next pass does not hold them
+            reports.append(_stage(
+                "evaluate", _score, panel, pass_bundling,
+                _stage("reconcile", _reconcile, panel, pass_bundling, forecasts.second_moment,
+                       forecasts.test, out, prefix),
+                out / (prefix + REPORT_FILE)))
         if config.baseline:
             if config.n_bundles == 1:  # the baseline pass is the bundled pass
                 for name, stage in _PRODUCER.items():
@@ -319,8 +326,9 @@ def _open_stage(config_path, out_dir) -> tuple[RunConfig, Path, AssetPanel]:
 def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *names):
     """``(bundling, *products)`` read from a run directory, checked against the config.
 
-    A forecast CSV is read as a HierarchyForecast, the moments file as its
-    (horizon, n_rows) array.
+    A forecast CSV is read as a HierarchyForecast, which must hold the
+    config's horizon at the test origins the forecast stage issues; the
+    moments file is read as its (horizon, n_rows) array.
     """
     for name in (BUNDLING_FILE, *names):
         if not (out / name).exists():
@@ -340,6 +348,11 @@ def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *names):
         if forecast.horizon != horizon:
             raise ShapeMismatchError(f"{out / name}: {forecast.horizon} leads, but the "
                                      f"config's horizon is {horizon}")
+        origins = panel.timestamps[forecast_origins(panel, config.forecast_task,
+                                                    config.test_start)]
+        if not np.array_equal(forecast.origins, origins):
+            raise ShapeMismatchError(f"{out / name}: {forecast.n_origins} origins, but not the "
+                                     f"{origins.size} test origins of the config")
         products.append(forecast)
     return (bundling, *products)
 
@@ -385,11 +398,10 @@ def stage_reconcile(config_path, out_dir=None) -> Path:
 
 
 def stage_evaluate(config_path, out_dir=None) -> Path:
-    """Score raw and reconciled forecasts against realized values."""
+    """Score the reconciled forecasts against realized values."""
     config, out, panel = _open_stage(config_path, out_dir)
-    bundling, raw, reconciled = _stage(
-        "evaluate", _load_inputs, config, out, panel, FORECAST_TEST_FILE, RECONCILED_FILE)
-    _stage("evaluate", _evaluate, panel, bundling, raw, reconciled, out)
+    bundling, reconciled = _stage("evaluate", _load_inputs, config, out, panel, RECONCILED_FILE)
+    _stage("evaluate", _score, panel, bundling, reconciled, out / REPORT_FILE)
     return out / REPORT_FILE
 
 
@@ -412,8 +424,8 @@ def _sweep(config: RunConfig, train: AssetPanel, path: Path) -> None:
                 except InfeasibleMergeError:
                     result = ",false"
                 else:
-                    result = f"{FLOAT_FORMAT.format(objective(bundling, sigma))},true"
-                fh.write(f"{FLOAT_FORMAT.format(diameter)},{criterion.value},{result}\n")
+                    result = f"{FLOAT_FORMAT % objective(bundling, sigma)},true"
+                fh.write(f"{FLOAT_FORMAT % diameter},{criterion.value},{result}\n")
 
 
 def run_sweep(config_path, out_dir=None) -> Path:

@@ -47,47 +47,26 @@ def summing_matrix(bundling: Bundling) -> np.ndarray:
     return np.vstack([np.ones((1, n)), bundles, np.eye(n)])
 
 
-@dataclass(frozen=True)
-class LeadWeights:
-    """Per-lead diagonal residual variances, floored away from zero.
-
-    ``variances[tau-1, r]`` is the in-sample mean squared error of
-    hierarchy row r at lead tau; ``n_floored`` counts the entries raised to
-    the floor. ``variances`` is stored as a read-only view.
-    """
-
-    variances: np.ndarray   # (horizon, n_rows)
-    n_floored: np.ndarray   # (horizon,)
-
-    def __post_init__(self):
-        v = np.asarray(self.variances, dtype=np.float64).view()
-        object.__setattr__(self, "variances", v)
-        object.__setattr__(self, "n_floored", np.asarray(self.n_floored, dtype=np.int64))
-        if v.ndim != 2:
-            raise ShapeMismatchError(f"variances must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)) or not np.all(v > 0.0):
-            raise ValueOutOfRangeError("lead weights must be finite and strictly positive")
-        v.flags.writeable = False
-
-
-def estimate_weights(second_moment: np.ndarray, eps_floor: float) -> LeadWeights:
-    """Per-lead, per-row weights from the (T, R) mean squared in-sample errors.
+def estimate_weights(second_moment: np.ndarray, eps_floor: float) -> np.ndarray:
+    """Per-lead, per-row variances from the (T, R) mean squared in-sample errors.
 
     ``second_moment`` averages over the in-sample origins (see
-    ``RollingForecasts``). A negative moment is an error, not a zero. The
-    floor guards against exactly-zero residuals (e.g. persistence over a
-    constant stretch), which would make the weight matrix singular.
+    ``RollingForecasts``). A negative or non-finite moment is an error, not
+    a value to floor. The floor guards against exactly-zero residuals (e.g.
+    persistence over a constant stretch), which would make the weight matrix
+    singular. Returns the floored variances as a new read-only array.
     """
     if not eps_floor > 0.0:
         raise ValueOutOfRangeError(f"eps_floor must be positive, got {eps_floor}")
     second_moment = np.asarray(second_moment, dtype=np.float64)
-    negative = np.argwhere(second_moment < 0.0)
-    if negative.size:
-        tau, r = negative[0]
+    bad = np.argwhere(~((second_moment >= 0.0) & (second_moment < np.inf)))  # NaN too
+    if bad.size:
+        tau, r = bad[0]
         raise ValueOutOfRangeError(f"second moment at lead {tau + 1}, row {r} is "
-                                   f"{second_moment[tau, r]}; it must be non-negative")
-    floored = second_moment < eps_floor
-    return LeadWeights(np.maximum(second_moment, eps_floor), floored.sum(axis=1))
+                                   f"{second_moment[tau, r]}; it must be finite and non-negative")
+    variances = np.maximum(second_moment, eps_floor)
+    variances.flags.writeable = False
+    return variances
 
 
 @dataclass(frozen=True)
@@ -103,12 +82,15 @@ class ReconcilerModel:
         return int(self.gains.shape[0])
 
 
-def build_reconciler(bundling: Bundling, weights: LeadWeights) -> ReconcilerModel:
-    """Gains and shares of every lead from the bundle tree and the weights."""
+def build_reconciler(bundling: Bundling, variances) -> ReconcilerModel:
+    """Gains and shares of every lead from the bundle tree and the (T, R) variances."""
     k, n = bundling.n_bundles, bundling.n_assets
-    v = weights.variances
-    if v.shape[1] != 1 + k + n:
-        raise ShapeMismatchError(f"weights cover {v.shape[1]} rows, the hierarchy has {1 + k + n}")
+    v = np.asarray(variances, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != 1 + k + n:
+        raise ShapeMismatchError(f"weights of shape {v.shape} do not cover the hierarchy's "
+                                 f"{1 + k + n} rows")
+    if not np.all((v > 0.0) & (v < np.inf)):
+        raise ValueOutOfRangeError("lead weights must be finite and strictly positive")
     v_fleet, v_bundle, v_asset = v[:, :1], v[:, 1:1 + k], v[:, 1 + k:]
     w_bundle = bundling.aggregate(v_asset, axis=1)[:, 1:]
     g_bundle = w_bundle / (v_bundle + w_bundle)
@@ -178,14 +160,15 @@ def count_bound_violations(forecast: HierarchyForecast, capacities) -> np.ndarra
     return outside.sum(axis=(0, 1))
 
 
-def write_diagnostics_csv(weights: LeadWeights, path, bound_violations) -> None:
-    """Per-lead weight ratio, floored weights, and range violations."""
-    v = weights.variances
+def write_diagnostics_csv(second_moment, variances, path, bound_violations) -> None:
+    """Per-lead weight ratio, floored weights (moment below variance), and range violations."""
+    v = np.asarray(variances)
     ratio = v.max(axis=1) / v.min(axis=1)
+    n_floored = (np.asarray(second_moment) < v).sum(axis=1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("lead,weight_ratio,n_floored_weights,n_bound_violations\n")
         for tau in range(v.shape[0]):
             fh.write(
                 f"{tau + 1},{ratio[tau]:.6e},"
-                f"{int(weights.n_floored[tau])},{int(bound_violations[tau])}\n"
+                f"{int(n_floored[tau])},{int(bound_violations[tau])}\n"
             )

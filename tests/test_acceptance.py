@@ -17,7 +17,6 @@ from bundlecast import (
     Bundling,
     Criterion,
     HierarchyForecast,
-    LeadWeights,
     ModelSpec,
     build_reconciler,
     coherence_gap,
@@ -184,7 +183,7 @@ def test_reconciliation_exactness():
 
     # hand-derived case
     b2 = Bundling([0, 0], ("a", "b"))
-    w2 = LeadWeights(np.ones((1, 4)), np.zeros(1, dtype=int))
+    w2 = np.ones((1, 4))
     model2 = build_reconciler(b2, w2)
     origins = np.array(["2019-01-08T00:00:00"], dtype="datetime64[s]")
     hand_in = HierarchyForecast(origins, np.array([10.0, 10.0, 3.0, 5.0]).reshape(1, 4, 1), 1, 2)
@@ -201,8 +200,7 @@ def test_reconciliation_exactness():
         labels = random_bundling_labels(rng, n, k)
         bundling = Bundling(labels, tuple(f"a{i}" for i in range(n)))
         s = summing_matrix(bundling)
-        weights = LeadWeights(rng.uniform(0.1, 10.0, size=(horizon, n + k + 1)),
-                              np.zeros(horizon, dtype=int))
+        weights = rng.uniform(0.1, 10.0, size=(horizon, n + k + 1))
         model = build_reconciler(bundling, weights)
         gains = reconciler_gains(model)
         values = rng.uniform(0.0, 100.0, size=(2, n + k + 1, horizon))
@@ -218,15 +216,14 @@ def test_reconciliation_exactness():
         for tau in range(horizon):
             if np.max(np.abs(gains[tau] @ s - np.eye(n))) > 1e-8:
                 failures.append(f"instance {trial}: G@S != I at lead {tau + 1}")
-        rescaled = LeadWeights(weights.variances * rng.uniform(0.01, 100.0),
-                               np.zeros(horizon, dtype=int))
+        rescaled = weights * rng.uniform(0.01, 100.0)
         if np.max(np.abs(reconciler_gains(build_reconciler(bundling, rescaled)) - gains)) > 1e-10:
             failures.append(f"instance {trial}: gains changed under weight rescaling")
 
         if trial % 5 == 0:  # independent WLS minimizer oracle
             oracle_checked += 1
             h = fc.values[0, :, 0]
-            inv_w = 1.0 / weights.variances[0]
+            inv_w = 1.0 / weights[0]
 
             def wls(bottom):
                 r = h - s @ bottom

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import bundlecast
-from bundlecast import Bundling, LeadWeights, build_reconciler, errors, greedy_merge
+from bundlecast import Bundling, build_reconciler, errors, greedy_merge
 from bundlecast.forecast import read_forecast_csv, write_forecast_csv
 
 PACKAGE_DIR = Path(bundlecast.__file__).parent
@@ -109,8 +109,7 @@ def test_traced_layer_names_keep_their_names():
         assert inspect.isfunction(obj), f"{module}.{function}"
     assert {"forecast", "path"} <= set(inspect.signature(write_forecast_csv).parameters)
     assert "asset_order" in inspect.signature(greedy_merge).parameters
-    model = build_reconciler(Bundling.single_bundle(("a", "b")),
-                             LeadWeights(np.ones((3, 4)), np.zeros(3)))
+    model = build_reconciler(Bundling.single_bundle(("a", "b")), np.ones((3, 4)))
     assert model.horizon == 3
     assert isinstance(model.gains, np.ndarray) and model.gains.nbytes == 3 * 4 * 8
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
@@ -22,7 +22,6 @@ from bundlecast import (
 )
 from bundlecast.core import format_utc_timestamp
 from bundlecast.forecast import (
-    _VALUE_FORMAT,
     FLOAT_FORMAT,
     _calendar_features,
     _forecast_series,
@@ -543,24 +542,11 @@ def test_write_forecast_csv_matches_the_per_cell_reference(tmp_path_factory, dat
     keys = ([("fleet", "")] + [("bundle", str(b)) for b in range(k)]
             + [("asset", a) for a in asset_ids])
     expected = "origin,level,series_id,lead,value\n" + "".join(
-        f"{format_utc_timestamp(origin)},{level},{sid},{tau},{FLOAT_FORMAT.format(float(v))}\n"
+        f"{format_utc_timestamp(origin)},{level},{sid},{tau},{FLOAT_FORMAT % float(v)}\n"
         for origin, block in zip(origins, values)
         for (level, sid), row in zip(keys, block)
         for tau, v in enumerate(row, start=1))
     assert path.read_text(encoding="utf-8") == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(allow_nan=False, allow_infinity=False))
-@example(0.0)
-@example(-0.0)
-@example(5e-324)
-@example(-2.2250738585072014e-308)
-@example(1e308)
-@example(1.7976931348623157e308)
-def test_value_format_matches_float_format(x):
-    """The writer formats with ``%``; every finite float gets FLOAT_FORMAT's text."""
-    assert _VALUE_FORMAT % x == FLOAT_FORMAT.format(x)
 
 
 def test_write_forecast_csv_rejects_origins_out_of_order(tmp_path):

@@ -194,10 +194,15 @@ def hierarchy_pair(rng, n=4, k=2, m=3, t=5):
     return bundling, actual, fc
 
 
+def row_capacities(bundling, caps):
+    """Fleet, bundle and asset capacities from per-asset ones."""
+    return np.concatenate([bundling.aggregate(caps), caps])
+
+
 def test_evaluate_levels_and_vs_gating(rng):
     bundling, actual, fc = hierarchy_pair(rng)
     caps = rng.uniform(10, 100, size=4)
-    reports = evaluate(actual, fc, bundling, caps)
+    reports = evaluate(actual, fc, row_capacities(bundling, caps))
     assert set(reports) == {"fleet", "bundle", "asset"}
     assert reports["fleet"].vs is not None
     assert reports["asset"].vs is None
@@ -210,15 +215,26 @@ def test_evaluate_levels_and_vs_gating(rng):
 def test_evaluate_identical_hierarchies_zero(rng):
     bundling, actual, _ = hierarchy_pair(rng)
     caps = rng.uniform(10, 100, size=4)
-    reports = evaluate(actual, actual, bundling, caps)
+    reports = evaluate(actual, actual, row_capacities(bundling, caps))
     for rep in reports.values():
         assert rep.nmae == 0.0 and rep.rmse == 0.0 and rep.ed == 0.0
+
+
+def test_evaluate_takes_one_capacity_per_hierarchy_row(rng):
+    bundling, actual, fc = hierarchy_pair(rng)
+    caps = rng.uniform(10, 100, size=7)  # fleet, two bundles, four assets
+    reports = evaluate(actual, fc, caps)
+    assert reports["fleet"].nmae == nmae(actual.fleet, fc.fleet, caps[:1])
+    assert reports["bundle"].nmae == nmae(actual.bundles, fc.bundles, caps[1:3])
+    assert reports["asset"].nmae == nmae(actual.assets, fc.assets, caps[3:])
+    with pytest.raises(ShapeMismatchError, match=r"\(4,\) capacities for 7 hierarchy rows"):
+        evaluate(actual, fc, caps[3:])
 
 
 def test_report_csv_structure(tmp_path, rng):
     bundling, actual, fc = hierarchy_pair(rng)
     caps = rng.uniform(10, 100, size=4)
-    reports = evaluate(actual, fc, bundling, caps)
+    reports = evaluate(actual, fc, row_capacities(bundling, caps))
     path = tmp_path / "evaluation.csv"
     write_report_csv(reports, path)
     lines = path.read_text().strip().splitlines()

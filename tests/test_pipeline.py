@@ -335,7 +335,7 @@ def _raise_no_space(*args, **kwargs):
 def test_cli_run_empties_an_existing_out_dir_on_failure(data_dir, monkeypatch):
     out = data_dir / "claimed"
     out.mkdir()
-    monkeypatch.setattr(pipeline, "write_report_csv", _raise_no_space)  # after five writes
+    monkeypatch.setattr(pipeline, "write_report_csv", _raise_no_space)  # after three writes
     cfg = write_run_config(data_dir, out="claimed")
     assert main(["run", "--config", str(cfg)]) == 1
     assert out.is_dir() and list(out.iterdir()) == []  # claimed, so kept, and emptied
@@ -429,8 +429,10 @@ def test_run_and_stage_commands_agree(data_dir):
     for command in ("bundle", "forecast", "reconcile", "evaluate"):
         assert main([command, "--config", cfg, "--out", str(staged)]) == 0
     full = data_dir / "full"
-    # the moments are handed between stages exactly, so the weights agree bit for bit
-    for name in ("bundling.csv", "forecasts_raw.csv", "residual_moments.csv", "diagnostics.csv"):
+    # the moments are handed between stages exactly, so the weights agree bit for bit, and
+    # the forecast stage scores the raw forecasts it holds in memory, as run does
+    for name in ("bundling.csv", "forecasts_raw.csv", "residual_moments.csv", "diagnostics.csv",
+                 "evaluation_raw.csv"):
         assert (full / name).read_bytes() == (staged / name).read_bytes(), name
 
     # the stage path reconciles test forecasts read back from 12-digit CSVs
@@ -475,8 +477,12 @@ def _merge_bundles(out, asset_ids):
         out, ids, ["forecasts_raw.csv", "forecasts_reconciled.csv"], horizon=7)),
     ("evaluate", lambda out, ids: _rewrite_forecasts(
         out, ids, ["forecasts_reconciled.csv"], shift=np.timedelta64(900, "s"))),
+    ("evaluate", lambda out, ids: _rewrite_forecasts(
+        out, ids, ["forecasts_reconciled.csv"], shift=np.timedelta64(-900, "s"))),
+    ("reconcile", lambda out, ids: _rewrite_forecasts(
+        out, ids, ["forecasts_raw.csv"], shift=np.timedelta64(-900, "s"))),
 ], ids=["malformed-bundling", "bundle-count", "reconcile-horizon", "evaluate-horizon",
-        "evaluate-origins"])
+        "evaluate-origins", "evaluate-earlier-origins", "reconcile-earlier-origins"])
 def test_cli_stage_rejects_bad_inputs(data_dir, capsys, command, corrupt):
     cfg = str(write_run_config(data_dir, out="bad_inputs"))
     for stage in ("bundle", "forecast", "reconcile"):
@@ -543,6 +549,42 @@ def test_cli_rejects_granularity_that_differs_from_the_panel(data_dir, capsys):
         assert main([command, "--config", str(cfg)]) == 1
         assert f"bundlecast {command}: {expected}\n" == capsys.readouterr().err
     assert not (data_dir / "hourly").exists()  # no stage command made the directory
+
+
+def test_cli_evaluate_reads_only_the_bundling_and_the_reconciled_forecasts(data_dir):
+    cfg = str(write_run_config(data_dir, out="evaluated"))
+    out = data_dir / "evaluated"
+    for command in ("bundle", "forecast", "reconcile"):
+        assert main([command, "--config", cfg]) == 0
+    raw_scores = (out / "evaluation_raw.csv").read_text()
+    for name in ("forecasts_raw.csv", "residual_moments.csv", "evaluation_raw.csv",
+                 "diagnostics.csv"):
+        (out / name).unlink()
+    assert main(["evaluate", "--config", cfg]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bundling.csv", "evaluation.csv", "forecasts_reconciled.csv"]
+    assert (out / "evaluation.csv").read_text() != raw_scores  # ridge: reconciling moves them
+
+
+@pytest.mark.parametrize("key, value, edge", [
+    ("train_start", "2018-06-01T00:00:00Z", "before the first timestamp of {series}, "
+                                            "2019-01-01T00:00:00Z"),
+    ("test_end", "2019-02-20T00:00:00Z", "after the last timestamp of {series}, "
+                                         "2019-01-15T13:45:00Z"),
+], ids=["train_start", "test_end"])
+def test_cli_rejects_a_range_the_series_file_does_not_cover(data_dir, capsys, key, value, edge):
+    """The window is not shortened to the data: each command stops at ingest."""
+    cfg = write_run_config(data_dir, out="uncovered", diameters="200, 600")
+    text = cfg.read_text()
+    start = text.index(f"{key} = ")
+    cfg.write_text(text[:start] + f"{key} = {value}" + text[text.index("\n", start):])
+    expected = (f"[ingest] {cfg}: {key} is {value}, "
+                + edge.format(series=data_dir / "series.csv"))
+    for command in ("run", "sweep", "bundle", "forecast", "reconcile", "evaluate"):
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"bundlecast {command}: {expected}\n"
+        assert not (data_dir / "uncovered").exists()
 
 
 def test_cli_stage_before_bundle_creates_no_directory(data_dir, capsys):
@@ -625,6 +667,7 @@ def _halve_series(data_dir):
     ("write_forecast_csv", "forecasts_raw.csv", "forecast"),
     ("write_moments_csv", "residual_moments.csv", "forecast"),
     ("write_forecast_csv", "forecasts_reconciled.csv", "reconcile"),
+    ("write_report_csv", "evaluation_raw.csv", "forecast"),
     ("write_report_csv", "evaluation.csv", "evaluate"),
     # persistence of coherent input reconciles to the same bits: the raw file is copied
     ("copyfile", "forecasts_reconciled.csv", "reconcile"),

@@ -7,20 +7,20 @@ from scipy.optimize import minimize
 from bundlecast import (
     Bundling,
     HierarchyForecast,
-    LeadWeights,
     build_reconciler,
     coherence_gap,
     estimate_weights,
     reconcile,
     summing_matrix,
 )
+from bundlecast.reconcile import write_diagnostics_csv
 from bundlecast.errors import ShapeMismatchError, ValueOutOfRangeError
 
 from conftest import random_bundling_labels, reconciler_gains
 
 
 def unit_weights(horizon, n_rows):
-    return LeadWeights(np.ones((horizon, n_rows)), n_floored=np.zeros(horizon, dtype=int))
+    return np.ones((horizon, n_rows))
 
 
 def forecast_of(values, n_bundles, n_assets):
@@ -39,8 +39,7 @@ def random_instance(rng, n=None, k=None, horizon=None, n_origins=2):
     bundling = Bundling(labels, tuple(f"a{i}" for i in range(n)))
     s = summing_matrix(bundling)
     values = rng.uniform(0.0, 100.0, size=(n_origins, n + k + 1, horizon))
-    weights = LeadWeights(rng.uniform(0.1, 10.0, size=(horizon, n + k + 1)),
-                          n_floored=np.zeros(horizon, dtype=int))
+    weights = rng.uniform(0.1, 10.0, size=(horizon, n + k + 1))
     return bundling, s, forecast_of(values, k, n), weights
 
 
@@ -70,26 +69,35 @@ def test_summing_matrix_column_sums_are_three(rng):
 
 # --- weight estimation -------------------------------------------------------------
 
-def test_estimate_weights_hand_example():
+def floored_counts(moments, variances, tmp_path):
+    """The ``n_floored_weights`` column of the diagnostics written for these weights."""
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(moments, variances, path, np.zeros(len(variances), dtype=int))
+    return [int(line.split(",")[2]) for line in path.read_text().splitlines()[1:]]
+
+
+def test_estimate_weights_hand_example(tmp_path):
     moments = np.array([[4.0, 4.0, 1.0, 1e-14]])
     w = estimate_weights(moments, eps_floor=1e-12)
-    np.testing.assert_array_equal(w.variances[0], [4.0, 4.0, 1.0, 1e-12])
-    np.testing.assert_array_equal(w.n_floored, [1])
+    np.testing.assert_array_equal(w[0], [4.0, 4.0, 1.0, 1e-12])
+    assert floored_counts(moments, w, tmp_path) == [1]
 
 
-def test_estimate_weights_floor_on_perfect_forecasts():
-    w = estimate_weights(np.zeros((2, 4)), eps_floor=1e-6)
-    np.testing.assert_array_equal(w.variances, np.full((2, 4), 1e-6))
-    np.testing.assert_array_equal(w.n_floored, [4, 4])
+def test_estimate_weights_floor_on_perfect_forecasts(tmp_path):
+    moments = np.zeros((2, 4))
+    w = estimate_weights(moments, eps_floor=1e-6)
+    np.testing.assert_array_equal(w, np.full((2, 4), 1e-6))
+    assert floored_counts(moments, w, tmp_path) == [4, 4]
 
 
-def test_estimate_weights_lead_independent_residuals(rng):
+def test_estimate_weights_lead_independent_residuals(rng, tmp_path):
     # the same moments at every lead give the same weights at every lead
     row = rng.uniform(0.0, 3.0, size=4) ** 2
     row[1] = 0.0
-    w = estimate_weights(np.tile(row, (3, 1)), eps_floor=1e-12)
-    np.testing.assert_array_equal(w.variances, np.tile(np.maximum(row, 1e-12), (3, 1)))
-    np.testing.assert_array_equal(w.n_floored, [1, 1, 1])
+    moments = np.tile(row, (3, 1))
+    w = estimate_weights(moments, eps_floor=1e-12)
+    np.testing.assert_array_equal(w, np.tile(np.maximum(row, 1e-12), (3, 1)))
+    assert floored_counts(moments, w, tmp_path) == [1, 1, 1]
 
 
 def test_estimate_weights_errors(rng):
@@ -98,37 +106,45 @@ def test_estimate_weights_errors(rng):
         with pytest.raises(ValueOutOfRangeError, match="eps_floor must be positive"):
             estimate_weights(moments, eps_floor=eps_floor)
     # a negative moment is an error, not a value to floor
-    with pytest.raises(ValueOutOfRangeError, match="lead 1, row 0 is -1.0; it must be non-negative"):
+    with pytest.raises(ValueOutOfRangeError,
+                       match="lead 1, row 0 is -1.0; it must be finite and non-negative"):
         estimate_weights([[-1.0, 1.0]], 1e-12)
     negative = moments.copy()
     negative[1, 3] = -1e-300
     with pytest.raises(ValueOutOfRangeError, match="lead 2, row 3 is -1e-300"):
         estimate_weights(negative, eps_floor=1e-9)
-    moments[1, 2] = np.nan
-    with pytest.raises(ValueOutOfRangeError, match="finite and strictly positive"):
-        estimate_weights(moments, eps_floor=1e-9)
-    for bad in (0.0, -1.0, np.inf):
+    for bad in (np.nan, np.inf):
+        moments[1, 2] = bad
+        with pytest.raises(ValueOutOfRangeError,
+                           match=f"lead 2, row 2 is {bad}; it must be finite"):
+            estimate_weights(moments, eps_floor=1e-9)
+    pair = Bundling([0, 0], ("a", "b"))
+    for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueOutOfRangeError, match="finite and strictly positive"):
-            LeadWeights(np.full((1, 4), bad), np.zeros(1, dtype=int))
+            build_reconciler(pair, np.full((1, 4), bad))
+    for shape in ((4,), (1, 3), (1, 1, 4)):
+        with pytest.raises(ShapeMismatchError, match="do not cover the hierarchy's 4 rows"):
+            build_reconciler(pair, np.ones(shape))
 
 
 def test_lead_weights_leave_the_callers_array_writeable(rng):
     for layout in (np.ascontiguousarray, np.asfortranarray):
-        variances = layout(rng.uniform(0.1, 10.0, size=(3, 5)))
-        weights = LeadWeights(variances, np.zeros(3, dtype=int))
-        assert variances.flags.writeable
-        assert not weights.variances.flags.writeable
-        np.testing.assert_array_equal(weights.variances, variances)
+        moments = layout(rng.uniform(0.1, 10.0, size=(3, 5)))
+        variances = estimate_weights(moments, eps_floor=1e-12)
+        assert moments.flags.writeable
+        assert not variances.flags.writeable
+        np.testing.assert_array_equal(variances, moments)
         with pytest.raises(ValueError):
-            weights.variances[0, 0] = 1.0
-        variances[0, 0] = 1.0  # the caller may still write its own array
+            variances[0, 0] = 1.0
+        moments[0, 0] = 1.0  # the caller may still write its own array
+        assert variances[0, 0] != 1.0
 
 
 def test_reconciler_bits_independent_of_weight_layout(rng):
     """C- and Fortran-ordered copies of one set of variances reconcile bit for bit alike."""
     bundling, _, fc, _ = random_instance(rng, n=200, k=20, horizon=48)
     variances = rng.uniform(0.1, 10.0, size=(48, 221))
-    models = [build_reconciler(bundling, LeadWeights(layout(variances), np.zeros(48, dtype=int)))
+    models = [build_reconciler(bundling, layout(variances))
               for layout in (np.ascontiguousarray, np.asfortranarray)]
     np.testing.assert_array_equal(models[0].gains, models[1].gains)
     np.testing.assert_array_equal(models[0].shares, models[1].shares)
@@ -149,8 +165,7 @@ def test_build_reconciler_hand_linear_algebra():
 def test_gains_invariant_to_weight_rescaling(rng):
     bundling, _, _, weights = random_instance(rng, n=6, k=2, horizon=3)
     model = build_reconciler(bundling, weights)
-    scaled = LeadWeights(weights.variances * np.array([[7.0], [0.003], [123.0]]),
-                         weights.n_floored)
+    scaled = weights * np.array([[7.0], [0.003], [123.0]])
     model_scaled = build_reconciler(bundling, scaled)
     assert np.max(np.abs(reconciler_gains(model) - reconciler_gains(model_scaled))) < 1e-10
 
@@ -161,7 +176,7 @@ def test_gains_times_summing_is_identity(rng):
     # S'W^-1 S as badly conditioned as this allows (~1e11); a dense solve misses I by ~1e-7
     bundling, s, fc, _ = random_instance(rng, n=1000, k=100, horizon=1)
     variances = np.concatenate([np.ones(101), np.full(1000, 1e8)])[None, :]
-    instances.append((bundling, s, fc, LeadWeights(variances, n_floored=np.zeros(1, dtype=int))))
+    instances.append((bundling, s, fc, variances))
     for bundling, s, _, weights in instances:
         gains = reconciler_gains(build_reconciler(bundling, weights))
         n = s.shape[1]
@@ -175,7 +190,7 @@ def spread_weights(rng, horizon, n_rows, spread):
     for tau in range(horizon):
         lo, hi = rng.choice(n_rows, size=2, replace=False)
         v[tau, lo], v[tau, hi] = 1.0, spread
-    return LeadWeights(v, n_floored=np.zeros(horizon, dtype=int))
+    return v
 
 
 def test_reconcile_matches_dense_normal_solve(rng):
@@ -187,7 +202,7 @@ def test_reconcile_matches_dense_normal_solve(rng):
             weights = spread_weights(rng, 3, n + k + 1, spread)
             rec = reconcile(build_reconciler(bundling, weights), fc)
             for tau in range(3):
-                inv_w = 1.0 / weights.variances[tau]
+                inv_w = 1.0 / weights[tau]
                 normal = s.T @ (inv_w[:, None] * s)
                 bottom = np.linalg.solve(normal, s.T @ (inv_w[:, None] * fc.values[:, :, tau].T))
                 dense = s @ bottom
@@ -233,7 +248,7 @@ def test_reconciled_bottom_minimizes_weighted_least_squares(rng):
         rec = reconcile(model, fc)
         for tau in range(2):
             h = fc.values[0, :, tau]
-            inv_w = 1.0 / weights.variances[tau]
+            inv_w = 1.0 / weights[tau]
 
             def wls(bottom):
                 r = h - s @ bottom
