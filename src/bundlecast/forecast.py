@@ -31,6 +31,7 @@ any other order with ``path:line``.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -175,14 +176,24 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     Returns the feature mean and scale that standardize a row, and the
     (F+1, T) solution of (X'X + lambda*P) W = X'Y, whose last row is the
     intercept; P penalizes every standardized feature except the intercept.
-    The left-hand side is tested before the solve, at every lambda:
-    ``np.linalg.cholesky`` must factor it, and each squared pivot of that
-    factor must exceed ``n * eps`` times its diagonal entry, n being the row
-    count. Each Gram entry sums n rounded products, so a pivot that small is
-    rounding noise: the feature matrix is rank-deficient (or lambda too small
-    to regularize it) and InsufficientDataError is raised instead of
+
+    The left-hand side is tested before the solve wherever the test can
+    fail: ``np.linalg.cholesky`` must factor it, and each squared pivot of
+    that factor must exceed ``n * eps`` times its diagonal entry, n being the
+    row count. Each Gram entry sums n rounded products, so a pivot that small
+    is rounding noise: the feature matrix is rank-deficient (or lambda too
+    small to regularize it) and InsufficientDataError is raised instead of
     arbitrary split weights returned. A system that ``np.linalg.solve``
     finds singular raises the same error.
+
+    The test is skipped when lambda exceeds ``2 * n * eps`` times the trace
+    of the penalized block, where it cannot fail. In exact arithmetic every
+    penalized squared pivot is at least lambda (a Schur complement of
+    X'X + lambda*I), and the intercept's is lambda * 1'(XX' + lambda*I)^-1 1,
+    at least lambda * n / (trace(X'X) + lambda). So once lambda exceeds
+    ``n * eps`` times that trace, which is at least every penalized diagonal
+    entry and trace(X'X) + lambda, no squared pivot can fall to ``n * eps``
+    of its diagonal entry; the factor of 2 leaves room for rounding.
     """
     mean = features.mean(axis=0)
     scale = features.std(axis=0)
@@ -190,14 +201,17 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     x = (features - mean) / scale
     xa = np.hstack([x, np.ones((x.shape[0], 1))])
 
-    n_feat = x.shape[1]
+    n_rows, n_feat = x.shape
+    eps = np.finfo(np.float64).eps
     gram = xa.T @ xa
     gram[np.diag_indices(n_feat)] += ridge_lambda
     rhs = xa.T @ targets
+    diagonal = np.diagonal(gram)
     try:
-        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
-        if np.any(pivots <= x.shape[0] * np.finfo(np.float64).eps * np.diagonal(gram)):
-            raise np.linalg.LinAlgError("a pivot is rounding noise")
+        if ridge_lambda <= 2 * n_rows * eps * diagonal[:n_feat].sum():
+            pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+            if np.any(pivots <= n_rows * eps * diagonal):
+                raise np.linalg.LinAlgError("a pivot is rounding noise")
         return mean, scale, np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise InsufficientDataError(
@@ -292,12 +306,15 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     weights need at least one, and so does a test range without one.
 
     Each series is fitted once. A row whose series, capacity and model spec
-    equal the fleet row's bit for bit (the one bundle of a one-bundle
-    bundling) copies the fleet row's forecasts and moments. The fleet and
-    asset rows do not depend on the bundling, so with ``shared``, the result
-    of an earlier call on the same panel, task, specs and split under
-    another bundling, they are copied from it and only the bundle rows are
-    forecast. The values are the same bits as without ``shared``.
+    equal its parent row's bit for bit copies the parent's forecasts and
+    moments: the one bundle of a one-bundle bundling repeats the fleet, and
+    the asset of a singleton bundle repeats that bundle. Bundle rows come
+    before asset rows, so a singleton is fitted as its bundle and copied to
+    its asset. The fleet and asset rows do not depend on the bundling, so
+    with ``shared``, the result of an earlier call on the same panel, task,
+    specs and split under another bundling, they are copied from it and only
+    the bundle rows are forecast. The values are the same bits as without
+    ``shared``.
     """
     for level in LEVELS:
         if level not in specs:
@@ -336,12 +353,14 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
         moments[0] = shared.second_moment[:, 0]
         moments[1 + k:] = shared.second_moment[:, 1 + shared.test.n_bundles:].T
         rows = range(1, 1 + k)
-    fleet_bits = series[0].view(np.int64)
+    # the row each row lies under: the fleet for a bundle, its bundle for an asset
+    parent = np.concatenate([[0] * (1 + k), 1 + bundling.labels])
+    bits = series.view(np.int64)
     for r in rows:
-        spec = specs[level_of_row[r]]
-        if (r > 0 and spec == specs["fleet"] and caps[r] == caps[0]
-                and np.array_equal(series[r].view(np.int64), fleet_bits)):
-            test_values[:, r], moments[r] = test_values[:, 0], moments[0]
+        spec, p = specs[level_of_row[r]], parent[r]
+        if (r > 0 and spec == specs[level_of_row[p]] and caps[r] == caps[p]
+                and np.array_equal(bits[r], bits[p])):
+            test_values[:, r], moments[r] = test_values[:, p], moments[p]
             continue
         test_values[:, r, :], train_pred = _forecast_series(
             series[r], panel.timestamps, (test_origins, train_origins), spec, task,
@@ -376,12 +395,15 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
     The lines follow the canonical order that :func:`read_forecast_csv`
     requires: origins strictly ascending; within an origin the fleet,
     bundles 0..K-1, then the assets in ``asset_ids`` order; within a row
-    leads 1..T. Each origin's values are formatted once per run of bitwise
-    equal values in that order (a persistence row is one run), so ``0.0``
-    and ``-0.0`` stay distinct. The text around the values is one ``%``
-    template per file, with ``%`` in an asset id escaped, and each origin
-    block is that template filled by one ``%`` with the origin's stamp and
-    the block's value texts.
+    leads 1..T. Each origin block is one ``%`` template filled by one ``%``
+    on one of two routes, which both write ``FLOAT_FORMAT % v`` for each
+    value v, so ``0.0`` and ``-0.0`` stay distinct. If more than half of a
+    block's values, in that order, start a new run of bitwise equal values
+    (as in ridge and reconciled blocks), the template's value fields are
+    ``FLOAT_FORMAT`` and it is filled with the values. Otherwise (as in a
+    persistence block, whose rows are one run each) each run is formatted
+    once and a template of ``%s`` value fields is filled with the texts.
+    The templates are built per call, with ``%`` in an asset id escaped.
     """
     asset_ids = tuple(asset_ids)
     if len(asset_ids) != forecast.n_assets:
@@ -390,28 +412,85 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
         )
     if np.any(np.diff(forecast.origins) <= np.timedelta64(0, "s")):
         raise ValueOutOfRangeError("forecast origins are not strictly ascending")
-    # one "%s<suffix>%s\n" per line, filled with the origin's stamp and the value's text
-    template = "".join("%s" + suffix.replace("%", "%%") + "%s\n" for suffix in
-                       _line_suffixes(_row_keys(forecast.n_bundles, asset_ids), forecast.horizon))
+    keys = _row_keys(forecast.n_bundles, asset_ids)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(FORECAST_HEADER + "\n")
-        for origin, block in zip(forecast.origins, forecast.values):
-            fields = [format_utc_timestamp(origin)] * (2 * block.size)
-            fields[1::2] = _value_texts(block)
-            fh.write(template % tuple(fields))
+        fh.writelines(_block_texts(forecast.origins, forecast.values, keys))
 
 
-def _value_texts(block: np.ndarray) -> list[str]:
-    """``FLOAT_FORMAT`` of each value of ``block`` in row-major order, formatting
-    each run of bitwise equal values once."""
-    flat = block.ravel()
-    bits = flat.view(np.int64)
-    starts = np.empty(flat.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+def _block_template(keys, horizon: int, value_field: str) -> str:
+    """The ``%`` template of one origin block: a ``%s,level,series_id,lead,``
+    line with ``value_field`` for each cell, ``%`` in a series id escaped.
+
+    Each row is one ``str.join`` of its prefix over the T lead tails.
+    """
+    tails = [f"{tau},{value_field}\n" for tau in range(1, horizon + 1)]
+    return "".join(prefix + prefix.join(tails) for prefix in
+                   ("%s," + f"{level},{sid},".replace("%", "%%") for level, sid in keys))
+
+
+def _block_texts(origins: np.ndarray, values: np.ndarray, keys):
+    """The text of each origin's lines, ``values[m]`` holding one row per key,
+    on the routes :func:`write_forecast_csv` describes. Each route's template
+    is built the first time a block takes that route.
+    """
+    templates = {}
+    for origin, block in zip(origins, values):
+        flat = block.ravel()
+        bits = flat.view(np.int64)
+        starts = np.empty(flat.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+        direct = 2 * np.count_nonzero(starts) > flat.size
+        field = FLOAT_FORMAT if direct else "%s"
+        if field not in templates:
+            templates[field] = _block_template(keys, block.shape[-1], field)
+        fields = [format_utc_timestamp(origin)] * (2 * flat.size)
+        fields[1::2] = flat.tolist() if direct else _run_texts(flat, starts)
+        yield templates[field] % tuple(fields)
+
+
+def _run_texts(flat: np.ndarray, starts: np.ndarray) -> list[str]:
+    """``FLOAT_FORMAT`` of each value of ``flat``, formatting each run once;
+    ``starts`` marks the values that start a run."""
     distinct = flat[starts].tolist()
     texts = ((FLOAT_FORMAT + "\0") * len(distinct) % tuple(distinct)).split("\0")
     return np.array(texts, dtype=object)[np.cumsum(starts) - 1].tolist()
+
+
+def _splice_forecast_csv(forecast: HierarchyForecast, asset_ids, path,
+                         source: HierarchyForecast, source_path) -> None:
+    """Write the file :func:`write_forecast_csv` writes for ``forecast``,
+    copying its fleet and asset lines from ``source_path``.
+
+    ``source_path`` is the file that :func:`write_forecast_csv` wrote for
+    ``source``, a forecast of the same assets under another bundling. The
+    fleet and asset rows of ``forecast`` must be the same bits as those of
+    ``source`` at the same origins, so their lines are the same text; this is
+    checked before anything is written, and a difference raises
+    ShapeMismatchError. Only the bundle rows are formatted. The source is
+    streamed one origin block at a time.
+    """
+    asset_ids = tuple(asset_ids)
+    if not (len(asset_ids) == source.n_assets == forecast.n_assets
+            and np.array_equal(source.origins, forecast.origins)
+            and source.horizon == forecast.horizon
+            and np.array_equal(source.fleet.view(np.int64), forecast.fleet.view(np.int64))
+            and np.array_equal(source.assets.view(np.int64), forecast.assets.view(np.int64))):
+        raise ShapeMismatchError(f"the fleet and asset rows to write to {path} are not the "
+                                 f"same bits as those of {source_path}")
+    horizon, k = forecast.horizon, forecast.n_bundles
+    bundle_lines = source.n_bundles * horizon
+    asset_lines = source.n_assets * horizon
+    bundle_keys = _row_keys(k, ())[1:]
+    with open(source_path, encoding="utf-8") as src, open(path, "w", encoding="utf-8") as fh:
+        fh.write(src.readline())
+        for bundle_text in _block_texts(forecast.origins, forecast.values[:, 1:1 + k],
+                                        bundle_keys):
+            fh.write("".join(islice(src, horizon)))  # the fleet lines
+            deque(islice(src, bundle_lines), maxlen=0)  # skip the source's bundle lines
+            fh.write(bundle_text)
+            fh.write("".join(islice(src, asset_lines)))
 
 
 def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
@@ -548,12 +627,17 @@ def write_moments_csv(second_moment: np.ndarray, path) -> None:
 
     Cells go in (lead, row) order and each value is its ``repr``, the
     shortest text that parses back to the same float, so a reader rebuilds
-    the exact moments.
+    the exact moments. Each lead is one ``%d,<row>,%r`` template filled by
+    one ``%``.
     """
+    second_moment = np.asarray(second_moment)
+    template = "".join(f"%d,{r},%r\n" for r in range(second_moment.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MOMENTS_HEADER}\n")
-        for tau, values in enumerate(np.asarray(second_moment).tolist(), start=1):
-            fh.write("".join(f"{tau},{r},{v!r}\n" for r, v in enumerate(values)))
+        for tau, values in enumerate(second_moment.tolist(), start=1):
+            fields = [tau] * (2 * len(values))
+            fields[1::2] = values
+            fh.write(template % tuple(fields))
 
 
 def read_moments_csv(path, n_rows: int, horizon: int) -> np.ndarray:

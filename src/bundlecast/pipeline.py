@@ -11,22 +11,24 @@ ridge products still go through BLAS.
 
 Bundling is :func:`make_bundling`; each later stage is one body that computes
 its products from in-memory inputs, writes them and returns what the next
-stage needs (``_forecast``, ``_reconcile``). One ``_score`` body scores each
-forecast where it is made: ``_forecast`` the raw forecasts
-(``evaluation_raw.csv``), the evaluate stage the reconciled ones
-(``evaluation.csv``). ``run`` ingests and bundles once, then calls the
-bodies in order. For the no-bundling baseline (all assets in one bundle,
+stage needs (``_forecast``, ``_reconcile``). One ``_score`` body scores the
+raw forecasts in the forecast stage (``evaluation_raw.csv``) and the
+reconciled ones in the evaluate stage (``evaluation.csv``). ``run`` ingests
+and bundles once, then calls the bodies in order; it scores a pass's raw and
+reconciled forecasts after reconciling them, against one build of the
+realized values. For the no-bundling baseline (all assets in one bundle,
 ``baseline_`` files) it calls them again, but the baseline's forecast body
 copies the fleet and asset rows from the bundled pass and its one bundle row
-from its fleet row, so no series is fitted twice; then it compares the two
-passes. With ``n_bundles = 1`` the baseline is the bundled pass, so ``run``
-copies the seven files instead. When reconciliation changes no bit of the
-raw forecasts (persistence input is coherent), ``_reconcile`` copies the raw
-forecast file's bytes. Bits, not values, decide: ``-0.0`` equals ``0.0`` but
-is written as ``-0``. On the stage path the raw file is the one the
-``forecast`` stage left, so a hand-edited raw file is copied as it is.
-A stage command loads its inputs from the run directory, then calls the same
-body. Each product file is written by one body inside ``_stage``, so a
+from its fleet row, so no series is fitted twice, and it copies the lines of
+those rows from the bundled raw file into its own; then ``run`` compares the
+two passes. With ``n_bundles = 1`` the baseline is the bundled pass, so
+``run`` copies the seven files instead. When reconciliation changes no bit
+of the raw forecasts (persistence input is coherent), ``_reconcile`` copies
+the raw forecast file's bytes. Bits, not values, decide: ``-0.0`` equals
+``0.0`` but is written as ``-0``. On the stage path the raw file is the one
+the ``forecast`` stage left, so a hand-edited raw file is copied as it is.
+A stage command loads its inputs from the run directory, then calls the
+same body. Each product file is written by one body inside ``_stage``, so a
 failure while computing or writing it is tagged with its stage whichever
 command runs it (the manifest counts as ingest, ``sweep.csv`` as bundle).
 """
@@ -67,6 +69,7 @@ from .forecast import (
     LEVELS,
     HierarchyForecast,
     RollingForecasts,
+    _splice_forecast_csv,
     forecast_origins,
     hierarchy_actuals,
     hierarchy_capacities,
@@ -87,6 +90,7 @@ from .reconcile import (
 from .synth import write_synth_csv
 
 Reports = dict[str, EvaluationReport]  # per level
+Truth = tuple[HierarchyForecast, np.ndarray]  # realized values, capacity per row
 
 WEIGHT_FLOOR_REL = 1e-8  # of squared fleet capacity
 
@@ -100,10 +104,10 @@ DIAGNOSTICS_FILE = "diagnostics.csv"
 COMPARISON_FILE = "comparison.csv"
 MANIFEST_FILE = "manifest.json"
 
-# the stage that writes each file of a pass, in the order a pass writes them
+# the stage that writes each file of a pass, in the order ``run`` writes them
 _PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_TEST_FILE: "forecast",
-             MOMENTS_FILE: "forecast", REPORT_RAW_FILE: "forecast",
-             RECONCILED_FILE: "reconcile", DIAGNOSTICS_FILE: "reconcile",
+             MOMENTS_FILE: "forecast", RECONCILED_FILE: "reconcile",
+             DIAGNOSTICS_FILE: "reconcile", REPORT_RAW_FILE: "forecast",
              REPORT_FILE: "evaluate"}
 
 
@@ -170,27 +174,38 @@ def make_bundling(config: RunConfig, panel: AssetPanel,
     return bundling, sigma
 
 
-def _score(panel: AssetPanel, bundling: Bundling, forecast: HierarchyForecast,
-           path: Path) -> Reports:
+def _truth(panel: AssetPanel, bundling: Bundling,
+           forecast: HierarchyForecast) -> Truth:
+    """The realized values at a forecast's origins and the capacity of every row."""
+    return (hierarchy_actuals(panel, bundling, forecast.origins, forecast.horizon),
+            hierarchy_capacities(panel, bundling))
+
+
+def _score(truth: Truth, forecast: HierarchyForecast, path: Path) -> Reports:
     """Score test forecasts against realized values; writes the report and returns it."""
-    actuals = hierarchy_actuals(panel, bundling, forecast.origins, forecast.horizon)
-    reports = evaluate(actuals, forecast, hierarchy_capacities(panel, bundling))
+    actuals, capacities = truth
+    reports = evaluate(actuals, forecast, capacities)
     write_report_csv(reports, path)
     return reports
 
 
 def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Path,
               prefix: str = "", shared: RollingForecasts | None = None) -> RollingForecasts:
-    """Rolling test forecasts and in-sample residual moments; writes both and the raw scores.
+    """Rolling test forecasts and in-sample residual moments; writes both.
 
-    ``shared`` is another bundling's forecasts of the same run, whose fleet
-    and asset rows are reused (see :func:`rolling_forecast`).
+    ``shared`` is the bundled pass's forecasts, whose fleet and asset rows
+    are reused (see :func:`rolling_forecast`); their lines are then copied
+    from its raw file too, and only the bundle rows are formatted.
     """
     forecasts = rolling_forecast(panel, bundling, config.forecast_task, config.specs,
                                  config.test_start, shared)
-    write_forecast_csv(forecasts.test, panel.asset_ids, out / (prefix + FORECAST_TEST_FILE))
+    path = out / (prefix + FORECAST_TEST_FILE)
+    if shared is None:
+        write_forecast_csv(forecasts.test, panel.asset_ids, path)
+    else:
+        _splice_forecast_csv(forecasts.test, panel.asset_ids, path, shared.test,
+                             out / FORECAST_TEST_FILE)
     write_moments_csv(forecasts.second_moment, out / (prefix + MOMENTS_FILE))
-    _score(panel, bundling, forecasts.test, out / (prefix + REPORT_RAW_FILE))
     return forecasts
 
 
@@ -299,12 +314,15 @@ def run(config_path, out_dir=None) -> Path:
             # the name then frees them before the baseline reconciles
             forecasts = _stage("forecast", _forecast, config, panel, pass_bundling, out, prefix,
                                forecasts)
-            # the reconciled forecasts are only an argument, so the next pass does not hold them
-            reports.append(_stage(
-                "evaluate", _score, panel, pass_bundling,
-                _stage("reconcile", _reconcile, panel, pass_bundling, forecasts.second_moment,
-                       forecasts.test, out, prefix),
-                out / (prefix + REPORT_FILE)))
+            reconciled = _stage("reconcile", _reconcile, panel, pass_bundling,
+                                forecasts.second_moment, forecasts.test, out, prefix)
+            # both scorings follow reconciliation, so the realized values are built
+            # once and are not held while it runs
+            truth = _stage("forecast", _truth, panel, pass_bundling, forecasts.test)
+            _stage("forecast", _score, truth, forecasts.test, out / (prefix + REPORT_RAW_FILE))
+            reports.append(_stage("evaluate", _score, truth, reconciled,
+                                  out / (prefix + REPORT_FILE)))
+            del reconciled, truth  # the next pass holds neither
         if config.baseline:
             if config.n_bundles == 1:  # the baseline pass is the bundled pass
                 for name, stage in _PRODUCER.items():
@@ -384,7 +402,9 @@ def stage_forecast(config_path, out_dir=None) -> Path:
     """Produce test forecasts and in-sample residual moments for a learned bundling."""
     config, out, panel = _open_stage(config_path, out_dir)
     (bundling,) = _stage("forecast", _load_inputs, config, out, panel)
-    _stage("forecast", _forecast, config, panel, bundling, out)
+    test = _stage("forecast", _forecast, config, panel, bundling, out).test
+    truth = _stage("forecast", _truth, panel, bundling, test)
+    _stage("forecast", _score, truth, test, out / REPORT_RAW_FILE)
     return out / FORECAST_TEST_FILE
 
 
@@ -401,7 +421,8 @@ def stage_evaluate(config_path, out_dir=None) -> Path:
     """Score the reconciled forecasts against realized values."""
     config, out, panel = _open_stage(config_path, out_dir)
     bundling, reconciled = _stage("evaluate", _load_inputs, config, out, panel, RECONCILED_FILE)
-    _stage("evaluate", _score, panel, bundling, reconciled, out / REPORT_FILE)
+    truth = _stage("evaluate", _truth, panel, bundling, reconciled)
+    _stage("evaluate", _score, truth, reconciled, out / REPORT_FILE)
     return out / REPORT_FILE
 
 

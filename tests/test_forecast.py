@@ -20,12 +20,14 @@ from bundlecast import (
     reconcile,
     rolling_forecast,
 )
+from bundlecast import forecast as forecast_module
 from bundlecast.core import format_utc_timestamp
 from bundlecast.forecast import (
     FLOAT_FORMAT,
     _calendar_features,
     _forecast_series,
     _ridge_features,
+    _splice_forecast_csv,
     read_forecast_csv,
     ridge_fit,
     read_moments_csv,
@@ -39,7 +41,7 @@ from bundlecast.errors import (
     ValueOutOfRangeError,
 )
 
-from conftest import make_panel, random_panel
+from conftest import make_panel, random_bundling_labels, random_panel
 
 
 def hourly_timestamps(n, start="2019-03-01T00:00:00"):
@@ -152,6 +154,65 @@ def test_ridge_rejects_the_lags_of_a_straight_line():
     lags, targets = windows(np.linspace(50.0, 1.0, 60), 2, 4)
     with pytest.raises(InsufficientDataError, match="normal equations singular at lambda=0.0"):
         ridge_fit(lags, targets, ridge_lambda=0.0)
+
+
+def _features(kind, n, n_feat, seed, scale_exp, offset_exp):
+    """(n, F) features of one kind, several of them rank-deficient."""
+    rng = np.random.default_rng(seed)
+    if kind == "line-lags":
+        line = np.linspace(50.0, 1.0, n + n_feat)
+        base = np.stack([line[j:j + n] for j in range(n_feat)], axis=1)
+    elif kind == "rank-two":
+        base = rng.standard_normal((n, 2)) @ rng.standard_normal((2, n_feat))
+    else:
+        base = rng.standard_normal((n, n_feat))
+        if kind == "repeated-column":
+            base[:, 1:] = base[:, :1]
+        elif kind == "constant-columns":
+            base[:, ::2] = 1.0
+    return 10.0 ** offset_exp + 10.0 ** scale_exp * base
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["random", "repeated-column", "constant-columns", "line-lags",
+                             "rank-two"]),
+       n=st.integers(2, 120), n_feat=st.integers(1, 90), seed=st.integers(0, 2 ** 32 - 1),
+       scale_exp=st.integers(-6, 6), offset_exp=st.integers(-3, 6),
+       factor=st.floats(1.01, 1e6))
+def test_ridge_rank_test_cannot_fail_above_its_skip_bound(kind, n, n_feat, seed, scale_exp,
+                                                          offset_exp, factor):
+    """Where ``ridge_fit`` skips its Cholesky rank test (lambda above 2 n eps times the
+    trace of the penalized block), the test would have passed: the factorization
+    succeeds and every squared pivot exceeds n eps times its diagonal entry."""
+    features = _features(kind, n, n_feat, seed, scale_exp, offset_exp)
+    targets = np.random.default_rng(seed).standard_normal((n, 2))
+    mean, scale, _ = ridge_fit(features, targets, ridge_lambda=1.0)  # the standardization
+    xa = standardized(features, mean, scale)
+    gram = xa.T @ xa
+    # lambda > c (trace + F lambda) for c = 2 n eps, with the trace taken without lambda
+    c = 2 * n * np.finfo(np.float64).eps
+    lam = max(factor * c * np.trace(gram[:n_feat, :n_feat]) / (1 - c * n_feat), 1e-300)
+    gram[np.diag_indices(n_feat)] += lam
+    assert lam > c * np.trace(gram[:n_feat, :n_feat])
+    pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+    assert np.all(pivots > n * np.finfo(np.float64).eps * np.diagonal(gram))
+    ridge_fit(features, targets, ridge_lambda=lam)
+
+
+def test_ridge_factors_the_gram_only_below_the_skip_bound(rng, monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    lags, targets = windows(rng.uniform(0.0, 50.0, size=120), 6, 3)
+    # 112 rows of 6 standardized features: the bound is 2 * 112 * eps * 6 * 112 = 3.34e-11
+    for lam in (0.0, 3.3e-11, 3.4e-11, 1.0):
+        ridge_fit(lags, targets, ridge_lambda=lam)
+    assert calls == [(7, 7)] * 2
 
 
 # --- ridge predict ------------------------------------------------------------------
@@ -359,6 +420,44 @@ def test_rolling_shared_rows_equal_fresh_fits(rng, monkeypatch, bundle_spec, bun
         rolling_forecast(panel, single, task, specs, panel.timestamps[split_idx + 1], bundled)
 
 
+@pytest.mark.parametrize("asset_spec, fits", [
+    (ModelSpec("ridge", 0.7, True), 1 + 3 + 5 - 2),  # the bundle's spec: each series once
+    (ModelSpec("ridge", 0.3, True), 1 + 3 + 5),      # another spec: the singletons are fitted
+])
+def test_rolling_fits_a_singleton_bundle_once(rng, monkeypatch, asset_spec, fits):
+    """Bundles 1 and 2 hold one asset each. With the bundle spec for the assets too,
+    each singleton asset row copies its bundle row; either way every row holds the bits
+    of its series forecast on its own."""
+    panel = random_panel(rng, 5, 160)
+    bundling = Bundling([0, 1, 0, 2, 0], panel.asset_ids)
+    task, split_idx = ForecastTask(6, 4, 15), 120
+    specs = {"fleet": ModelSpec("ridge", 1.0, False), "bundle": ModelSpec("ridge", 0.7, True),
+             "asset": asset_spec}
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args[0].shape)
+        return ridge_fit(*args, **kwargs)
+
+    monkeypatch.setattr("bundlecast.forecast.ridge_fit", counting_fit)
+    rf = rolling_forecast(panel, bundling, task, specs, panel.timestamps[split_idx])
+    assert len(calls) == fits
+    monkeypatch.undo()
+
+    series, caps = hierarchy_series(panel, bundling), hierarchy_capacities(panel, bundling)
+    levels = ["fleet"] + ["bundle"] * 3 + ["asset"] * 5
+    origins = np.searchsorted(panel.timestamps, rf.test.origins)
+    for r, level in enumerate(levels):
+        alone = _forecast_series(series[r], panel.timestamps, [origins], specs[level], task,
+                                 split_idx, caps[r])[0]
+        np.testing.assert_array_equal(rf.test.values[:, r], alone)
+    train_origins = np.arange(task.history_len - 1, split_idx - task.horizon)
+    err = (_insample_tensor(panel, bundling, task, specs, split_idx, train_origins)
+           - hierarchy_actuals(panel, bundling, panel.timestamps[train_origins],
+                               task.horizon).values)
+    np.testing.assert_array_equal(rf.second_moment, np.mean(err * err, axis=0).T)
+
+
 def test_rolling_ridge_predictions_respect_capacity(rng):
     task = ForecastTask(8, 4, 15)
     specs = {"fleet": ModelSpec("ridge", 0.1, True),
@@ -537,16 +636,90 @@ def test_write_forecast_csv_matches_the_per_cell_reference(tmp_path_factory, dat
     asset_ids = tuple(f"w{j}" + data.draw(st.sampled_from(["", "%s", "100%", "%%"]))
                       for j in range(n))
     path = tmp_path_factory.getbasetemp() / "per_cell_reference.csv"
-    write_forecast_csv(HierarchyForecast(origins, values, k, n), asset_ids, path)
+    forecast = HierarchyForecast(origins, values, k, n)
+    write_forecast_csv(forecast, asset_ids, path)
+    assert path.read_text(encoding="utf-8") == per_cell_text(forecast, asset_ids)
 
-    keys = ([("fleet", "")] + [("bundle", str(b)) for b in range(k)]
+
+def per_cell_text(forecast, asset_ids):
+    """The forecast CSV formatted one cell at a time."""
+    keys = ([("fleet", "")] + [("bundle", str(b)) for b in range(forecast.n_bundles)]
             + [("asset", a) for a in asset_ids])
-    expected = "origin,level,series_id,lead,value\n" + "".join(
+    return "origin,level,series_id,lead,value\n" + "".join(
         f"{format_utc_timestamp(origin)},{level},{sid},{tau},{FLOAT_FORMAT % float(v)}\n"
-        for origin, block in zip(origins, values)
+        for origin, block in zip(forecast.origins, forecast.values)
         for (level, sid), row in zip(keys, block)
         for tau, v in enumerate(row, start=1))
-    assert path.read_text(encoding="utf-8") == expected
+
+
+def _runs(*lengths):
+    """A (3, 4) block of runs of the given lengths, each a new value; 0.0 and -0.0
+    are two of them, next to each other."""
+    values = [0.0, -0.0, 1 / 3, 2.5, 1e-7, -4.25, 1e15 / 7, 0.1, 33.0, 7.0, 1e-300, 5.5]
+    return np.repeat(values[:len(lengths)], lengths).reshape(3, 4)
+
+
+@pytest.mark.parametrize("block, formatted_per_run", [
+    pytest.param(np.random.default_rng(3).uniform(-1e6, 1e6, (3, 4)), False, id="all-distinct"),
+    pytest.param(np.repeat([[0.0], [7.25], [-0.0]], 4, axis=1), True, id="persistence"),
+    pytest.param(_runs(2, 2, 2, 2, 2, 2), True, id="half-start-a-run"),
+    pytest.param(_runs(2, 2, 2, 2, 2, 1, 1), False, id="one-more-starts-a-run"),
+])
+def test_write_forecast_csv_routes_match_the_per_cell_reference(tmp_path, monkeypatch, block,
+                                                                formatted_per_run):
+    """A block in which more than half of the values start a run of bitwise equal
+    values is formatted value by value, any other run by run; both give the bytes of
+    formatting every cell on its own."""
+    runs = []
+    run_texts = forecast_module._run_texts
+
+    def counting(flat, starts):
+        runs.append(flat.size)
+        return run_texts(flat, starts)
+
+    monkeypatch.setattr(forecast_module, "_run_texts", counting)
+    origins = np.array(["2019-01-08T00:00:00", "2019-01-08T00:15:00"], dtype="datetime64[s]")
+    forecast = HierarchyForecast(origins, np.stack([block, block[::-1]]), 1, 1)
+    write_forecast_csv(forecast, ("a%s",), tmp_path / "forecast.csv")
+    assert (tmp_path / "forecast.csv").read_text(encoding="utf-8") == per_cell_text(
+        forecast, ("a%s",))
+    assert runs == ([12, 12] if formatted_per_run else [])
+
+
+@pytest.mark.parametrize("n_bundles", [2, 3])
+@pytest.mark.parametrize("model", ["ridge", "persistence"])
+def test_spliced_forecast_csv_equals_the_written_file(tmp_path, rng, n_bundles, model):
+    """The K=1 file spliced from a K-bundle file has the bytes ``write_forecast_csv``
+    writes for it; ``%`` in an asset id reaches both files as written."""
+    panel = random_panel(rng, 5, 160)
+    task, split = ForecastTask(6, 4, 15), panel.timestamps[120]
+    spec = ModelSpec(model, 0.7, True)
+    specs = {"fleet": spec, "bundle": ModelSpec(model, 0.3), "asset": spec}
+    bundled = rolling_forecast(panel, Bundling(random_bundling_labels(rng, 5, n_bundles),
+                                               panel.asset_ids), task, specs, split)
+    single = rolling_forecast(panel, Bundling.single_bundle(panel.asset_ids), task, specs,
+                              split, bundled)
+    asset_ids = ("a%s", "100%", "%%", "a3", "a%d4")
+    write_forecast_csv(bundled.test, asset_ids, tmp_path / "bundled.csv")
+    write_forecast_csv(single.test, asset_ids, tmp_path / "written.csv")
+    _splice_forecast_csv(single.test, asset_ids, tmp_path / "spliced.csv", bundled.test,
+                         tmp_path / "bundled.csv")
+    assert ((tmp_path / "spliced.csv").read_bytes()
+            == (tmp_path / "written.csv").read_bytes())
+
+
+@pytest.mark.parametrize("row", [0, 3])  # the fleet row, and the first asset row
+def test_splice_rejects_a_copied_row_that_differs_in_one_bit(tmp_path, row):
+    """0.0 and -0.0 are equal numbers but different lines (``0`` and ``-0``)."""
+    origins = np.array(["2019-01-08T00:00:00", "2019-01-08T00:15:00"], dtype="datetime64[s]")
+    source = HierarchyForecast(origins, np.zeros((2, 5, 3)), 2, 2)  # fleet, 2 bundles, 2 assets
+    write_forecast_csv(source, ("a0", "a1"), tmp_path / "source.csv")
+    values = np.zeros((2, 4, 3))
+    values[1, row, 2] = -0.0
+    with pytest.raises(ShapeMismatchError, match="not the same bits"):
+        _splice_forecast_csv(HierarchyForecast(origins, values, 1, 2), ("a0", "a1"),
+                             tmp_path / "spliced.csv", source, tmp_path / "source.csv")
+    assert not (tmp_path / "spliced.csv").exists()
 
 
 def test_write_forecast_csv_rejects_origins_out_of_order(tmp_path):
@@ -643,8 +816,9 @@ def test_moments_csv_round_trip_is_exact(tmp_path, rng):
     moments[1, 2] = 0.0
     path = tmp_path / "moments.csv"
     write_moments_csv(moments, path)
-    lines = path.read_text().splitlines()
-    assert lines[:2] == ["lead,row,second_moment", f"1,0,{float(moments[0, 0])!r}"]
+    assert path.read_text() == "lead,row,second_moment\n" + "".join(
+        f"{tau},{r},{float(v)!r}\n" for tau, row in enumerate(moments, start=1)
+        for r, v in enumerate(row))
     np.testing.assert_array_equal(read_moments_csv(path, 4, 3), moments)
 
 

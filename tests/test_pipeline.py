@@ -227,14 +227,21 @@ def test_cli_run_persistence_reconciliation_is_identity(data_dir):
 
 
 def _counting_forecast_writes(monkeypatch):
-    """The file names that ``pipeline.write_forecast_csv`` writes, in call order."""
+    """The file names that ``pipeline.write_forecast_csv`` writes, in call order; a
+    file that ``pipeline._splice_forecast_csv`` writes is listed as ``("splice", name)``."""
     names = []
+    splice = pipeline._splice_forecast_csv
 
     def counting(forecast, asset_ids, path):
         names.append(Path(path).name)
         return write_forecast_csv(forecast, asset_ids, path)
 
+    def counting_splice(forecast, asset_ids, path, source, source_path):
+        names.append(("splice", Path(path).name))
+        return splice(forecast, asset_ids, path, source, source_path)
+
     monkeypatch.setattr(pipeline, "write_forecast_csv", counting)
+    monkeypatch.setattr(pipeline, "_splice_forecast_csv", counting_splice)
     return names
 
 
@@ -245,11 +252,12 @@ def _assert_same_tree(a, b):
 
 
 def test_run_copies_a_reconciliation_that_changes_no_bit(data_dir, monkeypatch):
-    """Persistence input is coherent, so each pass formats its raw forecasts once."""
+    """Persistence input is coherent, so each pass formats its raw forecasts once; the
+    baseline's raw file takes its fleet and asset lines from the bundled pass's."""
     cfg = write_run_config(data_dir, model="persistence", baseline="true", out="copied")
     written = _counting_forecast_writes(monkeypatch)
     out = pipeline_run(cfg)
-    assert written == ["forecasts_raw.csv", "baseline_forecasts_raw.csv"]
+    assert written == ["forecasts_raw.csv", ("splice", "baseline_forecasts_raw.csv")]
     for prefix in ("", "baseline_"):
         assert ((out / f"{prefix}forecasts_reconciled.csv").read_bytes()
                 == (out / f"{prefix}forecasts_raw.csv").read_bytes())
@@ -259,7 +267,31 @@ def test_run_copies_a_reconciliation_that_changes_no_bit(data_dir, monkeypatch):
     monkeypatch.setattr(pipeline, "_same_bits", lambda a, b: False)
     _assert_same_tree(out, pipeline_run(cfg, data_dir / "formatted"))
     assert written[2:] == ["forecasts_raw.csv", "forecasts_reconciled.csv",
-                           "baseline_forecasts_raw.csv", "baseline_forecasts_reconciled.csv"]
+                           ("splice", "baseline_forecasts_raw.csv"),
+                           "baseline_forecasts_reconciled.csv"]
+
+
+def test_run_splices_the_baseline_raw_file_and_builds_each_pass_actuals_once(data_dir,
+                                                                             monkeypatch):
+    """The baseline's raw file, spliced from the bundled pass's, has the bytes of
+    writing it whole; each pass builds its realized values once for both scorings."""
+    cfg = write_run_config(data_dir, baseline="true", out="spliced")
+    built = []
+    actuals = pipeline.hierarchy_actuals
+
+    def counting(panel, bundling, origins, horizon):
+        built.append(bundling.n_bundles)
+        return actuals(panel, bundling, origins, horizon)
+
+    monkeypatch.setattr(pipeline, "hierarchy_actuals", counting)
+    written = _counting_forecast_writes(monkeypatch)
+    out = pipeline_run(cfg)
+    assert built == [2, 1]
+    assert ("splice", "baseline_forecasts_raw.csv") in written
+    monkeypatch.setattr(pipeline, "_splice_forecast_csv",
+                        lambda forecast, asset_ids, path, source, source_path:
+                        write_forecast_csv(forecast, asset_ids, path))
+    _assert_same_tree(out, pipeline_run(cfg, data_dir / "written"))
 
 
 def test_run_writes_a_reconciliation_that_turns_negative_zeros_positive(data_dir, monkeypatch):
