@@ -25,12 +25,16 @@ Forecast sets are stored as ``origin,level,series_id,lead,value`` CSV lines
 in one canonical order: origins strictly ascending; within an origin the
 fleet, bundles 0..K-1, then the assets in panel order; within a row leads
 1..T. The reader streams the file one origin block at a time and rejects
-any other order with ``path:line``.
+any other order with ``path:line``. The same test forecasts and the residual
+moments are also saved with their exact bits as one array archive, which is
+what the reconcile stage reads.
 """
 
 from __future__ import annotations
 
 import math
+import tokenize
+import zipfile
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -160,13 +164,14 @@ def _calendar_features(origins: np.ndarray) -> np.ndarray:
     )
 
 
-def _ridge_features(series: np.ndarray, timestamps: np.ndarray, history_len: int,
-                    use_calendar: bool) -> np.ndarray:
-    """Row j: the H samples ending at index j+H-1, then that origin's calendar encodings."""
+def _ridge_features(series: np.ndarray, history_len: int,
+                    calendar: np.ndarray | None) -> np.ndarray:
+    """Row j: the H samples ending at index j+H-1, then ``calendar[j]``, the
+    calendar encodings of that origin (none when ``calendar`` is None)."""
     lags = sliding_window_view(series, history_len)
-    if not use_calendar:
+    if calendar is None:
         return lags
-    return np.hstack([lags, _calendar_features(timestamps[history_len - 1:])])
+    return np.hstack([lags, calendar])
 
 
 def ridge_fit(features: np.ndarray, targets: np.ndarray,
@@ -267,14 +272,17 @@ def forecast_origins(panel: AssetPanel, task: ForecastTask, split: np.datetime64
     return np.arange(max(panel.index_of(split), task.history_len - 1), panel.n_steps - task.horizon)
 
 
-def _forecast_series(series: np.ndarray, timestamps: np.ndarray, origin_sets,
+def _forecast_series(series: np.ndarray, calendar: np.ndarray, origin_sets,
                      spec: ModelSpec, task: ForecastTask, train_len: int,
                      cap: float) -> list[np.ndarray]:
     """Forecasts (M, T) for one series at each array of origin indices.
 
-    A ridge row is fitted once, on the feature rows whose targets end inside
-    the first ``train_len`` samples, and predicts each origin set with its
-    own product, so every set gets the values it would get alone.
+    ``calendar`` is the :func:`_calendar_features` of the panel's timestamps
+    from index H-1 on, one row per feature row; a ridge spec with calendar
+    encodings appends them to its lags. A ridge row is fitted once, on the
+    feature rows whose targets end inside the first ``train_len`` samples,
+    and predicts each origin set with its own product, so every set gets the
+    values it would get alone.
     """
     h, t = task.history_len, task.horizon
     if spec.model == "persistence":
@@ -283,7 +291,7 @@ def _forecast_series(series: np.ndarray, timestamps: np.ndarray, origin_sets,
         raise InsufficientDataError(
             f"need at least {h + t + 1} training samples for H={h}, T={t}; got {train_len}"
         )
-    feats = _ridge_features(series, timestamps, h, spec.use_calendar)
+    feats = _ridge_features(series, h, calendar if spec.use_calendar else None)
     n_fit = train_len - h - t + 1
     mean, scale, w = ridge_fit(feats[:n_fit], sliding_window_view(series, t)[h:h + n_fit],
                                spec.ridge_lambda)
@@ -356,6 +364,7 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     # the row each row lies under: the fleet for a bundle, its bundle for an asset
     parent = np.concatenate([[0] * (1 + k), 1 + bundling.labels])
     bits = series.view(np.int64)
+    calendar = _calendar_features(panel.timestamps[h - 1:])  # shared by every ridge row
     for r in rows:
         spec, p = specs[level_of_row[r]], parent[r]
         if (r > 0 and spec == specs[level_of_row[p]] and caps[r] == caps[p]
@@ -363,7 +372,7 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
             test_values[:, r], moments[r] = test_values[:, p], moments[p]
             continue
         test_values[:, r, :], train_pred = _forecast_series(
-            series[r], panel.timestamps, (test_origins, train_origins), spec, task,
+            series[r], calendar, (test_origins, train_origins), spec, task,
             split_idx, caps[r])
         err = train_pred - sliding_window_view(series[r], t)[train_origins + 1]
         moments[r] = np.mean(err * err, axis=0)
@@ -626,8 +635,8 @@ def write_moments_csv(second_moment: np.ndarray, path) -> None:
     """Write (horizon, n_rows) residual moments as `lead,row,second_moment` lines.
 
     Cells go in (lead, row) order and each value is its ``repr``, the
-    shortest text that parses back to the same float, so a reader rebuilds
-    the exact moments. Each lead is one ``%d,<row>,%r`` template filled by
+    shortest text that parses back to the same float, so the text holds the
+    exact moments. Each lead is one ``%d,<row>,%r`` template filled by
     one ``%``.
     """
     second_moment = np.asarray(second_moment)
@@ -640,52 +649,70 @@ def write_moments_csv(second_moment: np.ndarray, path) -> None:
             fh.write(template % tuple(fields))
 
 
-def read_moments_csv(path, n_rows: int, horizon: int) -> np.ndarray:
-    """The (horizon, n_rows) moments written by :func:`write_moments_csv`.
+# --- exact arrays -----------------------------------------------------------------
 
-    Every cell must appear once, in the writer's (lead, row) order, with a
-    finite non-negative value; anything else raises FormatError at its line.
+ARRAY_DTYPES = {"origins": np.dtype("datetime64[s]"), "values": np.dtype(np.float64),
+                "second_moment": np.dtype(np.float64)}
+
+
+def write_forecast_arrays(forecasts: RollingForecasts, path) -> None:
+    """Save the test forecasts, their origins and the residual moments exactly.
+
+    One uncompressed ``np.savez`` archive holds ``origins`` (M,), ``values``
+    (M, R, T) and ``second_moment`` (T, R). Its bytes are a pure function of
+    the arrays, since every zip entry numpy writes carries the same fixed date.
     """
-    values = np.empty(horizon * n_rows)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != MOMENTS_HEADER:
-            raise FormatError(f"{path}:1: expected header {MOMENTS_HEADER!r}, got {header!r}")
-        i, ln = 0, 1
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise FormatError(f"{path}:{ln}: expected 3 fields, got {len(fields)}")
-            try:
-                lead, row = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: lead {fields[0]!r} or row {fields[1]!r} "
-                                  f"is not an integer") from None
-            expected = (i // n_rows + 1, i % n_rows)
-            if (lead, row) != expected or i == values.size:
-                if not 1 <= lead <= horizon:
-                    problem = f"lead {lead} outside the horizon 1..{horizon}"
-                elif not 0 <= row < n_rows:
-                    problem = f"row {row} outside the hierarchy's rows 0..{n_rows - 1}"
-                elif (lead, row) < expected:
-                    problem = f"duplicate cell for lead {lead}, row {row}"
-                else:
-                    problem = (f"expected lead {expected[0]}, row {expected[1]}, got lead "
-                               f"{lead}, row {row}: a cell is missing or out of order")
-                raise FormatError(f"{path}:{ln}: {problem}")
-            try:
-                value = float(fields[2])
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: value {fields[2]!r} is not a number") from None
-            if not 0.0 <= value < np.inf:
-                raise FormatError(f"{path}:{ln}: second moment {value} is not finite "
-                                  f"and non-negative")
-            values[i] = value
-            i += 1
-    if i < values.size:
-        raise FormatError(f"{path}:{ln + 1}: the file ends before lead {i // n_rows + 1}, "
-                          f"row {i % n_rows}; expected {horizon} leads of {n_rows} rows")
-    return values.reshape(horizon, n_rows)
+    np.savez(path, origins=forecasts.test.origins, values=forecasts.test.values,
+             second_moment=forecasts.second_moment)
+
+
+def read_forecast_arrays(path, n_bundles: int, n_assets: int) -> RollingForecasts:
+    """The arrays :func:`write_forecast_arrays` saved, with the same bits.
+
+    Nothing is unpickled. The file must be a zip of exactly the three
+    ``.npy`` entries, stored uncompressed and unencrypted as numpy writes
+    them, each whole entry matching its checksum, each array of its dtype,
+    with R = 1 + ``n_bundles`` + ``n_assets`` rows, finite values and
+    finite, non-negative moments. A file that is not such an archive, a
+    missing entry or a wrong dtype raises FormatError, and a wrong shape
+    raises ShapeMismatchError; each message starts with ``path``.
+    """
+    entries = sorted(f"{name}.npy" for name in ARRAY_DTYPES)
+    try:
+        # opened here, since np.load leaks the file it opened if it is no zip
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise FormatError(f"{path}: not an array archive")
+            names = sorted(archive.zip.namelist())
+            if names != entries:
+                raise FormatError(f"{path}: holds the entries {names}, expected {entries}")
+            if any(info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1
+                   for info in archive.zip.infolist()):
+                raise FormatError(f"{path}: holds a compressed or encrypted entry")
+            # numpy stops reading an entry where its array header says the data
+            # ends, so it checks no checksum if an edited header ends it early
+            damaged = archive.zip.testzip()
+            if damaged is not None:
+                raise FormatError(f"{path}: the checksum of {damaged} does not match")
+            arrays = {name: archive[name] for name in ARRAY_DTYPES}
+    # numpy's array header parser can also let SyntaxError and TokenError out
+    except (zipfile.BadZipFile, ValueError, EOFError, OSError, NotImplementedError,
+            SyntaxError, tokenize.TokenError) as exc:
+        raise FormatError(f"{path}: not a readable array archive: {exc}") from exc
+    for name, dtype in ARRAY_DTYPES.items():
+        if not isinstance(arrays[name], np.ndarray) or arrays[name].dtype != dtype:
+            raise FormatError(f"{path}: {name} is not an array of dtype {dtype}")
+    origins, values, moments = arrays.values()
+    n_rows = 1 + n_bundles + n_assets
+    if (origins.ndim != 1 or values.ndim != 3 or moments.ndim != 2
+            or values.shape[:2] != (origins.size, n_rows)
+            or moments.shape != (values.shape[2], n_rows)):
+        raise ShapeMismatchError(
+            f"{path}: {origins.shape} origins, {values.shape} values and {moments.shape} "
+            f"moments do not hold M origins, (M, {n_rows}, T) values and (T, {n_rows}) moments")
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: a forecast value is not finite")
+    if not ((moments >= 0.0) & (moments < np.inf)).all():
+        raise FormatError(f"{path}: a second moment is not finite and non-negative")
+    return RollingForecasts(HierarchyForecast(origins, values, n_bundles, n_assets), moments)

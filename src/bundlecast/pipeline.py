@@ -22,15 +22,19 @@ copies the fleet and asset rows from the bundled pass and its one bundle row
 from its fleet row, so no series is fitted twice, and it copies the lines of
 those rows from the bundled raw file into its own; then ``run`` compares the
 two passes. With ``n_bundles = 1`` the baseline is the bundled pass, so
-``run`` copies the seven files instead. When reconciliation changes no bit
-of the raw forecasts (persistence input is coherent), ``_reconcile`` copies
-the raw forecast file's bytes. Bits, not values, decide: ``-0.0`` equals
-``0.0`` but is written as ``-0``. On the stage path the raw file is the one
-the ``forecast`` stage left, so a hand-edited raw file is copied as it is.
-A stage command loads its inputs from the run directory, then calls the
-same body. Each product file is written by one body inside ``_stage``, so a
-failure while computing or writing it is tagged with its stage whichever
-command runs it (the manifest counts as ingest, ``sweep.csv`` as bundle).
+``run`` copies the eight files instead. The forecast stage saves its test
+forecasts and residual moments twice: as CSVs to read, and as exact arrays
+(``forecasts_raw.npz``) that the reconcile stage loads, so the stage path
+reconciles the same bits as ``run``. When reconciliation changes no bit of
+the raw forecasts (persistence input is coherent), ``run``'s ``_reconcile``
+copies the raw forecast file it wrote from them. Bits, not values, decide:
+``-0.0`` equals ``0.0`` but is written as ``-0``. The ``reconcile`` command
+does not read the raw CSV, so it formats its output: a hand-edited raw CSV
+changes nothing it writes. A stage command loads its inputs from the run
+directory, then calls the same body. Each product file is written by one
+body inside ``_stage``, so a failure while computing or writing it is tagged
+with its stage whichever command runs it (the manifest counts as ingest,
+``sweep.csv`` as bundle).
 """
 
 from __future__ import annotations
@@ -73,9 +77,10 @@ from .forecast import (
     forecast_origins,
     hierarchy_actuals,
     hierarchy_capacities,
+    read_forecast_arrays,
     read_forecast_csv,
-    read_moments_csv,
     rolling_forecast,
+    write_forecast_arrays,
     write_forecast_csv,
     write_moments_csv,
 )
@@ -97,6 +102,7 @@ WEIGHT_FLOOR_REL = 1e-8  # of squared fleet capacity
 BUNDLING_FILE = "bundling.csv"
 FORECAST_TEST_FILE = "forecasts_raw.csv"
 MOMENTS_FILE = "residual_moments.csv"
+FORECAST_ARRAYS_FILE = "forecasts_raw.npz"
 RECONCILED_FILE = "forecasts_reconciled.csv"
 REPORT_FILE = "evaluation.csv"
 REPORT_RAW_FILE = "evaluation_raw.csv"
@@ -106,9 +112,9 @@ MANIFEST_FILE = "manifest.json"
 
 # the stage that writes each file of a pass, in the order ``run`` writes them
 _PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_TEST_FILE: "forecast",
-             MOMENTS_FILE: "forecast", RECONCILED_FILE: "reconcile",
-             DIAGNOSTICS_FILE: "reconcile", REPORT_RAW_FILE: "forecast",
-             REPORT_FILE: "evaluate"}
+             MOMENTS_FILE: "forecast", FORECAST_ARRAYS_FILE: "forecast",
+             RECONCILED_FILE: "reconcile", DIAGNOSTICS_FILE: "reconcile",
+             REPORT_RAW_FILE: "forecast", REPORT_FILE: "evaluate"}
 
 
 class StageError(BundlecastError):
@@ -191,14 +197,19 @@ def _score(truth: Truth, forecast: HierarchyForecast, path: Path) -> Reports:
 
 def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Path,
               prefix: str = "", shared: RollingForecasts | None = None) -> RollingForecasts:
-    """Rolling test forecasts and in-sample residual moments; writes both.
+    """Rolling test forecasts and in-sample residual moments; writes both as
+    CSVs, then as the exact arrays the reconcile stage reads.
 
     ``shared`` is the bundled pass's forecasts, whose fleet and asset rows
     are reused (see :func:`rolling_forecast`); their lines are then copied
-    from its raw file too, and only the bundle rows are formatted.
+    from its raw file too, and only the bundle rows are formatted. An old
+    arrays file is removed before the CSVs are written, so a write that fails
+    leaves no arrays beside newer CSVs.
     """
     forecasts = rolling_forecast(panel, bundling, config.forecast_task, config.specs,
                                  config.test_start, shared)
+    arrays = out / (prefix + FORECAST_ARRAYS_FILE)
+    arrays.unlink(missing_ok=True)
     path = out / (prefix + FORECAST_TEST_FILE)
     if shared is None:
         write_forecast_csv(forecasts.test, panel.asset_ids, path)
@@ -206,6 +217,7 @@ def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Pat
         _splice_forecast_csv(forecasts.test, panel.asset_ids, path, shared.test,
                              out / FORECAST_TEST_FILE)
     write_moments_csv(forecasts.second_moment, out / (prefix + MOMENTS_FILE))
+    write_forecast_arrays(forecasts, arrays)
     return forecasts
 
 
@@ -220,17 +232,19 @@ def _same_bits(a: HierarchyForecast, b: HierarchyForecast) -> bool:
 
 
 def _reconcile(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
-               test: HierarchyForecast, out: Path, prefix: str = "") -> HierarchyForecast:
+               test: HierarchyForecast, out: Path, prefix: str = "",
+               raw_file: Path | None = None) -> HierarchyForecast:
     """Per-lead WLS reconciliation; writes the reconciled forecasts and the diagnostics.
 
-    Reconciled forecasts bitwise equal to ``test`` are the raw forecast
-    file's bytes, so that file is copied rather than formatted again.
+    ``raw_file`` is the raw forecast file this process wrote from ``test``, if
+    any. Reconciled forecasts bitwise equal to ``test`` are its bytes, so it
+    is copied rather than formatted again; without it they are formatted.
     """
     variances = estimate_weights(second_moment,
                                  eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
     reconciled = reconcile(build_reconciler(bundling, variances), test)
-    if _same_bits(reconciled, test):
-        copyfile(out / (prefix + FORECAST_TEST_FILE), out / (prefix + RECONCILED_FILE))
+    if raw_file is not None and _same_bits(reconciled, test):
+        copyfile(raw_file, out / (prefix + RECONCILED_FILE))
     else:
         write_forecast_csv(reconciled, panel.asset_ids, out / (prefix + RECONCILED_FILE))
     violations = count_bound_violations(reconciled, hierarchy_capacities(panel, bundling))
@@ -315,7 +329,8 @@ def run(config_path, out_dir=None) -> Path:
             forecasts = _stage("forecast", _forecast, config, panel, pass_bundling, out, prefix,
                                forecasts)
             reconciled = _stage("reconcile", _reconcile, panel, pass_bundling,
-                                forecasts.second_moment, forecasts.test, out, prefix)
+                                forecasts.second_moment, forecasts.test, out, prefix,
+                                out / (prefix + FORECAST_TEST_FILE))
             # both scorings follow reconciliation, so the realized values are built
             # once and are not held while it runs
             truth = _stage("forecast", _truth, panel, pass_bundling, forecasts.test)
@@ -344,9 +359,9 @@ def _open_stage(config_path, out_dir) -> tuple[RunConfig, Path, AssetPanel]:
 def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *names):
     """``(bundling, *products)`` read from a run directory, checked against the config.
 
-    A forecast CSV is read as a HierarchyForecast, which must hold the
-    config's horizon at the test origins the forecast stage issues; the
-    moments file is read as its (horizon, n_rows) array.
+    The forecast arrays are read as RollingForecasts and a forecast CSV as a
+    HierarchyForecast; either's test forecasts must hold the config's horizon
+    at the test origins the forecast stage issues.
     """
     for name in (BUNDLING_FILE, *names):
         if not (out / name).exists():
@@ -358,11 +373,12 @@ def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *names):
     horizon = config.forecast_task.horizon
     products = []
     for name in names:
-        if name == MOMENTS_FILE:
-            n_rows = 1 + bundling.n_bundles + panel.n_assets
-            products.append(read_moments_csv(out / name, n_rows, horizon))
-            continue
-        forecast = read_forecast_csv(out / name, panel.asset_ids, bundling.n_bundles)
+        if name == FORECAST_ARRAYS_FILE:
+            product = read_forecast_arrays(out / name, bundling.n_bundles, panel.n_assets)
+            forecast = product.test
+        else:
+            product = forecast = read_forecast_csv(out / name, panel.asset_ids,
+                                                   bundling.n_bundles)
         if forecast.horizon != horizon:
             raise ShapeMismatchError(f"{out / name}: {forecast.horizon} leads, but the "
                                      f"config's horizon is {horizon}")
@@ -371,7 +387,7 @@ def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *names):
         if not np.array_equal(forecast.origins, origins):
             raise ShapeMismatchError(f"{out / name}: {forecast.n_origins} origins, but not the "
                                      f"{origins.size} test origins of the config")
-        products.append(forecast)
+        products.append(product)
     return (bundling, *products)
 
 
@@ -409,11 +425,12 @@ def stage_forecast(config_path, out_dir=None) -> Path:
 
 
 def stage_reconcile(config_path, out_dir=None) -> Path:
-    """Reconcile the raw forecasts written by the forecast stage."""
+    """Reconcile the raw forecasts the forecast stage saved as exact arrays."""
     config, out, panel = _open_stage(config_path, out_dir)
-    bundling, second_moment, test = _stage(
-        "reconcile", _load_inputs, config, out, panel, MOMENTS_FILE, FORECAST_TEST_FILE)
-    _stage("reconcile", _reconcile, panel, bundling, second_moment, test, out)
+    bundling, forecasts = _stage("reconcile", _load_inputs, config, out, panel,
+                                 FORECAST_ARRAYS_FILE)
+    _stage("reconcile", _reconcile, panel, bundling, forecasts.second_moment, forecasts.test,
+           out)
     return out / RECONCILED_FILE
 
 

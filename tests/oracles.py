@@ -1,8 +1,10 @@
 """Test oracles: slow reference solvers that the package's fast code is checked against.
 
 :func:`exact_partition` finds an optimal bundling by exhaustive search, the
-oracle for :func:`bundlecast.greedy_merge`. No command runs it, so it lives
-with the tests.
+oracle for :func:`bundlecast.greedy_merge`. :func:`read_moments_csv` is the
+strict reader of ``residual_moments.csv``, the oracle that the text product
+holds every bit of the moments the forecast stage hands on. No command runs
+either, so they live with the tests.
 """
 
 import math
@@ -10,7 +12,13 @@ import math
 import numpy as np
 
 from bundlecast import Bundling
-from bundlecast.errors import BundlecastError, ShapeMismatchError, ValueOutOfRangeError
+from bundlecast.errors import (
+    BundlecastError,
+    FormatError,
+    ShapeMismatchError,
+    ValueOutOfRangeError,
+)
+from bundlecast.forecast import MOMENTS_HEADER
 
 EXACT_MAX_ASSETS = 12
 
@@ -72,3 +80,54 @@ def exact_partition(sigma, distances: np.ndarray, n_bundles: int, diameter_km: f
             f"the {diameter_km} km diameter cutoff"
         )
     return Bundling(best_labels, asset_order)
+
+
+def read_moments_csv(path, n_rows: int, horizon: int) -> np.ndarray:
+    """The (horizon, n_rows) moments written by :func:`bundlecast.forecast.write_moments_csv`.
+
+    Every cell must appear once, in the writer's (lead, row) order, with a
+    finite non-negative value; anything else raises FormatError at its line.
+    """
+    values = np.empty(horizon * n_rows)
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != MOMENTS_HEADER:
+            raise FormatError(f"{path}:1: expected header {MOMENTS_HEADER!r}, got {header!r}")
+        i, ln = 0, 1
+        for ln, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise FormatError(f"{path}:{ln}: expected 3 fields, got {len(fields)}")
+            try:
+                lead, row = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise FormatError(f"{path}:{ln}: lead {fields[0]!r} or row {fields[1]!r} "
+                                  f"is not an integer") from None
+            expected = (i // n_rows + 1, i % n_rows)
+            if (lead, row) != expected or i == values.size:
+                if not 1 <= lead <= horizon:
+                    problem = f"lead {lead} outside the horizon 1..{horizon}"
+                elif not 0 <= row < n_rows:
+                    problem = f"row {row} outside the hierarchy's rows 0..{n_rows - 1}"
+                elif (lead, row) < expected:
+                    problem = f"duplicate cell for lead {lead}, row {row}"
+                else:
+                    problem = (f"expected lead {expected[0]}, row {expected[1]}, got lead "
+                               f"{lead}, row {row}: a cell is missing or out of order")
+                raise FormatError(f"{path}:{ln}: {problem}")
+            try:
+                value = float(fields[2])
+            except ValueError:
+                raise FormatError(f"{path}:{ln}: value {fields[2]!r} is not a number") from None
+            if not 0.0 <= value < np.inf:
+                raise FormatError(f"{path}:{ln}: second moment {value} is not finite "
+                                  f"and non-negative")
+            values[i] = value
+            i += 1
+    if i < values.size:
+        raise FormatError(f"{path}:{ln + 1}: the file ends before lead {i // n_rows + 1}, "
+                          f"row {i % n_rows}; expected {horizon} leads of {n_rows} rows")
+    return values.reshape(horizon, n_rows)

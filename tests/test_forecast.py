@@ -24,13 +24,15 @@ from bundlecast import forecast as forecast_module
 from bundlecast.core import format_utc_timestamp
 from bundlecast.forecast import (
     FLOAT_FORMAT,
+    RollingForecasts,
     _calendar_features,
     _forecast_series,
     _ridge_features,
     _splice_forecast_csv,
+    read_forecast_arrays,
     read_forecast_csv,
     ridge_fit,
-    read_moments_csv,
+    write_forecast_arrays,
     write_forecast_csv,
     write_moments_csv,
 )
@@ -42,6 +44,7 @@ from bundlecast.errors import (
 )
 
 from conftest import make_panel, random_bundling_labels, random_panel
+from oracles import read_moments_csv
 
 
 def hourly_timestamps(n, start="2019-03-01T00:00:00"):
@@ -57,6 +60,12 @@ def windows(values, history_len, horizon):
     return lags, targets
 
 
+def calendar_rows(timestamps, history_len):
+    """The calendar encodings of every feature row's origin, as ``rolling_forecast``
+    hands them to ``_forecast_series``."""
+    return _calendar_features(timestamps[history_len - 1:])
+
+
 def standardized(lags, mean, scale):
     return np.hstack([(lags - mean) / scale, np.ones((lags.shape[0], 1))])
 
@@ -67,8 +76,8 @@ def test_ridge_features_are_lags_then_calendar(rng):
     values = rng.uniform(0.0, 30.0, size=80)
     ts = hourly_timestamps(80)
     h = 5
-    plain = _ridge_features(values, ts, h, use_calendar=False)
-    feats = _ridge_features(values, ts, h, use_calendar=True)
+    plain = _ridge_features(values, h, None)
+    feats = _ridge_features(values, h, calendar_rows(ts, h))
     assert plain.shape == (76, h) and feats.shape == (76, h + 4)
     for j in range(76):
         expect = np.concatenate([values[j:j + h], _calendar_features(ts[j + h - 1:j + h])[0]])
@@ -109,7 +118,7 @@ def test_ridge_shrinkage_limit(rng):
     _, _, w = ridge_fit(lags, targets, ridge_lambda=1e9)
     assert np.all(np.abs(w[:-1]) < 1e-5)
     origins = np.arange(4, 4 + lags.shape[0])  # every training origin
-    (preds,) = _forecast_series(values, hourly_timestamps(200), [origins],
+    (preds,) = _forecast_series(values, calendar_rows(hourly_timestamps(200), 5), [origins],
                                 ModelSpec("ridge", 1e9), task, 200, cap=1.0)
     np.testing.assert_allclose(preds, np.tile(targets.mean(axis=0), (preds.shape[0], 1)),
                                atol=1e-4)
@@ -219,8 +228,8 @@ def test_ridge_factors_the_gram_only_below_the_skip_bound(rng, monkeypatch):
 
 def test_ridge_predict_constant_series():
     task = ForecastTask(4, 3, 60)
-    (preds,) = _forecast_series(np.full(40, 8.25), hourly_timestamps(40), [np.arange(3, 40)],
-                                ModelSpec("ridge", 1.0), task, 40, cap=10.0)
+    (preds,) = _forecast_series(np.full(40, 8.25), calendar_rows(hourly_timestamps(40), 4),
+                                [np.arange(3, 40)], ModelSpec("ridge", 1.0), task, 40, cap=10.0)
     np.testing.assert_allclose(preds, np.full((37, 3), 8.25), atol=1e-9)
 
 
@@ -232,9 +241,9 @@ def test_ridge_predict_clips_to_range():
     mean, scale, w = ridge_fit(lags, targets, ridge_lambda=0.0)
     raw = standardized(values[None, 58:], mean, scale) @ w
     assert raw.min() < 0.0
-    (clipped,) = _forecast_series(values, hourly_timestamps(60), [np.array([59])],
-                                  ModelSpec("ridge", 0.0), ForecastTask(2, 4, 60), 60,
-                                  cap=50.0)
+    (clipped,) = _forecast_series(values, calendar_rows(hourly_timestamps(60), 2),
+                                  [np.array([59])], ModelSpec("ridge", 0.0),
+                                  ForecastTask(2, 4, 60), 60, cap=50.0)
     assert clipped.min() == 0.0
     assert clipped.max() <= 50.0
     np.testing.assert_allclose(clipped, np.clip(raw, 0.0, 50.0), rtol=1e-12, atol=1e-12)
@@ -407,8 +416,8 @@ def test_rolling_shared_rows_equal_fresh_fits(rng, monkeypatch, bundle_spec, bun
     series, caps = hierarchy_series(panel, single), hierarchy_capacities(panel, single)
     origins = np.searchsorted(panel.timestamps, fresh.test.origins)
     for r, level in enumerate(["fleet", "bundle"] + ["asset"] * panel.n_assets):
-        alone = _forecast_series(series[r], panel.timestamps, [origins], specs[level], task,
-                                 split_idx, caps[r])[0]
+        alone = _forecast_series(series[r], calendar_rows(panel.timestamps, task.history_len),
+                                 [origins], specs[level], task, split_idx, caps[r])[0]
         np.testing.assert_array_equal(fresh.test.values[:, r], alone)
     train_origins = np.arange(task.history_len - 1, split_idx - task.horizon)
     err = (_insample_tensor(panel, single, task, specs, split_idx, train_origins)
@@ -448,8 +457,8 @@ def test_rolling_fits_a_singleton_bundle_once(rng, monkeypatch, asset_spec, fits
     levels = ["fleet"] + ["bundle"] * 3 + ["asset"] * 5
     origins = np.searchsorted(panel.timestamps, rf.test.origins)
     for r, level in enumerate(levels):
-        alone = _forecast_series(series[r], panel.timestamps, [origins], specs[level], task,
-                                 split_idx, caps[r])[0]
+        alone = _forecast_series(series[r], calendar_rows(panel.timestamps, task.history_len),
+                                 [origins], specs[level], task, split_idx, caps[r])[0]
         np.testing.assert_array_equal(rf.test.values[:, r], alone)
     train_origins = np.arange(task.history_len - 1, split_idx - task.horizon)
     err = (_insample_tensor(panel, bundling, task, specs, split_idx, train_origins)
@@ -481,6 +490,41 @@ def test_rolling_ridge_predictions_respect_capacity(rng):
     rf = rolling_forecast(panel, b, task, specs, panel.timestamps[120])
     assert (rf.test.bundles[:, 0] == 130.0).any()
     assert (rf.test.values <= hierarchy_capacities(panel, b)[None, :, None]).all()
+
+
+def test_rolling_encodes_the_calendar_once_per_call(rng, monkeypatch):
+    """One ``rolling_forecast`` call encodes the panel's calendar once for all its
+    ridge rows, and each row holds the bits of appending those encodings to its own
+    lags, fitting and predicting on its own."""
+    panel = random_panel(rng, 5, 160)
+    bundling = Bundling([0, 1, 0, 2, 1], panel.asset_ids)
+    task, split_idx = ForecastTask(6, 4, 15), 120
+    specs = {"fleet": ModelSpec("ridge", 1.0, True), "bundle": ModelSpec("ridge", 0.7, True),
+             "asset": ModelSpec("ridge", 0.3, False)}
+    calls = []
+
+    def counting(origins):
+        calls.append(len(origins))
+        return _calendar_features(origins)
+
+    monkeypatch.setattr(forecast_module, "_calendar_features", counting)
+    rf = rolling_forecast(panel, bundling, task, specs, panel.timestamps[split_idx])
+    h, t = task.history_len, task.horizon
+    assert calls == [panel.n_steps - h + 1]
+    monkeypatch.undo()
+
+    series, caps = hierarchy_series(panel, bundling), hierarchy_capacities(panel, bundling)
+    n_fit = split_idx - h - t + 1
+    origins = np.searchsorted(panel.timestamps, rf.test.origins)
+    for r, level in enumerate(["fleet"] + ["bundle"] * 3 + ["asset"] * 5):
+        spec = specs[level]
+        feats = sliding_window_view(series[r], h)
+        if spec.use_calendar:
+            feats = np.hstack([feats, _calendar_features(panel.timestamps[h - 1:])])
+        mean, scale, w = ridge_fit(feats[:n_fit], sliding_window_view(series[r], t)[h:h + n_fit],
+                                   spec.ridge_lambda)
+        expect = np.clip((feats[origins - h + 1] - mean) / scale @ w[:-1] + w[-1], 0.0, caps[r])
+        assert rf.test.values[:, r].tobytes() == expect.tobytes(), r
 
 
 def _cholesky_ridge_forecasts(series, timestamps, task, spec, train_len, origins, cap):
@@ -529,8 +573,8 @@ def _insample_tensor(panel, b, task, specs, split_idx, origins):
     caps = hierarchy_capacities(panel, b)
     levels = ["fleet"] + ["bundle"] * b.n_bundles + ["asset"] * panel.n_assets
     return np.stack([
-        _forecast_series(series[r], panel.timestamps, [origins], specs[level], task,
-                         split_idx, caps[r])[0]
+        _forecast_series(series[r], calendar_rows(panel.timestamps, task.history_len),
+                         [origins], specs[level], task, split_idx, caps[r])[0]
         for r, level in enumerate(levels)], axis=1)
 
 
@@ -862,6 +906,26 @@ def test_read_moments_csv_rejects_malformed_files(tmp_path, header, cells, line_
     with pytest.raises(FormatError, match=message) as info:
         read_moments_csv(path, 2, 2)
     assert f"{path}:{line_number}:" in str(info.value)
+
+
+def test_forecast_arrays_round_trip_keeps_every_bit(tmp_path, rng):
+    """The archive gives back the arrays' bits, -0.0 included, in the moments' layout,
+    and saving the same arrays again writes the same bytes."""
+    origins = (np.datetime64("2019-01-08T00:00:00", "s")
+               + np.timedelta64(900, "s") * np.arange(3))
+    values = rng.uniform(0.0, 50.0, size=(3, 4, 2)) ** 3
+    values[1, 2, 0] = -0.0
+    moments = rng.uniform(0.0, 5.0, size=(4, 2)).T  # (T, R) as a transposed view, as run has it
+    forecasts = RollingForecasts(HierarchyForecast(origins, values, 1, 2), moments)
+    paths = [tmp_path / "a.npz", tmp_path / "b.npz"]
+    for path in paths:
+        write_forecast_arrays(forecasts, path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    back = read_forecast_arrays(paths[0], 1, 2)
+    np.testing.assert_array_equal(back.test.origins, origins)
+    assert back.test.values.tobytes() == values.tobytes()
+    assert back.second_moment.tobytes(order="A") == moments.tobytes(order="A")
+    assert back.second_moment.flags.f_contiguous
 
 
 def test_hierarchy_forecast_rejects_nan():

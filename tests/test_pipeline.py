@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bundlecast import (
     Bundling,
@@ -29,6 +32,8 @@ from bundlecast.forecast import (
     write_forecast_csv,
 )
 from bundlecast.pipeline import run as pipeline_run
+
+from oracles import read_moments_csv
 
 
 def write_synth_config(tmp_path, n_assets=6, n_steps=1400, seed=42, pairs=1, regions=2):
@@ -118,7 +123,7 @@ def test_cli_stagewise_pipeline(data_dir):
     for command in ("bundle", "forecast", "reconcile", "evaluate"):
         assert main([command, "--config", cfg]) == 0
     for name in ("bundling.csv", "forecasts_raw.csv", "residual_moments.csv",
-                 "forecasts_reconciled.csv", "diagnostics.csv",
+                 "forecasts_raw.npz", "forecasts_reconciled.csv", "diagnostics.csv",
                  "evaluation.csv", "evaluation_raw.csv"):
         assert (out / name).exists(), name
 
@@ -176,7 +181,7 @@ def test_run_k1_baseline_fits_nothing_and_repeats_the_bundled_files(data_dir, mo
     # the fleet and each asset once; the bundle row is the fleet series
     assert fits_per_pass == [n_assets + 1]
     twins = sorted(out.glob("baseline_*"))
-    assert len(twins) == 7
+    assert len(twins) == 8
     for twin in twins:
         assert twin.read_bytes() == (out / twin.name.removeprefix("baseline_")).read_bytes()
 
@@ -461,19 +466,18 @@ def test_run_and_stage_commands_agree(data_dir):
     for command in ("bundle", "forecast", "reconcile", "evaluate"):
         assert main([command, "--config", cfg, "--out", str(staged)]) == 0
     full = data_dir / "full"
-    # the moments are handed between stages exactly, so the weights agree bit for bit, and
-    # the forecast stage scores the raw forecasts it holds in memory, as run does
-    for name in ("bundling.csv", "forecasts_raw.csv", "residual_moments.csv", "diagnostics.csv",
+    # the forecast stage hands its test forecasts and moments on as exact arrays, so the
+    # stage path reconciles the bits run reconciles; it scores the raw forecasts it holds
+    # in memory, as run does
+    for name in ("bundling.csv", "forecasts_raw.csv", "residual_moments.csv",
+                 "forecasts_raw.npz", "forecasts_reconciled.csv", "diagnostics.csv",
                  "evaluation_raw.csv"):
         assert (full / name).read_bytes() == (staged / name).read_bytes(), name
-
-    # the stage path reconciles test forecasts read back from 12-digit CSVs
-    panel = ingest_panel(data_dir / "assets.csv", data_dir / "series.csv")
-    bundling = read_bundling_csv(full / "bundling.csv", panel.asset_ids)
-    a, b = (read_forecast_csv(d / "forecasts_reconciled.csv", panel.asset_ids,
-                              bundling.n_bundles) for d in (full, staged))
-    np.testing.assert_array_equal(a.origins, b.origins)
-    assert np.max(np.abs(a.values - b.values)) <= 1e-9 * panel.fleet_capacity
+    # the readable moments hold the bits of the moments the stages hand on
+    with np.load(full / "forecasts_raw.npz", allow_pickle=False) as arrays:
+        moments = arrays["second_moment"]
+    np.testing.assert_array_equal(
+        read_moments_csv(full / "residual_moments.csv", *moments.shape[::-1]), moments)
 
 
 def _rewrite_forecasts(out, asset_ids, names, horizon=None, shift=None):
@@ -485,11 +489,84 @@ def _rewrite_forecasts(out, asset_ids, names, horizon=None, shift=None):
                                              n_bundles, len(asset_ids)), asset_ids, out / name)
 
 
-def _truncate_moments(out, asset_ids, horizon=7):
-    """Keep the first ``horizon`` leads of residual_moments.csv."""
-    n_rows = 1 + read_bundling_csv(out / "bundling.csv", asset_ids).n_bundles + len(asset_ids)
-    lines = (out / "residual_moments.csv").read_text().splitlines(keepends=True)
-    (out / "residual_moments.csv").write_text("".join(lines[:1 + horizon * n_rows]))
+def _edit_arrays(edit):
+    """A corruption of forecasts_raw.npz: ``edit`` takes its arrays as a dict and
+    returns the arrays to save in their place."""
+    def corrupt(out, asset_ids):
+        path = out / "forecasts_raw.npz"
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        np.savez(path, **edit(arrays))
+    return corrupt
+
+
+def _replace_array(name, change):
+    return _edit_arrays(lambda arrays: {**arrays, name: change(arrays[name])})
+
+
+def _rewrite_arrays_file(change):
+    def corrupt(out, asset_ids):
+        path = out / "forecasts_raw.npz"
+        path.write_bytes(change(path.read_bytes()))
+    return corrupt
+
+
+def _shorten_values_header(data):
+    """Drop 16 bytes of padding from the array header of values.npy: numpy then reads
+    them as data and stops 16 bytes before the entry ends, where the zip checksum of
+    the entry is tested."""
+    at = data.index(b"\x93NUMPY", data.index(b"values.npy")) + 8
+    length = int.from_bytes(data[at:at + 2], "little")
+    return data[:at] + (length - 16).to_bytes(2, "little") + data[at + 2:]
+
+
+def _save_one_array(out, asset_ids):
+    """A plain ``.npy`` array under the archive's name."""
+    with open(out / "forecasts_raw.npz", "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def _negative_moment(moments):
+    moments = moments.copy()
+    moments[2, 1] = -1.0
+    return moments
+
+
+def _nan_value(values):
+    values = values.copy()
+    values[3, 0, 1] = np.nan
+    return values
+
+
+# each corruption of forecasts_raw.npz the reconcile stage must reject: (id, corruption)
+BAD_ARRAYS = [
+    ("reconcile-horizon", _replace_array("second_moment", lambda m: m[:7])),
+    ("reconcile-earlier-origins",
+     _replace_array("origins", lambda o: o - np.timedelta64(900, "s"))),
+    ("reconcile-later-origins", _replace_array("origins", lambda o: o + np.timedelta64(900, "s"))),
+    ("reconcile-fewer-origins", _edit_arrays(
+        lambda a: {**a, "origins": a["origins"][1:], "values": a["values"][1:]})),
+    ("reconcile-short-values", _replace_array("values", lambda v: v[:, :, :7])),
+    ("reconcile-rows", _edit_arrays(lambda a: {**a, "values": a["values"][:, 1:],
+                                               "second_moment": a["second_moment"][:, 1:]})),
+    ("reconcile-moments-rows", _replace_array("second_moment", lambda m: m[:, 1:])),
+    ("reconcile-flat-values", _replace_array("values", np.ravel)),
+    ("reconcile-float32", _replace_array("values", lambda v: v.astype(np.float32))),
+    ("reconcile-minute-origins", _replace_array("origins", lambda o: o.astype("datetime64[m]"))),
+    ("reconcile-object-array", _replace_array("second_moment", lambda m: m.astype(object))),
+    ("reconcile-missing-member", _edit_arrays(
+        lambda a: {k: v for k, v in a.items() if k != "second_moment"})),
+    ("reconcile-extra-member", _edit_arrays(lambda a: {**a, "extra": np.zeros(2)})),
+    ("reconcile-nan-value", _replace_array("values", _nan_value)),
+    ("reconcile-negative-moment", _replace_array("second_moment", _negative_moment)),
+    ("reconcile-truncated", _rewrite_arrays_file(lambda data: data[:len(data) // 2])),
+    ("reconcile-empty", _rewrite_arrays_file(lambda data: b"")),
+    ("reconcile-text", _rewrite_arrays_file(lambda data: b"origin,level,series_id,lead,value\n")),
+    ("reconcile-short-header", _rewrite_arrays_file(_shorten_values_header)),
+    ("reconcile-npy", _save_one_array),
+    ("reconcile-directory", lambda out, ids: ((out / "forecasts_raw.npz").unlink(),
+                                              (out / "forecasts_raw.npz").mkdir())),
+]
 
 
 def _merge_bundles(out, asset_ids):
@@ -504,17 +581,15 @@ def _merge_bundles(out, asset_ids):
     ("forecast", lambda out, ids: (out / "bundling.csv").write_text(
         f"bundle_id,asset_id\n0 {ids[0]}\n")),
     ("forecast", _merge_bundles),
-    ("reconcile", _truncate_moments),
+    *[("reconcile", corrupt) for _, corrupt in BAD_ARRAYS],
     ("evaluate", lambda out, ids: _rewrite_forecasts(
         out, ids, ["forecasts_raw.csv", "forecasts_reconciled.csv"], horizon=7)),
     ("evaluate", lambda out, ids: _rewrite_forecasts(
         out, ids, ["forecasts_reconciled.csv"], shift=np.timedelta64(900, "s"))),
     ("evaluate", lambda out, ids: _rewrite_forecasts(
         out, ids, ["forecasts_reconciled.csv"], shift=np.timedelta64(-900, "s"))),
-    ("reconcile", lambda out, ids: _rewrite_forecasts(
-        out, ids, ["forecasts_raw.csv"], shift=np.timedelta64(-900, "s"))),
-], ids=["malformed-bundling", "bundle-count", "reconcile-horizon", "evaluate-horizon",
-        "evaluate-origins", "evaluate-earlier-origins", "reconcile-earlier-origins"])
+], ids=["malformed-bundling", "bundle-count", *[name for name, _ in BAD_ARRAYS],
+        "evaluate-horizon", "evaluate-origins", "evaluate-earlier-origins"])
 def test_cli_stage_rejects_bad_inputs(data_dir, capsys, command, corrupt):
     cfg = str(write_run_config(data_dir, out="bad_inputs"))
     for stage in ("bundle", "forecast", "reconcile"):
@@ -523,7 +598,106 @@ def test_cli_stage_rejects_bad_inputs(data_dir, capsys, command, corrupt):
     corrupt(data_dir / "bad_inputs", panel.asset_ids)
     capsys.readouterr()
     assert main([command, "--config", cfg]) == 1
-    assert f"bundlecast {command}: [{command}] " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"bundlecast {command}: [{command}] ") and err.count("\n") == 1
+    if command == "reconcile":
+        assert "forecasts_raw.npz" in err
+
+
+@pytest.fixture
+def staged_arrays(data_dir):
+    """A run directory after ``run``, and one after the bundle and forecast stages,
+    with the config; persistence, so that only the handoff costs time."""
+    cfg = str(write_run_config(data_dir, model="persistence", out="staged"))
+    assert main(["run", "--config", cfg, "--out", str(data_dir / "full")]) == 0
+    for command in ("bundle", "forecast"):
+        assert main([command, "--config", cfg]) == 0
+    return data_dir / "full", data_dir / "staged", cfg
+
+
+def _archive_offsets(path):
+    """Offsets of the bytes that say how forecasts_raw.npz is laid out: the first
+    256 bytes of each entry (zip and array headers) and the central directory on."""
+    with zipfile.ZipFile(path) as archive:
+        infos = archive.infolist()
+    size = path.stat().st_size
+    end = max(info.header_offset + 30 + len(info.filename) + info.compress_size
+              for info in infos)
+    return sorted({*range(end, size),
+                   *(o for info in infos for o in range(info.header_offset,
+                                                        min(info.header_offset + 256, size)))})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_reconcile_rejects_or_reads_exactly_an_edited_arrays_file(staged_arrays, capsys,
+                                                                       data):
+    """One byte of forecasts_raw.npz changed, or the file cut at any offset: reconcile
+    exits 1 with one tagged line naming the file, or exits 0 with run's bytes."""
+    full, out, cfg = staged_arrays
+    path = out / "forecasts_raw.npz"
+    original = (full / "forecasts_raw.npz").read_bytes()
+    edited = bytearray(original)
+    anywhere = st.integers(0, len(original) - 1)
+    if data.draw(st.booleans(), label="truncate"):
+        edited = edited[:data.draw(anywhere, label="length")]
+    else:
+        layout = st.sampled_from(_archive_offsets(full / "forecasts_raw.npz"))
+        offset = data.draw(st.one_of(layout, anywhere), label="offset")
+        edited[offset] ^= data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(bytes(edited))
+    (out / "forecasts_reconciled.csv").unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["reconcile", "--config", cfg])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert ((out / "forecasts_reconciled.csv").read_bytes()
+                == (full / "forecasts_reconciled.csv").read_bytes())
+    else:
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"bundlecast reconcile: [reconcile] {path}: ")
+        assert not (out / "forecasts_reconciled.csv").exists()
+
+
+def test_cli_reconcile_reads_only_the_bundling_and_the_forecast_arrays(staged_arrays):
+    full, out, cfg = staged_arrays
+    for name in ("forecasts_raw.csv", "residual_moments.csv", "evaluation_raw.csv"):
+        (out / name).unlink()
+    assert main(["reconcile", "--config", cfg]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bundling.csv", "diagnostics.csv", "forecasts_raw.npz", "forecasts_reconciled.csv"]
+    for name in ("forecasts_reconciled.csv", "diagnostics.csv"):
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_cli_reconcile_formats_the_arrays_whatever_the_raw_csv_holds(staged_arrays):
+    """Persistence reconciles to the same bits, so run copies its raw file; the
+    reconcile command reads no raw CSV and writes the text of the arrays it read."""
+    full, out, cfg = staged_arrays
+    raw = out / "forecasts_raw.csv"
+    lines = raw.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].rpartition(",")[0] + ",123456\n"
+    raw.write_text("".join(lines))
+    assert main(["reconcile", "--config", cfg]) == 0
+    reconciled = (out / "forecasts_reconciled.csv").read_bytes()
+    assert reconciled == (full / "forecasts_reconciled.csv").read_bytes()
+    assert reconciled == (full / "forecasts_raw.csv").read_bytes() != raw.read_bytes()
+
+
+def test_cli_failed_forecast_rerun_leaves_no_arrays(staged_arrays, capsys, monkeypatch):
+    """The arrays are removed before and written after the CSVs, so a rerun that fails
+    leaves none beside newer CSVs, and reconcile asks for the forecast stage."""
+    _, out, cfg = staged_arrays
+    monkeypatch.setattr(pipeline, "write_moments_csv", _raise_no_space)
+    assert main(["forecast", "--config", cfg]) == 1
+    assert not (out / "forecasts_raw.npz").exists()
+    capsys.readouterr()
+    assert main(["reconcile", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"bundlecast reconcile: [reconcile] {out / 'forecasts_raw.npz'} not found; "
+        f"run the 'forecast' stage first\n")
 
 
 def test_cli_no_insample_origin_fails_cleanly(data_dir, capsys):
@@ -542,7 +716,7 @@ def test_cli_no_insample_origin_fails_cleanly(data_dir, capsys):
     assert "bundlecast forecast: [forecast] " in err and "no origin" in err
     assert main(["reconcile", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert "bundlecast reconcile: [reconcile] " in err and "residual_moments.csv not found" in err
+    assert "bundlecast reconcile: [reconcile] " in err and "forecasts_raw.npz not found" in err
     assert {p.name for p in out.iterdir()} == {"bundling.csv"}
 
 
@@ -589,8 +763,8 @@ def test_cli_evaluate_reads_only_the_bundling_and_the_reconciled_forecasts(data_
     for command in ("bundle", "forecast", "reconcile"):
         assert main([command, "--config", cfg]) == 0
     raw_scores = (out / "evaluation_raw.csv").read_text()
-    for name in ("forecasts_raw.csv", "residual_moments.csv", "evaluation_raw.csv",
-                 "diagnostics.csv"):
+    for name in ("forecasts_raw.csv", "residual_moments.csv", "forecasts_raw.npz",
+                 "evaluation_raw.csv", "diagnostics.csv"):
         (out / name).unlink()
     assert main(["evaluate", "--config", cfg]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
@@ -681,35 +855,20 @@ def test_module_entry_point_reports_a_missing_config_without_a_traceback(tmp_pat
     assert proc.stderr == f"bundlecast run: {tmp_path / 'none.cfg'}: No such file or directory\n"
 
 
-def _halve_series(data_dir):
-    """Round every series value down to a multiple of 1/2.
-
-    The persistence forecasts' fleet and bundle sums are then exact, so the
-    stage commands read back a raw file whose rows still add up bit for bit.
-    """
-    series = data_dir / "series.csv"
-    lines = series.read_text().splitlines()
-    for i, line in enumerate(lines[1:], 1):
-        stamp, *cells = line.split(",")
-        lines[i] = ",".join([stamp, *(f"{np.floor(2 * float(c)) / 2:.6f}" for c in cells)])
-    series.write_text("\n".join(lines) + "\n")
-
-
 @pytest.mark.parametrize("writer, name, stage", [
     ("write_forecast_csv", "forecasts_raw.csv", "forecast"),
     ("write_moments_csv", "residual_moments.csv", "forecast"),
+    ("write_forecast_arrays", "forecasts_raw.npz", "forecast"),
     ("write_forecast_csv", "forecasts_reconciled.csv", "reconcile"),
     ("write_report_csv", "evaluation_raw.csv", "forecast"),
     ("write_report_csv", "evaluation.csv", "evaluate"),
-    # persistence of coherent input reconciles to the same bits: the raw file is copied
+    # run reconciles persistence forecasts to the same bits, so it copies the raw file
+    # it wrote; the reconcile command reads no raw file, so it copies none
     ("copyfile", "forecasts_reconciled.csv", "reconcile"),
 ])
 def test_cli_write_failure_is_tagged_with_its_stage(data_dir, capsys, monkeypatch,
                                                     writer, name, stage):
-    model = "ridge"
-    if writer == "copyfile":
-        model = "persistence"
-        _halve_series(data_dir)
+    model = "persistence" if writer == "copyfile" else "ridge"
     cfg = str(write_run_config(data_dir, model=model, out="unwritable"))
     stages = ["bundle", "forecast", "reconcile", "evaluate"]
     for command in stages[:stages.index(stage)]:
@@ -723,9 +882,12 @@ def test_cli_write_failure_is_tagged_with_its_stage(data_dir, capsys, monkeypatc
 
     monkeypatch.setattr(pipeline, writer, failing)
     capsys.readouterr()
-    assert main([stage, "--config", cfg]) == 1
-    cause = f"[Errno 28] No space left on device: '{data_dir / 'unwritable' / name}'"
-    assert capsys.readouterr().err == f"bundlecast {stage}: [{stage}] {cause}\n"
+    if writer == "copyfile":
+        assert main([stage, "--config", cfg]) == 0
+    else:
+        assert main([stage, "--config", cfg]) == 1
+        cause = f"[Errno 28] No space left on device: '{data_dir / 'unwritable' / name}'"
+        assert capsys.readouterr().err == f"bundlecast {stage}: [{stage}] {cause}\n"
 
     run_out = data_dir / "unwritable_run"
     assert main(["run", "--config", cfg, "--out", str(run_out)]) == 1
