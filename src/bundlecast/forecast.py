@@ -18,8 +18,11 @@ and every forecast reads its row from the same map.
 The rolling harness issues a forecast at every eligible origin of the test
 range and keeps those forecasts. It also forecasts every eligible origin of
 the training range, but keeps only each row's per-lead mean squared error
-there: that second moment is all reconciliation needs, so no in-sample
-forecast outlives the row it was made for.
+there, summed origin by origin: that second moment is all reconciliation
+needs, so no in-sample forecast outlives the row or lead it was made for.
+A persistence level is forecast as one slice of the hierarchy series, one
+lead at a time in-sample; ridge rows are fitted one by one, and a ridge row
+that repeats its parent row copies it.
 
 Forecast sets are stored as ``origin,level,series_id,lead,value`` CSV lines
 in one canonical order: origins strictly ascending; within an origin the
@@ -275,18 +278,16 @@ def forecast_origins(panel: AssetPanel, task: ForecastTask, split: np.datetime64
 def _forecast_series(series: np.ndarray, calendar: np.ndarray, origin_sets,
                      spec: ModelSpec, task: ForecastTask, train_len: int,
                      cap: float) -> list[np.ndarray]:
-    """Forecasts (M, T) for one series at each array of origin indices.
+    """Ridge forecasts (M, T) for one series at each array of origin indices.
 
     ``calendar`` is the :func:`_calendar_features` of the panel's timestamps
-    from index H-1 on, one row per feature row; a ridge spec with calendar
-    encodings appends them to its lags. A ridge row is fitted once, on the
+    from index H-1 on, one row per feature row; a spec with calendar
+    encodings appends them to its lags. The row is fitted once, on the
     feature rows whose targets end inside the first ``train_len`` samples,
     and predicts each origin set with its own product, so every set gets the
     values it would get alone.
     """
     h, t = task.history_len, task.horizon
-    if spec.model == "persistence":
-        return [np.repeat(series[origins][:, None], t, axis=1) for origins in origin_sets]
     if train_len < h + t + 1:
         raise InsufficientDataError(
             f"need at least {h + t + 1} training samples for H={h}, T={t}; got {train_len}"
@@ -299,6 +300,21 @@ def _forecast_series(series: np.ndarray, calendar: np.ndarray, origin_sets,
             for origins in origin_sets]
 
 
+def _mean_square(err: np.ndarray) -> np.ndarray:
+    """The mean square of each column of the C-contiguous ``err`` (M, P), which
+    is overwritten.
+
+    Each column is summed origin by origin, the order in which ``np.mean``
+    adds the M slices of an (M, R, T) error tensor. numpy adds the rows of an
+    array with two or more contiguous columns in that order, but sums a
+    single column pairwise, so that one is summed by ``np.cumsum``.
+    """
+    np.square(err, out=err)
+    if err.shape[1] == 1:
+        return np.cumsum(err[:, 0])[-1:] / err.shape[0]
+    return np.add.reduce(err, axis=0) / err.shape[0]
+
+
 def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
                      specs: dict[str, ModelSpec], split: np.datetime64,
                      shared: RollingForecasts | None = None) -> RollingForecasts:
@@ -308,21 +324,26 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     before it. Forecasts are issued at every origin whose full horizon
     stays inside its range (training range for the in-sample pass, the
     panel for the test pass). Origins with fewer than H prior samples are
-    skipped. Each row's in-sample forecasts are reduced to their per-lead
-    mean squared error as soon as they exist. A training range without an
-    eligible origin raises InsufficientDataError, since the reconciliation
-    weights need at least one, and so does a test range without one.
+    skipped. In-sample forecasts are reduced to their per-lead mean squared
+    error as soon as they exist, each summed origin by origin. A training
+    range without an eligible origin raises InsufficientDataError, since the
+    reconciliation weights need at least one, and so does a test range
+    without one.
 
-    Each series is fitted once. A row whose series, capacity and model spec
-    equal its parent row's bit for bit copies the parent's forecasts and
-    moments: the one bundle of a one-bundle bundling repeats the fleet, and
-    the asset of a singleton bundle repeats that bundle. Bundle rows come
-    before asset rows, so a singleton is fitted as its bundle and copied to
-    its asset. The fleet and asset rows do not depend on the bundling, so
-    with ``shared``, the result of an earlier call on the same panel, task,
-    specs and split under another bundling, they are copied from it and only
-    the bundle rows are forecast. The values are the same bits as without
-    ``shared``.
+    A persistence level is forecast as one slice of the hierarchy series:
+    its test forecasts are one gather of the values at the test origins, and
+    its moments are taken one lead at a time over all of its rows.
+
+    Each ridge row is fitted once. A ridge row whose series, capacity and
+    model spec equal its parent row's bit for bit copies the parent's
+    forecasts and moments: the one bundle of a one-bundle bundling repeats
+    the fleet, and the asset of a singleton bundle repeats that bundle.
+    Bundle rows come before asset rows, so a singleton is fitted as its
+    bundle and copied to its asset. The fleet and asset rows do not depend
+    on the bundling, so with ``shared``, the result of an earlier call on
+    the same panel, task, specs and split under another bundling, they are
+    copied from it and only the bundle rows are forecast. The values are the
+    same bits as without ``shared``.
     """
     for level in LEVELS:
         if level not in specs:
@@ -347,10 +368,10 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
             f"{t}-step horizon, so there is nothing to forecast")
 
     k = bundling.n_bundles
-    level_of_row = ["fleet"] + ["bundle"] * k + ["asset"] * panel.n_assets
+    level_rows = {"fleet": range(1), "bundle": range(1, 1 + k),
+                  "asset": range(1 + k, n_rows)}
     test_values = np.empty((test_origins.shape[0], n_rows, t))
     moments = np.empty((n_rows, t))  # one contiguous row per series, handed on as (T, R)
-    rows = range(n_rows)
     if shared is not None:
         if (shared.test.n_assets != panel.n_assets or shared.test.horizon != t
                 or not np.array_equal(shared.test.origins, panel.timestamps[test_origins])):
@@ -360,22 +381,34 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
         test_values[:, 1 + k:] = shared.test.assets
         moments[0] = shared.second_moment[:, 0]
         moments[1 + k:] = shared.second_moment[:, 1 + shared.test.n_bundles:].T
-        rows = range(1, 1 + k)
+        level_rows = {"bundle": level_rows["bundle"]}
     # the row each row lies under: the fleet for a bundle, its bundle for an asset
     parent = np.concatenate([[0] * (1 + k), 1 + bundling.labels])
+    parent_level = {"bundle": "fleet", "asset": "bundle"}
     bits = series.view(np.int64)
     calendar = _calendar_features(panel.timestamps[h - 1:])  # shared by every ridge row
-    for r in rows:
-        spec, p = specs[level_of_row[r]], parent[r]
-        if (r > 0 and spec == specs[level_of_row[p]] and caps[r] == caps[p]
-                and np.array_equal(bits[r], bits[p])):
-            test_values[:, r], moments[r] = test_values[:, p], moments[p]
+    first, end = h - 1, split_idx - t  # the training origins, a contiguous range
+    for level, rows in level_rows.items():
+        spec = specs[level]
+        if spec.model == "persistence":
+            block = slice(rows.start, rows.stop)
+            steps = np.ascontiguousarray(series[block].T)  # (n_steps, P)
+            test_values[:, block] = steps[test_origins][:, :, None]
+            for tau in range(1, t + 1):
+                moments[block, tau - 1] = _mean_square(
+                    steps[first:end] - steps[first + tau:end + tau])
             continue
-        test_values[:, r, :], train_pred = _forecast_series(
-            series[r], calendar, (test_origins, train_origins), spec, task,
-            split_idx, caps[r])
-        err = train_pred - sliding_window_view(series[r], t)[train_origins + 1]
-        moments[r] = np.mean(err * err, axis=0)
+        for r in rows:
+            p = parent[r]
+            if (r > 0 and spec == specs[parent_level[level]] and caps[r] == caps[p]
+                    and np.array_equal(bits[r], bits[p])):
+                test_values[:, r], moments[r] = test_values[:, p], moments[p]
+                continue
+            test_values[:, r, :], train_pred = _forecast_series(
+                series[r], calendar, (test_origins, train_origins), spec, task,
+                split_idx, caps[r])
+            err = train_pred - sliding_window_view(series[r], t)[train_origins + 1]
+            moments[r] = _mean_square(err)
 
     test = HierarchyForecast(panel.timestamps[test_origins], test_values,
                              bundling.n_bundles, panel.n_assets)
@@ -404,15 +437,16 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
     The lines follow the canonical order that :func:`read_forecast_csv`
     requires: origins strictly ascending; within an origin the fleet,
     bundles 0..K-1, then the assets in ``asset_ids`` order; within a row
-    leads 1..T. Each origin block is one ``%`` template filled by one ``%``
-    on one of two routes, which both write ``FLOAT_FORMAT % v`` for each
-    value v, so ``0.0`` and ``-0.0`` stay distinct. If more than half of a
-    block's values, in that order, start a new run of bitwise equal values
-    (as in ridge and reconciled blocks), the template's value fields are
-    ``FLOAT_FORMAT`` and it is filled with the values. Otherwise (as in a
-    persistence block, whose rows are one run each) each run is formatted
-    once and a template of ``%s`` value fields is filled with the texts.
-    The templates are built per call, with ``%`` in an asset id escaped.
+    leads 1..T. Each origin block takes one of two routes, which both write
+    ``FLOAT_FORMAT % v`` for each value v, so ``0.0`` and ``-0.0`` stay
+    distinct. If more than half of a block's values, in that order, start a
+    new run of bitwise equal values (as in ridge and reconciled blocks), the
+    block is one ``%`` template of ``FLOAT_FORMAT`` value fields, built per
+    call with ``%`` in an asset id escaped, filled with the values by one
+    ``%``. Otherwise (as in a persistence block) the block is written row by
+    row: a row whose T values are one bit pattern is formatted once and
+    joined into its T lines by one ``str.join``, and any other row is
+    formatted value by value. That route puts no asset id in a template.
     """
     asset_ids = tuple(asset_ids)
     if len(asset_ids) != forecast.n_assets:
@@ -427,44 +461,60 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
         fh.writelines(_block_texts(forecast.origins, forecast.values, keys))
 
 
-def _block_template(keys, horizon: int, value_field: str) -> str:
+def _block_template(keys, horizon: int) -> str:
     """The ``%`` template of one origin block: a ``%s,level,series_id,lead,``
-    line with ``value_field`` for each cell, ``%`` in a series id escaped.
+    line with a ``FLOAT_FORMAT`` field for each cell, ``%`` in a series id
+    escaped.
 
     Each row is one ``str.join`` of its prefix over the T lead tails.
     """
-    tails = [f"{tau},{value_field}\n" for tau in range(1, horizon + 1)]
+    tails = [f"{tau},{FLOAT_FORMAT}\n" for tau in range(1, horizon + 1)]
     return "".join(prefix + prefix.join(tails) for prefix in
                    ("%s," + f"{level},{sid},".replace("%", "%%") for level, sid in keys))
 
 
 def _block_texts(origins: np.ndarray, values: np.ndarray, keys):
     """The text of each origin's lines, ``values[m]`` holding one row per key,
-    on the routes :func:`write_forecast_csv` describes. Each route's template
-    is built the first time a block takes that route.
+    on the routes :func:`write_forecast_csv` describes. The template of the
+    direct route is built the first time a block takes it.
     """
-    templates = {}
+    heads = [f",{level},{sid}," for level, sid in keys]
+    leads = [str(tau) for tau in range(1, values.shape[-1] + 1)]
+    template = None
     for origin, block in zip(origins, values):
+        stamp = format_utc_timestamp(origin)
         flat = block.ravel()
         bits = flat.view(np.int64)
         starts = np.empty(flat.size, dtype=bool)
         starts[:1] = True
         np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-        direct = 2 * np.count_nonzero(starts) > flat.size
-        field = FLOAT_FORMAT if direct else "%s"
-        if field not in templates:
-            templates[field] = _block_template(keys, block.shape[-1], field)
-        fields = [format_utc_timestamp(origin)] * (2 * flat.size)
-        fields[1::2] = flat.tolist() if direct else _run_texts(flat, starts)
-        yield templates[field] % tuple(fields)
+        if 2 * np.count_nonzero(starts) > flat.size:
+            if template is None:
+                template = _block_template(keys, block.shape[-1])
+            fields = [stamp] * (2 * flat.size)
+            fields[1::2] = flat.tolist()
+            yield template % tuple(fields)
+        else:
+            varying = starts.reshape(block.shape)[:, 1:].any(axis=1).tolist()
+            yield _rows_text(stamp, heads, leads, block, varying)
 
 
-def _run_texts(flat: np.ndarray, starts: np.ndarray) -> list[str]:
-    """``FLOAT_FORMAT`` of each value of ``flat``, formatting each run once;
-    ``starts`` marks the values that start a run."""
-    distinct = flat[starts].tolist()
-    texts = ((FLOAT_FORMAT + "\0") * len(distinct) % tuple(distinct)).split("\0")
-    return np.array(texts, dtype=object)[np.cumsum(starts) - 1].tolist()
+def _rows_text(stamp: str, heads: list[str], leads: list[str], block: np.ndarray,
+               varying: list[bool]) -> str:
+    """The lines of one origin block written row by row: each line is
+    ``stamp``, the row's head, the lead and the value. A row whose values are
+    one bit pattern formats it once and joins its lines with one
+    ``str.join``; a row marked in ``varying`` formats each value."""
+    pieces = []
+    for r, (head, first, vary) in enumerate(zip(heads, block[:, 0].tolist(), varying)):
+        prefix = stamp + head
+        if vary:
+            pieces += [f"{prefix}{lead},{FLOAT_FORMAT % v}\n"
+                       for lead, v in zip(leads, block[r].tolist())]
+        else:
+            tail = f",{FLOAT_FORMAT % first}\n"
+            pieces += (prefix, (tail + prefix).join(leads), tail)
+    return "".join(pieces)
 
 
 def _splice_forecast_csv(forecast: HierarchyForecast, asset_ids, path,

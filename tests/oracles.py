@@ -1,24 +1,27 @@
 """Test oracles: slow reference solvers that the package's fast code is checked against.
 
 :func:`exact_partition` finds an optimal bundling by exhaustive search, the
-oracle for :func:`bundlecast.greedy_merge`. :func:`read_moments_csv` is the
-strict reader of ``residual_moments.csv``, the oracle that the text product
-holds every bit of the moments the forecast stage hands on. No command runs
-either, so they live with the tests.
+oracle for :func:`bundlecast.greedy_merge`. :func:`per_row_forecasts`
+forecasts every hierarchy row on its own and takes the moments over the
+whole in-sample error tensor, the oracle for
+:func:`bundlecast.rolling_forecast`. :func:`read_moments_csv` is the strict
+reader of ``residual_moments.csv``, the oracle that the text product holds
+every bit of the moments the forecast stage hands on. No command runs any of
+them, so they live with the tests.
 """
 
 import math
 
 import numpy as np
 
-from bundlecast import Bundling
+from bundlecast import Bundling, hierarchy_actuals, hierarchy_capacities, hierarchy_series
 from bundlecast.errors import (
     BundlecastError,
     FormatError,
     ShapeMismatchError,
     ValueOutOfRangeError,
 )
-from bundlecast.forecast import MOMENTS_HEADER
+from bundlecast.forecast import MOMENTS_HEADER, _calendar_features, _forecast_series
 
 EXACT_MAX_ASSETS = 12
 
@@ -80,6 +83,43 @@ def exact_partition(sigma, distances: np.ndarray, n_bundles: int, diameter_km: f
             f"the {diameter_km} km diameter cutoff"
         )
     return Bundling(best_labels, asset_order)
+
+
+def series_forecasts(series, timestamps, origins, spec, task, train_len, cap) -> np.ndarray:
+    """Forecasts (M, T) of one series at the origin indices ``origins``, on its own.
+
+    Persistence repeats the value at each origin over the horizon; a ridge
+    row is fitted on the first ``train_len`` samples and predicted by
+    ``_forecast_series``, with the calendar encodings of ``timestamps``.
+    """
+    if spec.model == "persistence":
+        return np.repeat(series[origins][:, None], task.horizon, axis=1)
+    calendar = _calendar_features(timestamps[task.history_len - 1:])
+    return _forecast_series(series, calendar, [origins], spec, task, train_len, cap)[0]
+
+
+def per_row_forecasts(panel, bundling, task, specs, split_idx) -> tuple[np.ndarray, np.ndarray]:
+    """The test forecasts (M, R, T) and moments (T, R) that ``rolling_forecast``
+    returns, each hierarchy row forecast on its own by :func:`series_forecasts`.
+
+    The moments are ``np.mean`` over the (M', R, T) in-sample squared-error
+    tensor, which adds its M' slices origin by origin.
+    """
+    series = hierarchy_series(panel, bundling)
+    caps = hierarchy_capacities(panel, bundling)
+    levels = ["fleet"] + ["bundle"] * bundling.n_bundles + ["asset"] * panel.n_assets
+    h, t = task.history_len, task.horizon
+    test_origins = np.arange(max(split_idx, h - 1), panel.n_steps - t)
+    train_origins = np.arange(h - 1, split_idx - t)
+
+    def tensor(origins):
+        return np.stack([series_forecasts(series[r], panel.timestamps, origins, specs[level],
+                                          task, split_idx, caps[r])
+                         for r, level in enumerate(levels)], axis=1)
+
+    err = tensor(train_origins) - hierarchy_actuals(
+        panel, bundling, panel.timestamps[train_origins], t).values
+    return tensor(test_origins), np.mean(err * err, axis=0).T
 
 
 def read_moments_csv(path, n_rows: int, horizon: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from bundlecast.errors import (
 )
 
 from conftest import make_panel, random_bundling_labels, random_panel
-from oracles import read_moments_csv
+from oracles import per_row_forecasts, read_moments_csv
 
 
 def hourly_timestamps(n, start="2019-03-01T00:00:00"):
@@ -286,10 +286,11 @@ def persistence_specs():
     return {"fleet": spec, "bundle": spec, "asset": spec}
 
 
-def test_rolling_persistence_is_coherent(rng):
+@pytest.mark.parametrize("horizon", [1, 6])
+def test_rolling_persistence_is_coherent(rng, horizon):
     panel = random_panel(rng, 5, 60)
     b = Bundling([0, 1, 0, 1, 0], panel.asset_ids)
-    task = ForecastTask(4, 6, 15)
+    task = ForecastTask(4, horizon, 15)
     rf = rolling_forecast(panel, b, task, persistence_specs(), panel.timestamps[40])
     gap = np.abs(rf.test.fleet[:, 0, :] - rf.test.assets.sum(axis=1))
     assert gap.max() < 1e-9 * panel.fleet_capacity
@@ -302,7 +303,7 @@ def test_rolling_persistence_is_coherent(rng):
     # origins o with 4 samples of history and a horizon inside the training range
     origins = np.arange(task.history_len - 1, 40 - task.horizon)
     for tau in range(1, task.horizon + 1):
-        # summed origin by origin, the order np.mean takes down an (M, T) array's rows
+        # summed origin by origin, also for one lead, whose column numpy would sum pairwise
         expect = sum((series[:, o] - series[:, o + tau]) ** 2 for o in origins) / origins.size
         np.testing.assert_array_equal(rf.second_moment[tau - 1], expect)
 
@@ -413,17 +414,9 @@ def test_rolling_shared_rows_equal_fresh_fits(rng, monkeypatch, bundle_spec, bun
     np.testing.assert_array_equal(shared.test.values, fresh.test.values)
     np.testing.assert_array_equal(shared.second_moment, fresh.second_moment)
 
-    series, caps = hierarchy_series(panel, single), hierarchy_capacities(panel, single)
-    origins = np.searchsorted(panel.timestamps, fresh.test.origins)
-    for r, level in enumerate(["fleet", "bundle"] + ["asset"] * panel.n_assets):
-        alone = _forecast_series(series[r], calendar_rows(panel.timestamps, task.history_len),
-                                 [origins], specs[level], task, split_idx, caps[r])[0]
-        np.testing.assert_array_equal(fresh.test.values[:, r], alone)
-    train_origins = np.arange(task.history_len - 1, split_idx - task.horizon)
-    err = (_insample_tensor(panel, single, task, specs, split_idx, train_origins)
-           - hierarchy_actuals(panel, single, panel.timestamps[train_origins],
-                               task.horizon).values)
-    np.testing.assert_array_equal(fresh.second_moment, np.mean(err * err, axis=0).T)
+    values, moments = per_row_forecasts(panel, single, task, specs, split_idx)
+    np.testing.assert_array_equal(fresh.test.values, values)
+    np.testing.assert_array_equal(fresh.second_moment, moments)
 
     with pytest.raises(ShapeMismatchError, match="shared forecasts"):
         rolling_forecast(panel, single, task, specs, panel.timestamps[split_idx + 1], bundled)
@@ -453,18 +446,9 @@ def test_rolling_fits_a_singleton_bundle_once(rng, monkeypatch, asset_spec, fits
     assert len(calls) == fits
     monkeypatch.undo()
 
-    series, caps = hierarchy_series(panel, bundling), hierarchy_capacities(panel, bundling)
-    levels = ["fleet"] + ["bundle"] * 3 + ["asset"] * 5
-    origins = np.searchsorted(panel.timestamps, rf.test.origins)
-    for r, level in enumerate(levels):
-        alone = _forecast_series(series[r], calendar_rows(panel.timestamps, task.history_len),
-                                 [origins], specs[level], task, split_idx, caps[r])[0]
-        np.testing.assert_array_equal(rf.test.values[:, r], alone)
-    train_origins = np.arange(task.history_len - 1, split_idx - task.horizon)
-    err = (_insample_tensor(panel, bundling, task, specs, split_idx, train_origins)
-           - hierarchy_actuals(panel, bundling, panel.timestamps[train_origins],
-                               task.horizon).values)
-    np.testing.assert_array_equal(rf.second_moment, np.mean(err * err, axis=0).T)
+    values, moments = per_row_forecasts(panel, bundling, task, specs, split_idx)
+    np.testing.assert_array_equal(rf.test.values, values)
+    np.testing.assert_array_equal(rf.second_moment, moments)
 
 
 def test_rolling_ridge_predictions_respect_capacity(rng):
@@ -567,17 +551,6 @@ def test_rolling_ridge_matches_scipy_cholesky_oracle(rng):
     np.testing.assert_allclose(rf.test.values, expected, rtol=1e-12, atol=0.0)
 
 
-def _insample_tensor(panel, b, task, specs, split_idx, origins):
-    """The (M, R, T) in-sample forecasts, each row fitted and predicted on its own."""
-    series = hierarchy_series(panel, b)
-    caps = hierarchy_capacities(panel, b)
-    levels = ["fleet"] + ["bundle"] * b.n_bundles + ["asset"] * panel.n_assets
-    return np.stack([
-        _forecast_series(series[r], calendar_rows(panel.timestamps, task.history_len),
-                         [origins], specs[level], task, split_idx, caps[r])[0]
-        for r, level in enumerate(levels)], axis=1)
-
-
 @pytest.mark.parametrize("model, use_calendar, horizon", [
     ("ridge", False, 4), ("ridge", True, 4), ("persistence", False, 4),
     ("ridge", True, 1), ("persistence", False, 1),
@@ -591,19 +564,41 @@ def test_rolling_moments_match_insample_tensor(rng, model, use_calendar, horizon
     specs = {"fleet": spec, "bundle": spec, "asset": spec}
     split_idx = 120
     rf = rolling_forecast(panel, b, task, specs, panel.timestamps[split_idx])
+    _, expect = per_row_forecasts(panel, b, task, specs, split_idx)
+    np.testing.assert_array_equal(rf.second_moment, expect)
 
-    origins = np.arange(task.history_len - 1, split_idx - horizon)
-    forecasts = _insample_tensor(panel, b, task, specs, split_idx, origins)
-    actuals = hierarchy_actuals(panel, b, panel.timestamps[origins], horizon).values
-    err = forecasts - actuals
-    expect = np.mean(err * err, axis=0).T
-    if horizon > 1:
-        np.testing.assert_array_equal(rf.second_moment, expect)
+
+@pytest.mark.parametrize("horizon", [1, 4])
+@pytest.mark.parametrize("bundling_kind", ["one-bundle", "singletons", "shared"])
+@pytest.mark.parametrize("persistence_levels", [
+    ("fleet",), ("bundle",), ("asset",), ("fleet", "bundle"), ("fleet", "asset"),
+    ("bundle", "asset"), ("fleet", "bundle", "asset"),
+])
+def test_rolling_persistence_levels_match_the_per_row_oracle(rng, persistence_levels,
+                                                             bundling_kind, horizon):
+    """Oracle: persistence levels, each forecast as one slice of the hierarchy series,
+    and ridge levels around them hold the bits of forecasting every row on its own, in
+    values and moments. The bundlings: one bundle, whose row repeats the fleet; two
+    singleton bundles, whose asset rows repeat them; and the one-bundle pass that copies
+    its fleet and asset rows from a three-bundle call."""
+    panel = random_panel(rng, 5, 160)
+    task, split_idx = ForecastTask(6, horizon, 15), 120
+    split = panel.timestamps[split_idx]
+    specs = {level: ModelSpec("persistence") if level in persistence_levels
+             else ModelSpec("ridge", 0.7, True) for level in ("fleet", "bundle", "asset")}
+    single = Bundling.single_bundle(panel.asset_ids)
+    if bundling_kind == "one-bundle":
+        bundling, rf = single, rolling_forecast(panel, single, task, specs, split)
+    elif bundling_kind == "singletons":
+        bundling = Bundling([0, 1, 0, 2, 0], panel.asset_ids)
+        rf = rolling_forecast(panel, bundling, task, specs, split)
     else:
-        # one lead: each row's mean runs down a single contiguous column, which
-        # numpy sums pairwise, while the tensor's mean adds origin by origin
-        np.testing.assert_allclose(rf.second_moment, expect,
-                                   rtol=origins.size * np.finfo(np.float64).eps, atol=0.0)
+        bundled = rolling_forecast(panel, Bundling([0, 1, 0, 2, 1], panel.asset_ids), task,
+                                   specs, split)
+        bundling, rf = single, rolling_forecast(panel, single, task, specs, split, bundled)
+    values, moments = per_row_forecasts(panel, bundling, task, specs, split_idx)
+    assert rf.test.values.tobytes() == values.tobytes()
+    assert rf.second_moment.tobytes() == moments.tobytes()
 
 
 # --- forecast CSV -------------------------------------------------------------------------
@@ -703,31 +698,47 @@ def _runs(*lengths):
     return np.repeat(values[:len(lengths)], lengths).reshape(3, 4)
 
 
-@pytest.mark.parametrize("block, formatted_per_run", [
-    pytest.param(np.random.default_rng(3).uniform(-1e6, 1e6, (3, 4)), False, id="all-distinct"),
-    pytest.param(np.repeat([[0.0], [7.25], [-0.0]], 4, axis=1), True, id="persistence"),
-    pytest.param(_runs(2, 2, 2, 2, 2, 2), True, id="half-start-a-run"),
-    pytest.param(_runs(2, 2, 2, 2, 2, 1, 1), False, id="one-more-starts-a-run"),
+@pytest.mark.parametrize("block, varying", [
+    pytest.param(np.random.default_rng(3).uniform(-1e6, 1e6, (3, 4)), None, id="all-distinct"),
+    pytest.param(np.repeat([[0.0], [7.25], [-0.0]], 4, axis=1), [False] * 3, id="persistence"),
+    pytest.param(_runs(2, 2, 2, 2, 2, 2), [True] * 3, id="half-start-a-run"),
+    pytest.param(_runs(2, 2, 2, 2, 2, 1, 1), None, id="one-more-starts-a-run"),
+    # ridge fleet and bundle rows over persistence asset rows
+    pytest.param(np.vstack([[1 / 3, 2.5, 1e-7, -4.25], [0.1, 33.0, 7.0, 5.5],
+                            np.repeat([[0.0], [7.25], [1e15 / 7], [-0.0], [0.5], [2.5]], 4,
+                                      axis=1)]),
+                 [True] * 2 + [False] * 6, id="varying-over-constant-rows"),
+    pytest.param(np.array([[-0.0] * 4, [0.0, 0.0, -0.0, 0.0], [5.5] * 4]),
+                 [False, True, False], id="signed-zeros"),
+    pytest.param(np.array([[7.25] * 4, [7.25, 7.25, 1.0, 1.0], [1.0] * 4]),
+                 [False, True, False], id="runs-across-rows"),
+    pytest.param(np.array([[0.0], [0.0], [-0.0], [-0.0]]), [False] * 4, id="one-lead"),
+    pytest.param(np.array([[0.0], [-0.0], [7.25], [0.5]]), None, id="one-lead-all-distinct"),
 ])
 def test_write_forecast_csv_routes_match_the_per_cell_reference(tmp_path, monkeypatch, block,
-                                                                formatted_per_run):
+                                                                varying):
     """A block in which more than half of the values start a run of bitwise equal
-    values is formatted value by value, any other run by run; both give the bytes of
-    formatting every cell on its own."""
-    runs = []
-    run_texts = forecast_module._run_texts
+    values is filled into one template value by value; any other is written row by
+    row, a row of one bit pattern formatted once and any other row value by value.
+    Every route gives the bytes of formatting every cell on its own, and ids holding
+    ``%`` reach the file as written. ``varying`` marks the rows of ``block`` that the
+    row route formats value by value, None when the block takes the template route."""
+    rows = []
+    rows_text = forecast_module._rows_text
 
-    def counting(flat, starts):
-        runs.append(flat.size)
-        return run_texts(flat, starts)
+    def recording(stamp, heads, leads, block, varying):
+        rows.extend(varying)
+        return rows_text(stamp, heads, leads, block, varying)
 
-    monkeypatch.setattr(forecast_module, "_run_texts", counting)
+    monkeypatch.setattr(forecast_module, "_rows_text", recording)
     origins = np.array(["2019-01-08T00:00:00", "2019-01-08T00:15:00"], dtype="datetime64[s]")
-    forecast = HierarchyForecast(origins, np.stack([block, block[::-1]]), 1, 1)
-    write_forecast_csv(forecast, ("a%s",), tmp_path / "forecast.csv")
+    n_assets = block.shape[0] - 2
+    asset_ids = ("a%s", "w0%%", "100%", "%d%%", "a4", "a5")[:n_assets]
+    forecast = HierarchyForecast(origins, np.stack([block, block[::-1]]), 1, n_assets)
+    write_forecast_csv(forecast, asset_ids, tmp_path / "forecast.csv")
     assert (tmp_path / "forecast.csv").read_text(encoding="utf-8") == per_cell_text(
-        forecast, ("a%s",))
-    assert runs == ([12, 12] if formatted_per_run else [])
+        forecast, asset_ids)
+    assert rows == ([] if varying is None else varying + varying[::-1])
 
 
 @pytest.mark.parametrize("n_bundles", [2, 3])
