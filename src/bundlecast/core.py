@@ -217,8 +217,12 @@ def read_assets_csv(path) -> list[AssetMeta]:
             if len(row) != 4:
                 raise FormatError(f"{path}:{ln}: expected 4 fields, got {len(row)}")
             asset_id = row[0].strip()
-            if "\n" in asset_id or "\r" in asset_id:  # it would break every file that lists it
+            # every file that lists the id writes it unquoted: a line break would split
+            # its line, a ',' its fields, and a '"' would open a quoted field
+            if "\n" in asset_id or "\r" in asset_id:
                 raise FormatError(f"{path}:{ln}: asset id {asset_id!r} holds a line break")
+            if "," in asset_id or '"' in asset_id:
+                raise FormatError(f"{path}:{ln}: asset id {asset_id!r} holds a ',' or '\"'")
             try:
                 assets.append(AssetMeta(asset_id, float(row[1]), float(row[2]), float(row[3])))
             except ValueError as exc:

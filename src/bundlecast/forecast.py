@@ -10,10 +10,13 @@ bundle, and for the fleet total):
   standardized, the intercept is unpenalized, and predictions are clipped
   to the physical range of the series.
 
-A ridge series builds one feature map over the whole panel: row j holds the
-H samples that end at index j+H-1, then that origin's calendar encodings.
-The model is fitted on the rows whose T targets lie in the training range,
-and every forecast reads its row from the same map.
+A ridge series is one feature map over the whole panel: row j holds the H
+samples that end at index j+H-1, then that origin's calendar encodings.
+Each ridge level keeps one such map, whose calendar columns are filled once
+and whose lag columns each fitted row overwrites. The model is fitted on the
+map's first rows, those whose T targets lie in the training range; the map
+is standardized once, and the row's test and in-sample forecasts are
+products of its test rows and of those first rows.
 
 The rolling harness issues a forecast at every eligible origin of the test
 range and keeps those forecasts. It also forecasts every eligible origin of
@@ -27,10 +30,12 @@ that repeats its parent row copies it.
 Forecast sets are stored as ``origin,level,series_id,lead,value`` CSV lines
 in one canonical order: origins strictly ascending; within an origin the
 fleet, bundles 0..K-1, then the assets in panel order; within a row leads
-1..T. The reader streams the file one origin block at a time and rejects
-any other order with ``path:line``. The same test forecasts and the residual
-moments are also saved with their exact bits as one array archive, which is
-what the reconcile stage reads.
+1..T. They are written row by row: a row of one value is formatted once,
+any other by one ``%`` into a template of its T values. The reader streams
+the file one origin block at a time and rejects any other order with
+``path:line``. The same test forecasts and the residual moments are also
+saved with their exact bits as one array archive, which is what the
+reconcile stage reads.
 """
 
 from __future__ import annotations
@@ -167,16 +172,6 @@ def _calendar_features(origins: np.ndarray) -> np.ndarray:
     )
 
 
-def _ridge_features(series: np.ndarray, history_len: int,
-                    calendar: np.ndarray | None) -> np.ndarray:
-    """Row j: the H samples ending at index j+H-1, then ``calendar[j]``, the
-    calendar encodings of that origin (none when ``calendar`` is None)."""
-    lags = sliding_window_view(series, history_len)
-    if calendar is None:
-        return lags
-    return np.hstack([lags, calendar])
-
-
 def ridge_fit(features: np.ndarray, targets: np.ndarray,
               ridge_lambda: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit the direct multi-horizon ridge map from (n, F) features to (n, T) targets.
@@ -275,31 +270,6 @@ def forecast_origins(panel: AssetPanel, task: ForecastTask, split: np.datetime64
     return np.arange(max(panel.index_of(split), task.history_len - 1), panel.n_steps - task.horizon)
 
 
-def _forecast_series(series: np.ndarray, calendar: np.ndarray, origin_sets,
-                     spec: ModelSpec, task: ForecastTask, train_len: int,
-                     cap: float) -> list[np.ndarray]:
-    """Ridge forecasts (M, T) for one series at each array of origin indices.
-
-    ``calendar`` is the :func:`_calendar_features` of the panel's timestamps
-    from index H-1 on, one row per feature row; a spec with calendar
-    encodings appends them to its lags. The row is fitted once, on the
-    feature rows whose targets end inside the first ``train_len`` samples,
-    and predicts each origin set with its own product, so every set gets the
-    values it would get alone.
-    """
-    h, t = task.history_len, task.horizon
-    if train_len < h + t + 1:
-        raise InsufficientDataError(
-            f"need at least {h + t + 1} training samples for H={h}, T={t}; got {train_len}"
-        )
-    feats = _ridge_features(series, h, calendar if spec.use_calendar else None)
-    n_fit = train_len - h - t + 1
-    mean, scale, w = ridge_fit(feats[:n_fit], sliding_window_view(series, t)[h:h + n_fit],
-                               spec.ridge_lambda)
-    return [np.clip((feats[origins - h + 1] - mean) / scale @ w[:-1] + w[-1], 0.0, cap)
-            for origins in origin_sets]
-
-
 def _mean_square(err: np.ndarray) -> np.ndarray:
     """The mean square of each column of the C-contiguous ``err`` (M, P), which
     is overwritten.
@@ -334,12 +304,14 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     its test forecasts are one gather of the values at the test origins, and
     its moments are taken one lead at a time over all of its rows.
 
-    Each ridge row is fitted once. A ridge row whose series, capacity and
-    model spec equal its parent row's bit for bit copies the parent's
-    forecasts and moments: the one bundle of a one-bundle bundling repeats
-    the fleet, and the asset of a singleton bundle repeats that bundle.
-    Bundle rows come before asset rows, so a singleton is fitted as its
-    bundle and copied to its asset. The fleet and asset rows do not depend
+    Each ridge row is fitted once, by one ``ridge_fit`` call on the first
+    rows of its level's feature map; a training range too short to fit H
+    lags to T leads raises InsufficientDataError. A ridge row whose series,
+    capacity and model spec equal its parent row's bit for bit copies the
+    parent's forecasts and moments: the one bundle of a one-bundle bundling
+    repeats the fleet, and the asset of a singleton bundle repeats that
+    bundle. Bundle rows come before asset rows, so a singleton is fitted as
+    its bundle and copied to its asset. The fleet and asset rows do not depend
     on the bundling, so with ``shared``, the result of an earlier call on
     the same panel, task, specs and split under another bundling, they are
     copied from it and only the bundle rows are forecast. The values are the
@@ -388,6 +360,9 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     bits = series.view(np.int64)
     calendar = _calendar_features(panel.timestamps[h - 1:])  # shared by every ridge row
     first, end = h - 1, split_idx - t  # the training origins, a contiguous range
+    # feature row j is the origin h-1+j: the training origins are the first n_fit rows
+    n_fit = end - first
+    test_rows = slice(test_origins[0] - first, test_origins[-1] - first + 1)
     for level, rows in level_rows.items():
         spec = specs[level]
         if spec.model == "persistence":
@@ -398,17 +373,26 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
                 moments[block, tau - 1] = _mean_square(
                     steps[first:end] - steps[first + tau:end + tau])
             continue
+        feats = np.empty((calendar.shape[0], h))  # each fitted row's lags, then the calendar
+        if spec.use_calendar:
+            feats = np.hstack([feats, calendar])
         for r in rows:
             p = parent[r]
             if (r > 0 and spec == specs[parent_level[level]] and caps[r] == caps[p]
                     and np.array_equal(bits[r], bits[p])):
                 test_values[:, r], moments[r] = test_values[:, p], moments[p]
                 continue
-            test_values[:, r, :], train_pred = _forecast_series(
-                series[r], calendar, (test_origins, train_origins), spec, task,
-                split_idx, caps[r])
-            err = train_pred - sliding_window_view(series[r], t)[train_origins + 1]
-            moments[r] = _mean_square(err)
+            if split_idx < h + t + 1:
+                raise InsufficientDataError(
+                    f"need at least {h + t + 1} training samples for H={h}, T={t}; "
+                    f"got {split_idx}")
+            feats[:, :h] = sliding_window_view(series[r], h)
+            targets = sliding_window_view(series[r], t)[h:h + n_fit]
+            mean, scale, w = ridge_fit(feats[:n_fit], targets, spec.ridge_lambda)
+            x = (feats - mean) / scale
+            test_values[:, r, :] = np.clip(x[test_rows] @ w[:-1] + w[-1], 0.0, caps[r])
+            moments[r] = _mean_square(np.clip(x[:n_fit] @ w[:-1] + w[-1], 0.0, caps[r])
+                                      - targets)
 
     test = HierarchyForecast(panel.timestamps[test_origins], test_values,
                              bundling.n_bundles, panel.n_assets)
@@ -437,16 +421,13 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
     The lines follow the canonical order that :func:`read_forecast_csv`
     requires: origins strictly ascending; within an origin the fleet,
     bundles 0..K-1, then the assets in ``asset_ids`` order; within a row
-    leads 1..T. Each origin block takes one of two routes, which both write
-    ``FLOAT_FORMAT % v`` for each value v, so ``0.0`` and ``-0.0`` stay
-    distinct. If more than half of a block's values, in that order, start a
-    new run of bitwise equal values (as in ridge and reconciled blocks), the
-    block is one ``%`` template of ``FLOAT_FORMAT`` value fields, built per
-    call with ``%`` in an asset id escaped, filled with the values by one
-    ``%``. Otherwise (as in a persistence block) the block is written row by
-    row: a row whose T values are one bit pattern is formatted once and
-    joined into its T lines by one ``str.join``, and any other row is
-    formatted value by value. That route puts no asset id in a template.
+    leads 1..T. Each value v is written as ``FLOAT_FORMAT % v``, so ``0.0``
+    and ``-0.0`` stay distinct. The lines are written row by row: a row
+    whose T values are one bit pattern (as every persistence row is) is
+    formatted once and joined into its T lines by one ``str.join``; any
+    other row fills a ``lead,FLOAT_FORMAT`` template of T lines, built once
+    per call, by one ``%``, and each line then gets the stamp and the row's
+    ``,level,series_id,`` in front. No asset id ever enters a template.
     """
     asset_ids = tuple(asset_ids)
     if len(asset_ids) != forecast.n_assets:
@@ -461,60 +442,27 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
         fh.writelines(_block_texts(forecast.origins, forecast.values, keys))
 
 
-def _block_template(keys, horizon: int) -> str:
-    """The ``%`` template of one origin block: a ``%s,level,series_id,lead,``
-    line with a ``FLOAT_FORMAT`` field for each cell, ``%`` in a series id
-    escaped.
-
-    Each row is one ``str.join`` of its prefix over the T lead tails.
-    """
-    tails = [f"{tau},{FLOAT_FORMAT}\n" for tau in range(1, horizon + 1)]
-    return "".join(prefix + prefix.join(tails) for prefix in
-                   ("%s," + f"{level},{sid},".replace("%", "%%") for level, sid in keys))
-
-
 def _block_texts(origins: np.ndarray, values: np.ndarray, keys):
     """The text of each origin's lines, ``values[m]`` holding one row per key,
-    on the routes :func:`write_forecast_csv` describes. The template of the
-    direct route is built the first time a block takes it.
-    """
+    written row by row as :func:`write_forecast_csv` describes."""
     heads = [f",{level},{sid}," for level, sid in keys]
     leads = [str(tau) for tau in range(1, values.shape[-1] + 1)]
-    template = None
+    # a row's T lines without their line starts, which are put in after formatting
+    fill = "\n".join(f"{lead},{FLOAT_FORMAT}" for lead in leads)
     for origin, block in zip(origins, values):
         stamp = format_utc_timestamp(origin)
-        flat = block.ravel()
-        bits = flat.view(np.int64)
-        starts = np.empty(flat.size, dtype=bool)
-        starts[:1] = True
-        np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-        if 2 * np.count_nonzero(starts) > flat.size:
-            if template is None:
-                template = _block_template(keys, block.shape[-1])
-            fields = [stamp] * (2 * flat.size)
-            fields[1::2] = flat.tolist()
-            yield template % tuple(fields)
-        else:
-            varying = starts.reshape(block.shape)[:, 1:].any(axis=1).tolist()
-            yield _rows_text(stamp, heads, leads, block, varying)
-
-
-def _rows_text(stamp: str, heads: list[str], leads: list[str], block: np.ndarray,
-               varying: list[bool]) -> str:
-    """The lines of one origin block written row by row: each line is
-    ``stamp``, the row's head, the lead and the value. A row whose values are
-    one bit pattern formats it once and joins its lines with one
-    ``str.join``; a row marked in ``varying`` formats each value."""
-    pieces = []
-    for r, (head, first, vary) in enumerate(zip(heads, block[:, 0].tolist(), varying)):
-        prefix = stamp + head
-        if vary:
-            pieces += [f"{prefix}{lead},{FLOAT_FORMAT % v}\n"
-                       for lead, v in zip(leads, block[r].tolist())]
-        else:
-            tail = f",{FLOAT_FORMAT % first}\n"
-            pieces += (prefix, (tail + prefix).join(leads), tail)
-    return "".join(pieces)
+        bits = block.view(np.int64)
+        varying = (bits[:, 1:] != bits[:, :1]).any(axis=1).tolist()
+        pieces = []
+        for r, (head, first, vary) in enumerate(zip(heads, block[:, 0].tolist(), varying)):
+            prefix = stamp + head
+            if vary:
+                text = fill % tuple(block[r].tolist())
+                pieces += (prefix, text.replace("\n", "\n" + prefix), "\n")
+            else:
+                tail = f",{FLOAT_FORMAT % first}\n"
+                pieces += (prefix, (tail + prefix).join(leads), tail)
+        yield "".join(pieces)
 
 
 def _splice_forecast_csv(forecast: HierarchyForecast, asset_ids, path,

@@ -21,7 +21,7 @@ from bundlecast.errors import (
     ShapeMismatchError,
     ValueOutOfRangeError,
 )
-from bundlecast.forecast import MOMENTS_HEADER, _calendar_features, _forecast_series
+from bundlecast.forecast import MOMENTS_HEADER, _calendar_features, ridge_fit
 
 EXACT_MAX_ASSETS = 12
 
@@ -88,14 +88,24 @@ def exact_partition(sigma, distances: np.ndarray, n_bundles: int, diameter_km: f
 def series_forecasts(series, timestamps, origins, spec, task, train_len, cap) -> np.ndarray:
     """Forecasts (M, T) of one series at the origin indices ``origins``, on its own.
 
-    Persistence repeats the value at each origin over the horizon; a ridge
-    row is fitted on the first ``train_len`` samples and predicted by
-    ``_forecast_series``, with the calendar encodings of ``timestamps``.
+    Persistence repeats the value at each origin over the horizon. A ridge
+    row's features at an origin are the H samples up to it, then, with
+    calendar encodings, the encodings of its timestamp in ``timestamps``; the
+    row is fitted by ``ridge_fit`` on every origin whose T targets lie in the
+    first ``train_len`` samples, and its forecasts are clipped to [0, cap].
     """
+    h, t = task.history_len, task.horizon
     if spec.model == "persistence":
-        return np.repeat(series[origins][:, None], task.horizon, axis=1)
-    calendar = _calendar_features(timestamps[task.history_len - 1:])
-    return _forecast_series(series, calendar, [origins], spec, task, train_len, cap)[0]
+        return np.repeat(series[origins][:, None], t, axis=1)
+
+    def features(at):
+        lags = np.stack([series[o - h + 1:o + 1] for o in at])
+        return np.hstack([lags, _calendar_features(timestamps[at])]) if spec.use_calendar else lags
+
+    fit_origins = np.arange(h - 1, train_len - t)
+    targets = np.stack([series[o + 1:o + 1 + t] for o in fit_origins])
+    mean, scale, w = ridge_fit(features(fit_origins), targets, spec.ridge_lambda)
+    return np.clip((features(origins) - mean) / scale @ w[:-1] + w[-1], 0.0, cap)
 
 
 def per_row_forecasts(panel, bundling, task, specs, split_idx) -> tuple[np.ndarray, np.ndarray]:

@@ -262,7 +262,12 @@ def test_ingest_asset_errors_count_blank_lines(tmp_path):
     # every file that lists the id; the row ends on line 4, the line named
     ('"w\n2",41.0,-101.0,20.0', 4, FormatError, r"asset id 'w\n2' holds a line break"),
     ('"w\r2",41.0,-101.0,20.0', 4, FormatError, r"asset id 'w\r2' holds a line break"),
-], ids=["latitude", "longitude", "capacity", "empty-id", "LF-in-id", "CR-in-id"])
+    # a ',' would add a field to every line that lists the id, and a '"' would open a
+    # quoted field in a standard CSV reader
+    ('"w,2",41.0,-101.0,20.0', 3, FormatError, "asset id 'w,2' holds a ',' or '\"'"),
+    ('"""w2",41.0,-101.0,20.0', 3, FormatError, "asset id '\"w2' holds a ',' or '\"'"),
+], ids=["latitude", "longitude", "capacity", "empty-id", "LF-in-id", "CR-in-id", "comma-in-id",
+        "quote-in-id"])
 def test_ingest_names_the_line_of_a_bad_asset(tmp_path, row, line, error, message):
     assets, series = write_inputs(tmp_path, series_rows(6),
                                   ASSETS_CSV.replace("w2,41.0,-101.0,20.0", row))

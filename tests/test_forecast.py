@@ -26,8 +26,6 @@ from bundlecast.forecast import (
     FLOAT_FORMAT,
     RollingForecasts,
     _calendar_features,
-    _forecast_series,
-    _ridge_features,
     _splice_forecast_csv,
     read_forecast_arrays,
     read_forecast_csv,
@@ -60,26 +58,44 @@ def windows(values, history_len, horizon):
     return lags, targets
 
 
-def calendar_rows(timestamps, history_len):
-    """The calendar encodings of every feature row's origin, as ``rolling_forecast``
-    hands them to ``_forecast_series``."""
-    return _calendar_features(timestamps[history_len - 1:])
-
-
 def standardized(lags, mean, scale):
     return np.hstack([(lags - mean) / scale, np.ones((lags.shape[0], 1))])
 
 
 # --- ridge features and fit ----------------------------------------------------------
 
-def test_ridge_features_are_lags_then_calendar(rng):
+def one_asset_panel(values, cap):
+    """A panel of one hourly asset: its fleet and bundle rows are its series."""
+    return make_panel(np.asarray(values)[None], caps=[cap], start="2019-03-01T00:00:00",
+                      step_minutes=60)
+
+
+def ridge_specs(lam):
+    return dict.fromkeys(("fleet", "bundle", "asset"), ModelSpec("ridge", lam))
+
+
+def test_ridge_features_are_lags_then_calendar(rng, monkeypatch):
+    """``rolling_forecast`` fits a ridge row on feature row j = the H samples ending at
+    index j+H-1, then, with calendar encodings, the encodings of that origin."""
     values = rng.uniform(0.0, 30.0, size=80)
     ts = hourly_timestamps(80)
-    h = 5
-    plain = _ridge_features(values, h, None)
-    feats = _ridge_features(values, h, calendar_rows(ts, h))
-    assert plain.shape == (76, h) and feats.shape == (76, h + 4)
-    for j in range(76):
+    h, t, split_idx = 5, 2, 70
+    fitted = []
+
+    def recording(features, targets, ridge_lambda):
+        fitted.append(features.copy())  # the level's feature map is overwritten per row
+        return ridge_fit(features, targets, ridge_lambda)
+
+    monkeypatch.setattr(forecast_module, "ridge_fit", recording)
+    # two fits: the bundle row copies the fleet row, and the asset row has its own spec
+    specs = {"fleet": ModelSpec("ridge", 1.0, True), "bundle": ModelSpec("ridge", 1.0, True),
+             "asset": ModelSpec("ridge", 1.0, False)}
+    rolling_forecast(one_asset_panel(values, 30.0), Bundling.single_bundle(("a0",)),
+                     ForecastTask(h, t, 60), specs, ts[split_idx])
+    n_fit = split_idx - h - t + 1
+    feats, plain = fitted
+    assert feats.shape == (n_fit, h + 4) and plain.shape == (n_fit, h)
+    for j in range(n_fit):
         expect = np.concatenate([values[j:j + h], _calendar_features(ts[j + h - 1:j + h])[0]])
         assert feats[j].tobytes() == expect.tobytes(), j
         assert plain[j].tobytes() == values[j:j + h].tobytes(), j
@@ -112,14 +128,15 @@ def test_ridge_matches_closed_form_at_positive_lambda(rng):
 
 
 def test_ridge_shrinkage_limit(rng):
-    values = rng.uniform(0.0, 1.0, size=200)
-    task = ForecastTask(5, 2, 60)
-    lags, targets = windows(values, 5, 2)
+    values = rng.uniform(0.0, 1.0, size=230)
+    lags, targets = windows(values[:200], 5, 2)
     _, _, w = ridge_fit(lags, targets, ridge_lambda=1e9)
     assert np.all(np.abs(w[:-1]) < 1e-5)
-    origins = np.arange(4, 4 + lags.shape[0])  # every training origin
-    (preds,) = _forecast_series(values, calendar_rows(hourly_timestamps(200), 5), [origins],
-                                ModelSpec("ridge", 1e9), task, 200, cap=1.0)
+    # so every forecast is the mean training target of its lead
+    rf = rolling_forecast(one_asset_panel(values, 1.0), Bundling.single_bundle(("a0",)),
+                          ForecastTask(5, 2, 60), ridge_specs(1e9), hourly_timestamps(230)[200])
+    preds = rf.test.values[:, 0]
+    assert preds.shape == (28, 2)
     np.testing.assert_allclose(preds, np.tile(targets.mean(axis=0), (preds.shape[0], 1)),
                                atol=1e-4)
 
@@ -227,26 +244,42 @@ def test_ridge_factors_the_gram_only_below_the_skip_bound(rng, monkeypatch):
 # --- ridge predict ------------------------------------------------------------------
 
 def test_ridge_predict_constant_series():
-    task = ForecastTask(4, 3, 60)
-    (preds,) = _forecast_series(np.full(40, 8.25), calendar_rows(hourly_timestamps(40), 4),
-                                [np.arange(3, 40)], ModelSpec("ridge", 1.0), task, 40, cap=10.0)
-    np.testing.assert_allclose(preds, np.full((37, 3), 8.25), atol=1e-9)
+    rf = rolling_forecast(one_asset_panel(np.full(60, 8.25), 10.0),
+                          Bundling.single_bundle(("a0",)), ForecastTask(4, 3, 60),
+                          ridge_specs(1.0), hourly_timestamps(60)[40])
+    np.testing.assert_allclose(rf.test.values, np.full((17, 3, 3), 8.25), atol=1e-9)
+    np.testing.assert_allclose(rf.second_moment, 0.0, atol=1e-15)
 
 
 def test_ridge_predict_clips_to_range():
-    # downtrend: extrapolating below zero from the last origin must clip at 0; the
-    # wiggle keeps the two lags independent, which a straight line would not
-    values = np.linspace(50.0, 1.0, 60) + 0.5 * (-1.0) ** np.arange(60)
-    lags, targets = windows(values, 2, 4)
+    # downtrend: extrapolating below zero from the one test origin, 60, must clip at 0;
+    # the wiggle keeps the two lags independent, which a straight line would not
+    values = np.concatenate([np.linspace(50.0, 1.0, 60) + 0.5 * (-1.0) ** np.arange(60),
+                             [0.67, 0.0, 0.0, 0.0, 0.0]])  # the next value, then its horizon
+    lags, targets = windows(values[:60], 2, 4)
     mean, scale, w = ridge_fit(lags, targets, ridge_lambda=0.0)
-    raw = standardized(values[None, 58:], mean, scale) @ w
+    raw = standardized(values[None, 59:61], mean, scale) @ w
     assert raw.min() < 0.0
-    (clipped,) = _forecast_series(values, calendar_rows(hourly_timestamps(60), 2),
-                                  [np.array([59])], ModelSpec("ridge", 0.0),
-                                  ForecastTask(2, 4, 60), 60, cap=50.0)
+    rf = rolling_forecast(one_asset_panel(values, 51.0), Bundling.single_bundle(("a0",)),
+                          ForecastTask(2, 4, 60), ridge_specs(0.0), hourly_timestamps(65)[60])
+    clipped = rf.test.values[:, 0]
+    assert clipped.shape == (1, 4)
     assert clipped.min() == 0.0
-    assert clipped.max() <= 50.0
-    np.testing.assert_allclose(clipped, np.clip(raw, 0.0, 50.0), rtol=1e-12, atol=1e-12)
+    assert clipped.max() <= 51.0
+    np.testing.assert_allclose(clipped, np.clip(raw, 0.0, 51.0), rtol=1e-12, atol=1e-12)
+
+
+def test_rolling_rejects_a_straight_line_asset_at_lambda_zero(rng):
+    """The lags of a straight line are rank-deficient (see
+    ``test_ridge_rejects_the_lags_of_a_straight_line``); fitted as an asset row at
+    lambda 0, the line raises instead of returning split weights."""
+    line = np.concatenate([np.linspace(50.0, 1.0, 60), np.full(5, 0.5)])
+    panel = make_panel(np.vstack([rng.uniform(0.0, 50.0, size=65), line]), caps=[50.0, 50.0],
+                       start="2019-03-01T00:00:00", step_minutes=60)
+    specs = {**persistence_specs(), "asset": ModelSpec("ridge", 0.0)}
+    with pytest.raises(InsufficientDataError, match="normal equations singular at lambda=0.0"):
+        rolling_forecast(panel, Bundling([0, 1], panel.asset_ids), ForecastTask(2, 4, 60),
+                         specs, panel.timestamps[60])
 
 
 # --- hierarchy assembly ----------------------------------------------------------------
@@ -474,6 +507,10 @@ def test_rolling_ridge_predictions_respect_capacity(rng):
     rf = rolling_forecast(panel, b, task, specs, panel.timestamps[120])
     assert (rf.test.bundles[:, 0] == 130.0).any()
     assert (rf.test.values <= hierarchy_capacities(panel, b)[None, :, None]).all()
+    # the in-sample forecasts, clipped the same way, give the oracle's moments
+    values, moments = per_row_forecasts(panel, b, task, specs, 120)
+    assert rf.test.values.tobytes() == values.tobytes()
+    assert rf.second_moment.tobytes() == moments.tobytes()
 
 
 def test_rolling_encodes_the_calendar_once_per_call(rng, monkeypatch):
@@ -672,7 +709,7 @@ def test_write_forecast_csv_matches_the_per_cell_reference(tmp_path_factory, dat
     origins = (np.datetime64("2019-01-08T00:00:00", "s")
                + np.timedelta64(900, "s") * np.arange(n_origins))
     # "%" in an id must reach the file as written, not act on the writer's template
-    asset_ids = tuple(f"w{j}" + data.draw(st.sampled_from(["", "%s", "100%", "%%"]))
+    asset_ids = tuple(f"w{j}" + data.draw(st.sampled_from(["", "%s", "100%", "%%", "\0"]))
                       for j in range(n))
     path = tmp_path_factory.getbasetemp() / "per_cell_reference.csv"
     forecast = HierarchyForecast(origins, values, k, n)
@@ -698,47 +735,34 @@ def _runs(*lengths):
     return np.repeat(values[:len(lengths)], lengths).reshape(3, 4)
 
 
-@pytest.mark.parametrize("block, varying", [
-    pytest.param(np.random.default_rng(3).uniform(-1e6, 1e6, (3, 4)), None, id="all-distinct"),
-    pytest.param(np.repeat([[0.0], [7.25], [-0.0]], 4, axis=1), [False] * 3, id="persistence"),
-    pytest.param(_runs(2, 2, 2, 2, 2, 2), [True] * 3, id="half-start-a-run"),
-    pytest.param(_runs(2, 2, 2, 2, 2, 1, 1), None, id="one-more-starts-a-run"),
+@pytest.mark.parametrize("block", [
+    pytest.param(np.random.default_rng(3).uniform(-1e6, 1e6, (3, 4)), id="all-distinct"),
+    pytest.param(np.repeat([[0.0], [7.25], [-0.0]], 4, axis=1), id="persistence"),
+    pytest.param(_runs(2, 2, 2, 2, 2, 2), id="half-start-a-run"),
+    pytest.param(_runs(2, 2, 2, 2, 2, 1, 1), id="one-more-starts-a-run"),
     # ridge fleet and bundle rows over persistence asset rows
     pytest.param(np.vstack([[1 / 3, 2.5, 1e-7, -4.25], [0.1, 33.0, 7.0, 5.5],
                             np.repeat([[0.0], [7.25], [1e15 / 7], [-0.0], [0.5], [2.5]], 4,
                                       axis=1)]),
-                 [True] * 2 + [False] * 6, id="varying-over-constant-rows"),
-    pytest.param(np.array([[-0.0] * 4, [0.0, 0.0, -0.0, 0.0], [5.5] * 4]),
-                 [False, True, False], id="signed-zeros"),
+                 id="varying-over-constant-rows"),
+    pytest.param(np.array([[-0.0] * 4, [0.0, 0.0, -0.0, 0.0], [5.5] * 4]), id="signed-zeros"),
     pytest.param(np.array([[7.25] * 4, [7.25, 7.25, 1.0, 1.0], [1.0] * 4]),
-                 [False, True, False], id="runs-across-rows"),
-    pytest.param(np.array([[0.0], [0.0], [-0.0], [-0.0]]), [False] * 4, id="one-lead"),
-    pytest.param(np.array([[0.0], [-0.0], [7.25], [0.5]]), None, id="one-lead-all-distinct"),
+                 id="runs-across-rows"),
+    pytest.param(np.array([[0.0], [0.0], [-0.0], [-0.0]]), id="one-lead"),
+    pytest.param(np.array([[0.0], [-0.0], [7.25], [0.5]]), id="one-lead-all-distinct"),
 ])
-def test_write_forecast_csv_routes_match_the_per_cell_reference(tmp_path, monkeypatch, block,
-                                                                varying):
-    """A block in which more than half of the values start a run of bitwise equal
-    values is filled into one template value by value; any other is written row by
-    row, a row of one bit pattern formatted once and any other row value by value.
-    Every route gives the bytes of formatting every cell on its own, and ids holding
-    ``%`` reach the file as written. ``varying`` marks the rows of ``block`` that the
-    row route formats value by value, None when the block takes the template route."""
-    rows = []
-    rows_text = forecast_module._rows_text
-
-    def recording(stamp, heads, leads, block, varying):
-        rows.extend(varying)
-        return rows_text(stamp, heads, leads, block, varying)
-
-    monkeypatch.setattr(forecast_module, "_rows_text", recording)
+def test_write_forecast_csv_routes_match_the_per_cell_reference(tmp_path, block):
+    """Rows of one bit pattern are formatted once, and any other row through a
+    template of its T values whose line starts are put in after formatting. Both
+    give the bytes of formatting every cell on its own, and ids holding ``%`` or a
+    NUL reach the file as written."""
     origins = np.array(["2019-01-08T00:00:00", "2019-01-08T00:15:00"], dtype="datetime64[s]")
     n_assets = block.shape[0] - 2
-    asset_ids = ("a%s", "w0%%", "100%", "%d%%", "a4", "a5")[:n_assets]
+    asset_ids = ("a%s", "w\0", "w0%%", "100%", "%d%%", "a5")[:n_assets]
     forecast = HierarchyForecast(origins, np.stack([block, block[::-1]]), 1, n_assets)
     write_forecast_csv(forecast, asset_ids, tmp_path / "forecast.csv")
     assert (tmp_path / "forecast.csv").read_text(encoding="utf-8") == per_cell_text(
         forecast, asset_ids)
-    assert rows == ([] if varying is None else varying + varying[::-1])
 
 
 @pytest.mark.parametrize("n_bundles", [2, 3])
