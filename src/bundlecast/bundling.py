@@ -92,20 +92,38 @@ class Bundling:
         """The 1+K upper hierarchy rows of ``values`` along its asset axis.
 
         ``values`` holds the N assets along ``axis``; the result holds the
-        fleet total there, then each bundle's member sum. One
-        ``np.add.reduceat`` sums a gather of all assets in order followed by
-        the assets grouped by bundle, so no BLAS thread count can move a bit
-        of it, and a one-bundle row equals the fleet row bit for bit.
+        fleet total there, then each bundle's member sum. Each sum is one
+        ``np.add.reduceat`` segment, which adds the pairwise sum of the
+        segment's later values to its first, in asset order whatever the
+        memory layout. The fleet segment is ``values`` as given, and so are
+        the bundle segments when each bundle's assets already lie together in
+        bundle order; otherwise the bundles sum one gather of the N assets
+        grouped by bundle. So no BLAS thread count can move a bit of it, and
+        a one-bundle row equals the fleet row bit for bit.
         """
         values = np.asarray(values)
         if values.shape[axis] != self.n_assets:
             raise ShapeMismatchError(f"values have {values.shape[axis]} assets along axis "
                                      f"{axis}, bundling expects {self.n_assets}")
-        n = self.n_assets
-        order = np.concatenate([np.arange(n), np.argsort(self.labels, kind="stable")])
-        sizes = np.bincount(self.labels)
-        starts = np.concatenate([[0], n + np.cumsum(sizes) - sizes])
-        return np.add.reduceat(values.take(order, axis=axis), starts, axis=axis)
+        axis %= values.ndim
+        fleet = np.add.reduceat(values, [0], axis=axis)
+        shape = list(fleet.shape)
+        shape[axis] = 1 + self.n_bundles
+        out = np.empty(shape, dtype=fleet.dtype)
+        before = (slice(None),) * axis
+        out[before + (slice(0, 1),)] = fleet
+        self._bundle_sums(values, axis, out[before + (slice(1, None),)])
+        return out
+
+    def _bundle_sums(self, values: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
+        """Each bundle's member sum of ``values`` along the non-negative ``axis``,
+        each bundle's members in asset order."""
+        labels = self.labels
+        if np.any(labels[1:] < labels[:-1]):  # some bundle's assets are not adjacent
+            # an index gathers from a strided view; ``take`` would copy the view first
+            values = values[(slice(None),) * axis + (np.argsort(labels, kind="stable"),)]
+        sizes = np.bincount(labels)
+        return np.add.reduceat(values, np.cumsum(sizes) - sizes, axis=axis, out=out)
 
     def canonical(self) -> "Bundling":
         """Renumber bundles by smallest member index."""
@@ -114,14 +132,19 @@ class Bundling:
 
 
 def objective(bundling: Bundling, sigma) -> float:
-    """Evaluate tr(L @ sigma @ L.T) for a bundling."""
+    """Evaluate tr(L @ sigma @ L.T) for a bundling.
+
+    Only the K rows of L @ sigma and the K diagonal entries of the product
+    are built: bundle k's entry sums row k over k's own members.
+    """
     s = np.asarray(sigma, dtype=np.float64)
     if s.shape != (bundling.n_assets, bundling.n_assets):
         raise ShapeMismatchError(
             f"criterion matrix shape {s.shape} does not match {bundling.n_assets} assets"
         )
-    blocks = bundling.aggregate(bundling.aggregate(s)[1:], axis=1)[:, 1:]  # L @ sigma @ L.T
-    return float(np.trace(blocks))
+    rows = bundling._bundle_sums(s)  # L @ sigma
+    own = rows[bundling.labels, np.arange(bundling.n_assets)]
+    return float(bundling._bundle_sums(own).sum())
 
 
 def check_feasible(bundling: Bundling, distances: np.ndarray,
@@ -195,13 +218,11 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
         raise ShapeMismatchError("sigma, distances, and asset_order sizes disagree")
     if not 1 <= n_bundles <= n:
         raise ValueOutOfRangeError(f"n_bundles must be in 1..{n}, got {n_bundles}")
-    bad = np.argwhere(~np.isfinite(s))
-    if bad.size:
-        i, j = bad[0]
+    if not np.isfinite(s).all():
+        i, j = np.argwhere(~np.isfinite(s))[0]
         raise ValueOutOfRangeError(f"criterion matrix entry ({i}, {j}) is {s[i, j]}")
-    bad = np.argwhere(s != s.T)
-    if bad.size:
-        i, j = bad[0]
+    if (s != s.T).any():
+        i, j = np.argwhere(s != s.T)[0]
         raise ValueOutOfRangeError(
             f"criterion matrix is not symmetric: entry ({i}, {j}) is {s[i, j]} "
             f"but ({j}, {i}) is {s[j, i]}"
@@ -211,9 +232,8 @@ def greedy_merge(sigma, distances: np.ndarray, n_bundles: int, diameter_km: floa
     if not math.isfinite(total):
         raise ValueOutOfRangeError(
             "criterion matrix absolute sum overflows; bundle sums would not be finite")
-    bad = np.argwhere(np.isnan(distances))
-    if bad.size:
-        i, j = bad[0]
+    if np.isnan(distances).any():
+        i, j = np.argwhere(np.isnan(distances))[0]
         raise ValueOutOfRangeError(f"distance matrix entry ({i}, {j}) is NaN")
 
     members: list[list[int]] = [[i] for i in range(n)]

@@ -396,16 +396,33 @@ def haversine_matrix(assets) -> np.ndarray:
     """Great-circle distance matrix in km (spherical Earth, R=6371.0).
 
     Symmetric with a zero diagonal; permutation-equivariant in the asset
-    ordering.
+    ordering. With half-differences dlat, dlon and latitudes lat_i, lat_j,
+    entry (i, j) is 2R arcsin(sqrt(clip(h, 0, 1))), where
+    h = sin(dlat)^2 + (cos(lat_i) cos(lat_j)) sin(dlon)^2. The (N, N)
+    terms are built in place, so at most three such arrays exist at once.
     """
     lat = np.radians([a.latitude_deg for a in assets])
     lon = np.radians([a.longitude_deg for a in assets])
-    dlat = 0.5 * (lat[:, None] - lat[None, :])
-    dlon = 0.5 * (lon[:, None] - lon[None, :])
-    h = np.sin(dlat) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon) ** 2
-    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    d = _half_difference_sin_squared(lat)
+    term = _half_difference_sin_squared(lon)
+    cos_lat = np.cos(lat)
+    weights = np.multiply.outer(cos_lat, cos_lat)
+    weights *= term
+    d += weights
+    np.clip(d, 0.0, 1.0, out=d)
+    np.sqrt(d, out=d)
+    np.arcsin(d, out=d)
+    d *= 2.0 * EARTH_RADIUS_KM
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def _half_difference_sin_squared(angles: np.ndarray) -> np.ndarray:
+    """sin(0.5 * (a_i - a_j)) ** 2 for every pair, as a new (N, N) array."""
+    out = np.subtract.outer(angles, angles)
+    out *= 0.5
+    np.sin(out, out=out)
+    return np.square(out, out=out)
 
 
 # --- criterion covariance matrices ------------------------------------------
@@ -430,11 +447,25 @@ def difference(values: np.ndarray) -> np.ndarray:
 
 
 def population_covariance(rows: np.ndarray) -> np.ndarray:
-    """Row-wise covariance dividing by the sample count (not count-1)."""
+    """Row-wise covariance dividing by the sample count (not count-1).
+
+    Returns a new symmetric (N, N) array; ``rows`` is left as it is.
+    """
     rows = np.asarray(rows, dtype=np.float64)
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    sigma = centered @ centered.T / rows.shape[1]
-    return 0.5 * (sigma + sigma.T)
+    return _centred_covariance(rows - rows.mean(axis=1, keepdims=True))
+
+
+def _centred_covariance(centred: np.ndarray) -> np.ndarray:
+    """The symmetrized ``centred @ centred.T`` over the sample count, built in place.
+
+    The symmetrized entry is 0.5 * (sigma[i, j] + sigma[j, i]); numpy copies
+    the transposed operand of the in-place sum, since it overlaps the output.
+    """
+    sigma = centred @ centred.T
+    sigma /= centred.shape[1]
+    np.add(sigma, sigma.T, out=sigma)
+    sigma *= 0.5
+    return sigma
 
 
 def covariance(panel: AssetPanel, kind: Criterion | str) -> np.ndarray:
@@ -442,7 +473,9 @@ def covariance(panel: AssetPanel, kind: Criterion | str) -> np.ndarray:
 
     Returns a read-only, symmetric PSD float64 (N, N) array in the panel's
     asset order. Requires T >= 3 (T >= 4 for ``imcy``, since differencing
-    drops one sample).
+    drops one sample). The seasonally adjusted or differenced (N, T) rows
+    are a fresh array, so they are centred in place; the raw panel values
+    are centred into a copy, as :func:`population_covariance` does.
     """
     kind = Criterion(kind)
     min_steps = 4 if kind is Criterion.IMCY else 3
@@ -451,11 +484,10 @@ def covariance(panel: AssetPanel, kind: Criterion | str) -> np.ndarray:
             f"{kind.value} covariance needs at least {min_steps} steps, panel has {panel.n_steps}"
         )
     if kind is Criterion.VARIANCE:
-        rows = panel.values
-    elif kind is Criterion.SAVAR:
-        rows = seasonal_adjust(panel.values)
+        sigma = population_covariance(panel.values)
     else:
-        rows = difference(panel.values)
-    sigma = population_covariance(rows)
+        rows = (seasonal_adjust if kind is Criterion.SAVAR else difference)(panel.values)
+        rows -= rows.mean(axis=1, keepdims=True)
+        sigma = _centred_covariance(rows)
     sigma.flags.writeable = False
     return sigma

@@ -196,7 +196,10 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     at least lambda * n / (trace(X'X) + lambda). So once lambda exceeds
     ``n * eps`` times that trace, which is at least every penalized diagonal
     entry and trace(X'X) + lambda, no squared pivot can fall to ``n * eps``
-    of its diagonal entry; the factor of 2 leaves room for rounding.
+    of its diagonal entry; the factor of 2 leaves room for rounding. With
+    c = 2 n eps, the penalized trace is trace(X'X) + F lambda, so the test
+    runs where lambda (1 - c F) <= c trace(X'X), a form that cannot
+    overflow for any finite lambda.
     """
     mean = features.mean(axis=0)
     scale = features.std(axis=0)
@@ -207,11 +210,13 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     n_rows, n_feat = x.shape
     eps = np.finfo(np.float64).eps
     gram = xa.T @ xa
+    c = 2 * n_rows * eps
+    rank_test = ridge_lambda * (1 - c * n_feat) <= c * np.trace(gram[:n_feat, :n_feat])
     gram[np.diag_indices(n_feat)] += ridge_lambda
     rhs = xa.T @ targets
     diagonal = np.diagonal(gram)
     try:
-        if ridge_lambda <= 2 * n_rows * eps * diagonal[:n_feat].sum():
+        if rank_test:
             pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
             if np.any(pivots <= n_rows * eps * diagonal):
                 raise np.linalg.LinAlgError("a pivot is rounding noise")

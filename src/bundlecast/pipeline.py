@@ -4,10 +4,12 @@ A run consumes one config plus the assets/series CSV pair and produces a
 run directory holding the bundling, raw and reconciled forecasts, the
 in-sample residual moments, the evaluation reports, reconciler diagnostics,
 and a manifest of input hashes. Outputs are a pure function of (config,
-input files) at any BLAS thread count: no wall-clock time or machine state
-leaks into any file, so identical runs are byte-identical. Every fleet and
-bundle sum is ``Bundling.aggregate``, which uses no BLAS; the covariance and
-ridge products still go through BLAS.
+input files): no wall-clock time or machine state leaks into any file, so
+identical runs are byte-identical. Every fleet and bundle sum is
+``Bundling.aggregate``, which uses no BLAS; the covariance and ridge
+products still go through BLAS, whose thread count can move a covariance
+entry by an ulp. So a file moves with the BLAS thread count only when a
+greedy choice is within an ulp of a tie.
 
 Bundling is :func:`make_bundling`; each later stage is one body that computes
 its products from in-memory inputs, writes them and returns what the next
@@ -446,7 +448,8 @@ def stage_evaluate(config_path, out_dir=None) -> Path:
 def _sweep(config: RunConfig, train: AssetPanel, path: Path) -> None:
     """Write the greedy objective at each configured diameter, per criterion.
 
-    Each criterion matrix is computed once for all diameters. A diameter at
+    Each criterion matrix is computed once for all diameters, and freed
+    before the next one is built. A diameter at
     which the greedy cannot reach ``n_bundles`` gets an empty objective and
     ``false``.
     """
@@ -464,6 +467,7 @@ def _sweep(config: RunConfig, train: AssetPanel, path: Path) -> None:
                 else:
                     result = f"{FLOAT_FORMAT % objective(bundling, sigma)},true"
                 fh.write(f"{FLOAT_FORMAT % diameter},{criterion.value},{result}\n")
+            del sigma  # before the next criterion's matrix is built
 
 
 def run_sweep(config_path, out_dir=None) -> Path:

@@ -103,7 +103,14 @@ def build_reconciler(bundling: Bundling, variances) -> ReconcilerModel:
 
 
 def reconcile(model: ReconcilerModel, forecasts: HierarchyForecast) -> HierarchyForecast:
-    """Project forecasts onto the coherent subspace, per origin and lead."""
+    """Project forecasts onto the coherent subspace, per origin and lead.
+
+    The (M, R, T) result is one preallocated array: the asset rows are
+    written into it and the fleet and bundle rows summed from them, so the
+    only other arrays of that order are the gathers in ``Bundling.aggregate``,
+    one at a time. Each expression keeps the operands of the closed form in
+    the module docstring, so every bit is the same as evaluating it directly.
+    """
     bundling, k = model.bundling, model.bundling.n_bundles
     expected = (k, bundling.n_assets)
     if (forecasts.n_bundles, forecasts.n_assets) != expected:
@@ -118,11 +125,20 @@ def reconcile(model: ReconcilerModel, forecasts: HierarchyForecast) -> Hierarchy
     fused = asset_sums + gains[1:1 + k] * (forecasts.bundles - asset_sums)
     total = fused.sum(axis=1, keepdims=True)
     fleet = total + gains[:1] * (forecasts.fleet - total)
-    bundles = fused + shares[1:1 + k] * (fleet - total)
-    bottom = forecasts.assets + shares[1 + k:] * (bundles - asset_sums)[:, bundling.labels]
-    coherent = np.concatenate([bundling.aggregate(bottom, axis=1), bottom], axis=1)
-    return HierarchyForecast(forecasts.origins, coherent,
-                             forecasts.n_bundles, forecasts.n_assets)
+    correction = fused + shares[1:1 + k] * (fleet - total) - asset_sums  # bundles minus sums
+    m, r, t = forecasts.values.shape
+    out = np.empty((m, r, t))
+    # each asset row starts as its bundle's correction, by one take into the whole
+    # output: it is C-contiguous, so numpy writes it in place (mode="raise" would
+    # buffer it). The 1+K upper rows take a placeholder and are summed below
+    source = np.concatenate([np.zeros(1 + k, dtype=np.int64), bundling.labels])
+    np.take(correction.reshape(m * k, t), (np.arange(m)[:, None] * k + source).ravel(),
+            axis=0, out=out.reshape(m * r, t), mode="clip")
+    bottom = out[:, 1 + k:]
+    bottom *= shares[1 + k:]
+    bottom += forecasts.assets
+    out[:, :1 + k] = bundling.aggregate(bottom, axis=1)
+    return HierarchyForecast(forecasts.origins, out, forecasts.n_bundles, forecasts.n_assets)
 
 
 def coherence_gap(forecast: HierarchyForecast, summing: np.ndarray) -> float:

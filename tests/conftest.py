@@ -45,6 +45,42 @@ def random_bundling_labels(rng, n, k):
     return labels
 
 
+LABEL_KINDS = ("one", "singletons", "grouped", "unsorted")
+
+
+def labels_of_kind(rng, n, kind):
+    """Labels of a bundling whose sums take one route of ``Bundling.aggregate``:
+    one bundle, N singletons numbered out of asset order, bundles whose assets
+    lie together in bundle order, or random bundles."""
+    if kind == "one":
+        return np.zeros(n, dtype=np.int64)
+    if kind == "singletons":
+        return rng.permutation(n)
+    labels = random_bundling_labels(rng, n, int(rng.integers(1, n + 1)))
+    return np.sort(labels) if kind == "grouped" else labels
+
+
+def assert_bits_equal(got, expected):
+    """Same dtype, shape and bits of 8-byte values, so ``-0.0`` differs from ``0.0``."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def signed_zeros(rng, values, share):
+    """``values`` with about ``share`` of its entries set to ``-0.0``, in place."""
+    values[rng.random(values.shape) < share] = -0.0
+    return values
+
+
+def forecast_of(values, n_bundles, n_assets):
+    """Wrap an (M, R, T) array with synthetic origins."""
+    values = np.asarray(values, dtype=float)
+    origins = (np.datetime64("2019-01-08T00:00:00", "s")
+               + np.timedelta64(900, "s") * np.arange(values.shape[0]))
+    return HierarchyForecast(origins, values, n_bundles, n_assets)
+
+
 def reconciler_gains(model):
     """G_tau as a (T, N, R) array: the reconciled assets' response to each unit forecast."""
     k, n = model.bundling.n_bundles, model.bundling.n_assets

@@ -6,15 +6,29 @@ forecasts every hierarchy row on its own and takes the moments over the
 whole in-sample error tensor, the oracle for
 :func:`bundlecast.rolling_forecast`. :func:`read_moments_csv` is the strict
 reader of ``residual_moments.csv``, the oracle that the text product holds
-every bit of the moments the forecast stage hands on. No command runs any of
-them, so they live with the tests.
+every bit of the moments the forecast stage hands on.
+
+The direct expressions -- :func:`aggregate_2n`, :func:`haversine_expression`,
+:func:`population_covariance_expression`, :func:`objective_trace` and
+:func:`reconcile_concatenate` -- evaluate the same formulas as the package
+with a full-size array for each intermediate. The package builds the same
+values in place, so they are the bit-identity oracles for it.
+
+No command runs any of them, so they live with the tests.
 """
 
 import math
 
 import numpy as np
 
-from bundlecast import Bundling, hierarchy_actuals, hierarchy_capacities, hierarchy_series
+from bundlecast import (
+    Bundling,
+    HierarchyForecast,
+    hierarchy_actuals,
+    hierarchy_capacities,
+    hierarchy_series,
+)
+from bundlecast.core import EARTH_RADIUS_KM
 from bundlecast.errors import (
     BundlecastError,
     FormatError,
@@ -181,3 +195,58 @@ def read_moments_csv(path, n_rows: int, horizon: int) -> np.ndarray:
         raise FormatError(f"{path}:{ln + 1}: the file ends before lead {i // n_rows + 1}, "
                           f"row {i % n_rows}; expected {horizon} leads of {n_rows} rows")
     return values.reshape(horizon, n_rows)
+
+
+# --- direct expressions of the in-place kernels -----------------------------------
+
+def aggregate_2n(bundling: Bundling, values, axis: int = 0) -> np.ndarray:
+    """``Bundling.aggregate`` as one ``np.add.reduceat`` over a gather of 2N
+    assets: all of them in order, then all of them grouped by bundle."""
+    n = bundling.n_assets
+    order = np.concatenate([np.arange(n), np.argsort(bundling.labels, kind="stable")])
+    sizes = np.bincount(bundling.labels)
+    starts = np.concatenate([[0], n + np.cumsum(sizes) - sizes])
+    return np.add.reduceat(np.asarray(values).take(order, axis=axis), starts, axis=axis)
+
+
+def haversine_expression(assets) -> np.ndarray:
+    """``haversine_matrix`` as one expression over (N, N) temporaries."""
+    lat = np.radians([a.latitude_deg for a in assets])
+    lon = np.radians([a.longitude_deg for a in assets])
+    dlat = 0.5 * (lat[:, None] - lat[None, :])
+    dlon = 0.5 * (lon[:, None] - lon[None, :])
+    h = np.sin(dlat) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon) ** 2
+    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def population_covariance_expression(rows) -> np.ndarray:
+    """``population_covariance`` as one expression over fresh temporaries."""
+    rows = np.asarray(rows, dtype=np.float64)
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    sigma = centered @ centered.T / rows.shape[1]
+    return 0.5 * (sigma + sigma.T)
+
+
+def objective_trace(bundling: Bundling, sigma) -> float:
+    """``objective`` as the trace of L @ sigma @ L.T, built by two 2N aggregates."""
+    s = np.asarray(sigma, dtype=np.float64)
+    blocks = aggregate_2n(bundling, aggregate_2n(bundling, s)[1:], axis=1)[:, 1:]
+    return float(np.trace(blocks))
+
+
+def reconcile_concatenate(model, forecasts: HierarchyForecast) -> HierarchyForecast:
+    """``reconcile`` with a fresh array per step, the asset rows concatenated
+    below their 2N aggregate."""
+    bundling, k = model.bundling, model.bundling.n_bundles
+    gains, shares = model.gains.T, model.shares.T
+    asset_sums = aggregate_2n(bundling, forecasts.assets, axis=1)[:, 1:]
+    fused = asset_sums + gains[1:1 + k] * (forecasts.bundles - asset_sums)
+    total = fused.sum(axis=1, keepdims=True)
+    fleet = total + gains[:1] * (forecasts.fleet - total)
+    bundles = fused + shares[1:1 + k] * (fleet - total)
+    bottom = forecasts.assets + shares[1 + k:] * (bundles - asset_sums)[:, bundling.labels]
+    coherent = np.concatenate([aggregate_2n(bundling, bottom, axis=1), bottom], axis=1)
+    return HierarchyForecast(forecasts.origins, coherent, forecasts.n_bundles,
+                             forecasts.n_assets)

@@ -32,8 +32,15 @@ from bundlecast.errors import (
 from bundlecast.pipeline import make_bundling
 from bundlecast.synth import SynthConfig, synth_panel
 
-from conftest import make_panel, random_bundling_labels, random_panel
-from oracles import InfeasiblePartitionError, exact_partition
+from conftest import (
+    LABEL_KINDS,
+    assert_bits_equal,
+    labels_of_kind,
+    make_panel,
+    random_panel,
+    signed_zeros,
+)
+from oracles import InfeasiblePartitionError, aggregate_2n, exact_partition, objective_trace
 
 HAND_SIGMA = np.array([[0.25, -0.25], [-0.25, 0.25]])
 
@@ -124,6 +131,37 @@ def test_labels_agree_with_the_dense_assignment_matrix(data):
     assert firsts == sorted(firsts)
     assert sorted(map(list, lam.astype(bool))) == sorted(
         map(list, canonical.labels == np.arange(k)[:, None]))  # the same bundles
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_aggregate_and_objective_keep_the_bits_of_the_full_gathers(data):
+    """``aggregate`` sums the fleet over the values as given and gathers N assets
+    only for unsorted labels, and ``objective`` builds only the diagonal blocks;
+    both give the bits of the 2N-gather expressions in ``tests/oracles.py`` on
+    strided views, along every axis, with signed zeros among the values."""
+    n = data.draw(st.integers(1, 40), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    kind = data.draw(st.sampled_from(LABEL_KINDS), label="kind")
+    b = Bundling(labels_of_kind(rng, n, kind), tuple(f"a{i}" for i in range(n)))
+    ndim = data.draw(st.integers(1, 3), label="ndim")
+    axis = data.draw(st.integers(-ndim, ndim - 1), label="axis")
+    shape = list(rng.integers(1, 5, size=ndim))
+    shape[axis] = n
+    step = data.draw(st.sampled_from([1, 2]), label="step")
+    scale = 10.0 ** data.draw(st.integers(-300, 300), label="exponent")
+    base = signed_zeros(rng, rng.standard_normal([step * d + 1 for d in shape]) * scale, 0.3)
+    values = base[tuple(slice(1, None, step) for _ in shape)]
+
+    got = b.aggregate(values, axis=axis)
+    assert_bits_equal(got, aggregate_2n(b, values, axis=axis))
+    if b.n_bundles == 1:  # a one-bundle row equals the fleet row bit for bit
+        assert_bits_equal(np.take(got, [1], axis=axis), np.take(got, [0], axis=axis))
+
+    x = rng.standard_normal((n, n + 2))
+    sigma = signed_zeros(rng, (x @ x.T) * scale, 0.1)
+    for s in (sigma, np.asfortranarray(sigma), np.repeat(sigma, 2, axis=1)[:, ::2]):
+        assert_bits_equal(objective(b, s), objective_trace(b, s))
 
 
 # --- objective -------------------------------------------------------------------

@@ -26,12 +26,20 @@ from bundlecast.core import (
     EARTH_RADIUS_KM,
     SERIES_BLOCK_ROWS,
     parse_utc_timestamp,
+    population_covariance,
     read_assets_csv,
     write_panel_csv,
 )
 from bundlecast.errors import FormatError, InsufficientDataError, ValueOutOfRangeError
 
-from conftest import make_panel, random_bundling_labels, random_panel
+from conftest import (
+    assert_bits_equal,
+    make_panel,
+    random_bundling_labels,
+    random_panel,
+    signed_zeros,
+)
+from oracles import haversine_expression, population_covariance_expression
 
 
 def haversine_single(lat1, lon1, lat2, lon2):
@@ -475,7 +483,47 @@ def test_haversine_triangle_inequality(rng):
                 assert d[i, j] <= d[i, k] + d[k, j] + 1e-6
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
+       spread=st.sampled_from(["region", "globe", "repeated", "poles-and-antipodes"]))
+def test_haversine_keeps_the_bits_of_the_direct_expression(seed, n, spread):
+    """The in-place matrix is the one-expression oracle's bit for bit, on
+    coincident assets and on the poles, antimeridian and antipodes, where the
+    clip to [0, 1] acts."""
+    rng = np.random.default_rng(seed)
+    if spread == "region":
+        lats, lons = rng.uniform(35.0, 47.0, n), rng.uniform(-104.0, -88.0, n)
+    elif spread == "globe":
+        lats, lons = rng.uniform(-90.0, 90.0, n), rng.uniform(-180.0, 180.0, n)
+    elif spread == "repeated":
+        lats, lons = np.full(n, 41.5), rng.choice([-93.25, -93.0], n)
+    else:
+        lats = rng.choice([-90.0, -45.0, 0.0, 45.0, 90.0], n)
+        lons = rng.choice([-180.0, -90.0, 0.0, 90.0, 180.0], n)
+    assets = [AssetMeta(f"a{i}", float(lat), float(lon), 1.0)
+              for i, (lat, lon) in enumerate(zip(lats, lons))]
+    assert_bits_equal(haversine_matrix(assets), haversine_expression(assets))
+
+
 # --- covariance ----------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), t=st.integers(4, 80))
+def test_covariance_keeps_the_bits_of_the_direct_expression(seed, n, t):
+    """Each criterion matrix, centred and symmetrized in place, is the
+    one-expression oracle's bit for bit; ``population_covariance`` gives the
+    same on a strided view with signed zeros and leaves it as it was."""
+    rng = np.random.default_rng(seed)
+    panel = random_panel(rng, n, t)
+    rows = {Criterion.VARIANCE: panel.values, Criterion.SAVAR: seasonal_adjust(panel.values),
+            Criterion.IMCY: difference(panel.values)}
+    for kind in Criterion:
+        assert_bits_equal(covariance(panel, kind), population_covariance_expression(rows[kind]))
+    strided = signed_zeros(rng, rng.standard_normal((n, 2 * t)), 0.3)[:, ::2]
+    before = strided.copy()
+    assert_bits_equal(population_covariance(strided), population_covariance_expression(strided))
+    assert_bits_equal(strided, before)
+
 
 def test_covariance_hand_example():
     panel = make_panel([[1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 2.0, 1.0]])

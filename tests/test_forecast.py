@@ -236,9 +236,19 @@ def test_ridge_factors_the_gram_only_below_the_skip_bound(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     lags, targets = windows(rng.uniform(0.0, 50.0, size=120), 6, 3)
     # 112 rows of 6 standardized features: the bound is 2 * 112 * eps * 6 * 112 = 3.34e-11
-    for lam in (0.0, 3.3e-11, 3.4e-11, 1.0):
+    for lam in (0.0, 3.3e-11, 3.4e-11, 1.0, 1e200, 1e300, 1e308):
         ridge_fit(lags, targets, ridge_lambda=lam)
     assert calls == [(7, 7)] * 2
+
+
+@pytest.mark.parametrize("lam", [1e200, 1e300, 1e308])
+def test_ridge_at_a_huge_lambda_is_the_shrinkage_limit(rng, lam):
+    # the skip test never adds F * lambda, which overflowed past 1e308 / F and
+    # leaked a RuntimeWarning (an error under the test settings)
+    lags, targets = windows(rng.uniform(0.0, 50.0, size=120), 6, 3)
+    _, _, w = ridge_fit(lags, targets, ridge_lambda=lam)
+    assert np.all(np.abs(w[:-1]) < 1e-150)
+    np.testing.assert_allclose(w[-1], targets.mean(axis=0), rtol=1e-12)
 
 
 # --- ridge predict ------------------------------------------------------------------

@@ -30,6 +30,8 @@ from bundlecast.forecast import LEVELS
 from bundlecast.pipeline import WEIGHT_FLOOR_REL
 from bundlecast.synth import SynthConfig, synth_panel
 
+from conftest import assert_bits_equal
+
 TASK = ForecastTask(history_len=6, horizon=4, granularity_minutes=60)
 MODELS = {
     "persistence": ModelSpec("persistence"),
@@ -65,12 +67,6 @@ def run_in_memory(panel: AssetPanel, n_bundles: int, spec: ModelSpec, split_idx:
 def small_panel(n_assets: int, seed: int) -> AssetPanel:
     return synth_panel(SynthConfig(n_assets=n_assets, n_steps=240, granularity_minutes=60,
                                    seed=seed, n_regions=2, anticorrelated_pairs=n_assets // 4))
-
-
-def assert_bits_equal(got, expected):
-    got, expected = np.asarray(got), np.asarray(expected)
-    assert got.shape == expected.shape
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("k", ["1", "2", "N"])

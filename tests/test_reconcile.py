@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from bundlecast import (
     Bundling,
-    HierarchyForecast,
     build_reconciler,
     coherence_gap,
     estimate_weights,
@@ -16,19 +17,20 @@ from bundlecast import (
 from bundlecast.reconcile import write_diagnostics_csv
 from bundlecast.errors import ShapeMismatchError, ValueOutOfRangeError
 
-from conftest import random_bundling_labels, reconciler_gains
+from conftest import (
+    LABEL_KINDS,
+    assert_bits_equal,
+    forecast_of,
+    labels_of_kind,
+    random_bundling_labels,
+    reconciler_gains,
+    signed_zeros,
+)
+from oracles import reconcile_concatenate
 
 
 def unit_weights(horizon, n_rows):
     return np.ones((horizon, n_rows))
-
-
-def forecast_of(values, n_bundles, n_assets):
-    """Wrap an (M, R, T) array with synthetic origins."""
-    values = np.asarray(values, dtype=float)
-    origins = (np.datetime64("2019-01-08T00:00:00", "s")
-               + np.timedelta64(900, "s") * np.arange(values.shape[0]))
-    return HierarchyForecast(origins, values, n_bundles, n_assets)
 
 
 def random_instance(rng, n=None, k=None, horizon=None, n_origins=2):
@@ -211,6 +213,24 @@ def test_reconcile_matches_dense_normal_solve(rng):
 
 
 # --- reconciliation -------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+       kind=st.sampled_from(LABEL_KINDS),
+       horizon=st.integers(1, 6), n_origins=st.integers(1, 4))
+def test_reconcile_keeps_the_bits_of_the_concatenated_rows(seed, n, kind, horizon, n_origins):
+    """The one preallocated output holds the bits of the oracle that builds each
+    step as a new array and concatenates the asset rows below their sums,
+    whether the labels are grouped or not, with signed zeros in the forecasts."""
+    rng = np.random.default_rng(seed)
+    labels = labels_of_kind(rng, n, kind)
+    bundling = Bundling(labels, tuple(f"a{i}" for i in range(n)))
+    n_rows = 1 + bundling.n_bundles + n
+    values = signed_zeros(rng, rng.uniform(-100.0, 100.0, (n_origins, n_rows, horizon)), 0.3)
+    model = build_reconciler(bundling, rng.uniform(0.1, 10.0, (horizon, n_rows)))
+    fc = forecast_of(values, bundling.n_bundles, n)
+    assert_bits_equal(reconcile(model, fc).values, reconcile_concatenate(model, fc).values)
+
 
 def test_reconcile_hand_case():
     b = Bundling([0, 0], ("a", "b"))
