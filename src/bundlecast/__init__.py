@@ -39,10 +39,7 @@ from .forecast import (
 )
 from .metrics import (
     EvaluationReport,
-    energy_distance,
     evaluate,
-    nmae,
-    rmse,
     variogram_score,
 )
 from .reconcile import (
@@ -63,7 +60,7 @@ __all__ = [
     "ForecastTask", "HierarchyForecast", "ModelSpec", "RollingForecasts",
     "hierarchy_actuals", "hierarchy_capacities", "hierarchy_series",
     "ridge_fit", "rolling_forecast",
-    "EvaluationReport", "energy_distance", "evaluate", "nmae", "rmse", "variogram_score",
+    "EvaluationReport", "evaluate", "variogram_score",
     "ReconcilerModel", "build_reconciler", "coherence_gap", "estimate_weights", "reconcile",
     "summing_matrix",
     "SynthConfig", "synth_panel", "write_synth_csv",

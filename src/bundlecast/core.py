@@ -69,7 +69,11 @@ class AssetMeta:
 
 
 def parse_utc_timestamp(text: str) -> np.datetime64:
-    """Parse an ISO-8601 UTC instant like ``2019-01-08T00:00:00Z``."""
+    """Parse an ISO-8601 UTC instant like ``2019-01-08T00:00:00Z`` to the second.
+
+    A date alone is its midnight. ``NaT`` and a stamp with a fraction of a
+    second raise FormatError rather than read as no time or a truncated one.
+    """
     s = text.strip()
     if s.endswith("Z"):
         s = s[:-1]
@@ -78,9 +82,15 @@ def parse_utc_timestamp(text: str) -> np.datetime64:
     else:
         raise FormatError(f"timestamp {text!r} is not explicit UTC (expected trailing 'Z')")
     try:
-        return np.datetime64(s, "s")
+        parsed = np.datetime64(s)
     except ValueError as exc:
         raise FormatError(f"unparsable timestamp {text!r}") from exc
+    instant = parsed.astype("datetime64[s]")
+    if np.isnat(instant):
+        raise FormatError(f"unparsable timestamp {text!r}")
+    if instant != parsed:
+        raise FormatError(f"timestamp {text!r} is not a whole second")
+    return instant
 
 
 def format_utc_timestamp(ts: np.datetime64) -> str:
@@ -344,7 +354,10 @@ def _parse_rows(series_file, rows, series_ids: list[str]) -> tuple[np.ndarray, n
         if len(row) != n_cols:
             raise FormatError(
                 f"{series_file} row {ln}: expected {n_cols} fields, got {len(row)}")
-        timestamps.append(parse_utc_timestamp(row[0]))
+        try:
+            timestamps.append(parse_utc_timestamp(row[0]))
+        except FormatError as exc:
+            raise FormatError(f"{series_file} row {ln}: {exc}") from None
         try:
             cells = list(map(float, row[1:]))
         except ValueError:
@@ -446,36 +459,15 @@ def difference(values: np.ndarray) -> np.ndarray:
     return np.diff(np.asarray(values, dtype=np.float64), axis=1)
 
 
-def population_covariance(rows: np.ndarray) -> np.ndarray:
-    """Row-wise covariance dividing by the sample count (not count-1).
-
-    Returns a new symmetric (N, N) array; ``rows`` is left as it is.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    return _centred_covariance(rows - rows.mean(axis=1, keepdims=True))
-
-
-def _centred_covariance(centred: np.ndarray) -> np.ndarray:
-    """The symmetrized ``centred @ centred.T`` over the sample count, built in place.
-
-    The symmetrized entry is 0.5 * (sigma[i, j] + sigma[j, i]); numpy copies
-    the transposed operand of the in-place sum, since it overlaps the output.
-    """
-    sigma = centred @ centred.T
-    sigma /= centred.shape[1]
-    np.add(sigma, sigma.T, out=sigma)
-    sigma *= 0.5
-    return sigma
-
-
 def covariance(panel: AssetPanel, kind: Criterion | str) -> np.ndarray:
     """Build the criterion covariance matrix of a panel.
 
     Returns a read-only, symmetric PSD float64 (N, N) array in the panel's
     asset order. Requires T >= 3 (T >= 4 for ``imcy``, since differencing
-    drops one sample). The seasonally adjusted or differenced (N, T) rows
-    are a fresh array, so they are centred in place; the raw panel values
-    are centred into a copy, as :func:`population_covariance` does.
+    drops one sample). The (N, T) rows -- the panel values copied, seasonally
+    adjusted or differenced -- are a fresh array, centred in place; their
+    covariance divides by T and is symmetrized in place as 0.5 * (sigma +
+    sigma.T), for which numpy copies the transposed operand.
     """
     kind = Criterion(kind)
     min_steps = 4 if kind is Criterion.IMCY else 3
@@ -483,11 +475,12 @@ def covariance(panel: AssetPanel, kind: Criterion | str) -> np.ndarray:
         raise InsufficientDataError(
             f"{kind.value} covariance needs at least {min_steps} steps, panel has {panel.n_steps}"
         )
-    if kind is Criterion.VARIANCE:
-        sigma = population_covariance(panel.values)
-    else:
-        rows = (seasonal_adjust if kind is Criterion.SAVAR else difference)(panel.values)
-        rows -= rows.mean(axis=1, keepdims=True)
-        sigma = _centred_covariance(rows)
+    rows = {Criterion.VARIANCE: np.array, Criterion.SAVAR: seasonal_adjust,
+            Criterion.IMCY: difference}[kind](panel.values)
+    rows -= rows.mean(axis=1, keepdims=True)
+    sigma = rows @ rows.T
+    sigma /= rows.shape[1]
+    np.add(sigma, sigma.T, out=sigma)
+    sigma *= 0.5
     sigma.flags.writeable = False
     return sigma

@@ -1,7 +1,7 @@
 """Forecast verification metrics at the fleet, bundle, and asset levels.
 
-All metrics consume (M origins, N series, T leads) blocks of actual and
-forecast values:
+:func:`evaluate` scores each level's (M origins, N series, T leads) block of
+actual and forecast values:
 
 * NMAE -- mean absolute error normalized by series capacity, in percent;
 * RMSE -- root mean squared error, in MW;
@@ -10,6 +10,10 @@ forecast values:
   O(M N^2 T^2); it is computed for the one-series fleet level only;
 * ED   -- energy distance: twice the mean Frobenius norm of the per-origin
   error block, in MW.
+
+NMAE, RMSE and ED come from one error block per level: its absolute values
+give NMAE, and squaring them in place gives RMSE and ED, so scoring the
+asset level holds one (M, N, T) array.
 """
 
 from __future__ import annotations
@@ -32,26 +36,6 @@ def _blocks(actuals, forecasts) -> tuple[np.ndarray, np.ndarray]:
     return a, f
 
 
-def nmae(actuals, forecasts, capacities) -> float:
-    """Capacity-normalized mean absolute error, in percent."""
-    a, f = _blocks(actuals, forecasts)
-    caps = np.asarray(capacities, dtype=np.float64)
-    if caps.shape != (a.shape[1],):
-        raise ShapeMismatchError(f"{caps.shape} capacities for {a.shape[1]} series")
-    if np.any(caps <= 0.0):
-        raise ValueOutOfRangeError("capacities must be strictly positive")
-    m, n, t = a.shape
-    per_series_l1 = np.abs(a - f).sum(axis=2)  # (M, N)
-    return float((per_series_l1 / caps[None, :]).sum() / (m * n * t) * 100.0)
-
-
-def rmse(actuals, forecasts) -> float:
-    """Root mean squared error over all origins, series, and leads, in MW."""
-    a, f = _blocks(actuals, forecasts)
-    m, n, t = a.shape
-    return float(np.sqrt(np.square(a - f).sum() / (m * n * t)))
-
-
 def variogram_score(actuals, forecasts, p: float = 0.5) -> float:
     """Variogram score of order p over all series/lead pairs, per origin."""
     a, f = _blocks(actuals, forecasts)
@@ -66,14 +50,6 @@ def variogram_score(actuals, forecasts, p: float = 0.5) -> float:
         df = np.abs(vf[:, None] - vf[None, :]) ** p
         total += float(np.square(da - df).sum())
     return total / m
-
-
-def energy_distance(actuals, forecasts) -> float:
-    """Twice the mean Frobenius norm of the per-origin error block, in MW."""
-    a, f = _blocks(actuals, forecasts)
-    err = a - f
-    norms = np.sqrt(np.square(err).sum(axis=(1, 2)))
-    return float(2.0 * norms.sum() / a.shape[0])
 
 
 @dataclass(frozen=True)
@@ -92,8 +68,8 @@ def evaluate(actuals: HierarchyForecast, forecasts: HierarchyForecast,
     """Score a hierarchy forecast per level against realized values.
 
     ``capacities`` holds one capacity per hierarchy row (fleet, bundles,
-    assets), as ``hierarchy_capacities`` gives them. The variogram score is
-    computed at the fleet level only.
+    assets), as ``hierarchy_capacities`` gives them; each must be strictly
+    positive. The variogram score is computed at the fleet level only.
     """
     if actuals.values.shape != forecasts.values.shape:
         raise ShapeMismatchError(
@@ -107,22 +83,30 @@ def evaluate(actuals: HierarchyForecast, forecasts: HierarchyForecast,
     n_rows, k = actuals.values.shape[1], actuals.n_bundles
     if caps.shape != (n_rows,):
         raise ShapeMismatchError(f"{caps.shape} capacities for {n_rows} hierarchy rows")
+    if np.any(caps <= 0.0):
+        raise ValueOutOfRangeError("capacities must be strictly positive")
 
     blocks = {
         "fleet": (actuals.fleet, forecasts.fleet, caps[:1]),
         "bundle": (actuals.bundles, forecasts.bundles, caps[1:1 + k]),
         "asset": (actuals.assets, forecasts.assets, caps[1 + k:]),
     }
-    return {
-        level: EvaluationReport(
-            nmae=nmae(a, f, level_caps),
-            rmse=rmse(a, f),
-            ed=energy_distance(a, f),
-            vs=variogram_score(a, f) if level == "fleet" else None,
-            n_origins=actuals.n_origins,
-        )
-        for level, (a, f, level_caps) in blocks.items()
-    }
+    return {level: _score_level(a, f, level_caps, with_vs=level == "fleet")
+            for level, (a, f, level_caps) in blocks.items()}
+
+
+def _score_level(a: np.ndarray, f: np.ndarray, caps: np.ndarray,
+                 with_vs: bool) -> EvaluationReport:
+    """The scores of one level's (M, N, T) blocks, NMAE, RMSE and ED from one error block."""
+    m, n, t = a.shape
+    err = a - f
+    np.abs(err, out=err)
+    nmae = float((err.sum(axis=2) / caps[None, :]).sum() / (m * n * t) * 100.0)
+    np.square(err, out=err)  # |e|^2 has the bits of e^2
+    rmse = float(np.sqrt(err.sum() / (m * n * t)))
+    ed = float(2.0 * np.sqrt(err.sum(axis=(1, 2))).sum() / m)
+    return EvaluationReport(nmae=nmae, rmse=rmse, ed=ed,
+                            vs=variogram_score(a, f) if with_vs else None, n_origins=m)
 
 
 REPORT_HEADER = "level,metric,value,M,series_id"

@@ -23,20 +23,20 @@ realized values. For the no-bundling baseline (all assets in one bundle,
 copies the fleet and asset rows from the bundled pass and its one bundle row
 from its fleet row, so no series is fitted twice, and it copies the lines of
 those rows from the bundled raw file into its own; then ``run`` compares the
-two passes. With ``n_bundles = 1`` the baseline is the bundled pass, so
-``run`` copies the eight files instead. The forecast stage saves its test
-forecasts and residual moments twice: as CSVs to read, and as exact arrays
-(``forecasts_raw.npz``) that the reconcile stage loads, so the stage path
-reconciles the same bits as ``run``. When reconciliation changes no bit of
-the raw forecasts (persistence input is coherent), ``run``'s ``_reconcile``
-copies the raw forecast file it wrote from them. Bits, not values, decide:
-``-0.0`` equals ``0.0`` but is written as ``-0``. The ``reconcile`` command
-does not read the raw CSV, so it formats its output: a hand-edited raw CSV
-changes nothing it writes. A stage command loads its inputs from the run
-directory, then calls the same body. Each product file is written by one
-body inside ``_stage``, so a failure while computing or writing it is tagged
-with its stage whichever command runs it (the manifest counts as ingest,
-``sweep.csv`` as bundle).
+two passes. With ``n_bundles = 1`` the two passes have the same bundling, so
+the baseline pass fits nothing and writes the bundled pass's bytes. The
+forecast stage saves its test forecasts and residual moments twice: as CSVs
+to read, and as exact arrays (``forecasts_raw.npz``) that the reconcile
+stage loads, so the stage path reconciles the same bits as ``run``. When
+reconciliation changes no bit of the raw forecasts (persistence input is
+coherent), ``run``'s ``_reconcile`` copies the raw forecast file it wrote
+from them. Bits, not values, decide: ``-0.0`` equals ``0.0`` but is written
+as ``-0``. The ``reconcile`` command does not read the raw CSV, so it
+formats its output: a hand-edited raw CSV changes nothing it writes. A stage
+command loads its inputs from the run directory, then calls the same body.
+Each product file is written by one body inside ``_stage``, so a failure
+while computing or writing it is tagged with its stage whichever command
+runs it (the manifest counts as ingest, ``sweep.csv`` as bundle).
 """
 
 from __future__ import annotations
@@ -112,11 +112,9 @@ DIAGNOSTICS_FILE = "diagnostics.csv"
 COMPARISON_FILE = "comparison.csv"
 MANIFEST_FILE = "manifest.json"
 
-# the stage that writes each file of a pass, in the order ``run`` writes them
-_PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_TEST_FILE: "forecast",
-             MOMENTS_FILE: "forecast", FORECAST_ARRAYS_FILE: "forecast",
-             RECONCILED_FILE: "reconcile", DIAGNOSTICS_FILE: "reconcile",
-             REPORT_RAW_FILE: "forecast", REPORT_FILE: "evaluate"}
+# the stage that writes each file a stage command reads
+_PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_ARRAYS_FILE: "forecast",
+             RECONCILED_FILE: "reconcile"}
 
 
 class StageError(BundlecastError):
@@ -321,7 +319,7 @@ def run(config_path, out_dir=None) -> Path:
         panel = _stage("ingest", load_panel, config)
         bundling, _ = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
         passes = {"": bundling}
-        if config.baseline and config.n_bundles > 1:
+        if config.baseline:
             passes["baseline_"] = Bundling.single_bundle(panel.asset_ids)
         forecasts, reports = None, []
         for prefix, pass_bundling in passes.items():
@@ -341,10 +339,6 @@ def run(config_path, out_dir=None) -> Path:
                                   out / (prefix + REPORT_FILE)))
             del reconciled, truth  # the next pass holds neither
         if config.baseline:
-            if config.n_bundles == 1:  # the baseline pass is the bundled pass
-                for name, stage in _PRODUCER.items():
-                    _stage(stage, copyfile, out / name, out / ("baseline_" + name))
-                reports.append(reports[0])
             _stage("evaluate", _write_comparison, *reports, out / COMPARISON_FILE)
         _stage("ingest", write_manifest, config, out)
     return out

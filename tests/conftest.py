@@ -8,6 +8,7 @@ from bundlecast import (
     AssetPanel,
     HierarchyForecast,
     SynthConfig,
+    evaluate,
     reconcile,
     synth_panel,
 )
@@ -79,6 +80,23 @@ def forecast_of(values, n_bundles, n_assets):
     origins = (np.datetime64("2019-01-08T00:00:00", "s")
                + np.timedelta64(900, "s") * np.arange(values.shape[0]))
     return HierarchyForecast(origins, values, n_bundles, n_assets)
+
+
+def score_block(actuals, forecasts, capacities=None):
+    """``evaluate``'s scores of an (M, N, T) block: the asset level of a
+    one-bundle hierarchy whose fleet and bundle rows are the block's sums.
+
+    ``capacities`` are the N series' (all 1 if None); the totals' are their sum.
+    """
+    a, f = np.asarray(actuals, dtype=float), np.asarray(forecasts, dtype=float)
+    n = a.shape[1]
+    caps = np.ones(n) if capacities is None else np.asarray(capacities, dtype=float)
+
+    def hierarchy(block):
+        total = block.sum(axis=1, keepdims=True)
+        return forecast_of(np.concatenate([total, total, block], axis=1), 1, n)
+
+    return evaluate(hierarchy(a), hierarchy(f), np.concatenate([[caps.sum()] * 2, caps]))["asset"]
 
 
 def reconciler_gains(model):

@@ -13,6 +13,10 @@ The direct expressions -- :func:`aggregate_2n`, :func:`haversine_expression`,
 :func:`reconcile_concatenate` -- evaluate the same formulas as the package
 with a full-size array for each intermediate. The package builds the same
 values in place, so they are the bit-identity oracles for it.
+:func:`nmae_expression`, :func:`rmse_expression` and
+:func:`energy_distance_expression` each score one (M, N, T) block from its
+own error block, the bit-identity oracles for :func:`bundlecast.evaluate`,
+which scores each level from one.
 
 No command runs any of them, so they live with the tests.
 """
@@ -222,7 +226,8 @@ def haversine_expression(assets) -> np.ndarray:
 
 
 def population_covariance_expression(rows) -> np.ndarray:
-    """``population_covariance`` as one expression over fresh temporaries."""
+    """``covariance`` of the criterion's (N, T) rows as one expression over
+    fresh temporaries: the symmetrized row covariance dividing by T."""
     rows = np.asarray(rows, dtype=np.float64)
     centered = rows - rows.mean(axis=1, keepdims=True)
     sigma = centered @ centered.T / rows.shape[1]
@@ -250,3 +255,22 @@ def reconcile_concatenate(model, forecasts: HierarchyForecast) -> HierarchyForec
     coherent = np.concatenate([aggregate_2n(bundling, bottom, axis=1), bottom], axis=1)
     return HierarchyForecast(forecasts.origins, coherent, forecasts.n_bundles,
                              forecasts.n_assets)
+
+
+def nmae_expression(actuals, forecasts, capacities) -> float:
+    """Capacity-normalized mean absolute error of an (M, N, T) block, in percent."""
+    m, n, t = actuals.shape
+    per_series_l1 = np.abs(actuals - forecasts).sum(axis=2)  # (M, N)
+    return float((per_series_l1 / capacities[None, :]).sum() / (m * n * t) * 100.0)
+
+
+def rmse_expression(actuals, forecasts) -> float:
+    """Root mean squared error over all origins, series and leads of a block, in MW."""
+    m, n, t = actuals.shape
+    return float(np.sqrt(np.square(actuals - forecasts).sum() / (m * n * t)))
+
+
+def energy_distance_expression(actuals, forecasts) -> float:
+    """Twice the mean Frobenius norm of the per-origin error block, in MW."""
+    norms = np.sqrt(np.square(actuals - forecasts).sum(axis=(1, 2)))
+    return float(2.0 * norms.sum() / actuals.shape[0])

@@ -21,14 +21,11 @@ from bundlecast import (
     build_reconciler,
     coherence_gap,
     covariance,
-    energy_distance,
     greedy_merge,
     haversine_matrix,
     ingest_panel,
-    nmae,
     objective,
     reconcile,
-    rmse,
     seasonal_adjust,
     summing_matrix,
     variogram_score,
@@ -38,7 +35,7 @@ from bundlecast.cli import main
 from bundlecast.forecast import read_forecast_csv
 from bundlecast.synth import SynthConfig, synth_panel
 
-from conftest import make_panel, random_bundling_labels, random_panel, reconciler_gains
+from conftest import random_bundling_labels, random_panel, reconciler_gains, score_block
 from oracles import InfeasiblePartitionError, exact_partition
 
 
@@ -287,10 +284,10 @@ def test_metric_oracle_equivalence():
     failures = []
 
     hand = [
-        ("nmae", nmae(np.zeros((1, 1, 2)), np.array([[[1.0, 3.0]]]), [10.0]), 20.0),
-        ("rmse", rmse(np.zeros((1, 1, 4)), np.array([[[6.0, 0.0, 0.0, 0.0]]])), 3.0),
+        ("nmae", score_block(np.zeros((1, 1, 2)), np.array([[[1.0, 3.0]]]), [10.0]).nmae, 20.0),
+        ("rmse", score_block(np.zeros((1, 1, 4)), np.array([[[6.0, 0.0, 0.0, 0.0]]])).rmse, 3.0),
         ("vs", variogram_score(np.array([[[0.0, 4.0]]]), np.array([[[0.0, 1.0]]]), 0.5), 2.0),
-        ("ed", energy_distance(np.zeros((1, 1, 2)), np.array([[[3.0, 4.0]]])), 10.0),
+        ("ed", score_block(np.zeros((1, 1, 2)), np.array([[[3.0, 4.0]]])).ed, 10.0),
     ]
     for name, got, expect in hand:
         if got != pytest.approx(expect, rel=1e-12):
@@ -304,11 +301,12 @@ def test_metric_oracle_equivalence():
         a = rng.uniform(0, 100, size=(m, n, t))
         f = rng.uniform(0, 100, size=(m, n, t))
         caps = rng.uniform(10, 200, size=n)
+        report = score_block(a, f, caps)
         checks = [
-            ("nmae", nmae(a, f, caps), nmae_naive(a, f, caps)),
-            ("rmse", rmse(a, f), rmse_naive(a, f)),
+            ("nmae", report.nmae, nmae_naive(a, f, caps)),
+            ("rmse", report.rmse, rmse_naive(a, f)),
             ("vs", variogram_score(a, f, 0.5), vs_naive(a, f, 0.5)),
-            ("ed", energy_distance(a, f), ed_naive(a, f)),
+            ("ed", report.ed, ed_naive(a, f)),
         ]
         for name, fast, slow in checks:
             if abs(fast - slow) > 1e-9 * max(abs(slow), 1e-12):

@@ -165,6 +165,9 @@ def test_synth_config_missing_key(tmp_path):
     ({"baseline": "maybe"}, "baseline must be a boolean, got 'maybe'"),
     ({"train_start": "2019-13-01T00:00:00Z"},
      "train_start: unparsable timestamp '2019-13-01T00:00:00Z'"),
+    ({"test_end": "2019-01-15T13:45:00.5Z"},
+     "test_end: timestamp '2019-01-15T13:45:00.5Z' is not a whole second"),
+    ({"train_end": "NaTZ"}, "train_end: unparsable timestamp 'NaTZ'"),
     ({"diameters": "100, far"}, "diameters must be comma-separated numbers"),
     ({"n_bundles": "0"}, "n_bundles must be >= 1"),
     ({"diameter_km": "0"}, "diameter_km must be positive (or 'unbounded')"),
@@ -172,8 +175,8 @@ def test_synth_config_missing_key(tmp_path):
     # an empty list would make sweep write a header-only sweep.csv
     ({"diameters": ""}, "diameters must list at least one diameter"),
     ({"diameters": " , "}, "diameters must list at least one diameter"),
-], ids=["integer", "number", "boolean", "timestamp", "diameters", "n_bundles",
-        "diameter_km", "seed", "empty-diameters", "blank-diameters"])
+], ids=["integer", "number", "boolean", "timestamp", "sub-second", "nat", "diameters",
+        "n_bundles", "diameter_km", "seed", "empty-diameters", "blank-diameters"])
 def test_run_config_rejects_a_malformed_value(tmp_path, overrides, message):
     path = write_config(tmp_path / "run.cfg", overrides=overrides)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):

@@ -26,7 +26,6 @@ from bundlecast.core import (
     EARTH_RADIUS_KM,
     SERIES_BLOCK_ROWS,
     parse_utc_timestamp,
-    population_covariance,
     read_assets_csv,
     write_panel_csv,
 )
@@ -218,6 +217,24 @@ def test_ingest_names_the_bad_cell(tmp_path, cell, error, message):
         ingest_panel(assets, series)
 
 
+@pytest.mark.parametrize("stamps, line, message", [
+    pytest.param(["2019-01-08T00:00:00.5Z", "2019-01-08T00:15:00.5Z", "2019-01-08T00:30:00.9Z"],
+                 2, "timestamp '2019-01-08T00:00:00.5Z' is not a whole second", id="sub-second"),
+    pytest.param(["NaTZ"], 2, "unparsable timestamp 'NaTZ'", id="nat"),
+    pytest.param([None, "2019-13-01T00:15:00Z"], 3,
+                 "unparsable timestamp '2019-13-01T00:15:00Z'", id="bad-month"),
+])
+def test_ingest_names_the_bad_timestamp(tmp_path, stamps, line, message):
+    """A stamp that is not a whole UTC second is reported with its line, never
+    truncated into a grid or read as no time."""
+    rows = series_rows(6)
+    for row, stamp in zip(rows, stamps):
+        row[0] = stamp or row[0]
+    assets, series = write_inputs(tmp_path, rows)
+    with pytest.raises(FormatError, match=re.escape(f"{series} row {line}: {message}")):
+        ingest_panel(assets, series)
+
+
 def test_ingest_rejects_a_wrong_field_count(tmp_path):
     rows = series_rows(6)
     rows[3].append("1.5")
@@ -307,7 +324,10 @@ def _reference_ingest(assets_file, series_file):
             if len(row) != len(series_ids) + 1:
                 raise FormatError(f"{series_file} row {ln}: expected {len(series_ids) + 1} "
                                   f"fields, got {len(row)}")
-            timestamps.append(parse_utc_timestamp(row[0]))
+            try:
+                timestamps.append(parse_utc_timestamp(row[0]))
+            except FormatError as exc:
+                raise FormatError(f"{series_file} row {ln}: {exc}") from None
             cells = []
             for sid, cell in zip(series_ids, row[1:]):
                 try:
@@ -511,17 +531,18 @@ def test_haversine_keeps_the_bits_of_the_direct_expression(seed, n, spread):
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), t=st.integers(4, 80))
 def test_covariance_keeps_the_bits_of_the_direct_expression(seed, n, t):
     """Each criterion matrix, centred and symmetrized in place, is the
-    one-expression oracle's bit for bit; ``population_covariance`` gives the
-    same on a strided view with signed zeros and leaves it as it was."""
+    one-expression oracle's bit for bit, also on a strided view with signed
+    zeros, which it leaves as it was."""
     rng = np.random.default_rng(seed)
-    panel = random_panel(rng, n, t)
-    rows = {Criterion.VARIANCE: panel.values, Criterion.SAVAR: seasonal_adjust(panel.values),
-            Criterion.IMCY: difference(panel.values)}
-    for kind in Criterion:
-        assert_bits_equal(covariance(panel, kind), population_covariance_expression(rows[kind]))
-    strided = signed_zeros(rng, rng.standard_normal((n, 2 * t)), 0.3)[:, ::2]
+    strided = signed_zeros(rng, rng.uniform(0.0, 10.0, (n, 2 * t)), 0.3)[:, ::2]
     before = strided.copy()
-    assert_bits_equal(population_covariance(strided), population_covariance_expression(strided))
+    for values in (random_panel(rng, n, t).values, strided):
+        panel = make_panel(values)
+        rows = {Criterion.VARIANCE: values, Criterion.SAVAR: seasonal_adjust(values),
+                Criterion.IMCY: difference(values)}
+        for kind in Criterion:
+            assert_bits_equal(covariance(panel, kind),
+                              population_covariance_expression(rows[kind]))
     assert_bits_equal(strided, before)
 
 
@@ -630,5 +651,11 @@ def test_parse_utc_timestamp_variants():
     t = parse_utc_timestamp("2019-01-08T00:00:00Z")
     assert t == np.datetime64("2019-01-08T00:00:00", "s")
     assert parse_utc_timestamp("2019-01-08T00:00:00+00:00") == t
+    assert parse_utc_timestamp("2019-01-08Z") == t  # a date is its midnight
+    assert parse_utc_timestamp("2019-01-08T00:00:00.000Z") == t
     with pytest.raises(FormatError):
         parse_utc_timestamp("2019-01-08T00:00:00")
+    with pytest.raises(FormatError, match="is not a whole second"):
+        parse_utc_timestamp("2019-01-08T00:00:00.000000001Z")
+    with pytest.raises(FormatError, match="unparsable timestamp 'NaTZ'"):
+        parse_utc_timestamp("NaTZ")

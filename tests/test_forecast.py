@@ -826,6 +826,8 @@ MALFORMED_FORECAST_ROWS = [  # (origin, rest of the appended row, expected messa
         ("2019-01-08T00:00:00Z", "fleet,,1,abc", "not a number"),
         ("2019-01-08T00:00:00Z", "fleet,,1,1.5", "duplicate cell"),
         ("2019-13-13T00:00:00Z", "fleet,,1,1.5", "unparsable timestamp"),
+        ("2019-01-08T00:30:00.5Z", "fleet,,1,1.5", "is not a whole second"),
+        ("NaTZ", "fleet,,1,1.5", "unparsable timestamp 'NaTZ'"),
     ]
 ] + [
     # the first origin's instant spelled another way must not become a third origin

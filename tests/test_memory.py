@@ -3,8 +3,9 @@
 numpy reports each array buffer to ``tracemalloc``, so the traced peak of a
 call counts the temporaries it holds at once, whatever the allocator keeps
 resident. Each bound is a multiple of the result's bytes (of sigma's for
-``objective``, whose result is one float) and lies between the in-place code
-and the full-size expressions in ``tests/oracles.py``.
+``objective``, whose result is one float, and of the scored values for
+``evaluate``) and lies between the in-place code and the full-size
+expressions in ``tests/oracles.py``.
 """
 
 import tracemalloc
@@ -18,6 +19,7 @@ from bundlecast import (
     Criterion,
     build_reconciler,
     covariance,
+    evaluate,
     haversine_matrix,
     objective,
     reconcile,
@@ -95,3 +97,14 @@ def test_reconcile_fills_one_output(rng, grouped):
     forecasts = forecast_of(rng.uniform(0.0, 100.0, (16, n_rows, horizon)), K, N)
     reconciled, peak = traced_peak(reconcile, model, forecasts)
     assert peak < 3.0 * reconciled.values.nbytes
+
+
+def test_evaluate_scores_each_level_from_one_error_block(rng):
+    # fleet_n500's shape: the asset level's error block is 0.91 of the (M, R, T)
+    # values; an error block and its square per metric reached 1.82 times them
+    m, k, n, t = 24, 50, 500, 24
+    n_rows = 1 + k + n
+    actuals, forecasts = (forecast_of(rng.uniform(0.0, 100.0, (m, n_rows, t)), k, n)
+                          for _ in range(2))
+    _, peak = traced_peak(evaluate, actuals, forecasts, rng.uniform(1.0, 100.0, n_rows))
+    assert peak < 1.2 * actuals.values.nbytes

@@ -160,8 +160,8 @@ def test_cli_run_with_baseline_and_comparison(data_dir):
 
 
 def test_run_k1_baseline_fits_nothing_and_repeats_the_bundled_files(data_dir, monkeypatch):
-    """With one bundle the baseline pass is the bundled pass: it is not run, and
-    every ``baseline_`` file is its twin's bytes."""
+    """With one bundle the baseline pass has the bundled pass's bundling: it
+    fits nothing, and every ``baseline_`` file is its twin's bytes."""
     fits, fits_per_pass = [], []
 
     def counting_fit(*args, **kwargs):
@@ -178,8 +178,9 @@ def test_run_k1_baseline_fits_nothing_and_repeats_the_bundled_files(data_dir, mo
     monkeypatch.setattr("bundlecast.pipeline.rolling_forecast", counting_rolling)
     out = pipeline_run(write_run_config(data_dir, n_bundles=1, baseline="true", out="k1_base"))
     n_assets = ingest_panel(data_dir / "assets.csv", data_dir / "series.csv").n_assets
-    # the fleet and each asset once; the bundle row is the fleet series
-    assert fits_per_pass == [n_assets + 1]
+    # the fleet and each asset once; the bundle row is the fleet series, and the
+    # baseline pass reuses all three
+    assert fits_per_pass == [n_assets + 1, 0]
     twins = sorted(out.glob("baseline_*"))
     assert len(twins) == 8
     for twin in twins:
