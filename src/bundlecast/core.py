@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +38,10 @@ from .errors import (
 EARTH_RADIUS_KM = 6371.0
 
 ASSETS_HEADER = ("asset_id", "latitude_deg", "longitude_deg", "capacity_mw")
+
+# date, optional time and fraction, optional zone: see parse_utc_timestamp
+_UTC_STAMP = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2}(?:T[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?)?)(Z|\+00:00)?")
 
 SERIES_BLOCK_ROWS = 64  # data lines per np.loadtxt call; one call per file costs memory
 
@@ -71,26 +76,26 @@ class AssetMeta:
 def parse_utc_timestamp(text: str) -> np.datetime64:
     """Parse an ISO-8601 UTC instant like ``2019-01-08T00:00:00Z`` to the second.
 
-    A date alone is its midnight. ``NaT`` and a stamp with a fraction of a
-    second raise FormatError rather than read as no time or a truncated one.
+    The one grammar, around optional whitespace, is ``YYYY-MM-DD`` or that date
+    plus ``THH:MM:SS`` with an optional all-zero fraction, then ``Z`` or
+    ``+00:00``; a date alone is its midnight. Any other text raises
+    FormatError: no zone is not explicit UTC, a nonzero fraction is not a
+    whole second, and everything else (``nowZ``, ``NaTZ``, another offset, a
+    month 13) is unparsable, so no stamp reads as the wall clock, as no time
+    or as a shifted instant.
     """
-    s = text.strip()
-    if s.endswith("Z"):
-        s = s[:-1]
-    elif s.endswith("+00:00"):
-        s = s[:-6]
-    else:
+    match = _UTC_STAMP.fullmatch(text.strip())
+    if match is None:
+        raise FormatError(f"unparsable timestamp {text!r}")
+    stamp, fraction, zone = match.groups()
+    if zone is None:
         raise FormatError(f"timestamp {text!r} is not explicit UTC (expected trailing 'Z')")
-    try:
-        parsed = np.datetime64(s)
+    if fraction and fraction.strip(".0"):
+        raise FormatError(f"timestamp {text!r} is not a whole second")
+    try:  # numpy reads a fraction of more than 18 digits as a time zone, so it gets none
+        return np.datetime64(stamp[:19], "s")
     except ValueError as exc:
         raise FormatError(f"unparsable timestamp {text!r}") from exc
-    instant = parsed.astype("datetime64[s]")
-    if np.isnat(instant):
-        raise FormatError(f"unparsable timestamp {text!r}")
-    if instant != parsed:
-        raise FormatError(f"timestamp {text!r} is not a whole second")
-    return instant
 
 
 def format_utc_timestamp(ts: np.datetime64) -> str:

@@ -32,10 +32,11 @@ in one canonical order: origins strictly ascending; within an origin the
 fleet, bundles 0..K-1, then the assets in panel order; within a row leads
 1..T. They are written row by row: a row of one value is formatted once,
 any other by one ``%`` into a template of its T values. The reader streams
-the file one origin block at a time and rejects any other order with
-``path:line``. The same test forecasts and the residual moments are also
-saved with their exact bits as one array archive, which is what the
-reconcile stage reads.
+the file one origin block at a time and makes one check per line: that it is
+the line the writer puts there followed by a finite value. The first line
+that is not is rejected with ``path:line`` and the line it expected. The
+same test forecasts and the residual moments are also saved with their
+exact bits as one array archive, which is what the reconcile stage reads.
 """
 
 from __future__ import annotations
@@ -415,11 +416,6 @@ def _row_keys(n_bundles: int, asset_ids: tuple) -> list[tuple[str, str]]:
             + [("asset", a) for a in asset_ids])
 
 
-def _line_suffixes(keys, horizon: int) -> list[str]:
-    """The ``,level,series_id,lead,`` text of one origin's lines, in the canonical order."""
-    return [f",{level},{sid},{tau}," for level, sid in keys for tau in range(1, horizon + 1)]
-
-
 def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
     """Write `origin,level,series_id,lead,value` lines (12 significant digits).
 
@@ -508,14 +504,17 @@ def _splice_forecast_csv(forecast: HierarchyForecast, asset_ids, path,
 def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
     """Read the forecast CSV that :func:`write_forecast_csv` writes.
 
-    The lines must follow the writer's canonical order: origins strictly
-    ascending; within an origin the fleet, bundles 0..K-1, then the assets
-    in ``asset_ids`` order; within a row leads 1..T, where T is the number
-    of fleet lines the first origin opens with. The file is read one origin
-    block of (1 + K + N) * T lines at a time. A line out of that order, a
-    malformed or duplicate line, and a file that ends inside a block raise
-    FormatError naming ``path:line``. CR-LF line endings read like LF, and
-    blank lines may follow the last block but stand nowhere else.
+    The file is read one origin block of (1 + K + N) * T lines at a time,
+    where T is the number of fleet lines the first origin opens with. A
+    block's origin is the text before the first comma of its first line; it
+    must parse as a UTC stamp and come after the previous block's origin.
+    Then each line of the block must be the one line the writer puts there,
+    the origin and the ``,level,series_id,lead,`` of the canonical order
+    (the fleet, bundles 0..K-1, then the assets in ``asset_ids`` order,
+    each with leads 1..T), followed by a finite value. The first line that
+    is not, and a file that ends inside a block, raise FormatError naming
+    ``path:line``. CR-LF line endings read like LF, and blank lines may
+    follow the last block but stand nowhere else.
     """
     asset_ids = tuple(asset_ids)
     keys = _row_keys(n_bundles, asset_ids)
@@ -529,25 +528,37 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
             head.append(fh.readline())
         horizon = max(len(head) - 1, 1)  # without fleet lead 1 on line 2, line 2 is rejected
         lines = chain(filter(None, head), fh)  # readline() returns "" only at the end
-        suffixes = _line_suffixes(keys, horizon)
+        suffixes = [f",{level},{sid},{tau}," for level, sid in keys
+                    for tau in range(1, horizon + 1)]
         size = len(suffixes)
         instants, blocks = [], []
         while block := list(islice(lines, size)):
+            ln = 2 + len(instants) * size  # the block's first line
             stamp = block[0].partition(",")[0]
-            prefixes = [stamp + suffix for suffix in suffixes]
             try:
                 instant = parse_utc_timestamp(stamp)
-                ordered = ((not instants or instant > instants[-1]) and len(block) == size
-                           and all(map(str.startswith, block, prefixes)))
-                values = (np.fromiter(map(float, map(str.removeprefix, block, prefixes)),
-                                      np.float64, size) if ordered else None)
-            except (FormatError, ValueError):
-                values = None
-            if values is None or not np.isfinite(values).all():
+            except FormatError as exc:
                 if not any(map(str.strip, block)) and not any(map(str.strip, lines)):
                     break  # only blank lines follow the last block
-                raise _block_fault(path, 2 + len(instants) * size, block, keys, suffixes,
-                                   instants)
+                raise FormatError(f"{path}:{ln}: {exc}") from exc
+            if instants and instant <= instants[-1]:
+                raise FormatError(f"{path}:{ln}: origin {stamp} is not after the previous "
+                                  f"origin {format_utc_timestamp(instants[-1])}")
+            prefixes = [stamp + suffix for suffix in suffixes]
+            try:
+                values = (np.fromiter(map(float, map(str.removeprefix, block, prefixes)),
+                                      np.float64, size)
+                          if all(map(str.startswith, block, prefixes)) else None)
+            except ValueError:  # a value that is not a number, or a short block
+                values = None
+            if values is None or not np.isfinite(values).all():
+                for i, (line, prefix) in enumerate(zip(block, prefixes)):
+                    if not _is_line(line, prefix):
+                        raise FormatError(f"{path}:{ln + i}: expected {prefix!r} and a finite "
+                                          f"value, got {line.rstrip()!r}")
+                raise FormatError(
+                    f"{path}:{ln + len(block)}: the file ends inside the block of origin "
+                    f"{stamp}, after {len(block)} of its {size} lines")
             instants.append(instant)
             blocks.append(values)
 
@@ -558,77 +569,12 @@ def read_forecast_csv(path, asset_ids, n_bundles: int) -> HierarchyForecast:
                              n_bundles, len(asset_ids))
 
 
-def _block_fault(path, first_ln: int, block: list[str], keys, suffixes: list[str],
-                 instants: list) -> FormatError:
-    """The error for the first line of ``block`` that is malformed or out of order.
-
-    ``block`` starts at line ``first_ln`` and ``instants`` holds the origins
-    of the blocks before it. The first line that does not continue the
-    canonical order gets the per-field checks (field count, known series,
-    integer lead of at least 1, finite value, parsable origin); a line that
-    passes them is a duplicate if its cell was read already, else out of
-    order. If every line continues the order, the file ends inside the block.
-    """
-    stamp = block[0].partition(",")[0]
+def _is_line(line: str, prefix: str) -> bool:
+    """Whether ``line`` is ``prefix`` followed by a finite value."""
     try:
-        start = parse_utc_timestamp(stamp)
-    except FormatError:
-        start = None
-    for i, line in enumerate(block):
-        if i == 0 and (start is None or instants and start <= instants[-1]):
-            break
-        prefix = stamp + suffixes[i]
-        if not line.startswith(prefix):
-            break
-        try:
-            if not math.isfinite(float(line.removeprefix(prefix))):
-                break
-        except ValueError:
-            break
-    else:
-        return FormatError(
-            f"{path}:{first_ln + len(block)}: the file ends inside the block of origin "
-            f"{stamp}, after {len(block)} of its {len(suffixes)} lines")
-
-    ln = first_ln + i
-    fields = line.strip().split(",")
-    if len(fields) != 5:
-        return FormatError(f"{path}:{ln}: expected 5 fields, got {len(fields)}")
-    origin, level, sid, lead_text, value_text = fields
-    if (level, sid) not in keys:
-        return FormatError(f"{path}:{ln}: unknown series {(level, sid)}")
-    try:
-        lead = int(lead_text)
+        return line.startswith(prefix) and math.isfinite(float(line.removeprefix(prefix)))
     except ValueError:
-        return FormatError(f"{path}:{ln}: lead {lead_text!r} is not an integer")
-    if lead < 1:
-        return FormatError(f"{path}:{ln}: lead {lead} is below 1")
-    try:
-        value = float(value_text)
-    except ValueError:
-        return FormatError(f"{path}:{ln}: value {value_text!r} is not a number")
-    if not math.isfinite(value):
-        return FormatError(f"{path}:{ln}: value {value_text!r} is not finite")
-    try:
-        instant = parse_utc_timestamp(origin)
-    except FormatError as exc:
-        return FormatError(f"{path}:{ln}: {exc}")
-
-    horizon = len(suffixes) // len(keys)
-    cell = keys.index((level, sid)) * horizon + lead - 1
-    if lead <= horizon and (instant in instants or i > 0 and instant == start and cell < i):
-        return FormatError(f"{path}:{ln}: duplicate cell for origin {origin}, {level} "
-                           f"{sid!r}, lead {lead}")
-    if i > 0:
-        expected = repr(stamp + suffixes[i])
-    elif instants:
-        expected = f"an origin after {format_utc_timestamp(instants[-1])}, then {suffixes[0]!r}"
-    else:
-        expected = f"an origin, then {suffixes[0]!r}"
-    return FormatError(
-        f"{path}:{ln}: line out of order: expected {expected}, got {line.strip()!r} "
-        f"(origins ascend; each lists the fleet, bundles and assets in order, "
-        f"each with leads 1..{horizon})")
+        return False
 
 
 MOMENTS_HEADER = "lead,row,second_moment"

@@ -175,8 +175,14 @@ def test_synth_config_missing_key(tmp_path):
     # an empty list would make sweep write a header-only sweep.csv
     ({"diameters": ""}, "diameters must list at least one diameter"),
     ({"diameters": " , "}, "diameters must list at least one diameter"),
+    # no word numpy reads as the wall clock, no digits it reads as a year, no offset
+    ({"test_end": "nowZ"}, "test_end: unparsable timestamp 'nowZ'"),
+    ({"train_end": "20190108Z"}, "train_end: unparsable timestamp '20190108Z'"),
+    ({"train_start": "2019-01-01T00:00:00+01:00Z"},
+     "train_start: unparsable timestamp '2019-01-01T00:00:00+01:00Z'"),
 ], ids=["integer", "number", "boolean", "timestamp", "sub-second", "nat", "diameters",
-        "n_bundles", "diameter_km", "seed", "empty-diameters", "blank-diameters"])
+        "n_bundles", "diameter_km", "seed", "empty-diameters", "blank-diameters", "now",
+        "basic-date", "offset-then-z"])
 def test_run_config_rejects_a_malformed_value(tmp_path, overrides, message):
     path = write_config(tmp_path / "run.cfg", overrides=overrides)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):

@@ -223,6 +223,11 @@ def test_ingest_names_the_bad_cell(tmp_path, cell, error, message):
     pytest.param(["NaTZ"], 2, "unparsable timestamp 'NaTZ'", id="nat"),
     pytest.param([None, "2019-13-01T00:15:00Z"], 3,
                  "unparsable timestamp '2019-13-01T00:15:00Z'", id="bad-month"),
+    pytest.param(["nowZ"], 2, "unparsable timestamp 'nowZ'", id="now"),
+    pytest.param(["20190108Z"], 2, "unparsable timestamp '20190108Z'", id="basic-date"),
+    # numpy would shift this stamp by an hour and warn; the suite turns warnings into errors
+    pytest.param(["2019-01-08T00:00:00+01:00Z"], 2,
+                 "unparsable timestamp '2019-01-08T00:00:00+01:00Z'", id="offset-then-z"),
 ])
 def test_ingest_names_the_bad_timestamp(tmp_path, stamps, line, message):
     """A stamp that is not a whole UTC second is reported with its line, never
@@ -659,3 +664,21 @@ def test_parse_utc_timestamp_variants():
         parse_utc_timestamp("2019-01-08T00:00:00.000000001Z")
     with pytest.raises(FormatError, match="unparsable timestamp 'NaTZ'"):
         parse_utc_timestamp("NaTZ")
+
+
+@pytest.mark.parametrize("text", [
+    "nowZ", "todayZ", "20190108Z", "2019-01-08T00:00:00+01:00Z", "2019-01-08T00:00Z",
+    "2019-01-08T00Z", "2019-01-08T00:00:00+01:00", "2019-01-08.000Z", "2019-02-30Z",
+    "2019-01-08T24:00:00Z", "2019-01-08 00:00:00Z", "+2019-01-08Z", "\u0662019-01-08Z", "",
+])
+def test_parse_utc_timestamp_takes_one_grammar(text):
+    """Only a date, or a date and a whole-second time, then ``Z`` or ``+00:00``:
+    never the wall clock, a year of eight digits or an instant shifted by an offset."""
+    with pytest.raises(FormatError, match=re.escape(f"unparsable timestamp {text!r}")):
+        parse_utc_timestamp(text)
+
+
+def test_parse_utc_timestamp_takes_any_run_of_zeros_as_a_whole_second():
+    """numpy reads a fraction of more than 18 digits as a time zone; it never sees one."""
+    assert (parse_utc_timestamp("2019-01-08T00:00:00." + "0" * 30 + "Z")
+            == np.datetime64("2019-01-08T00:00:00", "s"))

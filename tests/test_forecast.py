@@ -1,5 +1,7 @@
 """Persistence, direct multi-horizon ridge, and the rolling harness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from bundlecast import (
     rolling_forecast,
 )
 from bundlecast import forecast as forecast_module
-from bundlecast.core import format_utc_timestamp
+from bundlecast.core import format_utc_timestamp, parse_utc_timestamp
 from bundlecast.forecast import (
     FLOAT_FORMAT,
     RollingForecasts,
@@ -818,24 +820,45 @@ def test_write_forecast_csv_rejects_origins_out_of_order(tmp_path):
                            tmp_path / "forecast.csv")
 
 
-MALFORMED_FORECAST_ROWS = [  # (origin, rest of the appended row, expected message)
-    pytest.param(origin, row, message, id=f"{row}-{message}") for origin, row, message in [
-        ("2019-01-08T00:00:00Z", "fleet,,1", "expected 5 fields"),
-        ("2019-01-08T00:00:00Z", "fleet,,x,1.5", "not an integer"),
-        ("2019-01-08T00:00:00Z", "fleet,,0,1.5", "below 1"),  # lead 0 would overwrite the last
-        ("2019-01-08T00:00:00Z", "fleet,,1,abc", "not a number"),
-        ("2019-01-08T00:00:00Z", "fleet,,1,1.5", "duplicate cell"),
-        ("2019-13-13T00:00:00Z", "fleet,,1,1.5", "unparsable timestamp"),
-        ("2019-01-08T00:30:00.5Z", "fleet,,1,1.5", "is not a whole second"),
-        ("NaTZ", "fleet,,1,1.5", "unparsable timestamp 'NaTZ'"),
+NOT_AFTER_00_15 = "is not after the previous origin 2019-01-08T00:15:00Z"
+EXPECTED_00_30 = "expected '2019-01-08T00:30:00Z,fleet,,1,' and a finite value, got "
+MALFORMED_FORECAST_ROWS = [  # (id, origin, rest of the appended row, expected message)
+    pytest.param(origin, row, message, id=id_) for id_, origin, row, message in [
+        # a third origin that opens with a malformed fleet line
+        ("fleet,,1-expected 5 fields", "2019-01-08T00:30:00Z", "fleet,,1",
+         f"{EXPECTED_00_30}'2019-01-08T00:30:00Z,fleet,,1'"),
+        ("fleet,,x,1.5-not an integer", "2019-01-08T00:30:00Z", "fleet,,x,1.5",
+         f"{EXPECTED_00_30}'2019-01-08T00:30:00Z,fleet,,x,1.5'"),
+        ("fleet,,0,1.5-below 1", "2019-01-08T00:30:00Z", "fleet,,0,1.5",
+         f"{EXPECTED_00_30}'2019-01-08T00:30:00Z,fleet,,0,1.5'"),
+        ("fleet,,1,abc-not a number", "2019-01-08T00:30:00Z", "fleet,,1,abc",
+         f"{EXPECTED_00_30}'2019-01-08T00:30:00Z,fleet,,1,abc'"),
+        ("nan", "2019-01-08T00:30:00Z", "fleet,,1,nan",
+         f"{EXPECTED_00_30}'2019-01-08T00:30:00Z,fleet,,1,nan'"),
+        ("inf", "2019-01-08T00:30:00Z", "fleet,,1,-inf",
+         f"{EXPECTED_00_30}'2019-01-08T00:30:00Z,fleet,,1,-inf'"),
+        # the first origin again, a duplicate of its first cell
+        ("fleet,,1,1.5-duplicate cell", "2019-01-08T00:00:00Z", "fleet,,1,1.5",
+         f"origin 2019-01-08T00:00:00Z {NOT_AFTER_00_15}"),
+        # the previous origin's instant spelled another way is not a later origin
+        ("repeated-origin", "2019-01-08T00:15:00+00:00", "fleet,,1,1.5",
+         f"origin 2019-01-08T00:15:00+00:00 {NOT_AFTER_00_15}"),
+        # the first origin's instant spelled another way must not become a third origin
+        ("utc-offset-duplicate cell", "2019-01-08T00:00:00+00:00", "fleet,,1,1.5",
+         f"origin 2019-01-08T00:00:00+00:00 {NOT_AFTER_00_15}"),
+        ("fleet,,1,1.5-unparsable timestamp", "2019-13-13T00:00:00Z", "fleet,,1,1.5",
+         "unparsable timestamp '2019-13-13T00:00:00Z'"),
+        ("fleet,,1,1.5-is not a whole second", "2019-01-08T00:30:00.5Z", "fleet,,1,1.5",
+         "timestamp '2019-01-08T00:30:00.5Z' is not a whole second"),
+        ("fleet,,1,1.5-unparsable timestamp 'NaTZ'", "NaTZ", "fleet,,1,1.5",
+         "unparsable timestamp 'NaTZ'"),
+        # no word numpy reads as the wall clock, no digits it reads as a year, no
+        # offset it shifts the instant by
+        ("now", "nowZ", "fleet,,1,1.5", "unparsable timestamp 'nowZ'"),
+        ("basic-date", "20190108Z", "fleet,,1,1.5", "unparsable timestamp '20190108Z'"),
+        ("offset-then-z", "2019-01-08T00:30:00+01:00Z", "fleet,,1,1.5",
+         "unparsable timestamp '2019-01-08T00:30:00+01:00Z'"),
     ]
-] + [
-    # the first origin's instant spelled another way must not become a third origin
-    pytest.param("2019-01-08T00:00:00+00:00", "fleet,,1,1.5", "duplicate cell",
-                 id="utc-offset-duplicate cell"),
-    pytest.param("2019-01-08T00:30:00Z", "fleet,,1,nan", "value 'nan' is not finite", id="nan"),
-    pytest.param("2019-01-08T00:30:00Z", "fleet,,1,-inf", "value '-inf' is not finite",
-                 id="inf"),
 ]
 
 
@@ -847,9 +870,10 @@ def test_read_forecast_csv_rejects_malformed_rows(tmp_path, origin, row, message
     write_forecast_csv(forecast, ("a0",), path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(f"{origin},{row}\n")
-    with pytest.raises(FormatError, match=message) as info:
+    with pytest.raises(FormatError) as info:
         read_forecast_csv(path, ("a0",), 1)
-    assert f"{path}:14:" in str(info.value)  # header + 2 origins x 3 rows x 2 leads
+    # header + 2 origins x 3 rows x 2 leads
+    assert str(info.value) == f"{path}:14: {message}"
 
 
 def _swap(lines, i, j):
@@ -864,18 +888,28 @@ def _duplicate(lines, i):
 
 # lines[0] is the header, so lines[i] is file line i + 1; each origin block is 6 lines
 DISORDERED_FORECAST_LINES = [  # (edit of the writer's lines, where, message)
-    pytest.param(lambda lines: _swap(lines, 3, 4), ":4:", "line out of order", id="swapped-leads"),
-    pytest.param(lambda lines: _swap(lines, 1, 2), ":2:", "line out of order", id="swapped-fleet"),
+    pytest.param(lambda lines: _swap(lines, 3, 4), ":4:",
+                 "expected '2019-01-08T00:00:00Z,bundle,0,1,' and a finite value, "
+                 "got '2019-01-08T00:00:00Z,bundle,0,2,3'", id="swapped-leads"),
+    # fleet lead 1 does not open the file, so T is read as 1
+    pytest.param(lambda lines: _swap(lines, 1, 2), ":2:",
+                 "expected '2019-01-08T00:00:00Z,fleet,,1,' and a finite value, "
+                 "got '2019-01-08T00:00:00Z,fleet,,2,1'", id="swapped-fleet"),
     pytest.param(lambda lines: lines[:1] + lines[7:] + lines[1:7], ":8:",
-                 "out of order: expected an origin after 2019-01-08T00:15:00Z",
-                 id="descending-origins"),
-    pytest.param(lambda lines: lines[:-1], ":13:", "ends inside the block of origin "
+                 "origin 2019-01-08T00:00:00Z is not after the previous origin "
+                 "2019-01-08T00:15:00Z", id="descending-origins"),
+    pytest.param(lambda lines: lines[:-1], ":13:", "the file ends inside the block of origin "
                  "2019-01-08T00:15:00Z, after 5 of its 6 lines", id="truncated-block"),
-    pytest.param(lambda lines: _duplicate(lines, 3), ":5:", "duplicate cell",
-                 id="duplicate-in-block"),
-    pytest.param(lambda lines: lines[:4] + ["\n"] + lines[4:], ":5:", "expected 5 fields, got 1",
+    pytest.param(lambda lines: _duplicate(lines, 3), ":5:",
+                 "expected '2019-01-08T00:00:00Z,bundle,0,2,' and a finite value, "
+                 "got '2019-01-08T00:00:00Z,bundle,0,1,2'", id="duplicate-in-block"),
+    pytest.param(lambda lines: lines[:4] + ["\n"] + lines[4:], ":5:",
+                 "expected '2019-01-08T00:00:00Z,bundle,0,2,' and a finite value, got ''",
                  id="blank-line-inside"),
-    pytest.param(lambda lines: lines[:1], ": ", "no forecast rows", id="header-only"),
+    pytest.param(lambda lines: lines[:1], ":", "no forecast rows", id="header-only"),
+    pytest.param(lambda lines: lines[:9] + [lines[9].replace(",8\n", ",1e999\n")] + lines[10:],
+                 ":10:", "expected '2019-01-08T00:15:00Z,bundle,0,1,' and a finite value, "
+                 "got '2019-01-08T00:15:00Z,bundle,0,1,1e999'", id="infinite-in-block"),
 ]
 
 
@@ -886,9 +920,9 @@ def test_read_forecast_csv_rejects_lines_out_of_order(tmp_path, edit, where, mes
     write_forecast_csv(HierarchyForecast(origins, np.arange(12.0).reshape(2, 3, 2), 1, 1),
                        ("a0",), path)
     path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
-    with pytest.raises(FormatError, match=message) as info:
+    with pytest.raises(FormatError) as info:
         read_forecast_csv(path, ("a0",), 1)
-    assert str(info.value).startswith(f"{path}{where}")
+    assert str(info.value) == f"{path}{where} {message}"
 
 
 def test_read_forecast_csv_takes_crlf_endings_and_trailing_blank_lines(tmp_path):
@@ -900,6 +934,124 @@ def test_read_forecast_csv_takes_crlf_endings_and_trailing_blank_lines(tmp_path)
     back = read_forecast_csv(path, ("a0",), 1)
     np.testing.assert_array_equal(back.origins, forecast.origins)
     np.testing.assert_array_equal(back.values, forecast.values)
+
+
+EDIT_KINDS = ("replace", "insert", "drop", "swap", "delete", "duplicate", "blank", "none")
+EDIT_TOKENS = {  # field -> tokens an edit puts in or next to it
+    0: ("2019-01-08T00:00:00Z", "2019-01-08T00:00:00+00:00", "2019-01-08T00:15:00Z",
+        "2019-01-08T00:30:00Z", "NaTZ", "nowZ", "2019-01-08T00:00Z", ""),
+    4: ("nan", "inf", "-inf", "1e999", "-0", " 2 ", "1.5", "x", ""),
+}
+FIELD_TOKENS = ("fleet", "bundle", "asset", "w0", "0", "1", "3", "-1", "x", "")
+
+
+def edited_lines(lines, kind, i, j, field, token):
+    """``lines`` with one edit of ``kind`` at ``lines[i]``: ``lines[j]`` is the other
+    line of a swap, and ``token`` goes into, in place of or next to ``field``."""
+    lines = list(lines)
+    if kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "blank":
+        lines.insert(i + 1, "\n")
+    elif kind != "none":
+        fields = lines[i].rstrip("\n").split(",")
+        if kind == "replace":
+            fields[field] = token
+        elif kind == "drop":
+            del fields[field]
+        else:
+            fields.insert(field, token)
+        lines[i] = ",".join(fields) + "\n"
+    return lines
+
+
+def cell_by_cell(lines, asset_ids, n_bundles):
+    """What the reader must make of ``lines``, parsed one cell at a time.
+
+    T is the number of fleet lines, with leads 1, 2, ..., that the first origin
+    opens with, and each origin takes the next (1 + K + N) * T lines. Returns
+    (origins, values) if every line is its origin, its canonical
+    ``,level,series_id,lead,`` and a finite value, with origins that parse
+    and ascend; else the number of the first line that is not, or of the line
+    after a block that the file ends inside (0: no line at all)."""
+    body = lines[1:]
+    while body and not body[-1].strip():
+        body.pop()  # blank lines may follow the last block
+    if not body:
+        return 0
+    stamp = body[0].partition(",")[0]
+    horizon = 0
+    while horizon < len(body) and body[horizon].startswith(f"{stamp},fleet,,{horizon + 1},"):
+        horizon += 1
+    horizon = max(horizon, 1)
+    keys = ([("fleet", "")] + [("bundle", str(k)) for k in range(n_bundles)]
+            + [("asset", a) for a in asset_ids])
+    suffixes = [f",{level},{sid},{tau}," for level, sid in keys for tau in range(1, horizon + 1)]
+    origins, values = [], []
+    for first in range(0, len(body), len(suffixes)):
+        block = body[first:first + len(suffixes)]
+        ln = 2 + first
+        stamp = block[0].partition(",")[0]
+        try:
+            origin = parse_utc_timestamp(stamp)
+        except FormatError:
+            return ln
+        if origins and origin <= origins[-1]:
+            return ln
+        for i, (line, suffix) in enumerate(zip(block, suffixes)):
+            if not line.startswith(stamp + suffix):
+                return ln + i
+            try:
+                value = float(line[len(stamp + suffix):])
+            except ValueError:
+                return ln + i
+            if not math.isfinite(value):
+                return ln + i
+            values.append(value)
+        if len(block) < len(suffixes):
+            return ln + len(block)
+        origins.append(origin)
+    return (np.array(origins, dtype="datetime64[s]"),
+            np.array(values).reshape(len(origins), len(keys), horizon))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_read_forecast_csv_reads_or_rejects_like_a_cell_by_cell_parse(tmp_path_factory, data):
+    """After one edit of one line of a written file, the reader returns the
+    values of a cell-by-cell parse, or raises FormatError at the line where that
+    parse stops: the first line that is not the writer's line, or the end of a
+    block the file ends inside."""
+    n_origins, k, n, horizon = (data.draw(st.integers(lo, 3)) for lo in (2, 1, 1, 2))
+    values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).choice(
+        [0.0, -0.0, 1 / 3, 2.5, 1e-7, 123456.75], (n_origins, 1 + k + n, horizon))
+    origins = (np.datetime64("2019-01-08T00:00:00", "s")
+               + np.timedelta64(900, "s") * np.arange(n_origins))
+    asset_ids = tuple(f"w{j}" for j in range(n))
+    path = tmp_path_factory.getbasetemp() / "edited_forecast.csv"
+    write_forecast_csv(HierarchyForecast(origins, values, k, n), asset_ids, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # a block's first line, where the origin is read, and the last line, where the
+    # file ends, are drawn as often as any other line
+    ends = st.sampled_from(list(range(1, len(lines), (1 + k + n) * horizon)) + [len(lines) - 1])
+    i, j = (data.draw(st.one_of(ends, st.integers(1, len(lines) - 1))) for _ in range(2))
+    field = data.draw(st.one_of(st.just(0), st.just(4), st.integers(0, 4)))  # origin, value
+    lines = edited_lines(lines, data.draw(st.sampled_from(EDIT_KINDS)), i, j, field,
+                         data.draw(st.sampled_from(EDIT_TOKENS.get(field, FIELD_TOKENS))))
+    path.write_text("".join(lines), encoding="utf-8")
+    expected = cell_by_cell(lines, asset_ids, k)
+    if isinstance(expected, tuple):
+        back = read_forecast_csv(path, asset_ids, k)
+        assert back.origins.tobytes() == expected[0].tobytes()
+        assert back.values.view(np.int64).tobytes() == expected[1].view(np.int64).tobytes()
+    else:
+        with pytest.raises(FormatError) as info:
+            read_forecast_csv(path, asset_ids, k)
+        assert str(info.value).startswith(f"{path}:{expected}: " if expected else f"{path}: ")
 
 
 def test_moments_csv_round_trip_is_exact(tmp_path, rng):

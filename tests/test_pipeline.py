@@ -396,6 +396,19 @@ def test_cli_stage_errors_are_tagged(data_dir, capsys):
     assert "bundle" in err or "forecast" in err
 
 
+def test_cli_rejects_a_wall_clock_stamp(tmp_path, capsys):
+    """``nowZ`` and ``todayZ`` are not read as the time of the call, which would
+    make the generated series, and a run's outputs, depend on when they ran."""
+    synth = write_synth_config(tmp_path)
+    synth.write_text(synth.read_text().replace("start = 2019-01-01T00:00:00Z", "start = nowZ"))
+    assert main(["synth", "--config", str(synth)]) == 1
+    assert capsys.readouterr().err == "bundlecast synth: [synth] unparsable timestamp 'nowZ'\n"
+    cfg = write_run_config(tmp_path, test_end="todayZ")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"bundlecast run: {cfg}: test_end: unparsable timestamp 'todayZ'\n")
+
+
 def test_cli_bundle_computes_the_covariance_once(data_dir, capsys, monkeypatch):
     calls = []
 
