@@ -393,19 +393,37 @@ def _parse_cells(series_file, ln: int, cells: list[str], series_ids: list[str]) 
 
 
 def write_panel_csv(panel: AssetPanel, assets_file, series_file) -> None:
-    """Write a panel back to the two-file CSV format used by ingest."""
+    """Write a panel back to the two-file CSV format used by ingest.
+
+    Coordinates and values are written at 6 decimals, capacities at 4. A
+    capacity whose ``%.4f`` text parses below it is written as the next
+    4-decimal step up, so every value's text reads back within its capacity
+    and a capacity below 0.00005 does not read back as 0. Each series line
+    is one ``%`` of a template built once per call, ``"%sZ"`` and one
+    ``",%.6f"`` per asset; the asset ids go only into the header, so a ``%``
+    in an id never reaches the template.
+    """
     with open(assets_file, "w", encoding="utf-8") as fh:
         fh.write(",".join(ASSETS_HEADER) + "\n")
         for a in panel.assets:
-            fh.write(
-                f"{a.asset_id},{a.latitude_deg:.6f},{a.longitude_deg:.6f},{a.capacity_mw:.4f}\n"
-            )
+            fh.write(f"{a.asset_id},{a.latitude_deg:.6f},{a.longitude_deg:.6f},"
+                     f"{_capacity_text(a.capacity_mw)}\n")
     with open(series_file, "w", encoding="utf-8") as fh:
         fh.write("timestamp," + ",".join(panel.asset_ids) + "\n")
+        line = "%sZ" + ",%.6f" * panel.n_assets + "\n"
+        stamps = np.datetime_as_string(panel.timestamps, unit="s").tolist()
         # one time step at a time: a whole-panel tolist() would hold N*T Python floats
-        for stamp, column in zip(panel.timestamps, panel.values.T):
-            cells = ",".join(map("{:.6f}".format, column.tolist()))
-            fh.write(f"{format_utc_timestamp(stamp)},{cells}\n")
+        for stamp, column in zip(stamps, panel.values.T):
+            fh.write(line % (stamp, *column.tolist()))
+
+
+def _capacity_text(capacity: float) -> str:
+    """``capacity`` at 4 decimals, one step up where ``%.4f`` parses below it."""
+    text = "%.4f" % capacity
+    if float(text) < capacity:
+        steps = int(text.replace(".", "")) + 1  # in units of 0.0001
+        text = "%d.%04d" % divmod(steps, 10000)
+    return text
 
 
 # --- geographic distances ---------------------------------------------------

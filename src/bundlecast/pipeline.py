@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -393,6 +394,10 @@ def stage_synth(config_path, out_dir=None) -> tuple[Path, Path]:
     assets, series = Path(assets_file), Path(series_file)
     if out_dir is not None:
         assets, series = Path(out_dir) / assets.name, Path(out_dir) / series.name
+    # realpath, unlike Path.resolve, does not raise on a symlink loop
+    if os.path.realpath(assets) == os.path.realpath(series):
+        raise ConfigError(f"{config_path}: assets_file and series_file both name {series}, "
+                          f"so the series would overwrite the assets")
     for target in (assets, series):
         _make_dir(target.parent)
     _stage("synth", write_synth_csv, cfg, assets, series)

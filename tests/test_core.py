@@ -447,15 +447,49 @@ def test_panel_csv_series_text_matches_per_cell_formatting(tmp_path, rng):
     values = np.array(panel.values)
     caps = np.array([a.capacity_mw for a in panel.assets])
     values[0, :4] = 0.0
+    values[0, 4] = -0.0
+    values[2, 5] = 0.0078125  # halfway between two 6-decimal texts
     values[1, 10:] = caps[1]
     values[:, 7] = caps
-    panel = AssetPanel(panel.assets, panel.timestamps, values)
+    # a "%" in an id must reach the header as written, not act on the line template
+    assets = tuple(AssetMeta(a.asset_id + suffix, a.latitude_deg, a.longitude_deg, a.capacity_mw)
+                   for a, suffix in zip(panel.assets, ["", "%", "%s", "%%", "100%"]))
+    panel = AssetPanel(assets, panel.timestamps, values)
     write_panel_csv(panel, tmp_path / "a.csv", tmp_path / "s.csv")
     expected = ["timestamp," + ",".join(panel.asset_ids)]
     for t, stamp in enumerate(panel.timestamps):
-        cells = ",".join(f"{v:.6f}" for v in values[:, t])
+        cells = ",".join("%.6f" % v for v in values[:, t])
         expected.append(f"{np.datetime_as_string(stamp, unit='s')}Z,{cells}")
-    assert (tmp_path / "s.csv").read_text() == "\n".join(expected) + "\n"
+    text = (tmp_path / "s.csv").read_text()
+    assert text == "\n".join(expected) + "\n"
+    assert ",-0.000000," in text and ",0.007812," in text
+    assert ingest_panel(tmp_path / "a.csv", tmp_path / "s.csv").asset_ids == panel.asset_ids
+
+
+@pytest.mark.parametrize("capacity, text", [
+    (100.00004, "100.0001"),  # "100.0000" reads back below a value written as 100.000040
+    (1e-5, "0.0001"),         # "0.0000" reads back as no capacity at all
+    (99.99994, "100.0000"),   # the step up carries into the integer part
+    (12.3, "12.3000"),        # reads back as 12.3: no step
+    (99.99996, "100.0000"),   # reads back above the capacity: no step
+])
+def test_panel_csv_round_trips_a_value_at_capacity(tmp_path, capacity, text):
+    panel = make_panel([[0.0, capacity, 0.5 * capacity]], caps=[capacity])
+    write_panel_csv(panel, tmp_path / "a.csv", tmp_path / "s.csv")
+    assert (tmp_path / "a.csv").read_text().splitlines()[1].endswith("," + text)
+    back = ingest_panel(tmp_path / "a.csv", tmp_path / "s.csv")
+    assert back.capacities[0] == float(text)
+    assert back.values.tolist() == [[float("%.6f" % v) for v in panel.values[0]]]
+
+
+@given(capacity=st.floats(1e-9, 1e6), share=st.floats(0.0, 1.0))
+def test_panel_csv_ingests_any_capacity_and_values_up_to_it(tmp_path_factory, capacity, share):
+    directory = tmp_path_factory.mktemp("capacity")
+    panel = make_panel([[capacity, share * capacity, 0.0]], caps=[capacity])
+    write_panel_csv(panel, directory / "a.csv", directory / "s.csv")
+    back = ingest_panel(directory / "a.csv", directory / "s.csv")
+    assert capacity <= back.capacities[0] < capacity + 1e-4
+    assert back.values.tolist() == [[float("%.6f" % v) for v in panel.values[0]]]
 
 
 # --- haversine ----------------------------------------------------------------

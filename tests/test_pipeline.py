@@ -117,6 +117,27 @@ def test_cli_synth_writes_files(tmp_path):
     assert panel.n_steps == 1400
 
 
+def test_cli_synth_rejects_one_file_for_assets_and_series(tmp_path, capsys):
+    """The series would overwrite the assets; the paths compared are the ones
+    written, so two directories that ``--out`` folds into one also collide."""
+    cfg = write_synth_config(tmp_path)
+    text = cfg.read_text()
+    cfg.write_text(text.replace(str(tmp_path / "assets.csv"), str(tmp_path / "series.csv")))
+    assert main(["synth", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bundlecast synth: ") and err.count("\n") == 1
+    assert "assets_file" in err and "series_file" in err
+    assert not (tmp_path / "series.csv").exists()
+
+    cfg.write_text(text.replace(str(tmp_path / "assets.csv"), str(tmp_path / "one" / "panel.csv"))
+                   .replace(str(tmp_path / "series.csv"), str(tmp_path / "two" / "panel.csv")))
+    assert main(["synth", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "assets_file and series_file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_stagewise_pipeline(data_dir):
     cfg = str(write_run_config(data_dir))
     out = data_dir / "run_dir"
