@@ -85,9 +85,6 @@ class Bundling:
     def n_assets(self) -> int:
         return int(self.labels.shape[0])
 
-    def members(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == k)
-
     def aggregate(self, values, axis: int = 0) -> np.ndarray:
         """The 1+K upper hierarchy rows of ``values`` along its asset axis.
 

@@ -107,8 +107,8 @@ class _Fields:
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {key} must be comma-separated numbers") from exc
 
-    def reject_unknown(self, optional=()) -> None:
-        unknown = set(self.raw) - self.seen - set(optional)
+    def reject_unknown(self) -> None:
+        unknown = set(self.raw) - self.seen
         if unknown:
             raise ConfigError(f"{self.path}: unknown keys {sorted(unknown)}")
 

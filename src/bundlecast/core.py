@@ -207,20 +207,27 @@ class AssetPanel:
         return AssetPanel(self.assets, self.timestamps[lo:hi].copy(), self.values[:, lo:hi].copy())
 
 
-def _csv_rows(fh):
+def _csv_rows(fh, where: str):
     """``(line, row)`` for each non-blank row of an open CSV file.
 
     ``line`` is the physical line the row ends on, so it counts the blank
-    lines that are skipped.
+    lines that are skipped. A line the csv module rejects, such as one with a
+    field longer than ``csv.field_size_limit()``, raises FormatError, which
+    names that line after ``where``.
     """
     reader = csv.reader(fh)
-    return ((reader.line_num, row) for row in reader if row)
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise FormatError(f"{where}{reader.line_num}: {exc}") from None
 
 
 def read_assets_csv(path) -> list[AssetMeta]:
     """Read asset metadata (header: asset_id,latitude_deg,longitude_deg,capacity_mw)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = _csv_rows(fh)
+        rows = _csv_rows(fh, f"{path}:")
         _, header = next(rows, (0, None))
         if header is None or tuple(h.strip() for h in header) != ASSETS_HEADER:
             raise FormatError(
@@ -269,7 +276,7 @@ def ingest_panel(assets_file, series_file) -> AssetPanel:
         by_id[a.asset_id] = a
 
     with open(series_file, newline="", encoding="utf-8") as fh:
-        rows = _csv_rows(fh)
+        rows = _csv_rows(fh, f"{series_file} row ")
         _, header = next(rows, (0, None))
         if not header or header[0].strip() != "timestamp":
             raise FormatError(f"{series_file}: first header column must be 'timestamp'")
@@ -287,7 +294,7 @@ def ingest_panel(assets_file, series_file) -> AssetPanel:
         parsed = _parse_blocks(fh, len(series_ids))
         if parsed is None:
             fh.seek(0)
-            rows = _csv_rows(fh)
+            rows = _csv_rows(fh, f"{series_file} row ")
             next(rows)  # the header, checked above
             parsed = _parse_rows(series_file, rows, series_ids)
 

@@ -181,26 +181,14 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     (F+1, T) solution of (X'X + lambda*P) W = X'Y, whose last row is the
     intercept; P penalizes every standardized feature except the intercept.
 
-    The left-hand side is tested before the solve wherever the test can
-    fail: ``np.linalg.cholesky`` must factor it, and each squared pivot of
-    that factor must exceed ``n * eps`` times its diagonal entry, n being the
-    row count. Each Gram entry sums n rounded products, so a pivot that small
-    is rounding noise: the feature matrix is rank-deficient (or lambda too
-    small to regularize it) and InsufficientDataError is raised instead of
-    arbitrary split weights returned. A system that ``np.linalg.solve``
-    finds singular raises the same error.
-
-    The test is skipped when lambda exceeds ``2 * n * eps`` times the trace
-    of the penalized block, where it cannot fail. In exact arithmetic every
-    penalized squared pivot is at least lambda (a Schur complement of
-    X'X + lambda*I), and the intercept's is lambda * 1'(XX' + lambda*I)^-1 1,
-    at least lambda * n / (trace(X'X) + lambda). So once lambda exceeds
-    ``n * eps`` times that trace, which is at least every penalized diagonal
-    entry and trace(X'X) + lambda, no squared pivot can fall to ``n * eps``
-    of its diagonal entry; the factor of 2 leaves room for rounding. With
-    c = 2 n eps, the penalized trace is trace(X'X) + F lambda, so the test
-    runs where lambda (1 - c F) <= c trace(X'X), a form that cannot
-    overflow for any finite lambda.
+    The left-hand side is tested before the solve: ``np.linalg.cholesky``
+    must factor it, and each squared pivot of that factor must exceed
+    ``n * eps`` times its diagonal entry, n being the row count. Each Gram
+    entry sums n rounded products, so a pivot that small is rounding noise:
+    the feature matrix is rank-deficient (or lambda too small to regularize
+    it) and InsufficientDataError is raised instead of arbitrary split
+    weights returned. A system that ``np.linalg.solve`` finds singular raises
+    the same error.
     """
     mean = features.mean(axis=0)
     scale = features.std(axis=0)
@@ -209,23 +197,18 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray,
     xa = np.hstack([x, np.ones((x.shape[0], 1))])
 
     n_rows, n_feat = x.shape
-    eps = np.finfo(np.float64).eps
     gram = xa.T @ xa
-    c = 2 * n_rows * eps
-    rank_test = ridge_lambda * (1 - c * n_feat) <= c * np.trace(gram[:n_feat, :n_feat])
     gram[np.diag_indices(n_feat)] += ridge_lambda
     rhs = xa.T @ targets
-    diagonal = np.diagonal(gram)
     try:
-        if rank_test:
-            pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
-            if np.any(pivots <= n_rows * eps * diagonal):
-                raise np.linalg.LinAlgError("a pivot is rounding noise")
+        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+        if np.any(pivots <= n_rows * np.finfo(np.float64).eps * np.diagonal(gram)):
+            raise np.linalg.LinAlgError("a pivot is rounding noise")
         return mean, scale, np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise InsufficientDataError(
             f"normal equations singular at lambda={ridge_lambda} "
-            f"({x.shape[0]} rows, {n_feat} features); degenerate features"
+            f"({n_rows} rows, {n_feat} features); degenerate features"
         ) from exc
 
 

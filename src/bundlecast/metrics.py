@@ -5,7 +5,7 @@ actual and forecast values:
 
 * NMAE -- mean absolute error normalized by series capacity, in percent;
 * RMSE -- root mean squared error, in MW;
-* VS   -- variogram score of order p (default 1/2), which compares all
+* VS   -- variogram score of order ``VARIOGRAM_ORDER`` = 1/2, which compares all
   pairwise value differences across series and leads and therefore costs
   O(M N^2 T^2); it is computed for the one-series fleet level only;
 * ED   -- energy distance: twice the mean Frobenius norm of the per-origin
@@ -36,18 +36,19 @@ def _blocks(actuals, forecasts) -> tuple[np.ndarray, np.ndarray]:
     return a, f
 
 
-def variogram_score(actuals, forecasts, p: float = 0.5) -> float:
-    """Variogram score of order p over all series/lead pairs, per origin."""
+VARIOGRAM_ORDER = 0.5
+
+
+def variogram_score(actuals, forecasts) -> float:
+    """Variogram score of order ``VARIOGRAM_ORDER`` over all series/lead pairs, per origin."""
     a, f = _blocks(actuals, forecasts)
-    if not p > 0.0:
-        raise ValueOutOfRangeError(f"variogram order must be > 0, got {p}")
     m = a.shape[0]
     total = 0.0
     for t in range(m):
         va = a[t].reshape(-1)
         vf = f[t].reshape(-1)
-        da = np.abs(va[:, None] - va[None, :]) ** p
-        df = np.abs(vf[:, None] - vf[None, :]) ** p
+        da = np.abs(va[:, None] - va[None, :]) ** VARIOGRAM_ORDER
+        df = np.abs(vf[:, None] - vf[None, :]) ** VARIOGRAM_ORDER
         total += float(np.square(da - df).sum())
     return total / m
 

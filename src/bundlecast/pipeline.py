@@ -119,12 +119,10 @@ _PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_ARRAYS_FILE: "forecast",
 
 
 class StageError(BundlecastError):
-    """A pipeline stage failed; carries the stage name for CLI reporting."""
+    """A pipeline stage failed; its message leads with the stage name."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 def _stage(name: str, fn, *args, **kwargs):

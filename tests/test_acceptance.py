@@ -286,7 +286,7 @@ def test_metric_oracle_equivalence():
     hand = [
         ("nmae", score_block(np.zeros((1, 1, 2)), np.array([[[1.0, 3.0]]]), [10.0]).nmae, 20.0),
         ("rmse", score_block(np.zeros((1, 1, 4)), np.array([[[6.0, 0.0, 0.0, 0.0]]])).rmse, 3.0),
-        ("vs", variogram_score(np.array([[[0.0, 4.0]]]), np.array([[[0.0, 1.0]]]), 0.5), 2.0),
+        ("vs", variogram_score(np.array([[[0.0, 4.0]]]), np.array([[[0.0, 1.0]]])), 2.0),
         ("ed", score_block(np.zeros((1, 1, 2)), np.array([[[3.0, 4.0]]])).ed, 10.0),
     ]
     for name, got, expect in hand:
@@ -305,7 +305,7 @@ def test_metric_oracle_equivalence():
         checks = [
             ("nmae", report.nmae, nmae_naive(a, f, caps)),
             ("rmse", report.rmse, rmse_naive(a, f)),
-            ("vs", variogram_score(a, f, 0.5), vs_naive(a, f, 0.5)),
+            ("vs", variogram_score(a, f), vs_naive(a, f, 0.5)),
             ("ed", report.ed, ed_naive(a, f)),
         ]
         for name, fast, slow in checks:

@@ -61,11 +61,19 @@ def used_names(tree) -> set[str]:
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
+def attribute_reads(nodes) -> set[str]:
+    """Names the given trees read as an attribute (``x.name``)."""
+    return {node.attr for tree in nodes for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
 def test_the_package_holds_what_a_command_runs():
     """Each public top-level function or class is used by its own module or
     by another package module (a re-export in ``__init__`` does not count), or
-    ``bench/run.py`` imports it from ``bundlecast``. Oracles that only the
-    tests need live in ``tests/oracles.py``."""
+    ``bench/run.py`` imports it from ``bundlecast``. Each public method or
+    property of a public class is read as an attribute outside its class, by
+    a package module or by the benchmark's code in ``bench/``. Oracles that
+    only the tests need live in ``tests/oracles.py``."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
     uses = {stem: used_names(tree) for stem, tree in trees.items() if stem != "__init__"}
@@ -79,6 +87,20 @@ def test_the_package_holds_what_a_command_runs():
               and not any(node.name in names for names in uses.values())
               and node.name not in bench]
     assert unused == []
+
+    bench_code = attribute_reads(ast.parse(path.read_text(encoding="utf-8"))
+                                 for path in sorted(BENCH_RUN.parent.glob("*.py"))
+                                 if not path.name.startswith("test_"))
+    classes = [(stem, node) for stem, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+    unread = []
+    for stem, cls in classes:
+        outside = bench_code | attribute_reads(
+            node for tree in trees.values() for node in tree.body if node is not cls)
+        unread += [f"{stem}.{cls.name}.{node.name}" for node in cls.body
+                   if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                   and node.name not in outside]
+    assert unread == []
 
 
 def test_forecast_csv_parameters_keep_their_names():

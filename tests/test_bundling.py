@@ -87,7 +87,7 @@ def test_bundling_leaves_the_callers_array_writeable():
 
 def test_bundling_members_and_series():
     b = Bundling([0, 1, 0], ("a", "b", "c"))
-    assert list(b.members(0)) == [0, 2]
+    assert list(np.flatnonzero(b.labels == 0)) == [0, 2]
     values = np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0]])
     np.testing.assert_array_equal(b.aggregate(values),
                                   [[111.0, 222.0], [101.0, 202.0], [10.0, 20.0]])
@@ -216,7 +216,7 @@ def test_greedy_merges_anticorrelated_pair():
     d = haversine_matrix(panel.assets)
     b = greedy_merge(covariance(panel, "variance"), d, 1, 500.0, panel.asset_ids)
     assert b.n_bundles == 1
-    assert list(b.members(0)) == [0, 1]
+    assert list(np.flatnonzero(b.labels == 0)) == [0, 1]
 
 
 def test_greedy_infeasible_merge_reports_count():
@@ -238,7 +238,7 @@ def test_greedy_invariants_and_recomputed_objective(rng):
         assert b.n_bundles == k
         assert b.labels.shape == (n,)
         # canonical numbering: bundles sorted by smallest member
-        firsts = [int(b.members(j)[0]) for j in range(k)]
+        firsts = [int(np.flatnonzero(b.labels == j)[0]) for j in range(k)]
         assert firsts == sorted(firsts)
 
 
@@ -345,10 +345,10 @@ def test_greedy_breaks_ties_by_smallest_pair():
     d = np.zeros((5, 5))
     names = [f"a{i}" for i in range(5)]
     first = greedy_merge(s, d, 4, math.inf, names)
-    assert [list(first.members(k)) for k in range(4)] == [[0, 1], [2], [3], [4]]
+    assert [list(np.flatnonzero(first.labels == k)) for k in range(4)] == [[0, 1], [2], [3], [4]]
     # {0, 1} now has covariance 2 with every singleton; the singletons tie at 1
     second = greedy_merge(s, d, 3, math.inf, names)
-    assert [list(second.members(k)) for k in range(3)] == [[0, 1], [2, 3], [4]]
+    assert [list(np.flatnonzero(second.labels == k)) for k in range(3)] == [[0, 1], [2, 3], [4]]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -388,7 +388,7 @@ def test_greedy_keeps_a_retired_slot_retired():
     d[0, 2] = d[2, 0] = 1.0
     np.fill_diagonal(d, 0.0)
     got = greedy_merge(np.eye(3), d, 2, 5.0, ("a", "b", "c"))
-    assert [list(got.members(k)) for k in range(2)] == [[0, 2], [1]]
+    assert [list(np.flatnonzero(got.labels == k)) for k in range(2)] == [[0, 2], [1]]
 
 
 # --- exact oracle ----------------------------------------------------------------
@@ -448,7 +448,8 @@ def test_exact_golden_instance():
     # frozen after the first verified enumeration run on this seeded instance,
     # cross-checked against an unpruned search over all labelings
     assert value == pytest.approx(8866.283151175838, rel=1e-10)
-    assert [list(map(int, b.members(k))) for k in range(2)] == [[0, 1, 3, 4], [2, 5]]
+    assert [list(map(int, np.flatnonzero(b.labels == k))) for k in range(2)] == [
+        [0, 1, 3, 4], [2, 5]]
 
 
 def test_exact_never_above_greedy_seeded():
@@ -473,13 +474,14 @@ def cluster_assets():
 
 def test_kmeans_recovers_coordinate_clusters():
     b = kmeans_bundle(cluster_assets(), 3, seed=5)
-    assert sorted(tuple(b.members(k)) for k in range(3)) == [(0, 1), (2, 3), (4, 5)]
+    assert sorted(tuple(np.flatnonzero(b.labels == k)) for k in range(3)) == [
+        (0, 1), (2, 3), (4, 5)]
 
 
 def test_kmeans_degenerate_counts():
     assets = cluster_assets()
     one = kmeans_bundle(assets, 1, seed=1)
-    assert one.n_bundles == 1 and len(one.members(0)) == 6
+    assert one.n_bundles == 1 and len(np.flatnonzero(one.labels == 0)) == 6
     n = kmeans_bundle(assets, 6, seed=1)
     np.testing.assert_array_equal(np.bincount(n.labels), np.ones(6))
 

@@ -202,11 +202,15 @@ def write_inputs(tmp_path, rows, assets_text=ASSETS_CSV):
     return assets, series
 
 
+FIELD_LIMIT_MESSAGE = f"field larger than field limit ({csv.field_size_limit()})"
+
+
 @pytest.mark.parametrize("cell, error, message", [
     pytest.param("", ValueOutOfRangeError, "missing value for 'w2'", id="empty"),
     pytest.param("  \t", ValueOutOfRangeError, "missing value for 'w2'", id="whitespace"),
     pytest.param("1.5x", FormatError, "unparsable value '1.5x'", id="unparsable"),
     pytest.param(" x ", FormatError, "unparsable value 'x'", id="unparsable-padded"),
+    pytest.param("0" * 140_000, FormatError, FIELD_LIMIT_MESSAGE, id="oversized"),
 ])
 def test_ingest_names_the_bad_cell(tmp_path, cell, error, message):
     """A bad cell after good rows is reported with its line (the header is line 1)."""
@@ -296,8 +300,9 @@ def test_ingest_asset_errors_count_blank_lines(tmp_path):
     # quoted field in a standard CSV reader
     ('"w,2",41.0,-101.0,20.0', 3, FormatError, "asset id 'w,2' holds a ',' or '\"'"),
     ('"""w2",41.0,-101.0,20.0', 3, FormatError, "asset id '\"w2' holds a ',' or '\"'"),
+    ("w2,41.0,-101.0," + "0" * 140_000, 3, FormatError, FIELD_LIMIT_MESSAGE),
 ], ids=["latitude", "longitude", "capacity", "empty-id", "LF-in-id", "CR-in-id", "comma-in-id",
-        "quote-in-id"])
+        "quote-in-id", "oversized"])
 def test_ingest_names_the_line_of_a_bad_asset(tmp_path, row, line, error, message):
     assets, series = write_inputs(tmp_path, series_rows(6),
                                   ASSETS_CSV.replace("w2,41.0,-101.0,20.0", row))

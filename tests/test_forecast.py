@@ -207,11 +207,14 @@ def _features(kind, n, n_feat, seed, scale_exp, offset_exp):
        n=st.integers(2, 120), n_feat=st.integers(1, 90), seed=st.integers(0, 2 ** 32 - 1),
        scale_exp=st.integers(-6, 6), offset_exp=st.integers(-3, 6),
        factor=st.floats(1.01, 1e6))
-def test_ridge_rank_test_cannot_fail_above_its_skip_bound(kind, n, n_feat, seed, scale_exp,
-                                                          offset_exp, factor):
-    """Where ``ridge_fit`` skips its Cholesky rank test (lambda above 2 n eps times the
-    trace of the penalized block), the test would have passed: the factorization
-    succeeds and every squared pivot exceeds n eps times its diagonal entry."""
+def test_ridge_rank_test_passes_where_lambda_dominates_the_trace(kind, n, n_feat, seed,
+                                                                 scale_exp, offset_exp, factor):
+    """Where lambda exceeds 2 n eps times the trace of the penalized block, the rank
+    test that ``ridge_fit`` runs on every fit cannot fail, whatever the features: the
+    factorization succeeds and every squared pivot exceeds n eps times its diagonal
+    entry. Standardized features have a trace of at most n F, so this range holds
+    every lambda = 1 fit while 2 n^2 F eps < 1: the test rejects a fit only where
+    lambda is small enough for rounding noise to decide its weights."""
     features = _features(kind, n, n_feat, seed, scale_exp, offset_exp)
     targets = np.random.default_rng(seed).standard_normal((n, 2))
     mean, scale, _ = ridge_fit(features, targets, ridge_lambda=1.0)  # the standardization
@@ -227,7 +230,7 @@ def test_ridge_rank_test_cannot_fail_above_its_skip_bound(kind, n, n_feat, seed,
     ridge_fit(features, targets, ridge_lambda=lam)
 
 
-def test_ridge_factors_the_gram_only_below_the_skip_bound(rng, monkeypatch):
+def test_ridge_factors_the_gram_once_per_fit(rng, monkeypatch):
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -237,16 +240,18 @@ def test_ridge_factors_the_gram_only_below_the_skip_bound(rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     lags, targets = windows(rng.uniform(0.0, 50.0, size=120), 6, 3)
-    # 112 rows of 6 standardized features: the bound is 2 * 112 * eps * 6 * 112 = 3.34e-11
-    for lam in (0.0, 3.3e-11, 3.4e-11, 1.0, 1e200, 1e300, 1e308):
+    # 112 rows of 6 standardized features: lambda dominates the trace above
+    # 2 * 112 * eps * 6 * 112 = 3.34e-11, and the lambdas span that point up to 1e308
+    lambdas = (0.0, 3.3e-11, 3.4e-11, 1.0, 1e200, 1e300, 1e308)
+    for lam in lambdas:
         ridge_fit(lags, targets, ridge_lambda=lam)
-    assert calls == [(7, 7)] * 2
+    assert calls == [(7, 7)] * len(lambdas)
 
 
 @pytest.mark.parametrize("lam", [1e200, 1e300, 1e308])
 def test_ridge_at_a_huge_lambda_is_the_shrinkage_limit(rng, lam):
-    # the skip test never adds F * lambda, which overflowed past 1e308 / F and
-    # leaked a RuntimeWarning (an error under the test settings)
+    # the Gram's diagonal is near the float limit, yet the factor, its squared pivots
+    # and the solve stay finite: no RuntimeWarning (an error under the test settings)
     lags, targets = windows(rng.uniform(0.0, 50.0, size=120), 6, 3)
     _, _, w = ridge_fit(lags, targets, ridge_lambda=lam)
     assert np.all(np.abs(w[:-1]) < 1e-150)

@@ -103,7 +103,8 @@ def scores(reports) -> dict:
 def bundle_members(bundling) -> list[frozenset]:
     """Each bundle's asset ids, in bundle order."""
     ids = np.array(bundling.asset_order)
-    return [frozenset(ids[bundling.members(k)]) for k in range(bundling.n_bundles)]
+    return [frozenset(ids[np.flatnonzero(bundling.labels == k)])
+            for k in range(bundling.n_bundles)]
 
 
 # Permuting the assets reorders the sums behind every fleet and bundle value, so

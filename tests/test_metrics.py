@@ -96,7 +96,7 @@ def test_rmse_hand_example():
 def test_vs_hand_example():
     actual = np.array([[[0.0, 4.0]]])
     fc = np.array([[[0.0, 1.0]]])
-    assert variogram_score(actual, fc, p=0.5) == pytest.approx(2.0, rel=1e-12)
+    assert variogram_score(actual, fc) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_ed_hand_example():
@@ -177,7 +177,7 @@ def test_metrics_match_naive_loops(rng):
         report = score_block(a, f, caps)
         assert report.nmae == pytest.approx(nmae_naive(a, f, caps), rel=1e-9)
         assert report.rmse == pytest.approx(rmse_naive(a, f), rel=1e-9)
-        assert variogram_score(a, f, 0.5) == pytest.approx(vs_naive(a, f, 0.5), rel=1e-9)
+        assert variogram_score(a, f) == pytest.approx(vs_naive(a, f, 0.5), rel=1e-9)
         assert report.ed == pytest.approx(ed_naive(a, f), rel=1e-9)
 
 
@@ -226,8 +226,6 @@ def test_metric_validation_errors(rng):
         score_block(a, a[:1])
     with pytest.raises(ValueOutOfRangeError, match="capacities must be strictly positive"):
         score_block(a, a, [1.0, 0.0])
-    with pytest.raises(ValueOutOfRangeError, match="variogram order must be > 0"):
-        variogram_score(a, a, p=0.0)
 
 
 # --- evaluate --------------------------------------------------------------------------
