@@ -479,7 +479,8 @@ class Criterion(str, Enum):
 
 
 def seasonal_adjust(values: np.ndarray) -> np.ndarray:
-    """Subtract the cross-sectional mean series from every row."""
+    """Subtract the cross-sectional mean series from every row, ``savar``'s reading
+    of the paper's seasonal adjustment; the rows then sum to zero at every step."""
     values = np.asarray(values, dtype=np.float64)
     return values - values.mean(axis=0, keepdims=True)
 
@@ -497,7 +498,9 @@ def covariance(panel: AssetPanel, kind: Criterion | str) -> np.ndarray:
     drops one sample). The (N, T) rows -- the panel values copied, seasonally
     adjusted or differenced -- are a fresh array, centred in place; their
     covariance divides by T and is symmetrized in place as 0.5 * (sigma +
-    sigma.T), for which numpy copies the transposed operand.
+    sigma.T), for which numpy copies the transposed operand. Each savar row sums
+    to zero within rounding, so one bundle of all assets scores 0, and under an
+    unbounded diameter the greedy's optimum is one giant bundle plus singletons.
     """
     kind = Criterion(kind)
     min_steps = 4 if kind is Criterion.IMCY else 3

@@ -280,7 +280,8 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     """Backtest every hierarchy series with per-level models.
 
     ``split`` is the first test timestamp: models train on everything
-    before it. Forecasts are issued at every origin whose full horizon
+    before it, whatever a run config's ``train_end`` says (it bounds only the
+    bundling's window). Forecasts are issued at every origin whose full horizon
     stays inside its range (training range for the in-sample pass, the
     panel for the test pass). Origins with fewer than H prior samples are
     skipped. In-sample forecasts are reduced to their per-lead mean squared
@@ -346,7 +347,6 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
     # the row each row lies under: the fleet for a bundle, its bundle for an asset
     parent = np.concatenate([[0] * (1 + k), 1 + bundling.labels])
     parent_level = {"bundle": "fleet", "asset": "bundle"}
-    bits = series.view(np.int64)
     calendar = _calendar_features(panel.timestamps[h - 1:])  # shared by every ridge row
     first, end = h - 1, split_idx - t  # the training origins, a contiguous range
     # feature row j is the origin h-1+j: the training origins are the first n_fit rows
@@ -368,7 +368,7 @@ def rolling_forecast(panel: AssetPanel, bundling: Bundling, task: ForecastTask,
         for r in rows:
             p = parent[r]
             if (r > 0 and spec == specs[parent_level[level]] and caps[r] == caps[p]
-                    and np.array_equal(bits[r], bits[p])):
+                    and same_bits(series[r], series[p])):
                 test_values[:, r], moments[r] = test_values[:, p], moments[p]
                 continue
             if split_idx < h + t + 1:
@@ -426,6 +426,11 @@ def write_forecast_csv(forecast: HierarchyForecast, asset_ids, path) -> None:
         fh.writelines(_block_texts(forecast.origins, forecast.values, keys))
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and bits: ``-0.0 == 0.0``, but the writer writes ``-0`` and ``0``."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _block_texts(origins: np.ndarray, values: np.ndarray, keys):
     """The text of each origin's lines, ``values[m]`` holding one row per key,
     written row by row as :func:`write_forecast_csv` describes."""
@@ -466,8 +471,8 @@ def _splice_forecast_csv(forecast: HierarchyForecast, asset_ids, path,
     if not (len(asset_ids) == source.n_assets == forecast.n_assets
             and np.array_equal(source.origins, forecast.origins)
             and source.horizon == forecast.horizon
-            and np.array_equal(source.fleet.view(np.int64), forecast.fleet.view(np.int64))
-            and np.array_equal(source.assets.view(np.int64), forecast.assets.view(np.int64))):
+            and same_bits(source.fleet, forecast.fleet)
+            and same_bits(source.assets, forecast.assets)):
         raise ShapeMismatchError(f"the fleet and asset rows to write to {path} are not the "
                                  f"same bits as those of {source_path}")
     horizon, k = forecast.horizon, forecast.n_bundles
@@ -611,29 +616,33 @@ def read_forecast_arrays(path, n_bundles: int, n_assets: int) -> RollingForecast
     """
     entries = sorted(f"{name}.npy" for name in ARRAY_DTYPES)
     try:
-        # opened here, since np.load leaks the file it opened if it is no zip
         with open(path, "rb") as fh:
-            archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise FormatError(f"{path}: not an array archive")
-            names = sorted(archive.zip.namelist())
+            # zipfile finds an archive from its end, past a bad first header or a prefix
+            if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+                raise zipfile.BadZipFile("File is not a zip file")
+            archive = zipfile.ZipFile(fh)
+            names = sorted(archive.namelist())
             if names != entries:
                 raise FormatError(f"{path}: holds the entries {names}, expected {entries}")
             if any(info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1
-                   for info in archive.zip.infolist()):
+                   for info in archive.infolist()):
                 raise FormatError(f"{path}: holds a compressed or encrypted entry")
             # numpy stops reading an entry where its array header says the data
             # ends, so it checks no checksum if an edited header ends it early
-            damaged = archive.zip.testzip()
+            damaged = archive.testzip()
             if damaged is not None:
                 raise FormatError(f"{path}: the checksum of {damaged} does not match")
-            arrays = {name: archive[name] for name in ARRAY_DTYPES}
+            arrays = {}
+            for name in ARRAY_DTYPES:
+                with archive.open(f"{name}.npy") as entry:
+                    if entry.peek(6)[:6] == np.lib.format.MAGIC_PREFIX:  # as np.load tests
+                        arrays[name] = np.lib.format.read_array(entry, allow_pickle=False)
     # numpy's array header parser can also let SyntaxError and TokenError out
     except (zipfile.BadZipFile, ValueError, EOFError, OSError, NotImplementedError,
             SyntaxError, tokenize.TokenError) as exc:
         raise FormatError(f"{path}: not a readable array archive: {exc}") from exc
     for name, dtype in ARRAY_DTYPES.items():
-        if not isinstance(arrays[name], np.ndarray) or arrays[name].dtype != dtype:
+        if name not in arrays or arrays[name].dtype != dtype:
             raise FormatError(f"{path}: {name} is not an array of dtype {dtype}")
     origins, values, moments = arrays.values()
     n_rows = 1 + n_bundles + n_assets

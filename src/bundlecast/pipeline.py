@@ -30,10 +30,10 @@ to read, and as exact arrays (``forecasts_raw.npz``) that the reconcile
 stage loads, so the stage path reconciles the same bits as ``run``. When
 reconciliation changes no bit of the raw forecasts (persistence input is
 coherent), ``run``'s ``_reconcile`` copies the raw forecast file it wrote
-from them. Bits, not values, decide: ``-0.0`` equals ``0.0`` but is written
-as ``-0``. The ``reconcile`` command does not read the raw CSV, so it
-formats its output: a hand-edited raw CSV changes nothing it writes. A stage
-command loads its inputs from the run directory, then calls the same body.
+from them; bits, not values, decide (``forecast.same_bits``). The
+``reconcile`` command does not read the raw CSV, so it formats its output:
+a hand-edited raw CSV changes nothing it writes. A stage command loads its
+inputs from the run directory, then calls the same body.
 Each product file is written by one body inside ``_stage``, so a failure
 while computing or writing it is tagged with its stage whichever command
 runs it (the manifest counts as ingest, ``sweep.csv`` as bundle).
@@ -83,6 +83,7 @@ from .forecast import (
     read_forecast_arrays,
     read_forecast_csv,
     rolling_forecast,
+    same_bits,
     write_forecast_arrays,
     write_forecast_csv,
     write_moments_csv,
@@ -118,18 +119,11 @@ _PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_ARRAYS_FILE: "forecast",
              RECONCILED_FILE: "reconcile"}
 
 
-class StageError(BundlecastError):
-    """A pipeline stage failed; its message leads with the stage name."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
-
-
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except Exception as exc:
-        raise StageError(name, exc) from exc
+        raise BundlecastError(f"[{name}] {exc}") from exc
 
 
 def load_panel(config: RunConfig) -> AssetPanel:
@@ -159,6 +153,9 @@ def load_panel(config: RunConfig) -> AssetPanel:
 def make_bundling(config: RunConfig, panel: AssetPanel,
                   distances: np.ndarray) -> tuple[Bundling, np.ndarray | None]:
     """The config's ``n_bundles`` bundles, learned on the training range only.
+
+    ``train_end`` bounds only this window and ``sweep``'s: the forecast stage
+    fits on every origin whose T targets end before ``test_start``.
 
     A covariance criterion runs the greedy on the training window (test data
     stays unseen), which enforces the diameter cutoff or raises
@@ -220,16 +217,6 @@ def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Pat
     return forecasts
 
 
-def _same_bits(a: HierarchyForecast, b: HierarchyForecast) -> bool:
-    """Whether two forecasts have the same origins and bitwise equal values.
-
-    ``np.array_equal`` on the floats would count ``-0.0`` equal to ``0.0``,
-    which the forecast CSV writes as ``-0`` and ``0``.
-    """
-    return (np.array_equal(a.origins, b.origins)
-            and np.array_equal(a.values.view(np.int64), b.values.view(np.int64)))
-
-
 def _reconcile(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
                test: HierarchyForecast, out: Path, prefix: str = "",
                raw_file: Path | None = None) -> HierarchyForecast:
@@ -242,7 +229,7 @@ def _reconcile(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
     variances = estimate_weights(second_moment,
                                  eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
     reconciled = reconcile(build_reconciler(bundling, variances), test)
-    if raw_file is not None and _same_bits(reconciled, test):
+    if raw_file is not None and same_bits(reconciled.values, test.values):
         copyfile(raw_file, out / (prefix + RECONCILED_FILE))
     else:
         write_forecast_csv(reconciled, panel.asset_ids, out / (prefix + RECONCILED_FILE))

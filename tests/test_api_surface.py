@@ -40,7 +40,7 @@ def raised_classes():
 
 def test_every_error_class_is_raised():
     """A class in ``bundlecast.errors`` is raised itself or through a subclass
-    (the base class is raised as ``pipeline.StageError``)."""
+    (``pipeline._stage`` raises the base class itself)."""
     raised = raised_classes()
     defined = [obj for _, obj in inspect.getmembers(errors, inspect.isclass)
                if obj.__module__ == errors.__name__]

@@ -14,12 +14,14 @@ from bundlecast import (
     AssetPanel,
     Bundling,
     Criterion,
+    SynthConfig,
     covariance,
     difference,
     haversine_matrix,
     ingest_panel,
     objective,
     seasonal_adjust,
+    synth_panel,
 )
 from bundlecast import core
 from bundlecast.core import (
@@ -610,6 +612,22 @@ def test_savar_zero_for_identical_rows():
     panel = make_panel(np.tile([1.0, 3.0, 2.0, 5.0], (4, 1)))
     sigma = covariance(panel, Criterion.SAVAR)
     np.testing.assert_allclose(sigma, np.zeros((4, 4)), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_savar_rows_sum_to_zero_so_one_bundle_scores_zero(seed):
+    """savar subtracts the cross-sectional mean series, so the adjusted series sum
+    to zero at every step and so does every row of their covariance; one bundle of
+    all assets then scores 0, the smallest savar objective there is."""
+    panel = synth_panel(SynthConfig(n_assets=40, n_steps=500, granularity_minutes=15,
+                                    seed=seed, anticorrelated_pairs=3))
+    sigma = covariance(panel, Criterion.SAVAR)
+    assert np.abs(sigma.sum(axis=1)).max() / np.abs(sigma).max() < 1e-12
+    one = Bundling.single_bundle(panel.asset_ids)
+    assert abs(objective(one, sigma)) / np.abs(sigma).sum() < 1e-12
+    # the other criteria have no such zero: their row sums are of the order of sigma
+    variance = covariance(panel, Criterion.VARIANCE)
+    assert np.abs(variance.sum(axis=1)).max() / np.abs(variance).max() > 1.0
 
 
 def test_imcy_zero_for_constant_series():

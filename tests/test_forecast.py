@@ -1,6 +1,8 @@
 """Persistence, direct multi-horizon ridge, and the rolling harness."""
 
+import io
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from bundlecast.forecast import (
     read_forecast_arrays,
     read_forecast_csv,
     ridge_fit,
+    same_bits,
     write_forecast_arrays,
     write_forecast_csv,
     write_moments_csv,
@@ -818,6 +821,19 @@ def test_splice_rejects_a_copied_row_that_differs_in_one_bit(tmp_path, row):
     assert not (tmp_path / "spliced.csv").exists()
 
 
+def test_same_bits_tells_signed_zeros_apart():
+    """Equal bits agree, strided or not; 0.0 and -0.0, which the writer writes as
+    ``0`` and ``-0``, differ, and so do arrays of different shapes."""
+    a = np.array([[0.0, 1.5], [np.pi, -2.0]])
+    assert same_bits(a, a.copy())
+    assert same_bits(a[:, ::-1], np.ascontiguousarray(a[:, ::-1]))
+    signed = a.copy()
+    signed[0, 0] = -0.0
+    assert signed[0, 0] == a[0, 0] and not same_bits(signed, a)
+    assert not same_bits(a, a.ravel())
+    assert not same_bits(a[:1], a)
+
+
 def test_write_forecast_csv_rejects_origins_out_of_order(tmp_path):
     origins = np.array(["2019-01-08T00:15:00", "2019-01-08T00:00:00"], dtype="datetime64[s]")
     with pytest.raises(ValueOutOfRangeError, match="not strictly ascending"):
@@ -1130,6 +1146,52 @@ def test_forecast_arrays_round_trip_keeps_every_bit(tmp_path, rng):
     assert back.test.values.tobytes() == values.tobytes()
     assert back.second_moment.tobytes(order="A") == moments.tobytes(order="A")
     assert back.second_moment.flags.f_contiguous
+
+
+def _entry_bytes(array):
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array)
+    return buffer.getvalue()
+
+
+SMALL_ARRAYS = {"origins": np.datetime64("2019-01-08T00:00:00", "s") + np.arange(3) * 900,
+                "values": np.ones((3, 4, 2)), "second_moment": np.ones((2, 4))}
+
+
+@pytest.mark.parametrize("kind", ["npy", "prefixed", "first-header"])
+def test_read_forecast_arrays_names_a_file_that_is_no_archive(tmp_path, kind):
+    """A file whose first bytes are no zip's is one FormatError that names it: a
+    plain ``.npy`` array, and a whole archive behind one other byte or with its first
+    header damaged, which zipfile would find from the archive's end."""
+    path = tmp_path / "forecasts_raw.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in SMALL_ARRAYS.items():
+            archive.writestr(f"{name}.npy", _entry_bytes(array))
+    read_forecast_arrays(path, 1, 2)
+    data = bytearray(path.read_bytes())
+    if kind == "npy":
+        data = _entry_bytes(np.zeros(3))
+    elif kind == "prefixed":
+        data = b"#" + data
+    else:
+        data[1] ^= 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as info:
+        read_forecast_arrays(path, 1, 2)
+    assert str(info.value) == f"{path}: not a readable array archive: File is not a zip file"
+
+
+def test_read_forecast_arrays_names_an_entry_that_is_no_array(tmp_path):
+    """An entry that does not start as a ``.npy`` array, in an archive whose checksums
+    hold, is named, as np.load would hand back its bytes."""
+    path = tmp_path / "forecasts_raw.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in SMALL_ARRAYS.items():
+            archive.writestr(f"{name}.npy",
+                             b"\x93NUMP" if name == "values" else _entry_bytes(array))
+    with pytest.raises(FormatError) as info:
+        read_forecast_arrays(path, 1, 2)
+    assert str(info.value) == f"{path}: values is not an array of dtype float64"
 
 
 def test_hierarchy_forecast_rejects_nan():

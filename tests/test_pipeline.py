@@ -291,7 +291,7 @@ def test_run_copies_a_reconciliation_that_changes_no_bit(data_dir, monkeypatch):
         assert ((out / f"{prefix}evaluation.csv").read_bytes()
                 == (out / f"{prefix}evaluation_raw.csv").read_bytes())
     # the same bytes as formatting and scoring the reconciled forecasts anew
-    monkeypatch.setattr(pipeline, "_same_bits", lambda a, b: False)
+    monkeypatch.setattr(pipeline, "same_bits", lambda a, b: False)
     _assert_same_tree(out, pipeline_run(cfg, data_dir / "formatted"))
     assert written[2:] == ["forecasts_raw.csv", "forecasts_reconciled.csv",
                            ("splice", "baseline_forecasts_raw.csv"),
@@ -337,7 +337,7 @@ def test_run_writes_a_reconciliation_that_turns_negative_zeros_positive(data_dir
     raw, rec = ((out / name).read_text() for name in ("forecasts_raw.csv",
                                                           "forecasts_reconciled.csv"))
     assert raw != rec and raw.replace(",-0\n", ",0\n") == rec
-    monkeypatch.setattr(pipeline, "_same_bits", lambda a, b: False)
+    monkeypatch.setattr(pipeline, "same_bits", lambda a, b: False)
     _assert_same_tree(out, pipeline_run(cfg, data_dir / "formatted"))
 
 
