@@ -628,10 +628,12 @@ def read_forecast_arrays(path, n_bundles: int, n_assets: int) -> RollingForecast
                    for info in archive.infolist()):
                 raise FormatError(f"{path}: holds a compressed or encrypted entry")
             # numpy stops reading an entry where its array header says the data
-            # ends, so it checks no checksum if an edited header ends it early
+            # ends, so it checks no checksum if an edited header ends it early;
+            # testzip also names an entry whose local header does not open
             damaged = archive.testzip()
             if damaged is not None:
-                raise FormatError(f"{path}: the checksum of {damaged} does not match")
+                raise FormatError(f"{path}: {damaged} is damaged (its checksum or its "
+                                  f"local header does not match)")
             arrays = {}
             for name in ARRAY_DTYPES:
                 with archive.open(f"{name}.npy") as entry:

@@ -13,30 +13,31 @@ greedy choice is within an ulp of a tie.
 
 Bundling is :func:`make_bundling`; each later stage is one body that computes
 its products from in-memory inputs, writes them and returns what the next
-stage needs (``_forecast``, ``_reconcile``). One ``_score`` body scores the
-raw forecasts in the forecast stage (``evaluation_raw.csv``) and the
-reconciled ones in the evaluate stage (``evaluation.csv``). ``run`` ingests
-and bundles once, then calls the bodies in order; it scores a pass's raw and
-reconciled forecasts after reconciling them, against one build of the
-realized values. For the no-bundling baseline (all assets in one bundle,
-``baseline_`` files) it calls them again, but the baseline's forecast body
-copies the fleet and asset rows from the bundled pass and its one bundle row
-from its fleet row, so no series is fitted twice, and it copies the lines of
-those rows from the bundled raw file into its own; then ``run`` compares the
-two passes. With ``n_bundles = 1`` the two passes have the same bundling, so
-the baseline pass fits nothing and writes the bundled pass's bytes. The
-forecast stage saves its test forecasts and residual moments twice: as CSVs
-to read, and as exact arrays (``forecasts_raw.npz``) that the reconcile
-stage loads, so the stage path reconciles the same bits as ``run``. When
-reconciliation changes no bit of the raw forecasts (persistence input is
-coherent), ``run``'s ``_reconcile`` copies the raw forecast file it wrote
-from them; bits, not values, decide (``forecast.same_bits``). The
-``reconcile`` command does not read the raw CSV, so it formats its output:
-a hand-edited raw CSV changes nothing it writes. A stage command loads its
-inputs from the run directory, then calls the same body.
-Each product file is written by one body inside ``_stage``, so a failure
-while computing or writing it is tagged with its stage whichever command
-runs it (the manifest counts as ingest, ``sweep.csv`` as bundle).
+stage needs (``_forecast``, ``_reconcile``, ``_score``). ``_score`` builds
+the realized values it scores against; the forecast body ends by scoring its
+raw forecasts with it (``evaluation_raw.csv``), and the evaluate stage is
+``_score`` of the reconciled ones (``evaluation.csv``). ``run`` ingests and
+bundles once, then runs each pass as the stage commands' calls in their
+order, each under its own stage tag: it writes the bundling, then calls the
+forecast, reconcile and evaluate bodies. For the no-bundling baseline (all
+assets in one bundle, ``baseline_`` files) it calls them again, but the
+baseline's forecast body copies the fleet and asset rows from the bundled
+pass and its one bundle row from its fleet row, so no series is fitted twice,
+and it copies the lines of those rows from the bundled raw file into its own;
+then ``run`` compares the two passes. With ``n_bundles = 1`` the two passes
+have the same bundling, so the baseline pass fits nothing and writes the
+bundled pass's bytes. The forecast stage saves its test forecasts and
+residual moments twice: as CSVs to read, and as exact arrays
+(``forecasts_raw.npz``) that the reconcile stage loads, so the stage path
+reconciles the same bits as ``run``. When reconciliation changes no bit of
+the raw forecasts (persistence input is coherent), ``run``'s ``_reconcile``
+copies the raw forecast file it wrote from them; bits, not values, decide
+(``forecast.same_bits``). The ``reconcile`` command does not read the raw
+CSV, so it formats its output: a hand-edited raw CSV changes nothing it
+writes. A stage command loads its inputs from the run directory, then calls
+the same body. Each product file is written by one body inside ``_stage``, so
+a failure while computing or writing it is tagged with its stage whichever
+command runs it (the manifest counts as ingest, ``sweep.csv`` as bundle).
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ from .reconcile import (
 from .synth import write_synth_csv
 
 Reports = dict[str, EvaluationReport]  # per level
-Truth = tuple[HierarchyForecast, np.ndarray]  # realized values, capacity per row
 
 WEIGHT_FLOOR_REL = 1e-8  # of squared fleet capacity
 
@@ -176,17 +176,11 @@ def make_bundling(config: RunConfig, panel: AssetPanel,
     return bundling, sigma
 
 
-def _truth(panel: AssetPanel, bundling: Bundling,
-           forecast: HierarchyForecast) -> Truth:
-    """The realized values at a forecast's origins and the capacity of every row."""
-    return (hierarchy_actuals(panel, bundling, forecast.origins, forecast.horizon),
-            hierarchy_capacities(panel, bundling))
-
-
-def _score(truth: Truth, forecast: HierarchyForecast, path: Path) -> Reports:
+def _score(panel: AssetPanel, bundling: Bundling, forecast: HierarchyForecast,
+           path: Path) -> Reports:
     """Score test forecasts against realized values; writes the report and returns it."""
-    actuals, capacities = truth
-    reports = evaluate(actuals, forecast, capacities)
+    reports = evaluate(hierarchy_actuals(panel, bundling, forecast.origins, forecast.horizon),
+                       forecast, hierarchy_capacities(panel, bundling))
     write_report_csv(reports, path)
     return reports
 
@@ -194,7 +188,8 @@ def _score(truth: Truth, forecast: HierarchyForecast, path: Path) -> Reports:
 def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Path,
               prefix: str = "", shared: RollingForecasts | None = None) -> RollingForecasts:
     """Rolling test forecasts and in-sample residual moments; writes both as
-    CSVs, then as the exact arrays the reconcile stage reads.
+    CSVs, then as the exact arrays the reconcile stage reads, then scores the
+    test forecasts.
 
     ``shared`` is the bundled pass's forecasts, whose fleet and asset rows
     are reused (see :func:`rolling_forecast`); their lines are then copied
@@ -214,18 +209,20 @@ def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Pat
                              out / FORECAST_TEST_FILE)
     write_moments_csv(forecasts.second_moment, out / (prefix + MOMENTS_FILE))
     write_forecast_arrays(forecasts, arrays)
+    _score(panel, bundling, forecasts.test, out / (prefix + REPORT_RAW_FILE))
     return forecasts
 
 
-def _reconcile(panel: AssetPanel, bundling: Bundling, second_moment: np.ndarray,
-               test: HierarchyForecast, out: Path, prefix: str = "",
-               raw_file: Path | None = None) -> HierarchyForecast:
+def _reconcile(panel: AssetPanel, bundling: Bundling, forecasts: RollingForecasts, out: Path,
+               prefix: str = "", raw_file: Path | None = None) -> HierarchyForecast:
     """Per-lead WLS reconciliation; writes the reconciled forecasts and the diagnostics.
 
-    ``raw_file`` is the raw forecast file this process wrote from ``test``, if
-    any. Reconciled forecasts bitwise equal to ``test`` are its bytes, so it
-    is copied rather than formatted again; without it they are formatted.
+    ``raw_file`` is the raw forecast file this process wrote from the test
+    forecasts, if any. Reconciled forecasts bitwise equal to them are its
+    bytes, so it is copied rather than formatted again; without it they are
+    formatted.
     """
+    second_moment, test = forecasts.second_moment, forecasts.test
     variances = estimate_weights(second_moment,
                                  eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
     reconciled = reconcile(build_reconciler(bundling, variances), test)
@@ -314,16 +311,11 @@ def run(config_path, out_dir=None) -> Path:
             # the name then frees them before the baseline reconciles
             forecasts = _stage("forecast", _forecast, config, panel, pass_bundling, out, prefix,
                                forecasts)
-            reconciled = _stage("reconcile", _reconcile, panel, pass_bundling,
-                                forecasts.second_moment, forecasts.test, out, prefix,
-                                out / (prefix + FORECAST_TEST_FILE))
-            # both scorings follow reconciliation, so the realized values are built
-            # once and are not held while it runs
-            truth = _stage("forecast", _truth, panel, pass_bundling, forecasts.test)
-            _stage("forecast", _score, truth, forecasts.test, out / (prefix + REPORT_RAW_FILE))
-            reports.append(_stage("evaluate", _score, truth, reconciled,
+            reconciled = _stage("reconcile", _reconcile, panel, pass_bundling, forecasts, out,
+                                prefix, out / (prefix + FORECAST_TEST_FILE))
+            reports.append(_stage("evaluate", _score, panel, pass_bundling, reconciled,
                                   out / (prefix + REPORT_FILE)))
-            del reconciled, truth  # the next pass holds neither
+            del reconciled  # the next pass does not hold it
         if config.baseline:
             _stage("evaluate", _write_comparison, *reports, out / COMPARISON_FILE)
         _stage("ingest", write_manifest, config, out)
@@ -404,9 +396,7 @@ def stage_forecast(config_path, out_dir=None) -> Path:
     """Produce test forecasts and in-sample residual moments for a learned bundling."""
     config, out, panel = _open_stage(config_path, out_dir)
     (bundling,) = _stage("forecast", _load_inputs, config, out, panel)
-    test = _stage("forecast", _forecast, config, panel, bundling, out).test
-    truth = _stage("forecast", _truth, panel, bundling, test)
-    _stage("forecast", _score, truth, test, out / REPORT_RAW_FILE)
+    _stage("forecast", _forecast, config, panel, bundling, out)
     return out / FORECAST_TEST_FILE
 
 
@@ -415,8 +405,7 @@ def stage_reconcile(config_path, out_dir=None) -> Path:
     config, out, panel = _open_stage(config_path, out_dir)
     bundling, forecasts = _stage("reconcile", _load_inputs, config, out, panel,
                                  FORECAST_ARRAYS_FILE)
-    _stage("reconcile", _reconcile, panel, bundling, forecasts.second_moment, forecasts.test,
-           out)
+    _stage("reconcile", _reconcile, panel, bundling, forecasts, out)
     return out / RECONCILED_FILE
 
 
@@ -424,8 +413,7 @@ def stage_evaluate(config_path, out_dir=None) -> Path:
     """Score the reconciled forecasts against realized values."""
     config, out, panel = _open_stage(config_path, out_dir)
     bundling, reconciled = _stage("evaluate", _load_inputs, config, out, panel, RECONCILED_FILE)
-    truth = _stage("evaluate", _truth, panel, bundling, reconciled)
-    _stage("evaluate", _score, truth, reconciled, out / REPORT_FILE)
+    _stage("evaluate", _score, panel, bundling, reconciled, out / REPORT_FILE)
     return out / REPORT_FILE
 
 

@@ -1181,6 +1181,26 @@ def test_read_forecast_arrays_names_a_file_that_is_no_archive(tmp_path, kind):
     assert str(info.value) == f"{path}: not a readable array archive: File is not a zip file"
 
 
+@pytest.mark.parametrize("where", ["local-header", "data"])
+def test_read_forecast_arrays_names_a_damaged_entry(tmp_path, where):
+    """One bit flipped in the local header signature of an entry after the first,
+    or in its data, is one FormatError that names the file and the entry."""
+    path = tmp_path / "forecasts_raw.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in SMALL_ARRAYS.items():
+            archive.writestr(f"{name}.npy", _entry_bytes(array))
+    data = bytearray(path.read_bytes())
+    header = data.index(b"values.npy") - 30  # the signature; the file name is 30 bytes on
+    assert data[header:header + 4] == b"PK\x03\x04"
+    # past the 128-byte array header, a byte of the 192 bytes of values
+    data[header if where == "local-header" else data.index(b"\x93NUMPY", header) + 200] ^= 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as info:
+        read_forecast_arrays(path, 1, 2)
+    assert str(info.value) == (f"{path}: values.npy is damaged (its checksum or its local "
+                               f"header does not match)")
+
+
 def test_read_forecast_arrays_names_an_entry_that_is_no_array(tmp_path):
     """An entry that does not start as a ``.npy`` array, in an archive whose checksums
     hold, is named, as np.load would hand back its bytes."""

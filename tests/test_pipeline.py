@@ -298,10 +298,10 @@ def test_run_copies_a_reconciliation_that_changes_no_bit(data_dir, monkeypatch):
                            "baseline_forecasts_reconciled.csv"]
 
 
-def test_run_splices_the_baseline_raw_file_and_builds_each_pass_actuals_once(data_dir,
-                                                                             monkeypatch):
+def test_run_splices_the_baseline_raw_file_and_builds_the_actuals_once_per_scoring(
+        data_dir, monkeypatch):
     """The baseline's raw file, spliced from the bundled pass's, has the bytes of
-    writing it whole; each pass builds its realized values once for both scorings."""
+    writing it whole; each scoring builds its pass's realized values once."""
     cfg = write_run_config(data_dir, baseline="true", out="spliced")
     built = []
     actuals = pipeline.hierarchy_actuals
@@ -313,7 +313,7 @@ def test_run_splices_the_baseline_raw_file_and_builds_each_pass_actuals_once(dat
     monkeypatch.setattr(pipeline, "hierarchy_actuals", counting)
     written = _counting_forecast_writes(monkeypatch)
     out = pipeline_run(cfg)
-    assert built == [2, 1]
+    assert built == [2, 2, 1, 1]
     assert ("splice", "baseline_forecasts_raw.csv") in written
     monkeypatch.setattr(pipeline, "_splice_forecast_csv",
                         lambda forecast, asset_ids, path, source, source_path:
@@ -336,7 +336,10 @@ def test_run_writes_a_reconciliation_that_turns_negative_zeros_positive(data_dir
     assert written == ["forecasts_raw.csv", "forecasts_reconciled.csv"]
     raw, rec = ((out / name).read_text() for name in ("forecasts_raw.csv",
                                                           "forecasts_reconciled.csv"))
-    assert raw != rec and raw.replace(",-0\n", ",0\n") == rec
+    # booleans, not the two whole files: pytest takes minutes to explain a failed
+    # comparison of two strings this long
+    differs, turned = raw != rec, raw.replace(",-0\n", ",0\n") == rec
+    assert differs and turned
     monkeypatch.setattr(pipeline, "same_bits", lambda a, b: False)
     _assert_same_tree(out, pipeline_run(cfg, data_dir / "formatted"))
 
@@ -494,6 +497,29 @@ def test_pipeline_run_returns_directory(data_dir):
     assert (out / "manifest.json").exists()
 
 
+def test_run_makes_a_pass_the_stage_commands_calls(data_dir, monkeypatch):
+    """Without the loaders and the manifest, ``run`` with no baseline and the four
+    stage commands call the same stage bodies under the same tags in the same order."""
+    calls = []
+    stage = pipeline._stage
+
+    def recording(name, fn, *args, **kwargs):
+        if fn.__name__ not in ("load_panel", "_load_inputs", "write_manifest"):
+            calls.append((name, fn.__name__))
+        return stage(name, fn, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_stage", recording)
+    cfg = str(write_run_config(data_dir, out="full"))
+    assert main(["run", "--config", cfg]) == 0
+    by_run = calls[:]
+    calls.clear()
+    for command in ("bundle", "forecast", "reconcile", "evaluate"):
+        assert main([command, "--config", cfg, "--out", str(data_dir / "staged")]) == 0
+    assert by_run == calls == [("bundle", "make_bundling"), ("bundle", "write_bundling_csv"),
+                               ("forecast", "_forecast"), ("reconcile", "_reconcile"),
+                               ("evaluate", "_score")]
+
+
 def test_run_and_stage_commands_agree(data_dir):
     cfg = str(write_run_config(data_dir, out="full"))
     assert main(["run", "--config", cfg]) == 0
@@ -555,6 +581,14 @@ def _shorten_values_header(data):
     return data[:at] + (length - 16).to_bytes(2, "little") + data[at + 2:]
 
 
+def _damage_values_local_header(data):
+    """Flip one bit of the signature of values.npy's local zip header, which its
+    file name follows 30 bytes on; the central directory still names the entry."""
+    data = bytearray(data)
+    data[data.index(b"values.npy") - 30] ^= 1
+    return bytes(data)
+
+
 def _save_one_array(out, asset_ids):
     """A plain ``.npy`` array under the archive's name."""
     with open(out / "forecasts_raw.npz", "wb") as fh:
@@ -598,6 +632,7 @@ BAD_ARRAYS = [
     ("reconcile-empty", _rewrite_arrays_file(lambda data: b"")),
     ("reconcile-text", _rewrite_arrays_file(lambda data: b"origin,level,series_id,lead,value\n")),
     ("reconcile-short-header", _rewrite_arrays_file(_shorten_values_header)),
+    ("reconcile-local-header", _rewrite_arrays_file(_damage_values_local_header)),
     ("reconcile-npy", _save_one_array),
     ("reconcile-directory", lambda out, ids: ((out / "forecasts_raw.npz").unlink(),
                                               (out / "forecasts_raw.npz").mkdir())),
