@@ -21,10 +21,11 @@ from .pipeline import (
     stage_reconcile,
     stage_synth,
 )
+from .rundir import BUNDLING_FILE
 
 _COMMANDS = {
     "synth": (stage_synth, "generate a seeded synthetic assets/series CSV pair"),
-    "bundle": (stage_bundle, "learn asset bundles and write bundling.csv"),
+    "bundle": (stage_bundle, f"learn asset bundles and write {BUNDLING_FILE}"),
     "forecast": (stage_forecast, "produce and score raw test forecasts; write residual moments"),
     "reconcile": (stage_reconcile, "reconcile raw forecasts into coherent ones"),
     "evaluate": (stage_evaluate, "score the reconciled forecasts"),

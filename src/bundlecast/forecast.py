@@ -34,16 +34,12 @@ fleet, bundles 0..K-1, then the assets in panel order; within a row leads
 any other by one ``%`` into a template of its T values. The reader streams
 the file one origin block at a time and makes one check per line: that it is
 the line the writer puts there followed by a finite value. The first line
-that is not is rejected with ``path:line`` and the line it expected. The
-same test forecasts and the residual moments are also saved with their
-exact bits as one array archive, which is what the reconcile stage reads.
+that is not is rejected with ``path:line`` and the line it expected.
 """
 
 from __future__ import annotations
 
 import math
-import tokenize
-import zipfile
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -563,99 +559,3 @@ def _is_line(line: str, prefix: str) -> bool:
         return line.startswith(prefix) and math.isfinite(float(line.removeprefix(prefix)))
     except ValueError:
         return False
-
-
-MOMENTS_HEADER = "lead,row,second_moment"
-
-
-def write_moments_csv(second_moment: np.ndarray, path) -> None:
-    """Write (horizon, n_rows) residual moments as `lead,row,second_moment` lines.
-
-    Cells go in (lead, row) order and each value is its ``repr``, the
-    shortest text that parses back to the same float, so the text holds the
-    exact moments. Each lead is one ``%d,<row>,%r`` template filled by
-    one ``%``.
-    """
-    second_moment = np.asarray(second_moment)
-    template = "".join(f"%d,{r},%r\n" for r in range(second_moment.shape[1]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MOMENTS_HEADER}\n")
-        for tau, values in enumerate(second_moment.tolist(), start=1):
-            fields = [tau] * (2 * len(values))
-            fields[1::2] = values
-            fh.write(template % tuple(fields))
-
-
-# --- exact arrays -----------------------------------------------------------------
-
-ARRAY_DTYPES = {"origins": np.dtype("datetime64[s]"), "values": np.dtype(np.float64),
-                "second_moment": np.dtype(np.float64)}
-
-
-def write_forecast_arrays(forecasts: RollingForecasts, path) -> None:
-    """Save the test forecasts, their origins and the residual moments exactly.
-
-    One uncompressed ``np.savez`` archive holds ``origins`` (M,), ``values``
-    (M, R, T) and ``second_moment`` (T, R). Its bytes are a pure function of
-    the arrays, since every zip entry numpy writes carries the same fixed date.
-    """
-    np.savez(path, origins=forecasts.test.origins, values=forecasts.test.values,
-             second_moment=forecasts.second_moment)
-
-
-def read_forecast_arrays(path, n_bundles: int, n_assets: int) -> RollingForecasts:
-    """The arrays :func:`write_forecast_arrays` saved, with the same bits.
-
-    Nothing is unpickled. The file must be a zip of exactly the three
-    ``.npy`` entries, stored uncompressed and unencrypted as numpy writes
-    them, each whole entry matching its checksum, each array of its dtype,
-    with R = 1 + ``n_bundles`` + ``n_assets`` rows, finite values and
-    finite, non-negative moments. A file that is not such an archive, a
-    missing entry or a wrong dtype raises FormatError, and a wrong shape
-    raises ShapeMismatchError; each message starts with ``path``.
-    """
-    entries = sorted(f"{name}.npy" for name in ARRAY_DTYPES)
-    try:
-        with open(path, "rb") as fh:
-            # zipfile finds an archive from its end, past a bad first header or a prefix
-            if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
-                raise zipfile.BadZipFile("File is not a zip file")
-            archive = zipfile.ZipFile(fh)
-            names = sorted(archive.namelist())
-            if names != entries:
-                raise FormatError(f"{path}: holds the entries {names}, expected {entries}")
-            if any(info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1
-                   for info in archive.infolist()):
-                raise FormatError(f"{path}: holds a compressed or encrypted entry")
-            # numpy stops reading an entry where its array header says the data
-            # ends, so it checks no checksum if an edited header ends it early;
-            # testzip also names an entry whose local header does not open
-            damaged = archive.testzip()
-            if damaged is not None:
-                raise FormatError(f"{path}: {damaged} is damaged (its checksum or its "
-                                  f"local header does not match)")
-            arrays = {}
-            for name in ARRAY_DTYPES:
-                with archive.open(f"{name}.npy") as entry:
-                    if entry.peek(6)[:6] == np.lib.format.MAGIC_PREFIX:  # as np.load tests
-                        arrays[name] = np.lib.format.read_array(entry, allow_pickle=False)
-    # numpy's array header parser can also let SyntaxError and TokenError out
-    except (zipfile.BadZipFile, ValueError, EOFError, OSError, NotImplementedError,
-            SyntaxError, tokenize.TokenError) as exc:
-        raise FormatError(f"{path}: not a readable array archive: {exc}") from exc
-    for name, dtype in ARRAY_DTYPES.items():
-        if name not in arrays or arrays[name].dtype != dtype:
-            raise FormatError(f"{path}: {name} is not an array of dtype {dtype}")
-    origins, values, moments = arrays.values()
-    n_rows = 1 + n_bundles + n_assets
-    if (origins.ndim != 1 or values.ndim != 3 or moments.ndim != 2
-            or values.shape[:2] != (origins.size, n_rows)
-            or moments.shape != (values.shape[2], n_rows)):
-        raise ShapeMismatchError(
-            f"{path}: {origins.shape} origins, {values.shape} values and {moments.shape} "
-            f"moments do not hold M origins, (M, {n_rows}, T) values and (T, {n_rows}) moments")
-    if not np.isfinite(values).all():
-        raise FormatError(f"{path}: a forecast value is not finite")
-    if not ((moments >= 0.0) & (moments < np.inf)).all():
-        raise FormatError(f"{path}: a second moment is not finite and non-negative")
-    return RollingForecasts(HierarchyForecast(origins, values, n_bundles, n_assets), moments)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, ValueOutOfRangeError
-from .forecast import FLOAT_FORMAT, LEVELS, HierarchyForecast
+from .forecast import HierarchyForecast
 
 
 def _blocks(actuals, forecasts) -> tuple[np.ndarray, np.ndarray]:
@@ -108,19 +108,3 @@ def _score_level(a: np.ndarray, f: np.ndarray, caps: np.ndarray,
     ed = float(2.0 * np.sqrt(err.sum(axis=(1, 2))).sum() / m)
     return EvaluationReport(nmae=nmae, rmse=rmse, ed=ed,
                             vs=variogram_score(a, f) if with_vs else None, n_origins=m)
-
-
-REPORT_HEADER = "level,metric,value,M,series_id"
-
-
-def write_report_csv(reports: dict[str, EvaluationReport], path) -> None:
-    """Write `level,metric,value,M,series_id` rows, fleet/bundle/asset order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for level in LEVELS:
-            rep = reports[level]
-            rows = [("nmae", rep.nmae), ("rmse", rep.rmse), ("ed", rep.ed)]
-            if rep.vs is not None:
-                rows.append(("vs", rep.vs))
-            for name, value in rows:
-                fh.write(f"{level},{name},{FLOAT_FORMAT % value},{rep.n_origins},\n")

@@ -1,49 +1,45 @@
 """End-to-end orchestration: bundle, predict, reconcile, evaluate.
 
-A run consumes one config plus the assets/series CSV pair and produces a
-run directory holding the bundling, raw and reconciled forecasts, the
-in-sample residual moments, the evaluation reports, reconciler diagnostics,
-and a manifest of input hashes. Outputs are a pure function of (config,
-input files): no wall-clock time or machine state leaks into any file, so
-identical runs are byte-identical. Every fleet and bundle sum is
+A run consumes one config plus the assets/series CSV pair and produces a run
+directory, whose files :mod:`.rundir` lays out. Outputs are a pure function
+of (config, input files): no wall-clock time or machine state leaks into any
+file, so identical runs are byte-identical. Every fleet and bundle sum is
 ``Bundling.aggregate``, which uses no BLAS; the covariance and ridge
 products still go through BLAS, whose thread count can move a covariance
 entry by an ulp. So a file moves with the BLAS thread count only when a
 greedy choice is within an ulp of a tie.
 
-Bundling is :func:`make_bundling`; each later stage is one body that computes
-its products from in-memory inputs, writes them and returns what the next
-stage needs (``_forecast``, ``_reconcile``, ``_score``). ``_score`` builds
-the realized values it scores against; the forecast body ends by scoring its
-raw forecasts with it (``evaluation_raw.csv``), and the evaluate stage is
-``_score`` of the reconciled ones (``evaluation.csv``). ``run`` ingests and
-bundles once, then runs each pass as the stage commands' calls in their
-order, each under its own stage tag: it writes the bundling, then calls the
-forecast, reconcile and evaluate bodies. For the no-bundling baseline (all
-assets in one bundle, ``baseline_`` files) it calls them again, but the
-baseline's forecast body copies the fleet and asset rows from the bundled
-pass and its one bundle row from its fleet row, so no series is fitted twice,
-and it copies the lines of those rows from the bundled raw file into its own;
-then ``run`` compares the two passes. With ``n_bundles = 1`` the two passes
-have the same bundling, so the baseline pass fits nothing and writes the
-bundled pass's bytes. The forecast stage saves its test forecasts and
-residual moments twice: as CSVs to read, and as exact arrays
-(``forecasts_raw.npz``) that the reconcile stage loads, so the stage path
-reconciles the same bits as ``run``. When reconciliation changes no bit of
-the raw forecasts (persistence input is coherent), ``run``'s ``_reconcile``
-copies the raw forecast file it wrote from them; bits, not values, decide
+Bundling is :func:`make_bundling`; each later stage is one body that
+computes its products from in-memory inputs, writes them and returns what
+the next stage needs (``_forecast``, ``_reconcile``, ``_score``). ``_score``
+builds the realized values it scores against; the forecast body ends by
+scoring its raw forecasts with it (``evaluation_raw.csv``), and the evaluate
+stage is ``_score`` of the reconciled ones (``evaluation.csv``). ``run``
+ingests and bundles once, then runs each pass as the stage commands' calls
+in their order, each under its own stage tag: it writes the bundling, then
+calls the forecast, reconcile and evaluate bodies. For the no-bundling
+baseline (all assets in one bundle, ``baseline_`` files) it calls them
+again, but the baseline's forecast body copies the fleet and asset rows from
+the bundled pass and its one bundle row from its fleet row, so no series is
+fitted twice, and it copies the lines of those rows from the bundled raw
+file into its own; then ``run`` compares the two passes. With
+``n_bundles = 1`` the two passes have the same bundling, so the baseline pass
+fits nothing and writes the bundled pass's bytes. The forecast stage saves
+its test forecasts and residual moments as CSVs and as exact arrays, which
+the reconcile stage loads. When reconciliation changes no bit of the raw
+forecasts (persistence input is coherent), ``run``'s ``_reconcile`` copies
+the raw forecast file it wrote from them; bits, not values, decide
 (``forecast.same_bits``). The ``reconcile`` command does not read the raw
 CSV, so it formats its output: a hand-edited raw CSV changes nothing it
-writes. A stage command loads its inputs from the run directory, then calls
-the same body. Each product file is written by one body inside ``_stage``, so
-a failure while computing or writing it is tagged with its stage whichever
-command runs it (the manifest counts as ingest, ``sweep.csv`` as bundle).
+writes. A stage command loads its inputs with the loaders of :mod:`.rundir`,
+which names each file and the stage that writes it, then calls the same
+body. Each product file is written by one body inside ``_stage``, so a
+failure while computing or writing it is tagged with that stage whichever
+command runs it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import warnings
 from contextlib import contextmanager
@@ -52,16 +48,9 @@ from shutil import copyfile, rmtree
 
 import numpy as np
 
-from . import __version__
-from .bundling import (
-    Bundling,
-    check_feasible,
-    greedy_merge,
-    kmeans_bundle,
-    objective,
-    read_bundling_csv,
-    write_bundling_csv,
-)
+from . import rundir
+from .bundling import (Bundling, check_feasible, greedy_merge, kmeans_bundle, objective,
+                       write_bundling_csv)
 from .config import RunConfig, load_run_config, load_synth_config
 from .core import (
     AssetPanel,
@@ -71,52 +60,15 @@ from .core import (
     haversine_matrix,
     ingest_panel,
 )
-from .errors import BundlecastError, ConfigError, InfeasibleMergeError, ShapeMismatchError
-from .forecast import (
-    FLOAT_FORMAT,
-    LEVELS,
-    HierarchyForecast,
-    RollingForecasts,
-    _splice_forecast_csv,
-    forecast_origins,
-    hierarchy_actuals,
-    hierarchy_capacities,
-    read_forecast_arrays,
-    read_forecast_csv,
-    rolling_forecast,
-    same_bits,
-    write_forecast_arrays,
-    write_forecast_csv,
-    write_moments_csv,
-)
-from .metrics import EvaluationReport, evaluate, write_report_csv
-from .reconcile import (
-    build_reconciler,
-    count_bound_violations,
-    estimate_weights,
-    reconcile,
-    write_diagnostics_csv,
-)
+from .errors import BundlecastError, ConfigError, InfeasibleMergeError
+from .forecast import (FLOAT_FORMAT, HierarchyForecast, RollingForecasts, _splice_forecast_csv,
+                       hierarchy_actuals, hierarchy_capacities, rolling_forecast, same_bits,
+                       write_forecast_csv)
+from .metrics import EvaluationReport, evaluate
+from .reconcile import build_reconciler, count_bound_violations, estimate_weights, reconcile
 from .synth import write_synth_csv
 
-Reports = dict[str, EvaluationReport]  # per level
-
 WEIGHT_FLOOR_REL = 1e-8  # of squared fleet capacity
-
-BUNDLING_FILE = "bundling.csv"
-FORECAST_TEST_FILE = "forecasts_raw.csv"
-MOMENTS_FILE = "residual_moments.csv"
-FORECAST_ARRAYS_FILE = "forecasts_raw.npz"
-RECONCILED_FILE = "forecasts_reconciled.csv"
-REPORT_FILE = "evaluation.csv"
-REPORT_RAW_FILE = "evaluation_raw.csv"
-DIAGNOSTICS_FILE = "diagnostics.csv"
-COMPARISON_FILE = "comparison.csv"
-MANIFEST_FILE = "manifest.json"
-
-# the stage that writes each file a stage command reads
-_PRODUCER = {BUNDLING_FILE: "bundle", FORECAST_ARRAYS_FILE: "forecast",
-             RECONCILED_FILE: "reconcile"}
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -177,11 +129,11 @@ def make_bundling(config: RunConfig, panel: AssetPanel,
 
 
 def _score(panel: AssetPanel, bundling: Bundling, forecast: HierarchyForecast,
-           path: Path) -> Reports:
+           path: Path) -> dict[str, EvaluationReport]:
     """Score test forecasts against realized values; writes the report and returns it."""
     reports = evaluate(hierarchy_actuals(panel, bundling, forecast.origins, forecast.horizon),
                        forecast, hierarchy_capacities(panel, bundling))
-    write_report_csv(reports, path)
+    rundir.write_report_csv(reports, path)
     return reports
 
 
@@ -199,17 +151,17 @@ def _forecast(config: RunConfig, panel: AssetPanel, bundling: Bundling, out: Pat
     """
     forecasts = rolling_forecast(panel, bundling, config.forecast_task, config.specs,
                                  config.test_start, shared)
-    arrays = out / (prefix + FORECAST_ARRAYS_FILE)
+    arrays = out / (prefix + rundir.FORECAST_ARRAYS_FILE)
     arrays.unlink(missing_ok=True)
-    path = out / (prefix + FORECAST_TEST_FILE)
+    path = out / (prefix + rundir.FORECAST_TEST_FILE)
     if shared is None:
         write_forecast_csv(forecasts.test, panel.asset_ids, path)
     else:
         _splice_forecast_csv(forecasts.test, panel.asset_ids, path, shared.test,
-                             out / FORECAST_TEST_FILE)
-    write_moments_csv(forecasts.second_moment, out / (prefix + MOMENTS_FILE))
-    write_forecast_arrays(forecasts, arrays)
-    _score(panel, bundling, forecasts.test, out / (prefix + REPORT_RAW_FILE))
+                             out / rundir.FORECAST_TEST_FILE)
+    rundir.write_moments_csv(forecasts.second_moment, out / (prefix + rundir.MOMENTS_FILE))
+    rundir.write_forecast_arrays(forecasts, arrays)
+    _score(panel, bundling, forecasts.test, out / (prefix + rundir.REPORT_RAW_FILE))
     return forecasts
 
 
@@ -227,44 +179,13 @@ def _reconcile(panel: AssetPanel, bundling: Bundling, forecasts: RollingForecast
                                  eps_floor=WEIGHT_FLOOR_REL * panel.fleet_capacity ** 2)
     reconciled = reconcile(build_reconciler(bundling, variances), test)
     if raw_file is not None and same_bits(reconciled.values, test.values):
-        copyfile(raw_file, out / (prefix + RECONCILED_FILE))
+        copyfile(raw_file, out / (prefix + rundir.RECONCILED_FILE))
     else:
-        write_forecast_csv(reconciled, panel.asset_ids, out / (prefix + RECONCILED_FILE))
+        write_forecast_csv(reconciled, panel.asset_ids, out / (prefix + rundir.RECONCILED_FILE))
     violations = count_bound_violations(reconciled, hierarchy_capacities(panel, bundling))
-    write_diagnostics_csv(second_moment, variances, out / (prefix + DIAGNOSTICS_FILE),
-                          violations)
+    rundir.write_diagnostics_csv(second_moment, variances,
+                                 out / (prefix + rundir.DIAGNOSTICS_FILE), violations)
     return reconciled
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def write_manifest(config: RunConfig, out_dir: Path) -> None:
-    manifest = {
-        "package": "bundlecast",
-        "version": __version__,
-        "config_sha256": _sha256(config.path),
-        "assets_sha256": _sha256(config.assets_file),
-        "series_sha256": _sha256(config.series_file),
-    }
-    (out_dir / MANIFEST_FILE).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _write_comparison(bundled: Reports, baseline: Reports, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("level,metric,bundled,baseline\n")
-        for level in LEVELS:
-            for name in ("nmae", "rmse", "ed", "vs"):
-                b, k1 = getattr(bundled[level], name), getattr(baseline[level], name)
-                if b is not None and k1 is not None:
-                    fh.write(f"{level},{name},{FLOAT_FORMAT % b},{FLOAT_FORMAT % k1}\n")
 
 
 def _make_dir(path: Path) -> None:
@@ -306,19 +227,20 @@ def run(config_path, out_dir=None) -> Path:
             passes["baseline_"] = Bundling.single_bundle(panel.asset_ids)
         forecasts, reports = None, []
         for prefix, pass_bundling in passes.items():
-            _stage("bundle", write_bundling_csv, pass_bundling, out / (prefix + BUNDLING_FILE))
+            _stage("bundle", write_bundling_csv, pass_bundling,
+                   out / (prefix + rundir.BUNDLING_FILE))
             # the baseline copies the bundled pass's fleet and asset rows; rebinding
             # the name then frees them before the baseline reconciles
             forecasts = _stage("forecast", _forecast, config, panel, pass_bundling, out, prefix,
                                forecasts)
             reconciled = _stage("reconcile", _reconcile, panel, pass_bundling, forecasts, out,
-                                prefix, out / (prefix + FORECAST_TEST_FILE))
+                                prefix, out / (prefix + rundir.FORECAST_TEST_FILE))
             reports.append(_stage("evaluate", _score, panel, pass_bundling, reconciled,
-                                  out / (prefix + REPORT_FILE)))
+                                  out / (prefix + rundir.REPORT_FILE)))
             del reconciled  # the next pass does not hold it
         if config.baseline:
-            _stage("evaluate", _write_comparison, *reports, out / COMPARISON_FILE)
-        _stage("ingest", write_manifest, config, out)
+            _stage("evaluate", rundir.write_comparison, *reports, out / rundir.COMPARISON_FILE)
+        _stage("ingest", rundir.write_manifest, config, out)
     return out
 
 
@@ -328,41 +250,6 @@ def _open_stage(config_path, out_dir) -> tuple[RunConfig, Path, AssetPanel]:
     """The config, run directory and panel of a stage command; creates no directory."""
     config = load_run_config(config_path)
     return config, Path(out_dir or config.output_dir), _stage("ingest", load_panel, config)
-
-
-def _load_inputs(config: RunConfig, out: Path, panel: AssetPanel, *names):
-    """``(bundling, *products)`` read from a run directory, checked against the config.
-
-    The forecast arrays are read as RollingForecasts and a forecast CSV as a
-    HierarchyForecast; either's test forecasts must hold the config's horizon
-    at the test origins the forecast stage issues.
-    """
-    for name in (BUNDLING_FILE, *names):
-        if not (out / name).exists():
-            raise ConfigError(f"{out / name} not found; run the '{_PRODUCER[name]}' stage first")
-    bundling = read_bundling_csv(out / BUNDLING_FILE, panel.asset_ids)
-    if bundling.n_bundles != config.n_bundles:
-        raise ShapeMismatchError(f"{out / BUNDLING_FILE}: {bundling.n_bundles} bundles, but "
-                                 f"the config's n_bundles is {config.n_bundles}")
-    horizon = config.forecast_task.horizon
-    products = []
-    for name in names:
-        if name == FORECAST_ARRAYS_FILE:
-            product = read_forecast_arrays(out / name, bundling.n_bundles, panel.n_assets)
-            forecast = product.test
-        else:
-            product = forecast = read_forecast_csv(out / name, panel.asset_ids,
-                                                   bundling.n_bundles)
-        if forecast.horizon != horizon:
-            raise ShapeMismatchError(f"{out / name}: {forecast.horizon} leads, but the "
-                                     f"config's horizon is {horizon}")
-        origins = panel.timestamps[forecast_origins(panel, config.forecast_task,
-                                                    config.test_start)]
-        if not np.array_equal(forecast.origins, origins):
-            raise ShapeMismatchError(f"{out / name}: {forecast.n_origins} origins, but not the "
-                                     f"{origins.size} test origins of the config")
-        products.append(product)
-    return (bundling, *products)
 
 
 def stage_synth(config_path, out_dir=None) -> tuple[Path, Path]:
@@ -386,35 +273,36 @@ def stage_bundle(config_path, out_dir=None) -> Path:
     config, out, panel = _open_stage(config_path, out_dir)
     bundling, sigma = _stage("bundle", make_bundling, config, panel, haversine_matrix(panel.assets))
     _make_dir(out)  # the one stage that may create the run directory
-    _stage("bundle", write_bundling_csv, bundling, out / BUNDLING_FILE)
+    _stage("bundle", write_bundling_csv, bundling, out / rundir.BUNDLING_FILE)
     if sigma is not None:
         print(f"objective[{config.criterion}] = {objective(bundling, sigma):.6g}")
-    return out / BUNDLING_FILE
+    return out / rundir.BUNDLING_FILE
 
 
 def stage_forecast(config_path, out_dir=None) -> Path:
     """Produce test forecasts and in-sample residual moments for a learned bundling."""
     config, out, panel = _open_stage(config_path, out_dir)
-    (bundling,) = _stage("forecast", _load_inputs, config, out, panel)
+    bundling = _stage("forecast", rundir.load_bundling, config, out, panel)
     _stage("forecast", _forecast, config, panel, bundling, out)
-    return out / FORECAST_TEST_FILE
+    return out / rundir.FORECAST_TEST_FILE
 
 
 def stage_reconcile(config_path, out_dir=None) -> Path:
     """Reconcile the raw forecasts the forecast stage saved as exact arrays."""
     config, out, panel = _open_stage(config_path, out_dir)
-    bundling, forecasts = _stage("reconcile", _load_inputs, config, out, panel,
-                                 FORECAST_ARRAYS_FILE)
+    bundling = _stage("reconcile", rundir.load_bundling, config, out, panel)
+    forecasts = _stage("reconcile", rundir.load_forecast_arrays, config, out, panel)
     _stage("reconcile", _reconcile, panel, bundling, forecasts, out)
-    return out / RECONCILED_FILE
+    return out / rundir.RECONCILED_FILE
 
 
 def stage_evaluate(config_path, out_dir=None) -> Path:
     """Score the reconciled forecasts against realized values."""
     config, out, panel = _open_stage(config_path, out_dir)
-    bundling, reconciled = _stage("evaluate", _load_inputs, config, out, panel, RECONCILED_FILE)
-    _stage("evaluate", _score, panel, bundling, reconciled, out / REPORT_FILE)
-    return out / REPORT_FILE
+    bundling = _stage("evaluate", rundir.load_bundling, config, out, panel)
+    reconciled = _stage("evaluate", rundir.load_reconciled, config, out, panel)
+    _stage("evaluate", _score, panel, bundling, reconciled, out / rundir.REPORT_FILE)
+    return out / rundir.REPORT_FILE
 
 
 def _sweep(config: RunConfig, train: AssetPanel, path: Path) -> None:
@@ -452,6 +340,6 @@ def run_sweep(config_path, out_dir=None) -> Path:
         # whole panel alive while the sweep runs
         train = _stage("bundle", _stage("ingest", load_panel, config).window,
                        config.train_start, config.train_end)
-        _stage("bundle", _sweep, config, train, out / "sweep.csv")
-        _stage("ingest", write_manifest, config, out)
+        _stage("bundle", _sweep, config, train, out / rundir.SWEEP_FILE)
+        _stage("ingest", rundir.write_manifest, config, out)
     return out

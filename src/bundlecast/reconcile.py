@@ -174,17 +174,3 @@ def count_bound_violations(forecast: HierarchyForecast, capacities) -> np.ndarra
         )
     outside = (forecast.values < 0.0) | (forecast.values > caps[None, :, None])
     return outside.sum(axis=(0, 1))
-
-
-def write_diagnostics_csv(second_moment, variances, path, bound_violations) -> None:
-    """Per-lead weight ratio, floored weights (moment below variance), and range violations."""
-    v = np.asarray(variances)
-    ratio = v.max(axis=1) / v.min(axis=1)
-    n_floored = (np.asarray(second_moment) < v).sum(axis=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lead,weight_ratio,n_floored_weights,n_bound_violations\n")
-        for tau in range(v.shape[0]):
-            fh.write(
-                f"{tau + 1},{ratio[tau]:.6e},"
-                f"{int(n_floored[tau])},{int(bound_violations[tau])}\n"
-            )

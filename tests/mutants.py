@@ -111,6 +111,12 @@ MUTANTS = (
            '"version": f"{__version__}+{__import__(\'time\').time_ns()}",',
            ("tests/test_acceptance.py::test_run_directory_determinism",
             "tests/test_pipeline.py::test_cli_run_determinism")),
+    # the run directory's producer table names the stage that writes a missing input
+    Mutant("producer-reconciled-by-evaluate",
+           'RECONCILED_FILE: "reconcile",',
+           'RECONCILED_FILE: "evaluate",',
+           ("tests/test_pipeline.py::test_cli_stage_names_the_stage_that_writes_a_missing_input"
+            "[forecasts_reconciled.csv]",)),
     # one bit rule beside the forecast writer
     Mutant("same-bits-by-value",
            "return np.array_equal(a.view(np.int64), b.view(np.int64))",

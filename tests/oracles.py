@@ -39,7 +39,8 @@ from bundlecast.errors import (
     ShapeMismatchError,
     ValueOutOfRangeError,
 )
-from bundlecast.forecast import MOMENTS_HEADER, _calendar_features, ridge_fit
+from bundlecast.forecast import _calendar_features, ridge_fit
+from bundlecast.rundir import MOMENTS_HEADER
 
 EXACT_MAX_ASSETS = 12
 
@@ -151,7 +152,7 @@ def per_row_forecasts(panel, bundling, task, specs, split_idx) -> tuple[np.ndarr
 
 
 def read_moments_csv(path, n_rows: int, horizon: int) -> np.ndarray:
-    """The (horizon, n_rows) moments written by :func:`bundlecast.forecast.write_moments_csv`.
+    """The (horizon, n_rows) moments written by :func:`bundlecast.rundir.write_moments_csv`.
 
     Every cell must appear once, in the writer's (lead, row) order, with a
     finite non-negative value; anything else raises FormatError at its line.

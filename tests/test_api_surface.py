@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import bundlecast
-from bundlecast import Bundling, build_reconciler, errors, greedy_merge
+from bundlecast import Bundling, build_reconciler, errors, greedy_merge, rundir
 from bundlecast.forecast import read_forecast_csv, write_forecast_csv
 
 PACKAGE_DIR = Path(bundlecast.__file__).parent
@@ -101,6 +101,35 @@ def test_the_package_holds_what_a_command_runs():
                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                    and node.name not in outside]
     assert unread == []
+
+
+def docstring_nodes(tree) -> set[int]:
+    """``id`` of each docstring's node in ``tree``: the module's, each class's and
+    each function's."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+def test_only_rundir_holds_the_run_directory_file_names():
+    """Outside docstrings, no module but ``rundir.py`` holds a string that names a
+    run-directory file, so the layout of the run directory stays in one module."""
+    names = sorted(rundir.PRODUCER)
+    assert "bundling.csv" in names and "forecasts_reconciled.csv" in names
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "rundir.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = docstring_nodes(tree)
+        found += [f"{path.name}:{node.lineno}: {name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings
+                  for name in names if name in node.value]
+    assert found == []
 
 
 def test_forecast_csv_parameters_keep_their_names():

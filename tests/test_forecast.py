@@ -31,14 +31,12 @@ from bundlecast.forecast import (
     RollingForecasts,
     _calendar_features,
     _splice_forecast_csv,
-    read_forecast_arrays,
     read_forecast_csv,
     ridge_fit,
     same_bits,
-    write_forecast_arrays,
     write_forecast_csv,
-    write_moments_csv,
 )
+from bundlecast.rundir import read_forecast_arrays, write_forecast_arrays, write_moments_csv
 from bundlecast.errors import (
     FormatError,
     InsufficientDataError,

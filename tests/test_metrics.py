@@ -17,7 +17,7 @@ from bundlecast import (
     variogram_score,
 )
 from bundlecast.errors import ShapeMismatchError, ValueOutOfRangeError
-from bundlecast.metrics import write_report_csv
+from bundlecast.rundir import write_report_csv
 
 from conftest import (
     assert_bits_equal,

@@ -14,7 +14,7 @@ from bundlecast import (
     reconcile,
     summing_matrix,
 )
-from bundlecast.reconcile import write_diagnostics_csv
+from bundlecast.rundir import write_diagnostics_csv
 from bundlecast.errors import ShapeMismatchError, ValueOutOfRangeError
 
 from conftest import (
